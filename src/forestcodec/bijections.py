@@ -13,6 +13,12 @@ families then order by gap position, colored by ascending color), followed
 by the swap-case targets inside the moved subtree in the same order.  Swap
 case choices record the attachment vertex in post-swap labels, i.e. as the
 vertex appears in the forest with k roots.
+
+Cost model: every step, choice count and membership check does O(n) work
+on an n-vertex forest.  A step builds what it needs from one pass over its
+input: a child index of the parent map (``forests._child_index``) for the
+labeled families, one ``label -> (tree, path, node)`` walk for the plane
+family.  A codec or sampler run takes n-2 steps, so it costs O(n^2).
 """
 
 from __future__ import annotations
@@ -20,16 +26,18 @@ from __future__ import annotations
 from .forests import (
     EdgeColoredForest,
     PartAssignment,
+    Path,
     PlaneForest,
     PlaneNode,
     RootedForest,
+    _child_index,
+    _rebuild,
+    _subtree,
     detach_subtree,
     attach_subtree,
     is_descendant,
     plane_find_label,
     plane_get,
-    plane_delete,
-    plane_insert_child,
     plane_label_in_tree,
     plane_leaf_positions,
     plane_preorder,
@@ -106,8 +114,7 @@ def plain_forward(forest: RootedForest, k: int) -> tuple[RootedForest, int]:
     swapped = not is_descendant(out, n, 1)
     if swapped:
         out = swap_labels(out, 1, k)
-    inside = sorted(subtree_vertices(out, k))
-    outside = sorted(set(range(1, n + 1)) - set(inside))
+    inside, outside = _split_at_subtree(out, k)
     if swapped:
         c = len(outside) + inside.index(_swap12(1, k, w)) + 1
     else:
@@ -125,13 +132,21 @@ def plain_inverse(forest: RootedForest, k: int, choice: int) -> RootedForest:
     n = forest.n
     _require(2 <= k <= n - 1, f"k must satisfy 2 <= k <= n-1, got {k}")
     _require_plain(forest, k, n)
-    inside = sorted(subtree_vertices(forest, k))
-    outside = sorted(set(range(1, n + 1)) - set(inside))
+    inside, outside = _split_at_subtree(forest, k)
     _require(1 <= choice <= n, f"choice must be in 1..{n}, got {choice}")
     if choice <= len(outside):
         return attach_subtree(forest, k, outside[choice - 1])
     u = inside[choice - len(outside) - 1]
     return swap_labels(attach_subtree(forest, 1, u), 1, k)
+
+
+def _split_at_subtree(
+    forest: RootedForest, k: int
+) -> tuple[list[int], list[int]]:
+    """The vertices inside the subtree at k and those outside it, ascending."""
+    inside = subtree_vertices(forest, k)
+    outside = [v for v in range(1, forest.n + 1) if v not in inside]
+    return sorted(inside), outside
 
 
 def plain_choice_count(forest: RootedForest, k: int) -> int:
@@ -159,12 +174,13 @@ def _partite_targets(
     forest: RootedForest, k: int, parts: PartAssignment
 ) -> tuple[list[int], list[int]]:
     inside = subtree_vertices(forest, k)
+    part_k, part_1 = parts.part_of(k), parts.part_of(1)
     out = [
         v
         for v in range(1, forest.n + 1)
-        if v not in inside and parts.part_of(v) != parts.part_of(k)
+        if v not in inside and parts.part_of(v) != part_k
     ]
-    ins = [v for v in sorted(inside) if parts.part_of(v) != parts.part_of(1)]
+    ins = [v for v in sorted(inside) if parts.part_of(v) != part_1]
     return out, ins
 
 
@@ -257,32 +273,48 @@ def reroot_switch(forest: RootedForest) -> RootedForest:
 # --------------------------------------------------------------------------
 
 
-def _require_plane(pf: PlaneForest, k: int, conditioned: bool = True) -> None:
-    n = pf.n_vertices
-    _require(pf.is_fully_labeled(), "plane family here is fully labeled")
-    _require(set(pf.labels()) == set(range(1, n + 1)), "labels must be 1..n")
+PlaneIndex = dict[int, tuple[int, Path, PlaneNode]]
+
+
+def _plane_index(pf: PlaneForest) -> PlaneIndex:
+    """label -> (tree index, path, node), from one preorder walk."""
+    return {node.label: (ti, path, node) for ti, path, node in plane_preorder(pf)}
+
+
+def _require_plane(pf: PlaneForest, k: int, conditioned: bool = True) -> PlaneIndex:
+    """Validate membership with roots 1..k; returns the forest's label index."""
+    at = _plane_index(pf)
+    # Labels are distinct, so only unlabeled vertices can share a key.
+    _require(None not in at, "plane family here is fully labeled")
+    n = len(at)
+    _require(at.keys() == set(range(1, n + 1)), "labels must be 1..n")
     _require(
         pf.root_labels() == tuple(range(1, k + 1)),
         f"expected roots exactly 1..{k}, got {pf.root_labels()}",
     )
     if conditioned:
+        _require(n in at, f"label {n} not present")  # the empty forest
         _require(
-            plane_label_in_tree(pf, n, 1),
+            pf.trees[at[n][0]].label == 1,
             f"vertex {n} must lie in the tree rooted at 1",
         )
+    return at
 
 
 def _plane_slots(
-    pf: PlaneForest, k: int
+    pf: PlaneForest, k: int, at: PlaneIndex | None = None
 ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """(vertex, gap) attachment slots, outside tree k then inside it."""
+    """(vertex, gap) attachment slots, outside tree k then inside it.
+
+    ``pf`` is labeled 1..n; ``at`` is its label index when already built.
+    """
+    if at is None:
+        at = _plane_index(pf)
     outside: list[tuple[int, int]] = []
     inside: list[tuple[int, int]] = []
-    entries = sorted(
-        (node.label, ti, node) for ti, _, node in plane_preorder(pf)
-    )
     k_tree = next(i for i, t in enumerate(pf.trees) if t.label == k)
-    for label, ti, node in entries:
+    for label in range(1, len(at) + 1):
+        ti, _, node = at[label]
         slots = [(label, g) for g in range(len(node.children) + 1)]
         (inside if ti == k_tree else outside).extend(slots)
     return outside, inside
@@ -296,13 +328,17 @@ def plane_forward(pf: PlaneForest, k: int) -> tuple[PlaneForest, int]:
     """
     n = pf.n_vertices
     _require(2 <= k <= n - 1, f"k must satisfy 2 <= k <= n-1, got {k}")
-    _require_plane(pf, k - 1)
-    ti, path = plane_find_label(pf, k)
+    at = _require_plane(pf, k - 1)
+    ti, path, sub = at[k]
     w = plane_get(pf, ti, path[:-1]).label
     gap = path[-1]
-    sub = plane_get(pf, ti, path)
-    out = PlaneForest(plane_delete(pf, ti, path).trees + (sub,))
-    swapped = not plane_label_in_tree(out, n, 1)
+    trees = list(pf.trees)
+    trees[ti] = _rebuild(trees[ti], path, None)
+    out = PlaneForest(tuple(trees) + (sub,))
+    # Vertex n lies in tree 1; it leaves tree 1 exactly when it sits in the
+    # detached subtree.
+    n_ti, n_path, _ = at[n]
+    swapped = n_ti == ti and n_path[: len(path)] == path
     if swapped:
         out = plane_relabel(out, 1, k)
         w = _swap12(1, k, w)
@@ -317,8 +353,8 @@ def plane_forward(pf: PlaneForest, k: int) -> tuple[PlaneForest, int]:
 def plane_inverse(pf: PlaneForest, k: int, choice: int) -> PlaneForest:
     n = pf.n_vertices
     _require(2 <= k <= n - 1, f"k must satisfy 2 <= k <= n-1, got {k}")
-    _require_plane(pf, k)
-    outside, inside = _plane_slots(pf, k)
+    at = _require_plane(pf, k)
+    outside, inside = _plane_slots(pf, k, at)
     total = len(outside) + len(inside)
     _require(
         1 <= choice <= total, f"choice must be in 1..{total}, got {choice}"
@@ -329,11 +365,18 @@ def plane_inverse(pf: PlaneForest, k: int, choice: int) -> PlaneForest:
     else:
         vertex, gap = inside[choice - len(outside) - 1]
         moved, swap = 1, True
-    m_tree = next(i for i, t in enumerate(pf.trees) if t.label == moved)
-    sub = pf.trees[m_tree]
-    rest = PlaneForest(pf.trees[:m_tree] + pf.trees[m_tree + 1 :])
-    ti, path = plane_find_label(rest, vertex)
-    out = plane_insert_child(rest, ti, path, gap, sub)
+    # The target vertex never lies in the moved tree: outside slots avoid
+    # tree k, inside slots avoid tree 1.
+    m_tree = at[moved][0]
+    ti, path, target = at[vertex]
+    trees = list(pf.trees)
+    sub = trees.pop(m_tree)
+    if ti > m_tree:
+        ti -= 1
+    kids = target.children
+    new = PlaneNode(target.label, kids[:gap] + (sub,) + kids[gap:])
+    trees[ti] = _rebuild(trees[ti], path, new)
+    out = PlaneForest(tuple(trees))
     if swap:
         out = plane_relabel(out, 1, k)
     return out
@@ -453,17 +496,10 @@ def _alternating_flip(
     proper coloring.  Flipping the same path again undoes the exchange,
     which is what keeps the forward and inverse steps mutually inverse.
     """
-    n = len(parents)
+    kids = _child_index(parents)
     v, want, other = start, first, second
     while True:
-        child = next(
-            (
-                u
-                for u in range(1, n + 1)
-                if parents[u - 1] == v and colors[u - 1] == want
-            ),
-            None,
-        )
+        child = next((u for u in kids[v] if colors[u - 1] == want), None)
         if child is None:
             return
         colors[child - 1] = other
@@ -478,13 +514,17 @@ def _colored_pairs(
     A root may offer only the first kc-1 colors (the result tree must stay
     special there); any vertex excludes the colors already incident to it.
     """
-    kc = ef.color_count
-    inside_set = subtree_vertices(ef.base, r)
+    kc, parents, colors = ef.color_count, ef.base.parents, ef.colors
+    kids = _child_index(parents)
+    inside_set = set(_subtree(kids, r))
     outside: list[tuple[int, int]] = []
     inside: list[tuple[int, int]] = []
     for v in range(1, ef.n + 1):
         top = kc - 1 if v <= r else kc
-        used = ef.colors_at(v)
+        # The colors incident to v, as EdgeColoredForest.colors_at gives.
+        used = {colors[u - 1] for u in kids[v]}
+        if parents[v - 1] != 0:
+            used.add(colors[v - 1])
         pairs = [(v, y) for y in range(1, top + 1) if y not in used]
         (inside if v in inside_set else outside).extend(pairs)
     return outside, inside

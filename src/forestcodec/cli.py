@@ -62,17 +62,19 @@ def _to_json(obj) -> dict:
             "parents": list(obj.parents),
         }
     if isinstance(obj, PlaneForest):
-
-        def node(nd):
-            return {
-                "label": nd.label,
-                "children": [node(c) for c in nd.children],
-            }
-
+        trees: list[dict] = []
+        # Iterative, so depth is no limit: each node's dict goes into the
+        # children list of its parent's dict, in order.
+        stack = [(t, trees) for t in reversed(obj.trees)]
+        while stack:
+            nd, siblings = stack.pop()
+            entry = {"label": nd.label, "children": []}
+            siblings.append(entry)
+            stack.extend((c, entry["children"]) for c in reversed(nd.children))
         return {
             "kind": "plane",
             "vertices": obj.n_vertices,
-            "trees": [node(t) for t in obj.trees],
+            "trees": trees,
         }
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 

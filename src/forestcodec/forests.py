@@ -5,6 +5,12 @@ Vertices are labeled 1..n and a forest is stored as a parent map:
 root.  All values here are immutable; every operation returns a new value,
 so bijection steps compose without aliasing surprises.
 
+Cost model: each operation makes one pass over the value, O(n) for n
+vertices; plane walks that report paths also pay for building each path.
+``children``, ``degree`` and ``EdgeColoredForest.colors_at`` answer for one
+vertex with a full O(n) scan, so code that needs the children of many
+vertices builds one child index with ``_child_index`` instead.
+
 Family-level constraints (roots being exactly 1..k, a pivot vertex lying in
 tree 1, part discipline, special color rules) are *not* type invariants:
 intermediate states of the bijections legitimately violate them.  They are
@@ -14,6 +20,7 @@ enforced by the functions that need them.
 from __future__ import annotations
 
 import bisect
+import re
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -89,6 +96,12 @@ def parent(forest: RootedForest, v: int) -> int:
 
 
 def children(forest: RootedForest, x: int) -> tuple[int, ...]:
+    """The children of x in ascending order.
+
+    A convenience for single queries: each call scans all n parents.  The
+    bijection steps and validators build one ``_child_index`` per value
+    instead, so they never call this.
+    """
     _check_vertex(forest, x)
     return tuple(v for v in range(1, forest.n + 1) if forest.parents[v - 1] == x)
 
@@ -122,9 +135,26 @@ def is_descendant(forest: RootedForest, y: int, x: int) -> bool:
 def subtree_vertices(forest: RootedForest, x: int) -> frozenset[int]:
     """The vertex set of the subtree rooted at x, including x."""
     _check_vertex(forest, x)
-    return frozenset(
-        v for v in range(1, forest.n + 1) if is_descendant(forest, v, x)
-    )
+    return frozenset(_subtree(_child_index(forest.parents), x))
+
+
+def _child_index(parents: Sequence[int]) -> list[list[int]]:
+    """``kids[x]`` lists the children of x in ascending order, from one pass
+    over the parent map; ``kids[0]`` lists the roots."""
+    kids: list[list[int]] = [[] for _ in range(len(parents) + 1)]
+    for v, p in enumerate(parents, start=1):
+        kids[p].append(v)
+    return kids
+
+
+def _subtree(kids: list[list[int]], x: int) -> list[int]:
+    """The vertices of the subtree rooted at x, by a walk of a child index."""
+    found, stack = [], [x]
+    while stack:
+        v = stack.pop()
+        found.append(v)
+        stack.extend(kids[v])
+    return found
 
 
 def detach_subtree(forest: RootedForest, x: int) -> RootedForest:
@@ -255,7 +285,7 @@ class PlaneNode:
 
     @property
     def size(self) -> int:
-        return 1 + sum(c.size for c in self.children)
+        return len(_nodes((self,)))
 
     @property
     def is_leaf(self) -> bool:
@@ -275,7 +305,7 @@ class PlaneForest:
     trees: tuple[PlaneNode, ...]
 
     def __post_init__(self) -> None:
-        labels = list(self.labels())
+        labels = [nd.label for nd in _nodes(self.trees) if nd.label is not None]
         if len(labels) != len(set(labels)):
             raise ValueError("duplicate labels in plane forest")
         if not labels:
@@ -292,7 +322,7 @@ class PlaneForest:
 
     @property
     def n_vertices(self) -> int:
-        return sum(t.size for t in self.trees)
+        return len(_nodes(self.trees))
 
     @property
     def tree_count(self) -> int:
@@ -300,14 +330,14 @@ class PlaneForest:
 
     @property
     def leaf_count(self) -> int:
-        return sum(1 for _, _, node in plane_preorder(self) if node.is_leaf)
+        return sum(1 for node in _nodes(self.trees) if node.is_leaf)
 
     @property
     def labeled_count(self) -> int:
         return sum(1 for _ in self.labels())
 
     def labels(self) -> Iterator[int]:
-        for _, _, node in plane_preorder(self):
+        for node in _nodes(self.trees):
             if node.label is not None:
                 yield node.label
 
@@ -321,23 +351,37 @@ class PlaneForest:
         """True iff a vertex is unlabeled exactly when it is a leaf."""
         return all(
             (node.label is None) == node.is_leaf
-            for _, _, node in plane_preorder(self)
+            for node in _nodes(self.trees)
         )
 
 
 Path = tuple[int, ...]
 
 
+def _nodes(roots: Sequence[PlaneNode]) -> list[PlaneNode]:
+    """Every node below the given roots in global preorder, iteratively."""
+    found: list[PlaneNode] = []
+    stack = list(reversed(roots))
+    while stack:
+        node = stack.pop()
+        found.append(node)
+        stack.extend(reversed(node.children))
+    return found
+
+
 def plane_preorder(pf: PlaneForest) -> Iterator[tuple[int, Path, PlaneNode]]:
-    """Yield (tree index, child-index path, node) in global preorder."""
+    """Yield (tree index, child-index path, node) in global preorder.
 
-    def walk(node: PlaneNode, ti: int, path: Path):
-        yield ti, path, node
-        for i, c in enumerate(node.children):
-            yield from walk(c, ti, path + (i,))
-
+    Iterative, so depth costs nothing beyond building each node's path.
+    """
     for ti, tree in enumerate(pf.trees):
-        yield from walk(tree, ti, ())
+        stack: list[tuple[Path, PlaneNode]] = [((), tree)]
+        while stack:
+            path, node = stack.pop()
+            yield ti, path, node
+            kids = node.children
+            for i in range(len(kids) - 1, -1, -1):
+                stack.append((path + (i,), kids[i]))
 
 
 def plane_leaf_positions(pf: PlaneForest) -> list[tuple[int, Path]]:
@@ -362,17 +406,20 @@ def plane_get(pf: PlaneForest, ti: int, path: Path) -> PlaneNode:
 
 
 def _rebuild(node: PlaneNode, path: Path, new: PlaneNode | None) -> PlaneNode:
-    # Replace the node at `path` with `new`, or delete it when new is None.
-    if not path:
-        assert new is not None
-        return new
-    i, rest = path[0], path[1:]
-    kids = node.children
-    if not rest and new is None:
-        return PlaneNode(node.label, kids[:i] + kids[i + 1 :])
-    return PlaneNode(
-        node.label, kids[:i] + (_rebuild(kids[i], rest, new),) + kids[i + 1 :]
-    )
+    """Replace the node at `path` with `new`, or delete it when new is None.
+
+    Only the ancestors along the path are copied; the rest is shared.
+    """
+    ancestors = []
+    for i in path:
+        ancestors.append(node)
+        node = node.children[i]
+    for anc, i in zip(reversed(ancestors), reversed(path)):
+        kids = anc.children
+        middle = () if new is None else (new,)
+        new = PlaneNode(anc.label, kids[:i] + middle + kids[i + 1 :])
+    assert new is not None, "cannot delete a whole tree by path"
+    return new
 
 
 def plane_replace(pf: PlaneForest, ti: int, path: Path, new: PlaneNode) -> PlaneForest:
@@ -381,44 +428,18 @@ def plane_replace(pf: PlaneForest, ti: int, path: Path, new: PlaneNode) -> Plane
     return PlaneForest(tuple(trees))
 
 
-def plane_delete(pf: PlaneForest, ti: int, path: Path) -> PlaneForest:
-    """Remove the subtree at a non-root position, closing the child gap."""
-    if not path:
-        raise ValueError("cannot delete a whole tree by path")
-    trees = list(pf.trees)
-    trees[ti] = _rebuild(trees[ti], path, None)
-    return PlaneForest(tuple(trees))
-
-
-def plane_insert_child(
-    pf: PlaneForest, ti: int, path: Path, gap: int, sub: PlaneNode
-) -> PlaneForest:
-    """Insert `sub` as a child of the node at (ti, path), at gap position."""
-    target = plane_get(pf, ti, path)
-    if not 0 <= gap <= len(target.children):
-        raise ValueError(f"gap {gap} out of range 0..{len(target.children)}")
-    new = PlaneNode(
-        target.label, target.children[:gap] + (sub,) + target.children[gap:]
-    )
-    trees = list(pf.trees)
-    trees[ti] = _rebuild(trees[ti], path, new) if path else new
-    return PlaneForest(tuple(trees))
-
-
 def plane_relabel(pf: PlaneForest, a: int, b: int) -> PlaneForest:
     """Swap labels a and b, then restore ascending tree order."""
     if a == b:
         return pf
-
-    def sub(node: PlaneNode) -> PlaneNode:
-        lab = node.label
-        if lab == a:
-            lab = b
-        elif lab == b:
-            lab = a
-        return PlaneNode(lab, tuple(sub(c) for c in node.children))
-
-    trees = sorted((sub(t) for t in pf.trees), key=lambda t: t.label)
+    trees = list(pf.trees)
+    for ti, path, node in plane_preorder(pf):
+        if node.label == a or node.label == b:
+            # Relabeling moves no node, so each path stays valid in the
+            # partly relabeled trees.
+            new = PlaneNode(b if node.label == a else a, node.children)
+            trees[ti] = _rebuild(trees[ti], path, new)
+    trees.sort(key=lambda t: t.label)
     return PlaneForest(tuple(trees))
 
 
@@ -459,10 +480,9 @@ class EdgeColoredForest:
                     raise ValueError(f"root {v} must carry color 0")
             elif not 1 <= c <= self.color_count:
                 raise ValueError(f"color of edge into {v} out of range: {c}")
+        kids = _child_index(self.base.parents)
         for x in range(1, n + 1):
-            incident = [
-                self.colors[v - 1] for v in children(self.base, x)
-            ]
+            incident = [self.colors[v - 1] for v in kids[x]]
             if self.base.parents[x - 1] != 0:
                 incident.append(self.colors[x - 1])
             if len(incident) != len(set(incident)):
@@ -474,10 +494,11 @@ class EdgeColoredForest:
 
     def is_special(self) -> bool:
         """True iff no edge out of any root carries the last color."""
+        kids = _child_index(self.base.parents)
         return all(
             self.colors[v - 1] != self.color_count
-            for r in self.base.roots
-            for v in children(self.base, r)
+            for r in kids[0]
+            for v in kids[r]
         )
 
     def colors_at(self, x: int) -> frozenset[int]:
@@ -556,23 +577,40 @@ def parse_colored(text: str, color_count: int) -> EdgeColoredForest:
     return EdgeColoredForest(base, color_count, tuple(ints[2 + n :]))
 
 
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
 def _parse_ints(text: str, tokens: list[str]) -> list[int]:
     values = []
     for tok in tokens:
-        if not tok.lstrip("-").isdigit():
+        if not _INTEGER.fullmatch(tok):
             raise ParseError(f"not an integer: {tok!r}", text.find(tok))
         values.append(int(tok))
     return values
 
 
 def render_plane(pf: PlaneForest) -> str:
-    def term(node: PlaneNode) -> str:
-        head = "*" if node.label is None else str(node.label)
-        if not node.children:
-            return head
-        return head + "(" + ",".join(term(c) for c in node.children) + ")"
-
-    return ";".join(term(t) for t in pf.trees)
+    out: list[str] = []
+    # The stack holds nodes still to render and the punctuation between them.
+    stack: list[PlaneNode | str] = []
+    for i, tree in enumerate(pf.trees):
+        if i:
+            out.append(";")
+        stack.append(tree)
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            out.append("*" if item.label is None else str(item.label))
+            if item.children:
+                out.append("(")
+                stack.append(")")
+                for j in range(len(item.children) - 1, 0, -1):
+                    stack.append(item.children[j])
+                    stack.append(",")
+                stack.append(item.children[0])
+    return "".join(out)
 
 
 def parse_plane(text: str) -> PlaneForest:
@@ -583,8 +621,11 @@ def parse_plane(text: str) -> PlaneForest:
         while pos < len(text) and text[pos].isspace():
             pos += 1
 
-    def parse_node() -> PlaneNode:
-        nonlocal pos
+    # Iterative descent: `open_nodes` holds the label and children parsed so
+    # far of every node whose child list is still open, innermost last.
+    trees: list[PlaneNode] = []
+    open_nodes: list[tuple[int, list[PlaneNode]]] = []
+    while True:
         skip_ws()
         if pos >= len(text):
             raise ParseError("unexpected end of input", pos)
@@ -593,37 +634,46 @@ def parse_plane(text: str) -> PlaneForest:
             skip_ws()
             if pos < len(text) and text[pos] == "(":
                 raise ParseError("unlabeled vertices must be leaves", pos)
-            return PlaneNode(None)
-        start = pos
-        while pos < len(text) and text[pos].isdigit():
+            node = PlaneNode(None)
+        else:
+            start = pos
+            while pos < len(text) and "0" <= text[pos] <= "9":
+                pos += 1
+            if pos == start:
+                raise ParseError(
+                    f"expected label or '*', found {text[pos]!r}", pos
+                )
+            label = int(text[start:pos])
+            skip_ws()
+            if pos < len(text) and text[pos] == "(":
+                pos += 1
+                open_nodes.append((label, []))
+                continue
+            node = PlaneNode(label, ())
+        # `node` is complete: add it to its parent, closing every child list
+        # that ends here, until a ',' or ';' asks for the next node.
+        while open_nodes:
+            open_nodes[-1][1].append(node)
+            skip_ws()
+            if pos >= len(text):
+                raise ParseError("unterminated child list", pos)
+            if text[pos] == ",":
+                pos += 1
+                break
+            if text[pos] != ")":
+                raise ParseError(
+                    f"expected ',' or ')', found {text[pos]!r}", pos
+                )
             pos += 1
-        if pos == start:
-            raise ParseError(f"expected label or '*', found {text[pos]!r}", pos)
-        label = int(text[start:pos])
-        skip_ws()
-        kids: list[PlaneNode] = []
-        if pos < len(text) and text[pos] == "(":
-            pos += 1
-            while True:
-                kids.append(parse_node())
-                skip_ws()
-                if pos >= len(text):
-                    raise ParseError("unterminated child list", pos)
-                if text[pos] == ",":
-                    pos += 1
-                    continue
-                if text[pos] == ")":
-                    pos += 1
-                    break
-                raise ParseError(f"expected ',' or ')', found {text[pos]!r}", pos)
-        return PlaneNode(label, tuple(kids))
-
-    trees = [parse_node()]
-    skip_ws()
-    while pos < len(text) and text[pos] == ";":
-        pos += 1
-        trees.append(parse_node())
-        skip_ws()
+            label, kids = open_nodes.pop()
+            node = PlaneNode(label, tuple(kids))
+        else:
+            trees.append(node)
+            skip_ws()
+            if pos < len(text) and text[pos] == ";":
+                pos += 1
+                continue
+            break
     if pos != len(text):
         raise ParseError(f"trailing input {text[pos]!r}", pos)
     return PlaneForest(tuple(trees))

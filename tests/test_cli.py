@@ -1,8 +1,11 @@
 """Command line surface: outputs, formats, and the exit-code contract."""
 
+import io
 import json
 
-from forestcodec import cli
+from forestcodec import cli, parse_plane
+
+DEEP_CHAIN = "(".join(map(str, range(1, 1201))) + ")" * 1199
 
 
 def run(capsys, *argv):
@@ -213,6 +216,24 @@ class TestConvert:
     def test_plane_round_trip(self, capsys):
         code, out, _ = run(capsys, "convert", "--forest", "1(5,3(4));2")
         assert (code, out) == (0, "1(5,3(4));2\n")
+
+    def test_deep_plane_chain(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(DEEP_CHAIN))
+        code, out, _ = run(capsys, "convert", "--kind", "plane")
+        assert (code, out) == (0, DEEP_CHAIN + "\n")
+
+    def test_deep_plane_json_document(self):
+        node = cli._to_json(parse_plane(DEEP_CHAIN))["trees"][0]
+        labels = []
+        while node["children"]:
+            labels.append(node["label"])
+            (node,) = node["children"]
+        assert labels + [node["label"]] == list(range(1, 1201))
+
+    def test_non_ascii_digit_is_an_error(self, capsys):
+        code, out, err = run(capsys, "convert", "--forest", "3 1 0 1 \u0661")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: not an integer")
 
     def test_dot_edges(self, capsys):
         code, out, _ = run(

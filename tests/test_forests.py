@@ -195,6 +195,15 @@ class TestEdgeColored:
         with pytest.raises(ValueError, match="out of range"):
             EdgeColoredForest(RootedForest((0, 1)), 2, (0, 3))
 
+    def test_repeat_names_smallest_vertex(self):
+        # Vertex 3 repeats color 1 (edge in and edge out) and vertex 1
+        # repeats color 2 (two edges out); the message names vertex 1.
+        base = RootedForest((0, 0, 2, 3, 1, 1))
+        with pytest.raises(ValueError, match=r"^edges at vertex 1 repeat a color$"):
+            EdgeColoredForest(base, 2, (0, 0, 1, 1, 2, 2))
+        with pytest.raises(ValueError, match=r"^edges at vertex 3 repeat a color$"):
+            EdgeColoredForest(base, 2, (0, 0, 1, 1, 2, 1))
+
     def test_is_special(self):
         base = RootedForest((0, 1, 2))
         assert not EdgeColoredForest(base, 2, (0, 2, 1)).is_special()
@@ -230,6 +239,33 @@ class TestTextFormats:
         with pytest.raises(ParseError) as info:
             parse_forest("3 1 0 x 1")
         assert info.value.position == 6
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("3 1 0 1 \u0661", 8),  # an Arabic-Indic digit
+            ("3 1 0 --1 1", 6),
+            ("3 1 0 1\u00b2 1", 6),  # a superscript two
+        ],
+    )
+    def test_only_ascii_integers(self, text, position):
+        with pytest.raises(ParseError) as info:
+            parse_forest(text)
+        assert info.value.position == position
+
+    def test_plane_labels_are_ascii(self):
+        with pytest.raises(ParseError) as info:
+            parse_plane("1(\u0662)")
+        assert info.value.position == 2
+
+    def test_deep_plane_chain(self):
+        depth = 1200
+        text = "(".join(map(str, range(1, depth + 1))) + ")" * (depth - 1)
+        pf = parse_plane(text)
+        assert render_plane(pf) == text
+        assert pf.n_vertices == pf.trees[0].size == depth
+        assert pf.leaf_count == 1
+        assert list(pf.labels()) == list(range(1, depth + 1))
 
     def test_plane_round_trip(self):
         text = "1(5,3(4));2"

@@ -1,0 +1,79 @@
+"""Byte-for-byte pin of sampler and codec output.
+
+The digests below were recorded before the bijection steps were rewritten
+for linear work per step.  They fix, for every codec family, the forest that
+each seed samples and the trace that encoding it records, so any change in
+the choice indexing, the RNG draw order or the step results shows up here.
+"""
+
+import hashlib
+
+import pytest
+
+from forestcodec import (
+    encode,
+    render_colored,
+    render_forest,
+    render_plane,
+    render_trace,
+    sample_uniform,
+)
+
+FAMILIES = {
+    "plain": (0, render_forest),
+    "plane": (0, render_plane),
+    "colored": (3, render_colored),
+}
+SIZES = (10, 50, 100)
+SEEDS = range(20)
+
+# sha256 of the joined lines, per (family, n, mode); "one-root" lines carry
+# the forest and its trace, "roots3" lines (roots=3, conditioned=False) the
+# forest only, since encode takes one-root forests.
+DIGESTS = {
+    ("colored", 10, "one-root"): "6b7bdf5848f90ef40ba8d0a3a16389f6d2b5d219948d2445f1773f5d7d3442ac",
+    ("colored", 10, "roots3"): "79e7afded0695117332b58c4a9d1f02cd815fd7d22a7a39b61fb9476a46ae3fa",
+    ("colored", 50, "one-root"): "44332dbc72170009b88312a457b4727c97bf7000e15e636768e7e19f972adab8",
+    ("colored", 50, "roots3"): "f3133970d64ec8f89fc82a5a3ba228a1c7329bb580ce058b29016535987f0a65",
+    ("colored", 100, "one-root"): "c3fea729f3cb75ad2b34f00d72f5893ab258be01747eda40f8534d9adf961863",
+    ("colored", 100, "roots3"): "f19b29ad268bb2168dceb27e0ce73c8e161449edcc6845e028893298734d212a",
+    ("plain", 10, "one-root"): "cbf23a780a4dd0012a204ba21dd798fb0433fb12d3f1ead15f79ef4143cb65ff",
+    ("plain", 10, "roots3"): "d131f2e344954979cf566307a534b3007fe7a609ea0e31be38c19a12fae4e428",
+    ("plain", 50, "one-root"): "debd296b193e77522414db0b2e6aa808f8bb84333b21426913acc5b25d449fb4",
+    ("plain", 50, "roots3"): "8d0a493dc233a8804d5632ec4bb4319a84f8440374e2ae27fc452d8b1600defd",
+    ("plain", 100, "one-root"): "abf96de6f8ef5971736fd84fb9db461dace2827781f29524840c2baf376443f7",
+    ("plain", 100, "roots3"): "63af78f5de15432c075291b976eb71ea674026e9f15250c8dcc73d44c299dacf",
+    ("plane", 10, "one-root"): "1754a5cadef7f0bb652ba4303e84ad2cf79664a2a5711204f2a6a75e74f1eafd",
+    ("plane", 10, "roots3"): "276b78ced60470d3d2e388a10b5fdc5568d653d4e0f7d5094a6fafab32f47dce",
+    ("plane", 50, "one-root"): "290ecb7c539369c6ec9b191407b854fc30b7650235f09eab4b1b41fc834ba133",
+    ("plane", 50, "roots3"): "810ebb7120a14a9cb8379d89573ea22eae3fa012fb6202f13017122b71c178a3",
+    ("plane", 100, "one-root"): "525bc13047674ade4e008b5aa6786d913a6cc54aca49b2808b2e95aabafdc80d",
+    ("plane", 100, "roots3"): "f059e4090e66a00c50822b29631bedf042193a4e9834b1a9ea11384874935fb1",
+}
+
+
+def golden_lines(family: str, n: int, mode: str) -> list[str]:
+    colors, render = FAMILIES[family]
+    lines = []
+    for seed in SEEDS:
+        if mode == "one-root":
+            forest = sample_uniform(family, n, seed, colors=colors)
+            lines.append(render(forest))
+            lines.append(render_trace(encode(forest)))
+        else:
+            forest = sample_uniform(
+                family, n, seed, colors=colors, roots=3, conditioned=False
+            )
+            lines.append(render(forest))
+    return lines
+
+
+def digest(lines: list[str]) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("mode", ("one-root", "roots3"))
+def test_golden_output(family, n, mode):
+    assert digest(golden_lines(family, n, mode)) == DIGESTS[(family, n, mode)]
