@@ -33,6 +33,7 @@ from .forests import (
     _child_index,
     _rebuild,
     _subtree,
+    _transposition,
     detach_subtree,
     attach_subtree,
     is_descendant,
@@ -69,17 +70,25 @@ __all__ = [
 ]
 
 
-def _swap12(a: int, b: int, v: int) -> int:
-    if v == a:
-        return b
-    if v == b:
-        return a
-    return v
-
-
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ValueError(msg)
+
+
+def _choice_index(outside: list, inside: list, target, swapped: bool) -> int:
+    """The choice that makes the inverse step attach at `target`."""
+    if swapped:
+        return len(outside) + inside.index(target) + 1
+    return outside.index(target) + 1
+
+
+def _chosen(outside: list, inside: list, choice: int):
+    """The target a choice names, and whether it takes the swap case."""
+    total = len(outside) + len(inside)
+    _require(1 <= choice <= total, f"choice must be in 1..{total}, got {choice}")
+    if choice <= len(outside):
+        return outside[choice - 1], False
+    return inside[choice - len(outside) - 1], True
 
 
 # --------------------------------------------------------------------------
@@ -87,16 +96,55 @@ def _require(cond: bool, msg: str) -> None:
 # --------------------------------------------------------------------------
 
 
-def _require_plain(forest: RootedForest, k: int, pivot: int | None) -> None:
+def _require_plain(forest: RootedForest, k: int, pivot: int) -> None:
     _require(
         forest.has_standard_roots(k),
         f"expected roots exactly 1..{k}, got {forest.roots}",
     )
-    if pivot is not None:
-        _require(
-            is_descendant(forest, pivot, 1),
-            f"vertex {pivot} must lie in the tree rooted at 1",
-        )
+    _require(
+        is_descendant(forest, pivot, 1),
+        f"vertex {pivot} must lie in the tree rooted at 1",
+    )
+
+
+def _targets(
+    forest: RootedForest, k: int, parts: PartAssignment | None
+) -> tuple[list[int], list[int]]:
+    """Attachment targets outside the subtree at k, then inside it, ascending.
+
+    With parts, the outside targets avoid k's part and the inside ones 1's.
+    """
+    inside = subtree_vertices(forest, k)
+    outside = [v for v in range(1, forest.n + 1) if v not in inside]
+    ins = sorted(inside)
+    if parts is not None:
+        part_k, part_1 = parts.part_of(k), parts.part_of(1)
+        outside = [v for v in outside if parts.part_of(v) != part_k]
+        ins = [v for v in ins if parts.part_of(v) != part_1]
+    return outside, ins
+
+
+def _detach(
+    forest: RootedForest, k: int, pivot: int, parts: PartAssignment | None
+) -> tuple[RootedForest, int]:
+    """The forward step of the labeled families, with its choice index."""
+    w = forest.parents[k - 1]
+    out = detach_subtree(forest, k)
+    swapped = not is_descendant(out, pivot, 1)
+    if swapped:
+        out = swap_labels(out, 1, k)
+        w = _transposition(1, k)(w)
+    return out, _choice_index(*_targets(out, k, parts), w, swapped)
+
+
+def _attach(
+    forest: RootedForest, k: int, parts: PartAssignment | None, choice: int
+) -> RootedForest:
+    """The inverse step of the labeled families."""
+    u, swap = _chosen(*_targets(forest, k, parts), choice)
+    if not swap:
+        return attach_subtree(forest, k, u)
+    return swap_labels(attach_subtree(forest, 1, u), 1, k)
 
 
 def plain_forward(forest: RootedForest, k: int) -> tuple[RootedForest, int]:
@@ -109,17 +157,7 @@ def plain_forward(forest: RootedForest, k: int) -> tuple[RootedForest, int]:
     n = forest.n
     _require(2 <= k <= n - 1, f"k must satisfy 2 <= k <= n-1, got {k}")
     _require_plain(forest, k - 1, n)
-    w = forest.parents[k - 1]
-    out = detach_subtree(forest, k)
-    swapped = not is_descendant(out, n, 1)
-    if swapped:
-        out = swap_labels(out, 1, k)
-    inside, outside = _split_at_subtree(out, k)
-    if swapped:
-        c = len(outside) + inside.index(_swap12(1, k, w)) + 1
-    else:
-        c = outside.index(w) + 1
-    return out, c
+    return _detach(forest, k, n, None)
 
 
 def plain_inverse(forest: RootedForest, k: int, choice: int) -> RootedForest:
@@ -132,21 +170,7 @@ def plain_inverse(forest: RootedForest, k: int, choice: int) -> RootedForest:
     n = forest.n
     _require(2 <= k <= n - 1, f"k must satisfy 2 <= k <= n-1, got {k}")
     _require_plain(forest, k, n)
-    inside, outside = _split_at_subtree(forest, k)
-    _require(1 <= choice <= n, f"choice must be in 1..{n}, got {choice}")
-    if choice <= len(outside):
-        return attach_subtree(forest, k, outside[choice - 1])
-    u = inside[choice - len(outside) - 1]
-    return swap_labels(attach_subtree(forest, 1, u), 1, k)
-
-
-def _split_at_subtree(
-    forest: RootedForest, k: int
-) -> tuple[list[int], list[int]]:
-    """The vertices inside the subtree at k and those outside it, ascending."""
-    inside = subtree_vertices(forest, k)
-    outside = [v for v in range(1, forest.n + 1) if v not in inside]
-    return sorted(inside), outside
+    return _attach(forest, k, None, choice)
 
 
 def plain_choice_count(forest: RootedForest, k: int) -> int:
@@ -170,20 +194,6 @@ def _require_partite(
     _require_plain(forest, k, pivot)
 
 
-def _partite_targets(
-    forest: RootedForest, k: int, parts: PartAssignment
-) -> tuple[list[int], list[int]]:
-    inside = subtree_vertices(forest, k)
-    part_k, part_1 = parts.part_of(k), parts.part_of(1)
-    out = [
-        v
-        for v in range(1, forest.n + 1)
-        if v not in inside and parts.part_of(v) != part_k
-    ]
-    ins = [v for v in sorted(inside) if parts.part_of(v) != part_1]
-    return out, ins
-
-
 def partite_forward(
     forest: RootedForest, k: int, parts: PartAssignment
 ) -> tuple[RootedForest, int]:
@@ -199,17 +209,7 @@ def partite_forward(
         f"k must satisfy 2 <= k <= |part 1| = {parts.sizes[0]}, got {k}",
     )
     _require_partite(forest, k - 1, parts, pivot)
-    w = forest.parents[k - 1]
-    out = detach_subtree(forest, k)
-    swapped = not is_descendant(out, pivot, 1)
-    if swapped:
-        out = swap_labels(out, 1, k)
-    targets_out, targets_in = _partite_targets(out, k, parts)
-    if swapped:
-        c = len(targets_out) + targets_in.index(_swap12(1, k, w)) + 1
-    else:
-        c = targets_out.index(w) + 1
-    return out, c
+    return _detach(forest, k, pivot, parts)
 
 
 def partite_inverse(
@@ -221,13 +221,7 @@ def partite_inverse(
         f"k must satisfy 2 <= k <= |part 1| = {parts.sizes[0]}, got {k}",
     )
     _require_partite(forest, k, parts, pivot)
-    targets_out, targets_in = _partite_targets(forest, k, parts)
-    total = len(targets_out) + len(targets_in)
-    _require(1 <= choice <= total, f"choice must be in 1..{total}, got {choice}")
-    if choice <= len(targets_out):
-        return attach_subtree(forest, k, targets_out[choice - 1])
-    u = targets_in[choice - len(targets_out) - 1]
-    return swap_labels(attach_subtree(forest, 1, u), 1, k)
+    return _attach(forest, k, parts, choice)
 
 
 def partite_choice_count(
@@ -235,8 +229,8 @@ def partite_choice_count(
 ) -> int:
     pivot = parts.sizes[0] + 1
     _require_partite(forest, k, parts, pivot)
-    targets_out, targets_in = _partite_targets(forest, k, parts)
-    return len(targets_out) + len(targets_in)
+    outside, inside = _targets(forest, k, parts)
+    return len(outside) + len(inside)
 
 
 def reroot_tree(forest: RootedForest, v: int) -> RootedForest:
@@ -341,30 +335,16 @@ def plane_forward(pf: PlaneForest, k: int) -> tuple[PlaneForest, int]:
     swapped = n_ti == ti and n_path[: len(path)] == path
     if swapped:
         out = plane_relabel(out, 1, k)
-        w = _swap12(1, k, w)
-    outside, inside = _plane_slots(out, k)
-    if swapped:
-        c = len(outside) + inside.index((w, gap)) + 1
-    else:
-        c = outside.index((w, gap)) + 1
-    return out, c
+        w = _transposition(1, k)(w)
+    return out, _choice_index(*_plane_slots(out, k), (w, gap), swapped)
 
 
 def plane_inverse(pf: PlaneForest, k: int, choice: int) -> PlaneForest:
     n = pf.n_vertices
     _require(2 <= k <= n - 1, f"k must satisfy 2 <= k <= n-1, got {k}")
     at = _require_plane(pf, k)
-    outside, inside = _plane_slots(pf, k, at)
-    total = len(outside) + len(inside)
-    _require(
-        1 <= choice <= total, f"choice must be in 1..{total}, got {choice}"
-    )
-    if choice <= len(outside):
-        vertex, gap = outside[choice - 1]
-        moved, swap = k, False
-    else:
-        vertex, gap = inside[choice - len(outside) - 1]
-        moved, swap = 1, True
+    (vertex, gap), swap = _chosen(*_plane_slots(pf, k, at), choice)
+    moved = 1 if swap else k
     # The target vertex never lies in the moved tree: outside slots avoid
     # tree k, inside slots avoid tree 1.
     m_tree = at[moved][0]
@@ -429,7 +409,7 @@ def leafplane_forward(pf: PlaneForest, r: int) -> tuple[PlaneForest, int]:
     )
     if not plane_label_in_tree(out, nlab, 1):
         out = plane_relabel(out, 1, r)
-        hole_root = _swap12(1, r, hole_root)
+        hole_root = _transposition(1, r)(hole_root)
     hole_tree = next(
         i for i, t in enumerate(out.trees) if t.label == hole_root
     )
@@ -555,13 +535,8 @@ def colored_forward(
     swapped = not is_descendant(base, n, 1)
     if swapped:
         out = swap_colored_labels(out, 1, r)
-        w = _swap12(1, r, w)
-    outside, inside = _colored_pairs(out, r)
-    if swapped:
-        c = len(outside) + inside.index((w, x)) + 1
-    else:
-        c = outside.index((w, x)) + 1
-    return out, c
+        w = _transposition(1, r)(w)
+    return out, _choice_index(*_colored_pairs(out, r), (w, x), swapped)
 
 
 def colored_inverse(
@@ -575,17 +550,8 @@ def colored_inverse(
     n, kc = ef.n, ef.color_count
     _require(2 <= r <= n - 1, f"r must satisfy 2 <= r <= n-1, got {r}")
     _require_colored(ef, r)
-    outside, inside = _colored_pairs(ef, r)
-    total = len(outside) + len(inside)
-    _require(
-        1 <= choice <= total, f"choice must be in 1..{total}, got {choice}"
-    )
-    if choice <= len(outside):
-        v, y = outside[choice - 1]
-        moved, swap = r, False
-    else:
-        v, y = inside[choice - len(outside) - 1]
-        moved, swap = 1, True
+    (v, y), swap = _chosen(*_colored_pairs(ef, r), choice)
+    moved = 1 if swap else r
     parents = list(ef.base.parents)
     colors = list(ef.colors)
     parents[moved - 1] = v

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from . import bijections as bij
 from . import codec, counting
@@ -109,9 +110,39 @@ def _to_dot(obj) -> str:
     return "\n".join(lines)
 
 
+def _dumps(doc: dict) -> str:
+    """``json.dumps(doc, sort_keys=True)``, without recursion.
+
+    The C encoder recurses once per nesting level, which a deep plane
+    forest's document overflows.  The stack holds either text ready to emit
+    or a dict or list still to open.
+    """
+    out: list[str] = []
+    stack: list = [doc]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        if isinstance(item, dict):
+            entries = [(json.dumps(key) + ": ", item[key]) for key in sorted(item)]
+            brackets = "{}"
+        else:
+            entries = [("", value) for value in item]
+            brackets = "[]"
+        tokens = [brackets[0]]
+        for i, (head, value) in enumerate(entries):
+            tokens.append(", " + head if i else head)
+            nested = isinstance(value, (dict, list))
+            tokens.append(value if nested else json.dumps(value))
+        tokens.append(brackets[1])
+        stack.extend(reversed(tokens))
+    return "".join(out)
+
+
 def _render(obj, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(_to_json(obj), sort_keys=True)
+        return _dumps(_to_json(obj))
     if fmt == "dot":
         return _to_dot(obj)
     if isinstance(obj, EdgeColoredForest):
@@ -167,6 +198,31 @@ def _parse_grid(text: str) -> dict[str, range]:
 # --------------------------------------------------------------------------
 
 
+# formula -> (its function in `counting`, the flags it takes in argument
+# order).  Names, not functions, so each call sees the module's current
+# attribute.  The comma-separated flags arrive as strings.
+_FORMULAS = {
+    "cayley": ("cayley", "n"),
+    "rooted-forest": ("rooted_forest_count", "n k conditioned"),
+    "forests-k-trees": ("forests_with_k_trees", "n k"),
+    "riordan": ("riordan_forest_count", "n k"),
+    "multipartite": ("multipartite_spanning_trees", "parts"),
+    "tripartite-base": ("tripartite_base_count", "r s t"),
+    "plane-labeled": ("plane_labeled_count", "v"),
+    "catalan": ("catalan", "n"),
+    "narayana": ("narayana", "n p"),
+    "compositions": ("composition_stats", "n m"),
+    "kary-forest": ("kary_forest_count", "arity internal roots"),
+    "kary-unlabeled": ("kary_unlabeled_count", "arity internal"),
+    "degseq-plane": ("degseq_plane_count", "degrees"),
+    "degseq-rooted": ("degseq_rooted_count", "degrees"),
+    "erdelyi-etherington": ("erdelyi_etherington", "multiplicities"),
+    "special-colored": ("special_colored_count", "n kc r conditioned"),
+    "colored-tree": ("colored_tree_count", "n kc"),
+    "colored-root-degree": ("colored_root_degree_count", "n kc r"),
+}
+
+
 def _need(args, *names):
     values = []
     for name in names:
@@ -178,66 +234,15 @@ def _need(args, *names):
 
 
 def _cmd_count(args) -> int:
-    f = args.formula
-    if f == "cayley":
-        (n,) = _need(args, "n")
-        out = counting.cayley(n)
-    elif f == "rooted-forest":
-        n, k = _need(args, "n", "k")
-        out = counting.rooted_forest_count(n, k, args.conditioned)
-    elif f == "forests-k-trees":
-        n, k = _need(args, "n", "k")
-        out = counting.forests_with_k_trees(n, k)
-    elif f == "riordan":
-        n, k = _need(args, "n", "k")
-        out = counting.riordan_forest_count(n, k)
-    elif f == "multipartite":
-        (parts,) = _need(args, "parts")
-        out = counting.multipartite_spanning_trees(_ints(parts))
-    elif f == "tripartite-base":
-        r, s, t = _need(args, "r", "s", "t")
-        out = counting.tripartite_base_count(r, s, t)
-    elif f == "plane-labeled":
-        (v,) = _need(args, "v")
-        out = counting.plane_labeled_count(v)
-    elif f == "catalan":
-        (n,) = _need(args, "n")
-        out = counting.catalan(n)
-    elif f == "narayana":
-        n, p = _need(args, "n", "p")
-        out = counting.narayana(n, p)
-    elif f == "compositions":
-        n, m = _need(args, "n", "m")
-        count, total = counting.composition_stats(n, m)
-        print(count, total)
-        return EXIT_OK
-    elif f == "kary-forest":
-        arity, internal, roots = _need(args, "arity", "internal", "roots")
-        out = counting.kary_forest_count(arity, internal, roots)
-    elif f == "kary-unlabeled":
-        arity, internal = _need(args, "arity", "internal")
-        out = counting.kary_unlabeled_count(arity, internal)
-    elif f == "degseq-plane":
-        (degrees,) = _need(args, "degrees")
-        out = counting.degseq_plane_count(_ints(degrees))
-    elif f == "degseq-rooted":
-        (degrees,) = _need(args, "degrees")
-        out = counting.degseq_rooted_count(_ints(degrees))
-    elif f == "erdelyi-etherington":
-        (mult,) = _need(args, "multiplicities")
-        out = counting.erdelyi_etherington(_ints(mult))
-    elif f == "special-colored":
-        n, kc, r = _need(args, "n", "kc", "r")
-        out = counting.special_colored_count(n, kc, r, args.conditioned)
-    elif f == "colored-tree":
-        n, kc = _need(args, "n", "kc")
-        out = counting.colored_tree_count(n, kc)
-    elif f == "colored-root-degree":
-        n, kc, r = _need(args, "n", "kc", "r")
-        out = counting.colored_root_degree_count(n, kc, r)
-    else:
-        raise ValueError(f"unknown formula {f!r}")
-    print(out)
+    if args.formula not in _FORMULAS:
+        raise ValueError(f"unknown formula {args.formula!r}")
+    name, flags = _FORMULAS[args.formula]
+    values = _need(args, *flags.split())
+    out = getattr(counting, name)(
+        *(_ints(v) if isinstance(v, str) else v for v in values)
+    )
+    # composition_stats answers with a (count, total) pair.
+    print(*(out if isinstance(out, tuple) else (out,)))
     return EXIT_OK
 
 
@@ -291,55 +296,29 @@ def _cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def _read_forest_arg(args):
+def _cmd_bijection(args) -> int:
     text = args.forest if args.forest is not None else sys.stdin.read()
     family = args.family
-    if family in ("plane", "leafplane"):
-        return parse_plane(text)
-    if family == "colored":
-        if args.kc is None:
-            raise ValueError("colored forests need --kc")
-        return parse_colored(text, args.kc)
-    return parse_forest(text)
-
-
-def _cmd_bijection(args) -> int:
-    forest = _read_forest_arg(args)
-    k = args.k
-    if k is None:
+    if family == "colored" and args.kc is None:
+        raise ValueError("colored forests need --kc")
+    kind = {"plain": "rooted", "partite": "rooted", "leafplane": "plane"}
+    forest = _parse_any(text, kind.get(family, family), args.kc)
+    if args.k is None:
         raise ValueError("bijection needs --k (the new root label)")
-    family = args.family
+    parts = ()
     if family == "partite":
         if not args.parts:
             raise ValueError("partite bijections need --parts")
-        parts = PartAssignment(_ints(args.parts))
+        parts = (PartAssignment(_ints(args.parts)),)
+    step = getattr(bij, f"{family}_{args.direction}")
     if args.direction == "forward":
-        if family == "plain":
-            out, c = bij.plain_forward(forest, k)
-        elif family == "partite":
-            out, c = bij.partite_forward(forest, k, parts)
-        elif family == "plane":
-            out, c = bij.plane_forward(forest, k)
-        elif family == "leafplane":
-            out, c = bij.leafplane_forward(forest, k)
-        else:
-            out, c = bij.colored_forward(forest, k)
+        out, c = step(forest, args.k, *parts)
         print(_render(out, args.format))
         print(f"choice {c}")
         return EXIT_OK
     if args.choice is None:
         raise ValueError("bijection inverse needs --choice")
-    if family == "plain":
-        out = bij.plain_inverse(forest, k, args.choice)
-    elif family == "partite":
-        out = bij.partite_inverse(forest, k, parts, args.choice)
-    elif family == "plane":
-        out = bij.plane_inverse(forest, k, args.choice)
-    elif family == "leafplane":
-        out = bij.leafplane_inverse(forest, k, args.choice)
-    else:
-        out = bij.colored_inverse(forest, k, args.choice)
-    print(_render(out, args.format))
+    print(_render(step(forest, args.k, *parts, args.choice), args.format))
     return EXIT_OK
 
 
@@ -388,11 +367,11 @@ def _cmd_identity(args) -> int:
                         )
     else:
         raise ValueError(f"unknown identity {args.name!r}")
-    print("FAIL" if failures else "PASS")
-    return EXIT_MISMATCH if failures else EXIT_OK
+    return _verdict(failures)
 
 
 def _print_rows(rows) -> int:
+    """Print recurrence rows; returns how many failed."""
     failures = 0
     for row in rows:
         ok = row.ok
@@ -401,6 +380,10 @@ def _print_rows(rows) -> int:
             f"{row.label}: {row.lhs} = {row.multiplier} * {row.rhs} "
             f"{'PASS' if ok else 'FAIL'}"
         )
+    return failures
+
+
+def _verdict(failures: int) -> int:
     print("FAIL" if failures else "PASS")
     return EXIT_MISMATCH if failures else EXIT_OK
 
@@ -418,7 +401,7 @@ def _cmd_verify(args) -> int:
             leaves=args.leaves,
             budget=args.budget,
         )
-        return _print_rows(rows)
+        return _verdict(_print_rows(rows))
     return _verify_all(args.max_n, args.budget)
 
 
@@ -431,37 +414,23 @@ def _verify_all(max_n: int, budget: int | None) -> int:
         failures += not ok
         print(f"{name}: got {got}, want {want} {'PASS' if ok else 'FAIL'}")
 
-    def run_rows(name: str, rows) -> None:
-        nonlocal failures
-        for row in rows:
-            ok = row.ok
-            failures += not ok
-            print(
-                f"{name} {row.label}: {row.lhs} = {row.multiplier} * {row.rhs} "
-                f"{'PASS' if ok else 'FAIL'}"
-            )
-
-    for n in range(3, max_n + 1):
-        run_rows("plain", verify_recurrence("plain", n=n, budget=budget))
-    for n in range(3, min(max_n, 6) + 1):
-        run_rows("plane", verify_recurrence("plane", n=n, budget=budget))
-    for n in range(3, min(max_n, 5) + 1):
-        for kc in (2, 3):
-            run_rows(
-                "colored",
-                verify_recurrence("colored", n=n, colors=kc, budget=budget),
-            )
-    run_rows(
-        "partite", verify_recurrence("partite", part_sizes=(2, 3), budget=budget)
-    )
-    run_rows(
-        "partite",
-        verify_recurrence("partite", part_sizes=(2, 2, 2), budget=budget),
-    )
-    run_rows(
-        "leafplane",
-        verify_recurrence("leafplane", n=6, leaves=2, budget=budget),
-    )
+    recurrences = [("plain", {"n": n}) for n in range(3, max_n + 1)]
+    recurrences += [("plane", {"n": n}) for n in range(3, min(max_n, 6) + 1)]
+    recurrences += [
+        ("colored", {"n": n, "colors": kc})
+        for n in range(3, min(max_n, 5) + 1)
+        for kc in (2, 3)
+    ]
+    recurrences += [
+        ("partite", {"part_sizes": (2, 3)}),
+        ("partite", {"part_sizes": (2, 2, 2)}),
+        ("leafplane", {"n": 6, "leaves": 2}),
+    ]
+    for family, params in recurrences:
+        rows = verify_recurrence(family, budget=budget, **params)
+        failures += _print_rows(
+            replace(row, label=f"{family} {row.label}") for row in rows
+        )
 
     for n in range(1, min(max_n, 6) + 1):
         check(
@@ -539,9 +508,7 @@ def _verify_all(max_n: int, budget: int | None) -> int:
     ]
     decoded = {codec.decode(t).parents for t in traces}
     check("codec image size n=5", len(decoded), counting.cayley(n))
-
-    print("FAIL" if failures else "PASS")
-    return EXIT_MISMATCH if failures else EXIT_OK
+    return _verdict(failures)
 
 
 # --------------------------------------------------------------------------
@@ -560,11 +527,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser(
         "count",
         help="evaluate a closed-form count",
-        epilog="formulas: cayley, rooted-forest, forests-k-trees, riordan, "
-        "multipartite, tripartite-base, plane-labeled, catalan, narayana, "
-        "compositions, kary-forest, kary-unlabeled, degseq-plane, "
-        "degseq-rooted, erdelyi-etherington, special-colored, colored-tree, "
-        "colored-root-degree",
+        epilog="formulas: " + ", ".join(_FORMULAS),
     )
     pc.add_argument("formula")
     pc.add_argument("--n", type=int)
@@ -691,11 +654,21 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
+    # Counts are exact at any size, so the command prints integers of any
+    # length.  The interpreter's limit (Python 3.10.7 on) is restored after,
+    # for library callers.
+    limited = hasattr(sys, "set_int_max_str_digits")
+    if limited:
+        digits = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (ValueError, ArithmeticError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if limited:
+            sys.set_int_max_str_digits(digits)
 
 
 def main() -> None:

@@ -6,6 +6,13 @@ Prufer-like code.  Conversely, decoding any sequence of in-range choices
 from the maximal-root state yields a distinct family member, and the trace
 space size equals the family's closed-form count.  Drawing every choice
 uniformly therefore samples the family exactly uniformly.
+
+The three codec families share this code: one builder of the maximal-root
+state (``_base``) and one inverse loop (``_inverse_run``) serve ``decode``
+and ``sample_uniform``, and ``encode`` infers the family from the value's
+type.  Each family's steps are looked up by name in :mod:`bijections`
+(``{family}_forward``, ``{family}_inverse``) when called, and its choice
+counts come from its recurrence multiplier in ``trace_bounds``.
 """
 
 from __future__ import annotations
@@ -91,16 +98,13 @@ class ChoiceTrace:
 
 def trace_bounds(family: str, n: int, colors: int = 0) -> tuple[int, ...]:
     """Upper bound of each trace position, aligned with ChoiceTrace.choices."""
-    if family == "plain":
-        return tuple(n for _ in range(n - 1, 1, -1))
-    if family == "plane":
-        return tuple(2 * n - k for k in range(n - 1, 1, -1))
-    if family == "colored":
-        if n == 1:
-            return ()
-        steps = tuple(colors * n - 2 * n + r for r in range(n - 1, 1, -1))
-        return (colors - 1,) + steps
-    raise ValueError(f"no codec for family {family!r}")
+    if family not in CODEC_FAMILIES:
+        raise ValueError(f"no codec for family {family!r}")
+    # The inverse step from k roots has a*n + b*k choices, the family's
+    # recurrence multiplier.
+    a, b = {"plain": (1, 0), "plane": (2, -1), "colored": (colors - 2, 1)}[family]
+    head = (colors - 1,) if family == "colored" and n > 1 else ()
+    return head + tuple(a * n + b * k for k in range(n - 1, 1, -1))
 
 
 def trace_space_size(family: str, n: int, colors: int = 0) -> int:
@@ -113,46 +117,33 @@ def trace_space_size(family: str, n: int, colors: int = 0) -> int:
 # --------------------------------------------------------------------------
 
 
-def _plain_base(n: int) -> RootedForest:
-    if n == 1:
-        return RootedForest((0,))
-    return RootedForest((0,) * (n - 1) + (1,))
+def _base(family: str, n: int, colors: int = 0, base_color: int = 0):
+    """Roots 1..n-1 and vertex n below root 1, its edge colored base_color."""
+    if family == "plane":
+        first = PlaneNode(1, (PlaneNode(n),) if n > 1 else ())
+        return PlaneForest((first,) + tuple(PlaneNode(v) for v in range(2, n)))
+    base = RootedForest((0,) * (n - 1) + (int(n > 1),))
+    if family == "plain":
+        return base
+    return EdgeColoredForest(base, colors, (0,) * (n - 1) + (base_color,))
 
 
-def _plane_base(n: int) -> PlaneForest:
-    if n == 1:
-        return PlaneForest((PlaneNode(1),))
-    first = PlaneNode(1, (PlaneNode(n),))
-    return PlaneForest((first,) + tuple(PlaneNode(v) for v in range(2, n)))
-
-
-def _colored_base(n: int, colors: int, base_color: int) -> EdgeColoredForest:
-    if n == 1:
-        return EdgeColoredForest(RootedForest((0,)), colors, (0,))
-    return EdgeColoredForest(
-        _plain_base(n), colors, (0,) * (n - 1) + (base_color,)
-    )
+def _inverse_run(family: str, n: int, colors: int, choices: tuple[int, ...]):
+    """Run the inverse steps k = n-1, n-2, ... from the maximal-root state,
+    one per choice; a colored run first takes the base color."""
+    base_color = 0
+    if family == "colored" and n > 1:
+        base_color, choices = choices[0], choices[1:]
+    forest = _base(family, n, colors, base_color)
+    inverse = getattr(bij, f"{family}_inverse")
+    for k, c in zip(range(n - 1, 1, -1), choices):
+        forest = inverse(forest, k, c)
+    return forest
 
 
 def decode(trace: ChoiceTrace):
     """Run the inverse steps k = n-1, ..., 2 from the maximal-root state."""
-    n = trace.n
-    if trace.family == "plain":
-        forest = _plain_base(n)
-        for k, c in zip(range(n - 1, 1, -1), trace.choices):
-            forest = bij.plain_inverse(forest, k, c)
-        return forest
-    if trace.family == "plane":
-        pf = _plane_base(n)
-        for k, c in zip(range(n - 1, 1, -1), trace.choices):
-            pf = bij.plane_inverse(pf, k, c)
-        return pf
-    if n == 1:
-        return _colored_base(1, trace.colors, 0)
-    ef = _colored_base(n, trace.colors, trace.choices[0])
-    for r, c in zip(range(n - 1, 1, -1), trace.choices[1:]):
-        ef = bij.colored_inverse(ef, r, c)
-    return ef
+    return _inverse_run(trace.family, trace.n, trace.colors, trace.choices)
 
 
 def encode(forest) -> ChoiceTrace:
@@ -161,39 +152,26 @@ def encode(forest) -> ChoiceTrace:
     The input must be a one-root family member (root 1); the family is
     inferred from the value's type.  ``decode(encode(f)) == f``.
     """
-    if isinstance(forest, RootedForest):
-        n = forest.n
-        chosen = []
-        for k in range(2, n):
-            forest, c = bij.plain_forward(forest, k)
-            chosen.append(c)
-        if forest != _plain_base(n):
-            raise ValueError("input is not a one-root plain family member")
-        return ChoiceTrace("plain", n, 0, tuple(reversed(chosen)))
-    if isinstance(forest, PlaneForest):
-        n = forest.n_vertices
-        chosen = []
-        for k in range(2, n):
-            forest, c = bij.plane_forward(forest, k)
-            chosen.append(c)
-        if forest != _plane_base(n):
-            raise ValueError("input is not a one-root plane family member")
-        return ChoiceTrace("plane", n, 0, tuple(reversed(chosen)))
-    if isinstance(forest, EdgeColoredForest):
-        n, kc = forest.n, forest.color_count
-        chosen = []
-        for r in range(2, n):
-            forest, c = bij.colored_forward(forest, r)
-            chosen.append(c)
-        if n == 1:
-            return ChoiceTrace("colored", 1, kc, ())
-        base_color = forest.colors[n - 1]
-        if forest != _colored_base(n, kc, base_color):
-            raise ValueError("input is not a one-root colored family member")
-        return ChoiceTrace(
-            "colored", n, kc, (base_color,) + tuple(reversed(chosen))
-        )
-    raise TypeError(f"cannot encode {type(forest).__name__}")
+    families = {
+        RootedForest: "plain",
+        PlaneForest: "plane",
+        EdgeColoredForest: "colored",
+    }
+    family = families.get(type(forest))
+    if family is None:
+        raise TypeError(f"cannot encode {type(forest).__name__}")
+    n = forest.n_vertices if family == "plane" else forest.n
+    colors = forest.color_count if family == "colored" else 0
+    forward = getattr(bij, f"{family}_forward")
+    chosen = []
+    for k in range(2, n):
+        forest, c = forward(forest, k)
+        chosen.append(c)
+    # A colored trace opens with the color of the edge into n.
+    head = (forest.colors[n - 1],) if family == "colored" and n > 1 else ()
+    if forest != _base(family, n, colors, *head):
+        raise ValueError(f"input is not a one-root {family} family member")
+    return ChoiceTrace(family, n, colors, head + tuple(reversed(chosen)))
 
 
 # --------------------------------------------------------------------------
@@ -261,31 +239,20 @@ def sample_uniform(
         raise ValueError("colored sampling needs at least two colors")
     if rng is None:
         rng = SplitMix64(seed)
+    # Only the inverse steps from n-1 roots down to `roots` roots are run,
+    # so the last roots-1 positions of the trace are never drawn.
     bounds = trace_bounds(family, n, colors)
-    # Only the inverse steps from n-1 roots down to `roots` roots are run.
-    steps = [k for k in range(n - 1, 1, -1) if k > roots]
-    if family == "plain":
-        forest = _plain_base(n)
-        for k, bound in zip(steps, bounds):
-            forest = bij.plain_inverse(forest, k, rng.below(bound) + 1)
-    elif family == "plane":
-        forest = _plane_base(n)
-        for k, bound in zip(steps, bounds):
-            forest = bij.plane_inverse(forest, k, rng.below(bound) + 1)
-    else:
-        if n == 1:
-            return _colored_base(1, colors, 0)
-        forest = _colored_base(n, colors, rng.below(bounds[0]) + 1)
-        for k, bound in zip(steps, bounds[1:]):
-            forest = bij.colored_inverse(forest, k, rng.below(bound) + 1)
-
+    drawn = bounds[: len(bounds) - roots + 1]
+    forest = _inverse_run(
+        family, n, colors, tuple(rng.below(b) + 1 for b in drawn)
+    )
     if not conditioned and roots > 1:
         j = rng.below(roots) + 1
         if j != 1:
-            if family == "plain":
-                forest = swap_labels(forest, 1, j)
-            elif family == "plane":
-                forest = plane_relabel(forest, 1, j)
-            else:
-                forest = swap_colored_labels(forest, 1, j)
+            relabel = {
+                "plain": swap_labels,
+                "plane": plane_relabel,
+                "colored": swap_colored_labels,
+            }[family]
+            forest = relabel(forest, 1, j)
     return forest

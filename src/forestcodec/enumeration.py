@@ -166,18 +166,16 @@ def enumerate_family(spec: FamilySpec, budget: int | None = None) -> Iterator:
     """Yield each family member exactly once, in canonical order."""
     spec.validate()
     guard = _Budget(default_budget() if budget is None else budget)
-    if spec.family == "plain":
-        yield from _plain(spec, guard)
-    elif spec.family == "partite":
-        yield from _partite(spec, guard)
-    elif spec.family == "plane":
-        yield from _plane(spec, guard)
-    elif spec.family == "leafplane":
-        yield from _leafplane(spec, guard)
-    elif spec.family == "kary":
-        yield from _kary(spec, guard)
-    else:
-        yield from _colored(spec, guard, special=spec.family == "special-colored")
+    generators = {
+        "plain": _plain,
+        "partite": _partite,
+        "plane": _plane,
+        "leafplane": _leafplane,
+        "kary": _kary,
+        "colored": _colored,
+        "special-colored": _colored,
+    }
+    yield from generators[spec.family](spec, guard)
 
 
 def count_by_enumeration(spec: FamilySpec, budget: int | None = None) -> int:
@@ -512,10 +510,9 @@ def _special_ok(parents: Sequence[int], colors: Sequence[int], kc: int) -> bool:
     return True
 
 
-def _colored(
-    spec: FamilySpec, guard: _Budget, special: bool
-) -> Iterator[EdgeColoredForest]:
+def _colored(spec: FamilySpec, guard: _Budget) -> Iterator[EdgeColoredForest]:
     n, kc = spec.n, spec.colors
+    special = spec.family == "special-colored"
     base_spec = FamilySpec(
         family="plain",
         n=n,
@@ -575,104 +572,59 @@ def verify_recurrence(
     equals the product of the other two.  Both counts come from
     ``enumerate_family``, never from closed forms.
     """
-    rows = []
+    sizes = tuple(part_sizes)
+    p = leaves or 0
     if family in ("plain", "plane", "colored") and n < 3:
         raise ValueError(f"need n >= 3 for a recurrence step, got {n}")
-    if family == "plain":
-        steps = k_range if k_range is not None else range(2, n)
-        for k in steps:
-            lhs = count_by_enumeration(
-                FamilySpec("plain", n=n, roots=k - 1, conditioned=True), budget
-            )
-            rhs = count_by_enumeration(
-                FamilySpec("plain", n=n, roots=k, conditioned=True), budget
-            )
-            rows.append(RecurrenceRow(f"n={n} k={k}", lhs, n, rhs))
-    elif family == "partite":
-        sizes = tuple(part_sizes)
-        if len(sizes) < 2:
-            raise ValueError("partite verification needs at least two parts")
-        total = sum(sizes)
-        steps = k_range if k_range is not None else range(2, sizes[0] + 1)
-        for k in steps:
-            lhs = count_by_enumeration(
-                FamilySpec(
-                    "partite", part_sizes=sizes, roots=k - 1, conditioned=True
-                ),
-                budget,
-            )
-            rhs = count_by_enumeration(
-                FamilySpec("partite", part_sizes=sizes, roots=k, conditioned=True),
-                budget,
-            )
-            rows.append(
-                RecurrenceRow(
-                    f"parts={','.join(map(str, sizes))} k={k}",
-                    lhs,
-                    total - sizes[0],
-                    rhs,
-                )
-            )
-    elif family == "plane":
-        steps = k_range if k_range is not None else range(2, n)
-        for k in steps:
-            lhs = count_by_enumeration(
-                FamilySpec("plane", n=n, roots=k - 1, conditioned=True), budget
-            )
-            rhs = count_by_enumeration(
-                FamilySpec("plane", n=n, roots=k, conditioned=True), budget
-            )
-            rows.append(RecurrenceRow(f"n={n} k={k}", lhs, 2 * n - k, rhs))
-    elif family == "leafplane":
+    if family == "partite" and len(sizes) < 2:
+        raise ValueError("partite verification needs at least two parts")
+    if family == "leafplane":
         if leaves is None:
             raise ValueError("leafplane verification needs the base leaf count")
-        internal = n - leaves
-        if internal < 3:
+        if n - leaves < 3:
             raise ValueError("need at least three internal vertices for a step")
-        steps = k_range if k_range is not None else range(2, internal)
-        for r in steps:
-            n_lhs, p_lhs = n + r - 2, leaves + r - 2
-            lhs = count_by_enumeration(
-                FamilySpec(
-                    "leafplane", n=n_lhs, leaves=p_lhs, roots=r - 1, conditioned=True
-                ),
-                budget,
-            )
-            rhs = count_by_enumeration(
-                FamilySpec(
-                    "leafplane",
-                    n=n_lhs + 1,
-                    leaves=p_lhs + 1,
-                    roots=r,
-                    conditioned=True,
-                ),
-                budget,
-            )
-            rows.append(
-                RecurrenceRow(f"n={n_lhs} p={p_lhs} r={r}", lhs, p_lhs + 1, rhs)
-            )
-    elif family == "colored":
-        steps = k_range if k_range is not None else range(2, n)
-        for r in steps:
-            lhs = count_by_enumeration(
-                FamilySpec(
-                    "special-colored", n=n, colors=colors, roots=r - 1,
-                    conditioned=True,
-                ),
-                budget,
-            )
-            rhs = count_by_enumeration(
-                FamilySpec(
-                    "special-colored", n=n, colors=colors, roots=r,
-                    conditioned=True,
-                ),
-                budget,
-            )
-            rows.append(
-                RecurrenceRow(
-                    f"n={n} kc={colors} r={r}", lhs, colors * n - 2 * n + r, rhs
-                )
-            )
-    else:
+    # Per family: the default steps k; for step k, the row label and the
+    # multiplier; and the parameters of the family with k roots.
+    parts = ",".join(map(str, sizes))
+    recurrences = {
+        "plain": (
+            range(2, n),
+            lambda k: (f"n={n} k={k}", n),
+            lambda k: {"n": n},
+        ),
+        "partite": (
+            range(2, sizes[0] + 1) if sizes else (),
+            lambda k: (f"parts={parts} k={k}", sum(sizes[1:])),
+            lambda k: {"part_sizes": sizes},
+        ),
+        "plane": (
+            range(2, n),
+            lambda k: (f"n={n} k={k}", 2 * n - k),
+            lambda k: {"n": n},
+        ),
+        "leafplane": (
+            range(2, n - p),
+            lambda k: (f"n={n + k - 2} p={p + k - 2} r={k}", p + k - 1),
+            lambda k: {"n": n + k - 1, "leaves": p + k - 1},
+        ),
+        "colored": (
+            range(2, n),
+            lambda k: (f"n={n} kc={colors} r={k}", colors * n - 2 * n + k),
+            lambda k: {"n": n, "colors": colors},
+        ),
+    }
+    if family not in recurrences:
         raise ValueError(f"no recurrence check for family {family!r}")
+    steps, row, params = recurrences[family]
+    spec_family = "special-colored" if family == "colored" else family
+
+    def count(k: int) -> int:
+        spec = FamilySpec(spec_family, roots=k, conditioned=True, **params(k))
+        return count_by_enumeration(spec, budget)
+
+    rows = []
+    for k in steps if k_range is None else k_range:
+        lhs, rhs = count(k - 1), count(k)
+        label, multiplier = row(k)
+        rows.append(RecurrenceRow(label, lhs, multiplier, rhs))
     return rows

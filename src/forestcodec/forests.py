@@ -283,6 +283,26 @@ class PlaneNode:
         if self.label is not None and self.label < 1:
             raise ValueError(f"label must be positive, got {self.label}")
 
+    # Equality and hashing walk the tree with a stack, so depth is no limit;
+    # the dataclass versions recurse once per level.
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:  # a shared subtree
+                continue
+            if a.label != b.label or len(a.children) != len(b.children):
+                return False
+            stack.extend(zip(a.children, b.children))
+        return True
+
+    def __hash__(self) -> int:
+        # The preorder of (label, child count) pairs determines the tree.
+        return hash(tuple((nd.label, len(nd.children)) for nd in _nodes((self,))))
+
     @property
     def size(self) -> int:
         return len(_nodes((self,)))

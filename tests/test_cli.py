@@ -2,8 +2,9 @@
 
 import io
 import json
+import sys
 
-from forestcodec import cli, parse_plane
+from forestcodec import cli, parse_colored, parse_forest, parse_plane
 
 DEEP_CHAIN = "(".join(map(str, range(1, 1201))) + ")" * 1199
 
@@ -36,6 +37,20 @@ class TestCount:
         code, _, err = run(capsys, "count", "zeta", "--n", "3")
         assert code == 1
         assert "unknown formula" in err
+
+    def test_count_prints_every_digit(self, capsys):
+        code, out, err = run(capsys, "count", "cayley", "--n", "2000")
+        assert (code, err) == (0, "")
+        digits = out.strip()
+        assert len(digits) == 6596 and digits.isdigit()
+        # Compare without the interpreter's int/str conversion limit, which
+        # the command must leave as it found it.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert int(digits) == 2000**1998
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_unknown_flag_is_error(self, capsys):
         code, _, _ = run(capsys, "count", "cayley", "--n", "5", "--wat", "1")
@@ -229,6 +244,27 @@ class TestConvert:
             labels.append(node["label"])
             (node,) = node["children"]
         assert labels + [node["label"]] == list(range(1, 1201))
+
+    def test_deep_plane_json(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(DEEP_CHAIN))
+        code, out, _ = run(capsys, "convert", "--kind", "plane", "--format", "json")
+        # json.loads recurses too, so the expected text is built here.
+        tree = '{"children": [], "label": 1200}'
+        for label in range(1199, 0, -1):
+            tree = f'{{"children": [{tree}], "label": {label}}}'
+        want = f'{{"kind": "plane", "trees": [{tree}], "vertices": 1200}}\n'
+        assert (code, out) == (0, want)
+
+    def test_json_text_matches_json_dumps(self):
+        forests = [
+            parse_plane("1(5,3(4));2"),
+            parse_plane("1(*,2(*,*));3(*)"),
+            parse_forest("5 3 0 0 0 3 1"),
+            parse_colored("3 1 0 1 2\n0 1 2", 2),
+        ]
+        for forest in forests:
+            doc = cli._to_json(forest)
+            assert cli._render(forest, "json") == json.dumps(doc, sort_keys=True)
 
     def test_non_ascii_digit_is_an_error(self, capsys):
         code, out, err = run(capsys, "convert", "--forest", "3 1 0 1 \u0661")

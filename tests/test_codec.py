@@ -11,6 +11,7 @@ from forestcodec import (
     decode,
     encode,
     is_descendant,
+    parse_plane,
     parse_trace,
     render_colored,
     render_forest,
@@ -100,6 +101,15 @@ class TestDecodeEncode:
             ChoiceTrace("plain", 5, 0, (1, 2, 6))
         with pytest.raises(ValueError, match="colors"):
             ChoiceTrace("colored", 4, 1, (1, 1, 1))
+
+    def test_deep_plane_round_trip(self):
+        # Deep enough that the recursive dataclass equality overflowed.  The
+        # plane steps build one O(depth) path per node, so a chain this deep
+        # takes about a second and the 1200-deep one about half a minute.
+        depth = 300
+        text = "(".join(map(str, range(1, depth + 1))) + ")" * (depth - 1)
+        forest = parse_plane(text)
+        assert decode(encode(forest)) == forest
 
     def test_encode_rejects_non_members(self):
         with pytest.raises(ValueError, match="roots"):

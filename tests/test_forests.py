@@ -267,6 +267,25 @@ class TestTextFormats:
         assert pf.leaf_count == 1
         assert list(pf.labels()) == list(range(1, depth + 1))
 
+    def test_deep_plane_equality_and_hash(self):
+        text = "(".join(map(str, range(1, 1201))) + ")" * 1199
+        a, b = parse_plane(text), parse_plane(text)
+        assert a == b and hash(a) == hash(b)
+        assert a.trees[0] == b.trees[0] and hash(a.trees[0]) == hash(b.trees[0])
+        assert a != parse_plane(text.replace("1200", "1201"))
+        assert a != parse_plane(text[: text.rindex("(")] + ")" * 1198)
+
+    def test_plane_equality_shares_subtrees(self):
+        # An identical subtree compares equal without being walked, as tuple
+        # comparison does; this one has no label to read.
+        shared = object()
+        assert PlaneNode(1, (shared,)) == PlaneNode(1, (shared,))
+        assert PlaneNode(1, (PlaneNode(2),)) != PlaneNode(1, (PlaneNode(3),))
+        assert PlaneNode(1) != PlaneNode(1, (PlaneNode(2),))
+        assert hash(PlaneNode(1, (PlaneNode(2),))) == hash(
+            PlaneNode(1, (PlaneNode(2),))
+        )
+
     def test_plane_round_trip(self):
         text = "1(5,3(4));2"
         pf = parse_plane(text)
