@@ -17,30 +17,26 @@ vertex appears in the forest with k roots.
 Cost model: every step, choice count and membership check does O(n) work
 on an n-vertex forest.  A step builds what it needs from one pass over its
 input: a child index of the parent map (``forests._child_index``) for the
-labeled families, one ``label -> (tree, path, node)`` walk for the plane
-family.  A codec or sampler run takes n-2 steps, so it costs O(n^2).
+labeled families, one parent-linked walk (``forests.plane_preorder``) for
+the plane families, plus one of the output for a choice index and one more
+to swap labels.  A codec or sampler run takes n-2 steps, so it costs O(n^2).
 """
 
 from __future__ import annotations
 
 from .forests import (
     EdgeColoredForest,
+    Entry,
     PartAssignment,
-    Path,
     PlaneForest,
     PlaneNode,
     RootedForest,
     _child_index,
-    _rebuild,
     _subtree,
     _transposition,
     detach_subtree,
     attach_subtree,
     is_descendant,
-    plane_find_label,
-    plane_get,
-    plane_label_in_tree,
-    plane_leaf_positions,
     plane_preorder,
     plane_relabel,
     plane_replace,
@@ -267,50 +263,75 @@ def reroot_switch(forest: RootedForest) -> RootedForest:
 # --------------------------------------------------------------------------
 
 
-PlaneIndex = dict[int, tuple[int, Path, PlaneNode]]
+def _require_plane(
+    pf: PlaneForest, entries: list[Entry], k: int, leafy: bool = False
+) -> dict[int, int]:
+    """Validate membership with roots 1..k and the largest label m in tree 1;
+    returns the entry index of each label.  ``entries`` is the forest's walk.
 
-
-def _plane_index(pf: PlaneForest) -> PlaneIndex:
-    """label -> (tree index, path, node), from one preorder walk."""
-    return {node.label: (ti, path, node) for ti, path, node in plane_preorder(pf)}
-
-
-def _require_plane(pf: PlaneForest, k: int, conditioned: bool = True) -> PlaneIndex:
-    """Validate membership with roots 1..k; returns the forest's label index."""
-    at = _plane_index(pf)
-    # Labels are distinct, so only unlabeled vertices can share a key.
-    _require(None not in at, "plane family here is fully labeled")
-    n = len(at)
-    _require(at.keys() == set(range(1, n + 1)), "labels must be 1..n")
+    Every vertex carries one of 1..n, or with ``leafy`` exactly the internal
+    vertices carry 1..m and the leaves none.
+    """
+    if leafy:
+        _require(
+            all((node.label is None) == node.is_leaf for _, _, node in entries),
+            "exactly the leaves must be unlabeled",
+        )
+    else:
+        _require(
+            all(node.label is not None for _, _, node in entries),
+            "plane family here is fully labeled",
+        )
+    at = {node.label: i for i, (_, _, node) in enumerate(entries)}
+    at.pop(None, None)  # the leaves
+    m = len(at)
+    _require(
+        at.keys() == set(range(1, m + 1)),
+        f"internal labels must be 1..{m}" if leafy else "labels must be 1..n",
+    )
     _require(
         pf.root_labels() == tuple(range(1, k + 1)),
         f"expected roots exactly 1..{k}, got {pf.root_labels()}",
     )
-    if conditioned:
-        _require(n in at, f"label {n} not present")  # the empty forest
-        _require(
-            pf.trees[at[n][0]].label == 1,
-            f"vertex {n} must lie in the tree rooted at 1",
-        )
+    _require(m in at, f"label {m} not present")  # the empty forest
+    # Tree 1 is the run of entries from 0.
+    _require(
+        _below(entries, at[m], 0),
+        f"vertex {m} must lie in the tree rooted at 1",
+    )
     return at
 
 
+def _below(entries: list[Entry], j: int, i: int) -> bool:
+    """True iff entry j lies in the subtree at entry i (reflexively); a
+    parent's index is smaller than its child's, so the climb stops at i."""
+    while j > i:
+        j = entries[j][0]
+    return j == i
+
+
 def _plane_slots(
-    pf: PlaneForest, k: int, at: PlaneIndex | None = None
+    pf: PlaneForest,
+    k: int,
+    walk: tuple[list[Entry], dict[int, int]] | None = None,
 ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
     """(vertex, gap) attachment slots, outside tree k then inside it.
 
-    ``pf`` is labeled 1..n; ``at`` is its label index when already built.
+    ``pf`` is labeled 1..n with roots 1..k; ``walk`` is its entries and
+    label index when already built.
     """
-    if at is None:
-        at = _plane_index(pf)
+    if walk is None:
+        entries = plane_preorder(pf)
+        walk = entries, {node.label: i for i, (_, _, node) in enumerate(entries)}
+    entries, at = walk
     outside: list[tuple[int, int]] = []
     inside: list[tuple[int, int]] = []
-    k_tree = next(i for i, t in enumerate(pf.trees) if t.label == k)
+    # Tree k is the last tree, so its entries are those from its root on.
+    k_root = at[k]
     for label in range(1, len(at) + 1):
-        ti, _, node = at[label]
-        slots = [(label, g) for g in range(len(node.children) + 1)]
-        (inside if ti == k_tree else outside).extend(slots)
+        i = at[label]
+        slots = [(label, g) for g in range(len(entries[i][2].children) + 1)]
+        (inside if i >= k_root else outside).extend(slots)
     return outside, inside
 
 
@@ -320,19 +341,16 @@ def plane_forward(pf: PlaneForest, k: int) -> tuple[PlaneForest, int]:
     Attachment positions are (vertex, gap) pairs, so a vertex of degree d
     offers d+1 slots; over the whole target forest that is 2n-k slots.
     """
-    n = pf.n_vertices
+    entries = plane_preorder(pf)
+    n = len(entries)
     _require(2 <= k <= n - 1, f"k must satisfy 2 <= k <= n-1, got {k}")
-    at = _require_plane(pf, k - 1)
-    ti, path, sub = at[k]
-    w = plane_get(pf, ti, path[:-1]).label
-    gap = path[-1]
-    trees = list(pf.trees)
-    trees[ti] = _rebuild(trees[ti], path, None)
-    out = PlaneForest(tuple(trees) + (sub,))
+    at = _require_plane(pf, entries, k - 1)
+    p, gap, sub = entries[at[k]]
+    w = entries[p][2].label
+    out = PlaneForest(plane_replace(pf, entries, {at[k]: None}).trees + (sub,))
     # Vertex n lies in tree 1; it leaves tree 1 exactly when it sits in the
     # detached subtree.
-    n_ti, n_path, _ = at[n]
-    swapped = n_ti == ti and n_path[: len(path)] == path
+    swapped = _below(entries, at[n], at[k])
     if swapped:
         out = plane_relabel(out, 1, k)
         w = _transposition(1, k)(w)
@@ -340,23 +358,18 @@ def plane_forward(pf: PlaneForest, k: int) -> tuple[PlaneForest, int]:
 
 
 def plane_inverse(pf: PlaneForest, k: int, choice: int) -> PlaneForest:
-    n = pf.n_vertices
+    entries = plane_preorder(pf)
+    n = len(entries)
     _require(2 <= k <= n - 1, f"k must satisfy 2 <= k <= n-1, got {k}")
-    at = _require_plane(pf, k)
-    (vertex, gap), swap = _chosen(*_plane_slots(pf, k, at), choice)
-    moved = 1 if swap else k
+    at = _require_plane(pf, entries, k)
+    (vertex, gap), swap = _chosen(*_plane_slots(pf, k, (entries, at)), choice)
+    moved = at[1 if swap else k]
     # The target vertex never lies in the moved tree: outside slots avoid
     # tree k, inside slots avoid tree 1.
-    m_tree = at[moved][0]
-    ti, path, target = at[vertex]
-    trees = list(pf.trees)
-    sub = trees.pop(m_tree)
-    if ti > m_tree:
-        ti -= 1
+    target = entries[at[vertex]][2]
     kids = target.children
-    new = PlaneNode(target.label, kids[:gap] + (sub,) + kids[gap:])
-    trees[ti] = _rebuild(trees[ti], path, new)
-    out = PlaneForest(tuple(trees))
+    new = PlaneNode(target.label, kids[:gap] + (entries[moved][2],) + kids[gap:])
+    out = plane_replace(pf, entries, {moved: None, at[vertex]: new})
     if swap:
         out = plane_relabel(out, 1, k)
     return out
@@ -364,32 +377,14 @@ def plane_inverse(pf: PlaneForest, k: int, choice: int) -> PlaneForest:
 
 def plane_choice_count(pf: PlaneForest, k: int) -> int:
     """The plane multiplier 2n-k: one slot per (vertex, child gap) pair."""
-    _require_plane(pf, k)
-    return 2 * pf.n_vertices - k
+    entries = plane_preorder(pf)
+    _require_plane(pf, entries, k)
+    return 2 * len(entries) - k
 
 
 # --------------------------------------------------------------------------
 # Leaf-unlabeled plane forests
 # --------------------------------------------------------------------------
-
-
-def _require_leafplane(pf: PlaneForest, r: int) -> int:
-    """Validate membership with roots 1..r; returns the internal count."""
-    _require(pf.is_leaf_unlabeled(), "exactly the leaves must be unlabeled")
-    nlab = pf.labeled_count
-    _require(
-        set(pf.labels()) == set(range(1, nlab + 1)),
-        f"internal labels must be 1..{nlab}",
-    )
-    _require(
-        pf.root_labels() == tuple(range(1, r + 1)),
-        f"expected roots exactly 1..{r}, got {pf.root_labels()}",
-    )
-    _require(
-        plane_label_in_tree(pf, nlab, 1),
-        f"vertex {nlab} must lie in the tree rooted at 1",
-    )
-    return nlab
 
 
 def leafplane_forward(pf: PlaneForest, r: int) -> tuple[PlaneForest, int]:
@@ -399,42 +394,36 @@ def leafplane_forward(pf: PlaneForest, r: int) -> tuple[PlaneForest, int]:
     and one more leaf than the input.  The choice index is the preorder rank
     of that hole among the unlabeled leaves of the result.
     """
-    nlab = _require_leafplane(pf, r - 1)
+    entries = plane_preorder(pf)
+    at = _require_plane(pf, entries, r - 1, leafy=True)
+    nlab = len(at)
     _require(2 <= r <= nlab - 1, f"r must satisfy 2 <= r <= {nlab - 1}")
-    ti, path = plane_find_label(pf, r)
-    sub = plane_get(pf, ti, path)
-    hole_root = pf.trees[ti].label
-    out = PlaneForest(
-        plane_replace(pf, ti, path, PlaneNode(None)).trees + (sub,)
-    )
-    if not plane_label_in_tree(out, nlab, 1):
+    hole = PlaneNode(None)
+    sub = entries[at[r]][2]
+    out = PlaneForest(plane_replace(pf, entries, {at[r]: hole}).trees + (sub,))
+    if _below(entries, at[nlab], at[r]):
         out = plane_relabel(out, 1, r)
-        hole_root = _transposition(1, r)(hole_root)
-    hole_tree = next(
-        i for i, t in enumerate(out.trees) if t.label == hole_root
-    )
-    c = plane_leaf_positions(out).index((hole_tree, path)) + 1
-    return out, c
+    # The hole is a new object, shared by every later copy of its parent.
+    leaves = [node for _, _, node in plane_preorder(out) if node.is_leaf]
+    return out, next(c for c, leaf in enumerate(leaves, 1) if leaf is hole)
 
 
 def leafplane_inverse(pf: PlaneForest, r: int, choice: int) -> PlaneForest:
     """Replace the chosen unlabeled leaf by tree r (or tree 1 plus a swap)."""
-    nlab = _require_leafplane(pf, r)
+    entries = plane_preorder(pf)
+    at = _require_plane(pf, entries, r, leafy=True)
+    nlab = len(at)
     _require(2 <= r <= nlab - 1, f"r must satisfy 2 <= r <= {nlab - 1}")
-    leaves = plane_leaf_positions(pf)
+    leaves = [i for i, (_, _, node) in enumerate(entries) if node.is_leaf]
     _require(
         1 <= choice <= len(leaves),
         f"choice must be in 1..{len(leaves)}, got {choice}",
     )
-    ti, path = leaves[choice - 1]
-    swap = pf.trees[ti].label == r
-    moved = 1 if swap else r
-    m_tree = next(i for i, t in enumerate(pf.trees) if t.label == moved)
-    sub = pf.trees[m_tree]
-    rest = PlaneForest(pf.trees[:m_tree] + pf.trees[m_tree + 1 :])
-    if m_tree < ti:
-        ti -= 1
-    out = plane_replace(rest, ti, path, sub)
+    leaf = leaves[choice - 1]
+    # Tree r is the last tree, so its entries are those from its root on.
+    swap = leaf > at[r]
+    moved = at[1 if swap else r]
+    out = plane_replace(pf, entries, {moved: None, leaf: entries[moved][2]})
     if swap:
         out = plane_relabel(out, 1, r)
     return out
@@ -442,7 +431,7 @@ def leafplane_inverse(pf: PlaneForest, r: int, choice: int) -> PlaneForest:
 
 def leafplane_choice_count(pf: PlaneForest, r: int) -> int:
     """One choice per unlabeled leaf of the forest with r roots."""
-    _require_leafplane(pf, r)
+    _require_plane(pf, plane_preorder(pf), r, leafy=True)
     return pf.leaf_count
 
 

@@ -94,16 +94,16 @@ def _to_dot(obj) -> str:
             attr = f' [label="{colors[v - 1]}"]' if colors else ""
             lines.append(f"  v{p} -> v{v}{attr};")
     elif isinstance(obj, PlaneForest):
-        ids = {}
-        for i, (ti, path, nd) in enumerate(plane_preorder(obj)):
-            ids[(ti, path)] = i
+        entries = plane_preorder(obj)
+        kids: list[list[int]] = [[] for _ in entries]
+        for i, (p, _, nd) in enumerate(entries):
             text = "*" if nd.label is None else str(nd.label)
             lines.append(f'  v{i} [label="{text}"];')
-        for ti, path, nd in plane_preorder(obj):
-            for j in range(len(nd.children)):
-                lines.append(
-                    f"  v{ids[(ti, path)]} -> v{ids[(ti, path + (j,))]};"
-                )
+            if p >= 0:
+                kids[p].append(i)
+        for i, below in enumerate(kids):
+            for j in below:
+                lines.append(f"  v{i} -> v{j};")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
     lines.append("}")

@@ -21,6 +21,7 @@ from .forests import (
     PlaneForest,
     PlaneNode,
     RootedForest,
+    _cycle_vertex,
     plane_label_in_tree,
     plane_preorder,
 )
@@ -194,23 +195,6 @@ def enumerate_degree_filtered(
 # --------------------------------------------------------------------------
 
 
-def _acyclic(parents: Sequence[int]) -> bool:
-    n = len(parents)
-    state = [0] * (n + 1)
-    for start in range(1, n + 1):
-        path = []
-        v = start
-        while v != 0 and state[v] == 0:
-            state[v] = 1
-            path.append(v)
-            v = parents[v - 1]
-        if v != 0 and state[v] == 1:
-            return False
-        for u in path:
-            state[u] = 2
-    return True
-
-
 def _reaches_root_one(parents: Sequence[int], v: int) -> bool:
     while parents[v - 1] != 0:
         v = parents[v - 1]
@@ -245,7 +229,7 @@ def _assignment_stream(
         parents = [0] * n
         for v, p in zip(non_roots, combo):
             parents[v - 1] = p
-        if not _acyclic(parents):
+        if _cycle_vertex(parents):
             continue
         if pivot is not None and not _reaches_root_one(parents, pivot):
             continue

@@ -6,7 +6,9 @@ root.  All values here are immutable; every operation returns a new value,
 so bijection steps compose without aliasing surprises.
 
 Cost model: each operation makes one pass over the value, O(n) for n
-vertices; plane walks that report paths also pay for building each path.
+vertices, at any depth.  A plane walk (``plane_preorder``) links each node to
+its parent's entry and its gap, so ``plane_replace`` edits a forest from one
+walk by copying only the ancestors of the changed nodes.
 ``children``, ``degree`` and ``EdgeColoredForest.colors_at`` answer for one
 vertex with a full O(n) scan, so code that needs the children of many
 vertices builds one child index with ``_child_index`` instead.
@@ -55,19 +57,9 @@ class RootedForest:
                 raise ValueError(f"parent of vertex {v} out of range: {p!r}")
             if p == v:
                 raise ValueError(f"vertex {v} is its own parent")
-        # Acyclicity: follow parents from each vertex, marking finished ones.
-        state = [0] * (n + 1)  # 0 unseen, 1 on current path, 2 done
-        for start in range(1, n + 1):
-            path = []
-            v = start
-            while v != 0 and state[v] == 0:
-                state[v] = 1
-                path.append(v)
-                v = self.parents[v - 1]
-            if v != 0 and state[v] == 1:
-                raise ValueError(f"parent map has a cycle through vertex {v}")
-            for u in path:
-                state[u] = 2
+        v = _cycle_vertex(self.parents)
+        if v:
+            raise ValueError(f"parent map has a cycle through vertex {v}")
 
     @classmethod
     def from_parents(cls, parents: Sequence[int]) -> "RootedForest":
@@ -88,6 +80,25 @@ class RootedForest:
     def has_standard_roots(self, k: int) -> bool:
         """True iff the roots are exactly {1..k}."""
         return self.roots == tuple(range(1, k + 1))
+
+
+def _cycle_vertex(parents: Sequence[int]) -> int:
+    """A vertex on a cycle of the parent map (entries 0..n), or 0 if none."""
+    n = len(parents)
+    # Follow parents from each vertex, marking finished ones.
+    state = [0] * (n + 1)  # 0 unseen, 1 on current path, 2 done
+    for start in range(1, n + 1):
+        path = []
+        v = start
+        while v != 0 and state[v] == 0:
+            state[v] = 1
+            path.append(v)
+            v = parents[v - 1]
+        if v != 0 and state[v] == 1:
+            return v
+        for u in path:
+            state[u] = 2
+    return 0
 
 
 def parent(forest: RootedForest, v: int) -> int:
@@ -283,8 +294,8 @@ class PlaneNode:
         if self.label is not None and self.label < 1:
             raise ValueError(f"label must be positive, got {self.label}")
 
-    # Equality and hashing walk the tree with a stack, so depth is no limit;
-    # the dataclass versions recurse once per level.
+    # Equality, hashing and repr walk the tree with a stack, so depth is no
+    # limit; the dataclass versions recurse once per level.
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -302,6 +313,26 @@ class PlaneNode:
     def __hash__(self) -> int:
         # The preorder of (label, child count) pairs determines the tree.
         return hash(tuple((nd.label, len(nd.children)) for nd in _nodes((self,))))
+
+    def __repr__(self) -> str:
+        # The dataclass text; the stack holds nodes and the text after them.
+        out: list[str] = []
+        stack: list[PlaneNode | str] = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            out.append(
+                f"{type(item).__qualname__}(label={item.label!r}, children=("
+            )
+            kids = item.children
+            stack.append(",))" if len(kids) == 1 else "))")
+            for j in range(len(kids) - 1, 0, -1):
+                stack.append(kids[j])
+                stack.append(", ")
+            stack.extend(kids[:1])
+        return "".join(out)
 
     @property
     def size(self) -> int:
@@ -375,9 +406,6 @@ class PlaneForest:
         )
 
 
-Path = tuple[int, ...]
-
-
 def _nodes(roots: Sequence[PlaneNode]) -> list[PlaneNode]:
     """Every node below the given roots in global preorder, iteratively."""
     found: list[PlaneNode] = []
@@ -389,84 +417,75 @@ def _nodes(roots: Sequence[PlaneNode]) -> list[PlaneNode]:
     return found
 
 
-def plane_preorder(pf: PlaneForest) -> Iterator[tuple[int, Path, PlaneNode]]:
-    """Yield (tree index, child-index path, node) in global preorder.
+Entry = tuple[int, int, PlaneNode]
 
-    Iterative, so depth costs nothing beyond building each node's path.
+
+def plane_preorder(pf: PlaneForest) -> list[Entry]:
+    """(parent, gap, node) for every node in global preorder, iteratively.
+
+    ``parent`` is the index of the parent's entry, or -1 for a root, whose
+    ``gap`` is then its tree index.  Each tree's entries are one run.
     """
-    for ti, tree in enumerate(pf.trees):
-        stack: list[tuple[Path, PlaneNode]] = [((), tree)]
-        while stack:
-            path, node = stack.pop()
-            yield ti, path, node
-            kids = node.children
-            for i in range(len(kids) - 1, -1, -1):
-                stack.append((path + (i,), kids[i]))
+    entries: list[Entry] = []
+    stack = [(-1, ti, tree) for ti, tree in reversed(list(enumerate(pf.trees)))]
+    while stack:
+        entry = stack.pop()
+        i = len(entries)
+        entries.append(entry)
+        kids = entry[2].children
+        for gap in range(len(kids) - 1, -1, -1):
+            stack.append((i, gap, kids[gap]))
+    return entries
 
 
-def plane_leaf_positions(pf: PlaneForest) -> list[tuple[int, Path]]:
-    """Positions of all leaves, in global preorder."""
-    return [
-        (ti, path) for ti, path, node in plane_preorder(pf) if node.is_leaf
-    ]
+def plane_replace(
+    pf: PlaneForest, entries: list[Entry], changes: dict[int, PlaneNode | None]
+) -> PlaneForest:
+    """Put ``changes[i]`` in place of entry i's node, or delete it when None,
+    copying only the ancestors; ``entries`` is ``plane_preorder(pf)``.
 
-
-def plane_find_label(pf: PlaneForest, label: int) -> tuple[int, Path]:
-    for ti, path, node in plane_preorder(pf):
-        if node.label == label:
-            return ti, path
-    raise ValueError(f"label {label} not present")
-
-
-def plane_get(pf: PlaneForest, ti: int, path: Path) -> PlaneNode:
-    node = pf.trees[ti]
-    for i in path:
-        node = node.children[i]
-    return node
-
-
-def _rebuild(node: PlaneNode, path: Path, new: PlaneNode | None) -> PlaneNode:
-    """Replace the node at `path` with `new`, or delete it when new is None.
-
-    Only the ancestors along the path are copied; the rest is shared.
+    The largest index goes first, so a change below a changed entry lands in
+    its replacement, and a deletion shifts no gap still to be used.
     """
-    ancestors = []
-    for i in path:
-        ancestors.append(node)
-        node = node.children[i]
-    for anc, i in zip(reversed(ancestors), reversed(path)):
-        kids = anc.children
-        middle = () if new is None else (new,)
-        new = PlaneNode(anc.label, kids[:i] + middle + kids[i + 1 :])
-    assert new is not None, "cannot delete a whole tree by path"
-    return new
-
-
-def plane_replace(pf: PlaneForest, ti: int, path: Path, new: PlaneNode) -> PlaneForest:
-    trees = list(pf.trees)
-    trees[ti] = _rebuild(trees[ti], path, new)
-    return PlaneForest(tuple(trees))
+    trees: list[PlaneNode | None] = list(pf.trees)
+    new = dict(changes)
+    for i in range(max(new, default=-1), -1, -1):
+        if i not in new:
+            continue
+        p, gap, _ = entries[i]
+        if p < 0:
+            trees[gap] = new[i]
+            continue
+        up = new.get(p, entries[p][2])
+        if up is None:  # deleted together with its parent
+            continue
+        kids = up.children
+        middle = () if new[i] is None else (new[i],)
+        new[p] = PlaneNode(up.label, kids[:gap] + middle + kids[gap + 1 :])
+    # Shape forests have no root labels and keep their order.
+    kept = sorted((t for t in trees if t is not None), key=lambda t: t.label or 0)
+    return PlaneForest(tuple(kept))
 
 
 def plane_relabel(pf: PlaneForest, a: int, b: int) -> PlaneForest:
     """Swap labels a and b, then restore ascending tree order."""
     if a == b:
         return pf
-    trees = list(pf.trees)
-    for ti, path, node in plane_preorder(pf):
-        if node.label == a or node.label == b:
-            # Relabeling moves no node, so each path stays valid in the
-            # partly relabeled trees.
-            new = PlaneNode(b if node.label == a else a, node.children)
-            trees[ti] = _rebuild(trees[ti], path, new)
-    trees.sort(key=lambda t: t.label)
-    return PlaneForest(tuple(trees))
+    entries = plane_preorder(pf)
+    swap = {a: b, b: a}
+    return plane_replace(pf, entries, {
+        i: PlaneNode(swap[node.label], node.children)
+        for i, (_, _, node) in enumerate(entries)
+        if node.label in swap
+    })
 
 
 def plane_label_in_tree(pf: PlaneForest, label: int, root: int) -> bool:
     """True iff the vertex carrying `label` lies in the tree rooted `root`."""
-    ti, _ = plane_find_label(pf, label)
-    return pf.trees[ti].label == root
+    for tree in pf.trees:
+        if any(node.label == label for node in _nodes((tree,))):
+            return tree.label == root
+    raise ValueError(f"label {label} not present")
 
 
 # --------------------------------------------------------------------------

@@ -280,6 +280,19 @@ class TestConvert:
         assert "v1 -> v2" in out
         assert "v2 -> v3" in out
 
+    def test_plane_dot_numbers_in_preorder(self, capsys):
+        code, out, _ = run(
+            capsys, "convert", "--forest", "1(2,3(4),5);6(*,7)", "--format", "dot"
+        )
+        assert code == 0
+        assert out == "\n".join([
+            "digraph forest {",
+            *(f'  v{i} [label="{t}"];' for i, t in enumerate("123456*7")),
+            "  v0 -> v1;", "  v0 -> v2;", "  v0 -> v4;", "  v2 -> v3;",
+            "  v5 -> v6;", "  v5 -> v7;",
+            "}",
+        ]) + "\n"
+
     def test_colored_dot_has_color_labels(self, capsys):
         code, out, _ = run(
             capsys, "convert", "--forest", "3 1 0 1 2 0 1 2", "--kind", "colored",

@@ -1,5 +1,6 @@
 """Choice-trace codecs, the fixed PRNG, and uniform sampling."""
 
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -23,6 +24,9 @@ from forestcodec import (
     trace_space_size,
 )
 from forestcodec.enumeration import FamilySpec, enumerate_family
+
+
+CHI2_Q999_DF83 = 128.5648
 
 
 def all_traces(family, n, colors=0):
@@ -103,9 +107,9 @@ class TestDecodeEncode:
             ChoiceTrace("colored", 4, 1, (1, 1, 1))
 
     def test_deep_plane_round_trip(self):
-        # Deep enough that the recursive dataclass equality overflowed.  The
-        # plane steps build one O(depth) path per node, so a chain this deep
-        # takes about a second and the 1200-deep one about half a minute.
+        # Deep enough that the recursive dataclass equality overflowed.  A
+        # codec run costs O(n^2), so the 1200-deep chain takes about 16 times
+        # as long as this one.
         depth = 300
         text = "(".join(map(str, range(1, depth + 1))) + ")" * (depth - 1)
         forest = parse_plane(text)
@@ -196,6 +200,21 @@ class TestSampling:
             f = sample_uniform("plain", 5, seed=500 + i, roots=2)
             assert f.roots == (1, 2)
             assert is_descendant(f, 5, 1)
+
+    def test_unconditioned_plane_is_uniform(self):
+        # The 1..j relabeling of an unconditioned draw runs plane_relabel.
+        members = set(enumerate_family(FamilySpec("plane", n=5, roots=2)))
+        assert len(members) == 84
+        draws = 16_000
+        rng = SplitMix64(20261018)
+        freq = Counter(
+            sample_uniform("plane", 5, seed=0, roots=2, conditioned=False, rng=rng)
+            for _ in range(draws)
+        )
+        assert set(freq) == members
+        expected = draws / len(members)
+        chi2 = sum((c - expected) ** 2 / expected for c in freq.values())
+        assert chi2 < CHI2_Q999_DF83, f"chi-square {chi2:.2f}"
 
     def test_colored_sample_text_stable(self):
         texts = {

@@ -25,6 +25,7 @@ from forestcodec import (
     swap_labels,
 )
 from forestcodec.enumeration import FamilySpec, enumerate_family
+from forestcodec.forests import plane_preorder, plane_relabel, plane_replace
 
 
 def forests_upto(n_max):
@@ -322,3 +323,56 @@ class TestTextFormats:
     def test_colored_length_check(self):
         with pytest.raises(ParseError):
             parse_colored("3 1 0 1 1 0 1", 2)
+
+
+class TestPlaneWalk:
+    def test_preorder_links_parents_and_gaps(self):
+        pf = parse_plane("1(2,3(*));4")
+        entries = plane_preorder(pf)
+        assert [(p, gap, node.label) for p, gap, node in entries] == [
+            (-1, 0, 1), (0, 0, 2), (0, 1, 3), (2, 0, None), (-1, 1, 4),
+        ]
+        assert entries[4][2] is pf.trees[1]
+
+    def test_replace_deletes_a_tree_and_edits_another(self):
+        pf = parse_plane("1(2,3);4(5)")
+        entries = plane_preorder(pf)
+        new = PlaneNode(3, (entries[3][2],))  # tree 4 moved below vertex 3
+        out = plane_replace(pf, entries, {3: None, 2: new})
+        assert render_plane(out) == "1(2,3(4(5)))"
+        assert out.trees[0].children[0] is pf.trees[0].children[0]
+
+    def test_replace_deletes_siblings_from_the_right(self):
+        pf = parse_plane("1(2,3,4)")
+        entries = plane_preorder(pf)
+        out = plane_replace(pf, entries, {1: None, 3: None, 2: PlaneNode(5)})
+        assert render_plane(out) == "1(5)"
+
+    def test_relabel_on_one_root_path(self):
+        # Labels 1 and 4 lie on one root path, so both changes must compose
+        # from the same walk; the swapped trees are then put back in order.
+        pf = parse_plane("1(2(4(*)));3")
+        assert render_plane(plane_relabel(pf, 1, 4)) == "3;4(2(1(*)))"
+        assert plane_relabel(pf, 2, 2) is pf
+
+    def test_plane_node_repr_matches_dataclass(self):
+        node = parse_plane("1(2,3(*),4(5))").trees[0]
+        assert repr(node) == (
+            "PlaneNode(label=1, children=(PlaneNode(label=2, children=()), "
+            "PlaneNode(label=3, children=(PlaneNode(label=None, children=()),)), "
+            "PlaneNode(label=4, children=(PlaneNode(label=5, children=()),))))"
+        )
+        assert repr(parse_plane("1(2);3")) == (
+            "PlaneForest(trees=(PlaneNode(label=1, children=("
+            "PlaneNode(label=2, children=()),)), PlaneNode(label=3, children=())))"
+        )
+
+    def test_deep_plane_node_repr(self):
+        depth = 1200
+        text = "(".join(map(str, range(1, depth + 1))) + ")" * (depth - 1)
+        expected = (
+            "".join(f"PlaneNode(label={v}, children=(" for v in range(1, depth + 1))
+            + "))"
+            + ",))" * (depth - 1)
+        )
+        assert repr(parse_plane(text).trees[0]) == expected
