@@ -15,11 +15,18 @@ case choices record the attachment vertex in post-swap labels, i.e. as the
 vertex appears in the forest with k roots.
 
 Cost model: every step, choice count and membership check does O(n) work
-on an n-vertex forest.  A step builds what it needs from one pass over its
-input: a child index of the parent map (``forests._child_index``) for the
-labeled families, one parent-linked walk (``forests.plane_preorder``) for
-the plane families, plus one of the output for a choice index and one more
-to swap labels.  A codec or sampler run takes n-2 steps, so it costs O(n^2).
+on an n-vertex forest.  A step builds one child index of its input's parent
+map (``forests._child_index``) for the labeled families, or one
+parent-linked walk (``forests.plane_preorder``) for the plane families, and
+hands it to the membership check, the marks of tree k, the recoloring and
+the choice lookup.  Choices are counted, not looked up in a list of every
+target: each vertex offers a known number of targets (one, one per child
+gap, or one per free color), so the forward step sums the counts before its
+target and the inverse step subtracts them until its choice runs out.  The
+output is built once, with the exchange of labels 1 and k applied to its
+parent map, or for plane forests to the two roots that carry them, and its
+constructor validates it in one more pass.  A codec or sampler run takes
+n-2 steps, so it costs O(n^2).
 """
 
 from __future__ import annotations
@@ -32,17 +39,13 @@ from .forests import (
     PlaneNode,
     RootedForest,
     _child_index,
+    _special,
     _subtree,
+    _transposed,
     _transposition,
-    detach_subtree,
-    attach_subtree,
     is_descendant,
     plane_preorder,
-    plane_relabel,
     plane_replace,
-    subtree_vertices,
-    swap_colored_labels,
-    swap_labels,
 )
 
 __all__ = [
@@ -71,20 +74,54 @@ def _require(cond: bool, msg: str) -> None:
         raise ValueError(msg)
 
 
-def _choice_index(outside: list, inside: list, target, swapped: bool) -> int:
-    """The choice that makes the inverse step attach at `target`."""
+# Every step finds its choice by counting.  ``slots[v]`` is the number of
+# targets vertex v offers (one per vertex, child gap or free color) and
+# ``inside[v]`` marks tree k, the side of the swap-case targets; both are
+# indexed by vertex label, with the sentinel 0 offering none.
+
+
+def _choice_index(
+    slots: list[int], inside: bytearray, w: int, j: int, swapped: bool
+) -> int:
+    """The choice that makes the inverse step attach at target j (counted
+    from 0) of vertex w, on the outside or, when ``swapped``, inside."""
+    c = j + 1 + sum(s for s, i in zip(slots[:w], inside) if i == swapped)
     if swapped:
-        return len(outside) + inside.index(target) + 1
-    return outside.index(target) + 1
+        c += sum(s for s, i in zip(slots, inside) if not i)
+    return c
 
 
-def _chosen(outside: list, inside: list, choice: int):
-    """The target a choice names, and whether it takes the swap case."""
-    total = len(outside) + len(inside)
+def _chosen(
+    slots: list[int], inside: bytearray, choice: int
+) -> tuple[int, int, bool]:
+    """The vertex and target (counted from 0) a choice names, and whether it
+    takes the swap case."""
+    outside = sum(s for s, i in zip(slots, inside) if not i)
+    total = sum(slots)
     _require(1 <= choice <= total, f"choice must be in 1..{total}, got {choice}")
-    if choice <= len(outside):
-        return outside[choice - 1], False
-    return inside[choice - len(outside) - 1], True
+    swap = choice > outside
+    c = choice - outside if swap else choice
+    for v, (s, i) in enumerate(zip(slots, inside)):
+        if i == swap:
+            if c <= s:
+                break
+            c -= s
+    return v, c - 1, swap
+
+
+def _tree_k(kids: list[list[int]], k: int, swapped: bool = False) -> bytearray:
+    """Marks the vertices of tree k, from the child index of a forest with
+    roots 1..k.  With ``swapped``, ``kids`` indexes the input of a forward
+    step that takes the swap case, whose output's tree k is the rest of tree
+    1 once the subtree at k is cut, relabeled by (1 k)."""
+    inside = bytearray(len(kids))
+    for v in _subtree(kids, k):
+        inside[v] = 1
+    if swapped:  # the subtree at k lies in tree 1
+        for v in _subtree(kids, 1):
+            inside[v] ^= 1
+        inside[1], inside[k] = inside[k], inside[1]
+    return inside
 
 
 # --------------------------------------------------------------------------
@@ -92,11 +129,12 @@ def _chosen(outside: list, inside: list, choice: int):
 # --------------------------------------------------------------------------
 
 
-def _require_plain(forest: RootedForest, k: int, pivot: int) -> None:
-    _require(
-        forest.has_standard_roots(k),
-        f"expected roots exactly 1..{k}, got {forest.roots}",
-    )
+def _require_plain(
+    forest: RootedForest, kids: list[list[int]], k: int, pivot: int
+) -> None:
+    """``kids`` is the forest's child index."""
+    if kids[0] != list(range(1, k + 1)):
+        raise ValueError(f"expected roots exactly 1..{k}, got {forest.roots}")
     _require(
         is_descendant(forest, pivot, 1),
         f"vertex {pivot} must lie in the tree rooted at 1",
@@ -104,43 +142,59 @@ def _require_plain(forest: RootedForest, k: int, pivot: int) -> None:
 
 
 def _targets(
-    forest: RootedForest, k: int, parts: PartAssignment | None
-) -> tuple[list[int], list[int]]:
-    """Attachment targets outside the subtree at k, then inside it, ascending.
-
-    With parts, the outside targets avoid k's part and the inside ones 1's.
-    """
-    inside = subtree_vertices(forest, k)
-    outside = [v for v in range(1, forest.n + 1) if v not in inside]
-    ins = sorted(inside)
+    inside: bytearray, k: int, parts: PartAssignment | None
+) -> list[int]:
+    """One slot per attachment target, given the marks of tree k: every
+    vertex, or with parts the vertices outside tree k that avoid k's part
+    and those inside it that avoid 1's."""
+    slots = [0] + [1] * (len(inside) - 1)
     if parts is not None:
-        part_k, part_1 = parts.part_of(k), parts.part_of(1)
-        outside = [v for v in outside if parts.part_of(v) != part_k]
-        ins = [v for v in ins if parts.part_of(v) != part_1]
-    return outside, ins
+        for side, u in ((0, k), (1, 1)):
+            for v in parts.block(parts.part_of(u)):
+                if inside[v] == side:
+                    slots[v] = 0
+    return slots
 
 
 def _detach(
-    forest: RootedForest, k: int, pivot: int, parts: PartAssignment | None
+    forest: RootedForest,
+    kids: list[list[int]],
+    k: int,
+    pivot: int,
+    parts: PartAssignment | None,
 ) -> tuple[RootedForest, int]:
-    """The forward step of the labeled families, with its choice index."""
-    w = forest.parents[k - 1]
-    out = detach_subtree(forest, k)
-    swapped = not is_descendant(out, pivot, 1)
+    """The forward step of the labeled families, with its choice index;
+    ``kids`` is the input's child index."""
+    parents = list(forest.parents)
+    w = parents[k - 1]
+    parents[k - 1] = 0
+    # The pivot lies in tree 1; it leaves tree 1 exactly when it sits in
+    # the detached subtree.
+    swapped = is_descendant(forest, pivot, k)
+    inside = _tree_k(kids, k, swapped)
     if swapped:
-        out = swap_labels(out, 1, k)
+        parents = _transposed(parents, 1, k)
         w = _transposition(1, k)(w)
-    return out, _choice_index(*_targets(out, k, parts), w, swapped)
+    choice = _choice_index(_targets(inside, k, parts), inside, w, 0, swapped)
+    return RootedForest(tuple(parents)), choice
 
 
 def _attach(
-    forest: RootedForest, k: int, parts: PartAssignment | None, choice: int
+    forest: RootedForest,
+    kids: list[list[int]],
+    k: int,
+    parts: PartAssignment | None,
+    choice: int,
 ) -> RootedForest:
-    """The inverse step of the labeled families."""
-    u, swap = _chosen(*_targets(forest, k, parts), choice)
-    if not swap:
-        return attach_subtree(forest, k, u)
-    return swap_labels(attach_subtree(forest, 1, u), 1, k)
+    """The inverse step of the labeled families; ``kids`` is the input's
+    child index."""
+    inside = _tree_k(kids, k)
+    u, _, swap = _chosen(_targets(inside, k, parts), inside, choice)
+    parents = list(forest.parents)
+    parents[(1 if swap else k) - 1] = u
+    if swap:
+        parents = _transposed(parents, 1, k)
+    return RootedForest(tuple(parents))
 
 
 def plain_forward(forest: RootedForest, k: int) -> tuple[RootedForest, int]:
@@ -152,8 +206,9 @@ def plain_forward(forest: RootedForest, k: int) -> tuple[RootedForest, int]:
     """
     n = forest.n
     _require(2 <= k <= n - 1, f"k must satisfy 2 <= k <= n-1, got {k}")
-    _require_plain(forest, k - 1, n)
-    return _detach(forest, k, n, None)
+    kids = _child_index(forest.parents)
+    _require_plain(forest, kids, k - 1, n)
+    return _detach(forest, kids, k, n, None)
 
 
 def plain_inverse(forest: RootedForest, k: int, choice: int) -> RootedForest:
@@ -165,13 +220,14 @@ def plain_inverse(forest: RootedForest, k: int, choice: int) -> RootedForest:
     """
     n = forest.n
     _require(2 <= k <= n - 1, f"k must satisfy 2 <= k <= n-1, got {k}")
-    _require_plain(forest, k, n)
-    return _attach(forest, k, None, choice)
+    kids = _child_index(forest.parents)
+    _require_plain(forest, kids, k, n)
+    return _attach(forest, kids, k, None, choice)
 
 
 def plain_choice_count(forest: RootedForest, k: int) -> int:
     """The plain multiplier: every one of the n vertices is a valid target."""
-    _require_plain(forest, k, forest.n)
+    _require_plain(forest, _child_index(forest.parents), k, forest.n)
     return forest.n
 
 
@@ -181,13 +237,17 @@ def plain_choice_count(forest: RootedForest, k: int) -> int:
 
 
 def _require_partite(
-    forest: RootedForest, k: int, parts: PartAssignment, pivot: int
+    forest: RootedForest,
+    kids: list[list[int]],
+    k: int,
+    parts: PartAssignment,
+    pivot: int,
 ) -> None:
     _require(parts.n == forest.n, "part sizes must cover the vertex set")
     _require(parts.part_count >= 2, "at least two parts are required")
     _require(k <= parts.sizes[0], f"roots 1..{k} must lie in part 1")
     _require(parts.respects(forest), "forest has an edge inside one part")
-    _require_plain(forest, k, pivot)
+    _require_plain(forest, kids, k, pivot)
 
 
 def partite_forward(
@@ -204,8 +264,9 @@ def partite_forward(
         2 <= k <= parts.sizes[0],
         f"k must satisfy 2 <= k <= |part 1| = {parts.sizes[0]}, got {k}",
     )
-    _require_partite(forest, k - 1, parts, pivot)
-    return _detach(forest, k, pivot, parts)
+    kids = _child_index(forest.parents)
+    _require_partite(forest, kids, k - 1, parts, pivot)
+    return _detach(forest, kids, k, pivot, parts)
 
 
 def partite_inverse(
@@ -216,17 +277,18 @@ def partite_inverse(
         2 <= k <= parts.sizes[0],
         f"k must satisfy 2 <= k <= |part 1| = {parts.sizes[0]}, got {k}",
     )
-    _require_partite(forest, k, parts, pivot)
-    return _attach(forest, k, parts, choice)
+    kids = _child_index(forest.parents)
+    _require_partite(forest, kids, k, parts, pivot)
+    return _attach(forest, kids, k, parts, choice)
 
 
 def partite_choice_count(
     forest: RootedForest, k: int, parts: PartAssignment
 ) -> int:
     pivot = parts.sizes[0] + 1
-    _require_partite(forest, k, parts, pivot)
-    outside, inside = _targets(forest, k, parts)
-    return len(outside) + len(inside)
+    kids = _child_index(forest.parents)
+    _require_partite(forest, kids, k, parts, pivot)
+    return sum(_targets(_tree_k(kids, k), k, parts))
 
 
 def reroot_tree(forest: RootedForest, v: int) -> RootedForest:
@@ -296,43 +358,33 @@ def _require_plane(
     _require(m in at, f"label {m} not present")  # the empty forest
     # Tree 1 is the run of entries from 0.
     _require(
-        _below(entries, at[m], 0),
+        at[m] < _run_end(entries, 0),
         f"vertex {m} must lie in the tree rooted at 1",
     )
     return at
 
 
-def _below(entries: list[Entry], j: int, i: int) -> bool:
-    """True iff entry j lies in the subtree at entry i (reflexively); a
-    parent's index is smaller than its child's, so the climb stops at i."""
-    while j > i:
-        j = entries[j][0]
-    return j == i
+def _run_end(entries: list[Entry], i: int) -> int:
+    """The index just past the subtree at entry i.  Its entries are one run,
+    and the first entry after the run has its parent before i."""
+    j = i + 1
+    while j < len(entries) and entries[j][0] >= i:
+        j += 1
+    return j
 
 
-def _plane_slots(
-    pf: PlaneForest,
-    k: int,
-    walk: tuple[list[Entry], dict[int, int]] | None = None,
-) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """(vertex, gap) attachment slots, outside tree k then inside it.
-
-    ``pf`` is labeled 1..n with roots 1..k; ``walk`` is its entries and
-    label index when already built.
-    """
-    if walk is None:
-        entries = plane_preorder(pf)
-        walk = entries, {node.label: i for i, (_, _, node) in enumerate(entries)}
-    entries, at = walk
-    outside: list[tuple[int, int]] = []
-    inside: list[tuple[int, int]] = []
-    # Tree k is the last tree, so its entries are those from its root on.
-    k_root = at[k]
-    for label in range(1, len(at) + 1):
-        i = at[label]
-        slots = [(label, g) for g in range(len(entries[i][2].children) + 1)]
-        (inside if i >= k_root else outside).extend(slots)
-    return outside, inside
+def _plane_targets(
+    entries: list[Entry], lo: int, hi: int
+) -> tuple[list[int], bytearray]:
+    """One slot per child gap of every label, and the marks of the labels
+    whose entries lie in lo..hi-1; ``entries`` is labeled 1..n."""
+    slots = [0] * (len(entries) + 1)
+    inside = bytearray(len(entries) + 1)
+    for i, (_, _, node) in enumerate(entries):
+        slots[node.label] = len(node.children) + 1
+        if lo <= i < hi:
+            inside[node.label] = 1
+    return slots, inside
 
 
 def plane_forward(pf: PlaneForest, k: int) -> tuple[PlaneForest, int]:
@@ -345,16 +397,28 @@ def plane_forward(pf: PlaneForest, k: int) -> tuple[PlaneForest, int]:
     n = len(entries)
     _require(2 <= k <= n - 1, f"k must satisfy 2 <= k <= n-1, got {k}")
     at = _require_plane(pf, entries, k - 1)
-    p, gap, sub = entries[at[k]]
+    i = at[k]
+    p, gap, sub = entries[i]
     w = entries[p][2].label
-    out = PlaneForest(plane_replace(pf, entries, {at[k]: None}).trees + (sub,))
+    end = _run_end(entries, i)
+    # Tree k of the output is the detached subtree, whose entries are i..end-1.
+    slots, inside = _plane_targets(entries, i, end)
+    slots[w] -= 1
+    changes: dict[int, PlaneNode | None] = {i: None}
     # Vertex n lies in tree 1; it leaves tree 1 exactly when it sits in the
-    # detached subtree.
-    swapped = _below(entries, at[n], at[k])
+    # detached subtree.  Then labels 1 and k, two roots, are exchanged, and
+    # tree k of the output is the rest of tree 1.
+    swapped = i <= at[n] < end
     if swapped:
-        out = plane_relabel(out, 1, k)
+        for j in range(_run_end(entries, 0)):
+            inside[entries[j][2].label] ^= 1
+        slots[1], slots[k] = slots[k], slots[1]
+        inside[1], inside[k] = inside[k], inside[1]
         w = _transposition(1, k)(w)
-    return out, _choice_index(*_plane_slots(out, k), (w, gap), swapped)
+        changes[0] = PlaneNode(k, entries[0][2].children)
+        sub = PlaneNode(1, sub.children)
+    out = plane_replace(pf, entries, changes, (sub,))
+    return out, _choice_index(slots, inside, w, gap, swapped)
 
 
 def plane_inverse(pf: PlaneForest, k: int, choice: int) -> PlaneForest:
@@ -362,17 +426,22 @@ def plane_inverse(pf: PlaneForest, k: int, choice: int) -> PlaneForest:
     n = len(entries)
     _require(2 <= k <= n - 1, f"k must satisfy 2 <= k <= n-1, got {k}")
     at = _require_plane(pf, entries, k)
-    (vertex, gap), swap = _chosen(*_plane_slots(pf, k, (entries, at)), choice)
+    # Tree k is the last tree, so its entries are those from its root on.
+    vertex, gap, swap = _chosen(*_plane_targets(entries, at[k], n), choice)
     moved = at[1 if swap else k]
+    node = entries[moved][2]
+    changes: dict[int, PlaneNode | None] = {moved: None}
+    label = vertex
+    if swap:
+        # Exchange labels 1 and k: the moved root and the root of tree k.
+        node = PlaneNode(k, node.children)
+        changes[at[k]] = PlaneNode(1, entries[at[k]][2].children)
+        label = _transposition(1, k)(vertex)
     # The target vertex never lies in the moved tree: outside slots avoid
     # tree k, inside slots avoid tree 1.
-    target = entries[at[vertex]][2]
-    kids = target.children
-    new = PlaneNode(target.label, kids[:gap] + (entries[moved][2],) + kids[gap:])
-    out = plane_replace(pf, entries, {moved: None, at[vertex]: new})
-    if swap:
-        out = plane_relabel(out, 1, k)
-    return out
+    kids = entries[at[vertex]][2].children
+    changes[at[vertex]] = PlaneNode(label, kids[:gap] + (node,) + kids[gap:])
+    return plane_replace(pf, entries, changes)
 
 
 def plane_choice_count(pf: PlaneForest, k: int) -> int:
@@ -387,6 +456,11 @@ def plane_choice_count(pf: PlaneForest, k: int) -> int:
 # --------------------------------------------------------------------------
 
 
+def _leaves(entries: list[Entry], lo: int, hi: int) -> int:
+    """The number of leaves among entries lo..hi-1."""
+    return sum(1 for j in range(lo, hi) if not entries[j][2].children)
+
+
 def leafplane_forward(pf: PlaneForest, r: int) -> tuple[PlaneForest, int]:
     """Detach the subtree at internal vertex r, leaving an unlabeled leaf.
 
@@ -398,14 +472,22 @@ def leafplane_forward(pf: PlaneForest, r: int) -> tuple[PlaneForest, int]:
     at = _require_plane(pf, entries, r - 1, leafy=True)
     nlab = len(at)
     _require(2 <= r <= nlab - 1, f"r must satisfy 2 <= r <= {nlab - 1}")
-    hole = PlaneNode(None)
-    sub = entries[at[r]][2]
-    out = PlaneForest(plane_replace(pf, entries, {at[r]: hole}).trees + (sub,))
-    if _below(entries, at[nlab], at[r]):
-        out = plane_relabel(out, 1, r)
-    # The hole is a new object, shared by every later copy of its parent.
-    leaves = [node for _, _, node in plane_preorder(out) if node.is_leaf]
-    return out, next(c for c, leaf in enumerate(leaves, 1) if leaf is hole)
+    i = at[r]
+    sub = entries[i][2]
+    end = _run_end(entries, i)
+    changes: dict[int, PlaneNode | None] = {i: PlaneNode(None)}
+    if i <= at[nlab] < end:
+        # Exchange labels 1 and r, two roots.  The result lists the detached
+        # subtree first, then trees 2..r-1, then tree r holding the hole.
+        changes[0] = PlaneNode(r, entries[0][2].children)
+        sub = PlaneNode(1, sub.children)
+        rank = _leaves(entries, 0, len(entries)) - _leaves(
+            entries, end, _run_end(entries, 0)
+        )
+    else:
+        # The detached subtree goes last, after everything else.
+        rank = _leaves(entries, 0, i)
+    return plane_replace(pf, entries, changes, (sub,)), rank + 1
 
 
 def leafplane_inverse(pf: PlaneForest, r: int, choice: int) -> PlaneForest:
@@ -423,10 +505,14 @@ def leafplane_inverse(pf: PlaneForest, r: int, choice: int) -> PlaneForest:
     # Tree r is the last tree, so its entries are those from its root on.
     swap = leaf > at[r]
     moved = at[1 if swap else r]
-    out = plane_replace(pf, entries, {moved: None, leaf: entries[moved][2]})
+    node = entries[moved][2]
+    changes: dict[int, PlaneNode | None] = {moved: None}
     if swap:
-        out = plane_relabel(out, 1, r)
-    return out
+        # Exchange labels 1 and r: the moved root and the root of tree r.
+        node = PlaneNode(r, node.children)
+        changes[at[r]] = PlaneNode(1, entries[at[r]][2].children)
+    changes[leaf] = node
+    return plane_replace(pf, entries, changes)
 
 
 def leafplane_choice_count(pf: PlaneForest, r: int) -> int:
@@ -440,12 +526,13 @@ def leafplane_choice_count(pf: PlaneForest, r: int) -> int:
 # --------------------------------------------------------------------------
 
 
-def _require_colored(ef: EdgeColoredForest, r: int) -> None:
-    _require(
-        ef.base.has_standard_roots(r),
-        f"expected roots exactly 1..{r}, got {ef.base.roots}",
-    )
-    _require(ef.is_special(), "an edge out of a root carries the last color")
+def _require_colored(
+    ef: EdgeColoredForest, kids: list[list[int]], r: int
+) -> None:
+    """``kids`` is the child index of ``ef.base``."""
+    if kids[0] != list(range(1, r + 1)):
+        raise ValueError(f"expected roots exactly 1..{r}, got {ef.base.roots}")
+    _require(_special(ef, kids), "an edge out of a root carries the last color")
     _require(
         is_descendant(ef.base, ef.n, 1),
         f"vertex {ef.n} must lie in the tree rooted at 1",
@@ -453,10 +540,11 @@ def _require_colored(ef: EdgeColoredForest, r: int) -> None:
 
 
 def _alternating_flip(
-    parents, colors: list[int], start: int, first: int, second: int
+    kids: list[list[int]], colors: list[int], start: int, first: int, second: int
 ) -> None:
     """Swap the colors `first` and `second` along the path descending from
-    `start` that alternates between them.
+    `start` that alternates between them; ``kids`` indexes the children
+    below `start`.
 
     A single recoloring of the edge out of `start` can collide with an edge
     one level further down, so the exchange must propagate: by properness
@@ -465,7 +553,6 @@ def _alternating_flip(
     proper coloring.  Flipping the same path again undoes the exchange,
     which is what keeps the forward and inverse steps mutually inverse.
     """
-    kids = _child_index(parents)
     v, want, other = start, first, second
     while True:
         child = next((u for u in kids[v] if colors[u - 1] == want), None)
@@ -475,28 +562,25 @@ def _alternating_flip(
         v, want, other = child, other, want
 
 
-def _colored_pairs(
-    ef: EdgeColoredForest, r: int
-) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """(vertex, color) attachment pairs, outside tree r then inside it.
+def _free_counts(kids: list[list[int]], kc: int) -> list[int]:
+    """The number of (vertex, color) attachment pairs at each vertex of a
+    special forest with roots 1..r, which are the colors free there.
 
-    A root may offer only the first kc-1 colors (the result tree must stay
-    special there); any vertex excludes the colors already incident to it.
+    A vertex's incident colors are distinct.  A non-root excludes its own
+    edge's color and its children's from kc colors, and a root, whose child
+    edges avoid the last color, excludes its children's from the first
+    kc-1: either way kc-1 less the number of children.
     """
-    kc, parents, colors = ef.color_count, ef.base.parents, ef.colors
-    kids = _child_index(parents)
-    inside_set = set(_subtree(kids, r))
-    outside: list[tuple[int, int]] = []
-    inside: list[tuple[int, int]] = []
-    for v in range(1, ef.n + 1):
-        top = kc - 1 if v <= r else kc
-        # The colors incident to v, as EdgeColoredForest.colors_at gives.
-        used = {colors[u - 1] for u in kids[v]}
-        if parents[v - 1] != 0:
-            used.add(colors[v - 1])
-        pairs = [(v, y) for y in range(1, top + 1) if y not in used]
-        (inside if v in inside_set else outside).extend(pairs)
-    return outside, inside
+    slots = [kc - 1 - len(below) for below in kids]
+    slots[0] = 0
+    return slots
+
+
+def _used_colors(colors: list[int], kids: list[int], v: int) -> set[int]:
+    """The colors incident to v, given its children ``kids``; 0 at a root."""
+    used = {colors[u - 1] for u in kids}
+    used.add(colors[v - 1])
+    return used
 
 
 def colored_forward(
@@ -511,21 +595,31 @@ def colored_forward(
     """
     n, kc = ef.n, ef.color_count
     _require(2 <= r <= n - 1, f"r must satisfy 2 <= r <= n-1, got {r}")
-    _require_colored(ef, r - 1)
-    x = ef.colors[r - 1]
-    w = ef.base.parents[r - 1]
-    base = detach_subtree(ef.base, r)
-    colors = list(ef.colors)
-    colors[r - 1] = 0
+    kids = _child_index(ef.base.parents)
+    _require_colored(ef, kids, r - 1)
+    parents, colors = list(ef.base.parents), list(ef.colors)
+    x, w = colors[r - 1], parents[r - 1]
+    parents[r - 1] = colors[r - 1] = 0
     # The new tree at r must avoid the last color on its root edges; trade
     # it for x, the color freed by the cut, cascading down the subtree.
-    _alternating_flip(base.parents, colors, r, kc, x)
-    out = EdgeColoredForest(base, kc, tuple(colors))
-    swapped = not is_descendant(base, n, 1)
+    _alternating_flip(kids, colors, r, kc, x)
+    # x is free at w once the edge into r is gone; the choice names it by
+    # its rank among w's free colors.
+    used = _used_colors(colors, [u for u in kids[w] if u != r], w)
+    j = sum(1 for y in range(1, x) if y not in used)
+    slots = _free_counts(kids, kc)
+    slots[w] += 1
+    # Vertex n leaves tree 1 exactly when it sits in the detached subtree;
+    # then labels 1 and r are exchanged.
+    swapped = is_descendant(ef.base, n, r)
+    inside = _tree_k(kids, r, swapped)
     if swapped:
-        out = swap_colored_labels(out, 1, r)
+        parents = _transposed(parents, 1, r)
+        colors[0], colors[r - 1] = colors[r - 1], colors[0]
+        slots[1], slots[r] = slots[r], slots[1]
         w = _transposition(1, r)(w)
-    return out, _choice_index(*_colored_pairs(out, r), (w, x), swapped)
+    out = EdgeColoredForest(RootedForest(tuple(parents)), kc, tuple(colors))
+    return out, _choice_index(slots, inside, w, j, swapped)
 
 
 def colored_inverse(
@@ -538,21 +632,28 @@ def colored_inverse(
     """
     n, kc = ef.n, ef.color_count
     _require(2 <= r <= n - 1, f"r must satisfy 2 <= r <= n-1, got {r}")
-    _require_colored(ef, r)
-    (v, y), swap = _chosen(*_colored_pairs(ef, r), choice)
+    kids = _child_index(ef.base.parents)
+    _require_colored(ef, kids, r)
+    v, j, swap = _chosen(_free_counts(kids, kc), _tree_k(kids, r), choice)
+    # A root may offer only the first kc-1 colors (the result tree must
+    # stay special there).
+    used = _used_colors(ef.colors, kids[v], v)
+    y = [c for c in range(1, kc if v <= r else kc + 1) if c not in used][j]
     moved = 1 if swap else r
-    parents = list(ef.base.parents)
-    colors = list(ef.colors)
+    parents, colors = list(ef.base.parents), list(ef.colors)
     parents[moved - 1] = v
     colors[moved - 1] = y
     # Undo the forward exchange: push y back out for the last color along
-    # the alternating path below the attached root.
-    _alternating_flip(parents, colors, moved, y, kc)
-    out = EdgeColoredForest(RootedForest(tuple(parents)), kc, tuple(colors))
-    return swap_colored_labels(out, 1, r) if swap else out
+    # the alternating path below the attached root, whose children the
+    # index still lists.
+    _alternating_flip(kids, colors, moved, y, kc)
+    if swap:
+        parents = _transposed(parents, 1, r)
+        colors[0], colors[r - 1] = colors[r - 1], colors[0]
+    return EdgeColoredForest(RootedForest(tuple(parents)), kc, tuple(colors))
 
 
 def colored_choice_count(ef: EdgeColoredForest, r: int) -> int:
     """The colored multiplier kc*n - 2n + r."""
-    _require_colored(ef, r)
+    _require_colored(ef, _child_index(ef.base.parents), r)
     return ef.color_count * ef.n - 2 * ef.n + r

@@ -11,7 +11,12 @@ its parent's entry and its gap, so ``plane_replace`` edits a forest from one
 walk by copying only the ancestors of the changed nodes.
 ``children``, ``degree`` and ``EdgeColoredForest.colors_at`` answer for one
 vertex with a full O(n) scan, so code that needs the children of many
-vertices builds one child index with ``_child_index`` instead.
+vertices builds one child index with ``_child_index`` instead.  No index or
+walk is kept on a value: the caller that needs one builds it once and
+passes it on.  The ``RootedForest`` and ``EdgeColoredForest`` validators
+are one pass each (all n vertices are reached from the roots; no (vertex,
+color) key occurs twice), and only a value that fails it runs the reference
+loops (``_check_parents``, ``_check_coloring``), which name the fault.
 
 Family-level constraints (roots being exactly 1..k, a pivot vertex lying in
 tree 1, part discipline, special color rules) are *not* type invariants:
@@ -51,15 +56,8 @@ class RootedForest:
     parents: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = len(self.parents)
-        for v, p in enumerate(self.parents, start=1):
-            if not isinstance(p, int) or not 0 <= p <= n:
-                raise ValueError(f"parent of vertex {v} out of range: {p!r}")
-            if p == v:
-                raise ValueError(f"vertex {v} is its own parent")
-        v = _cycle_vertex(self.parents)
-        if v:
-            raise ValueError(f"parent map has a cycle through vertex {v}")
+        if not _reaches_all(self.parents):
+            _check_parents(self.parents)
 
     @classmethod
     def from_parents(cls, parents: Sequence[int]) -> "RootedForest":
@@ -80,6 +78,39 @@ class RootedForest:
     def has_standard_roots(self, k: int) -> bool:
         """True iff the roots are exactly {1..k}."""
         return self.roots == tuple(range(1, k + 1))
+
+
+def _check_parents(parents: Sequence[int]) -> None:
+    """The reference check of a parent map: raises ValueError naming the
+    first fault, vertex by vertex."""
+    n = len(parents)
+    for v, p in enumerate(parents, start=1):
+        if not isinstance(p, int) or not 0 <= p <= n:
+            raise ValueError(f"parent of vertex {v} out of range: {p!r}")
+        if p == v:
+            raise ValueError(f"vertex {v} is its own parent")
+    v = _cycle_vertex(parents)
+    if v:
+        raise ValueError(f"parent map has a cycle through vertex {v}")
+
+
+def _reaches_all(parents: Sequence[int]) -> bool:
+    """True iff every parent is an int in 0..n and all n vertices are reached
+    from the roots, which rules out cycles and self-parents: one pass that
+    accepts only valid parent maps.  A map it rejects may still be valid
+    (an int subclass, say), so ``_check_parents`` decides."""
+    n = len(parents)
+    if n and (set(map(type, parents)) != {int} or min(parents) < 0):
+        return False
+    try:
+        kids = _child_index(parents)
+    except IndexError:  # a parent above n
+        return False
+    # Breadth first: a vertex is appended once, when its parent is met.
+    order = list(kids[0])
+    for v in order:
+        order.extend(kids[v])
+    return len(order) == n
 
 
 def _cycle_vertex(parents: Sequence[int]) -> int:
@@ -194,11 +225,15 @@ def swap_labels(forest: RootedForest, a: int, b: int) -> RootedForest:
     _check_vertex(forest, b)
     if a == b:
         return forest
-    sigma = _transposition(a, b)
-    parents = [0] * forest.n
-    for v in range(1, forest.n + 1):
-        parents[sigma(v) - 1] = sigma(forest.parents[v - 1])
-    return RootedForest(tuple(parents))
+    return RootedForest(tuple(_transposed(forest.parents, a, b)))
+
+
+def _transposed(parents: Sequence[int], a: int, b: int) -> list[int]:
+    """The parent map relabeled by the transposition (a b): vertex a's
+    parent, relabeled, becomes vertex b's and vice versa."""
+    out = [b if p == a else a if p == b else p for p in parents]
+    out[a - 1], out[b - 1] = out[b - 1], out[a - 1]
+    return out
 
 
 def _transposition(a: int, b: int):
@@ -439,10 +474,14 @@ def plane_preorder(pf: PlaneForest) -> list[Entry]:
 
 
 def plane_replace(
-    pf: PlaneForest, entries: list[Entry], changes: dict[int, PlaneNode | None]
+    pf: PlaneForest,
+    entries: list[Entry],
+    changes: dict[int, PlaneNode | None],
+    added: Sequence[PlaneNode] = (),
 ) -> PlaneForest:
     """Put ``changes[i]`` in place of entry i's node, or delete it when None,
-    copying only the ancestors; ``entries`` is ``plane_preorder(pf)``.
+    copying only the ancestors, and add the trees ``added``; ``entries`` is
+    ``plane_preorder(pf)``.
 
     The largest index goes first, so a change below a changed entry lands in
     its replacement, and a deletion shifts no gap still to be used.
@@ -463,6 +502,7 @@ def plane_replace(
         middle = () if new[i] is None else (new[i],)
         new[p] = PlaneNode(up.label, kids[:gap] + middle + kids[gap + 1 :])
     # Shape forests have no root labels and keep their order.
+    trees.extend(added)
     kept = sorted((t for t in trees if t is not None), key=lambda t: t.label or 0)
     return PlaneForest(tuple(kept))
 
@@ -507,25 +547,9 @@ class EdgeColoredForest:
     colors: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = self.base.n
-        if self.color_count < 0:
-            raise ValueError("color count must be nonnegative")
-        if len(self.colors) != n:
-            raise ValueError("one color entry per vertex is required")
-        for v in range(1, n + 1):
-            c = self.colors[v - 1]
-            if self.base.parents[v - 1] == 0:
-                if c != 0:
-                    raise ValueError(f"root {v} must carry color 0")
-            elif not 1 <= c <= self.color_count:
-                raise ValueError(f"color of edge into {v} out of range: {c}")
-        kids = _child_index(self.base.parents)
-        for x in range(1, n + 1):
-            incident = [self.colors[v - 1] for v in kids[x]]
-            if self.base.parents[x - 1] != 0:
-                incident.append(self.colors[x - 1])
-            if len(incident) != len(set(incident)):
-                raise ValueError(f"edges at vertex {x} repeat a color")
+        args = (self.base.parents, self.color_count, self.colors)
+        if not _properly_colored(*args):
+            _check_coloring(*args)
 
     @property
     def n(self) -> int:
@@ -533,12 +557,7 @@ class EdgeColoredForest:
 
     def is_special(self) -> bool:
         """True iff no edge out of any root carries the last color."""
-        kids = _child_index(self.base.parents)
-        return all(
-            self.colors[v - 1] != self.color_count
-            for r in kids[0]
-            for v in kids[r]
-        )
+        return _special(self, _child_index(self.base.parents))
 
     def colors_at(self, x: int) -> frozenset[int]:
         """Colors of all edges incident to x (the edge into x plus those out)."""
@@ -548,17 +567,73 @@ class EdgeColoredForest:
         return frozenset(cs)
 
 
+def _check_coloring(
+    parents: Sequence[int], color_count: int, colors: Sequence[int]
+) -> None:
+    """The reference check of an edge coloring of a valid parent map: raises
+    ValueError naming the first fault, vertex by vertex."""
+    n = len(parents)
+    if color_count < 0:
+        raise ValueError("color count must be nonnegative")
+    if len(colors) != n:
+        raise ValueError("one color entry per vertex is required")
+    for v in range(1, n + 1):
+        c = colors[v - 1]
+        if parents[v - 1] == 0:
+            if c != 0:
+                raise ValueError(f"root {v} must carry color 0")
+        elif not 1 <= c <= color_count:
+            raise ValueError(f"color of edge into {v} out of range: {c}")
+    kids = _child_index(parents)
+    for x in range(1, n + 1):
+        incident = [colors[v - 1] for v in kids[x]]
+        if parents[x - 1] != 0:
+            incident.append(colors[x - 1])
+        if len(incident) != len(set(incident)):
+            raise ValueError(f"edges at vertex {x} repeat a color")
+
+
+def _properly_colored(
+    parents: Sequence[int], color_count: int, colors: Sequence[int]
+) -> bool:
+    """True iff every root carries color 0, every edge an int color in
+    1..color_count, and no (vertex, color) key occurs twice among the two
+    ends of the edges: one pass that accepts only valid colorings of a valid
+    parent map.  A coloring it rejects may still be valid (an int subclass
+    for a color, say), so ``_check_coloring`` decides."""
+    n = len(parents)
+    if color_count < 0 or len(colors) != n:
+        return False
+    keys = set()
+    edges = 0
+    for v, p, c in zip(range(1, n + 1), parents, colors):
+        if not p:
+            if c != 0:
+                return False
+        elif type(c) is not int or not 1 <= c <= color_count:
+            return False
+        else:
+            keys.add((v, c))
+            keys.add((p, c))
+            edges += 1
+    return len(keys) == 2 * edges
+
+
+def _special(ef: EdgeColoredForest, kids: list[list[int]]) -> bool:
+    """``ef.is_special()``, from a child index of its parent map."""
+    return all(
+        ef.colors[v - 1] != ef.color_count for r in kids[0] for v in kids[r]
+    )
+
+
 def swap_colored_labels(ef: EdgeColoredForest, a: int, b: int) -> EdgeColoredForest:
     """Relabel by (a b); edge colors travel with their child vertices."""
     if a == b:
         return ef
-    sigma = _transposition(a, b)
-    colors = [0] * ef.n
-    for v in range(1, ef.n + 1):
-        colors[sigma(v) - 1] = ef.colors[v - 1]
-    return EdgeColoredForest(
-        swap_labels(ef.base, a, b), ef.color_count, tuple(colors)
-    )
+    base = swap_labels(ef.base, a, b)  # checks a and b
+    colors = list(ef.colors)
+    colors[a - 1], colors[b - 1] = colors[b - 1], colors[a - 1]
+    return EdgeColoredForest(base, ef.color_count, tuple(colors))
 
 
 # --------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from forestcodec import (
     reroot_tree,
     subtree_vertices,
 )
-from forestcodec.bijections import _plane_slots
 from forestcodec.enumeration import FamilySpec, enumerate_family
 
 BOTTOM = parse_forest("5 3 0 0 0 3 1")
@@ -221,10 +220,15 @@ class TestPlane:
         assert plane_choice_count(parse_plane("1(3);2"), 2) == 4
 
     def test_leaf_contributes_one_slot(self):
+        # Leaf 3 offers only gap 0: one choice, the third, hangs tree 2
+        # below it.  Tree 2's one slot (2, 0) is the last choice, the only
+        # one that hangs tree 1 below 2 and then exchanges labels 1 and 2.
         pf = parse_plane("1(3);2")
-        outside, inside = _plane_slots(pf, 2)
-        assert [s for s in outside if s[0] == 3] == [(3, 0)]
-        assert inside == [(2, 0)]
+        got = [render_plane(plane_inverse(pf, 2, c)) for c in range(1, 5)]
+        assert [c for c, text in enumerate(got, 1) if "3(2)" in text] == [3]
+        assert [c for c, text in enumerate(got, 1) if "2(3)" in text] == [4]
+        with pytest.raises(ValueError, match=r"choice must be in 1\.\.4, got 5"):
+            plane_inverse(pf, 2, 5)
 
     def test_round_trips(self):
         for n in range(3, 6):

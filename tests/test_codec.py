@@ -216,6 +216,23 @@ class TestSampling:
         chi2 = sum((c - expected) ** 2 / expected for c in freq.values())
         assert chi2 < CHI2_Q999_DF83, f"chi-square {chi2:.2f}"
 
+    def test_colored_is_uniform(self):
+        # Every choice names a (vertex, color) pair by counting free colors.
+        members = set(
+            enumerate_family(FamilySpec("special-colored", n=4, roots=1, colors=3))
+        )
+        assert len(members) == 84
+        draws = 16_000
+        rng = SplitMix64(20261018)
+        freq = Counter(
+            sample_uniform("colored", 4, seed=0, colors=3, rng=rng)
+            for _ in range(draws)
+        )
+        assert set(freq) == members
+        expected = draws / len(members)
+        chi2 = sum((c - expected) ** 2 / expected for c in freq.values())
+        assert chi2 < CHI2_Q999_DF83, f"chi-square {chi2:.2f}"
+
     def test_colored_sample_text_stable(self):
         texts = {
             render_colored(sample_uniform("colored", 6, seed=7, colors=3))

@@ -1,11 +1,12 @@
-"""Plane and leaf-unlabeled plane steps at sizes the exhaustive oracles
-cannot reach.
+"""Plane, leaf-unlabeled plane and multipartite steps at sizes the
+exhaustive oracles cannot reach.
 
 The codec runs only the fully labeled plane steps, and only from one root;
-here both plane families are stepped at a drawn k.  Forests are grown by
-hypothesis independently of the bijections: roots 1..k-1 come first, each
-later vertex hangs below an earlier one, and the largest label goes to a
-vertex of tree 1, as the forward step requires.
+here both plane families and the partite family are stepped at a drawn k.
+Forests are grown by hypothesis independently of the bijections: roots
+1..k-1 come first, each later vertex hangs below an earlier one, and the
+pivot (the largest label, or the first label of part 2) goes to a vertex of
+tree 1, as the forward step requires.
 """
 
 import pytest
@@ -16,10 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forestcodec import (
+    PartAssignment,
     PlaneForest,
     PlaneNode,
+    RootedForest,
     leafplane_forward,
     leafplane_inverse,
+    partite_choice_count,
+    partite_forward,
+    partite_inverse,
     plane_choice_count,
     plane_forward,
     plane_inverse,
@@ -104,3 +110,59 @@ def test_leafplane_steps_invert(start, data):
     assert leafplane_inverse(g, r, c) == f
     c = data.draw(st.integers(1, g.leaf_count))
     assert leafplane_forward(leafplane_inverse(g, r, c), r) == (g, c)
+
+
+@st.composite
+def partite_grown(draw):
+    """(forest, k, parts): roots 1..k-1, every edge between two parts, and
+    the pivot, the first label of part 2, in tree 1."""
+    sizes = (draw(st.integers(2, 8)),) + tuple(
+        draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
+    )
+    parts = PartAssignment(sizes)
+    n, pivot = parts.n, sizes[0] + 1
+    k = draw(st.integers(2, sizes[0]))
+    part = [0] + [parts.part_of(v) for v in range(1, n + 1)]
+    parents = [0] * n
+    root = list(range(n + 1))
+    placed = list(range(1, k))
+
+    def hang(v, u):
+        parents[v - 1], root[v] = u, root[u]
+        placed.append(v)
+
+    # The forward step swaps labels exactly when the pivot lies below k, so
+    # half the draws start with the chain 1 -> x -> k -> pivot, x a vertex
+    # outside part 1 other than the pivot, where there is one.
+    others = range(pivot + 1, n + 1)
+    if others and draw(st.booleans()):
+        x = draw(st.sampled_from(others))
+        hang(x, 1)
+        hang(k, x)
+        hang(pivot, k)
+    # The rest hang below placed vertices in other parts, the pivot in tree
+    # 1, in a drawn order; one with no such vertex yet waits its next turn.
+    queue = list(draw(st.permutations(
+        [v for v in range(k, n + 1) if v not in placed]
+    )))
+    while queue:
+        v = queue.pop(0)
+        options = [
+            u for u in placed
+            if part[u] != part[v] and (v != pivot or root[u] == 1)
+        ]
+        if options:
+            hang(v, draw(st.sampled_from(options)))
+        else:
+            queue.append(v)
+    return RootedForest(tuple(parents)), k, parts
+
+
+@SETTINGS
+@given(partite_grown(), st.data())
+def test_partite_steps_invert(start, data):
+    f, k, parts = start
+    g, c = partite_forward(f, k, parts)
+    assert partite_inverse(g, k, parts, c) == f
+    c = data.draw(st.integers(1, partite_choice_count(g, k, parts)))
+    assert partite_forward(partite_inverse(g, k, parts, c), k, parts) == (g, c)
