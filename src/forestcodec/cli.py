@@ -1,5 +1,5 @@
-"""Command line driver: counting, enumeration, bijection steps, sampling,
-identities, and the verification battery.
+"""Command line driver: counting, enumeration, bijection steps, codecs,
+sampling, identities, and the verification battery.
 
 Exit codes: 0 success, 1 usage or validation failure, 2 a verification
 mismatch (a formula disagreeing with its oracle, or a failed identity).
@@ -296,13 +296,21 @@ def _cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def _cmd_bijection(args) -> int:
+# family -> the input kind of its forests, where the two names differ.
+_KINDS = {"plain": "rooted", "partite": "rooted", "leafplane": "plane"}
+
+
+def _family_forest(args):
+    """The forest of ``args.family`` given by --forest, or else on stdin."""
     text = args.forest if args.forest is not None else sys.stdin.read()
-    family = args.family
-    if family == "colored" and args.kc is None:
+    if args.family == "colored" and args.kc is None:
         raise ValueError("colored forests need --kc")
-    kind = {"plain": "rooted", "partite": "rooted", "leafplane": "plane"}
-    forest = _parse_any(text, kind.get(family, family), args.kc)
+    return _parse_any(text, _KINDS.get(args.family, args.family), args.kc)
+
+
+def _cmd_bijection(args) -> int:
+    family = args.family
+    forest = _family_forest(args)
     if args.k is None:
         raise ValueError("bijection needs --k (the new root label)")
     parts = ()
@@ -319,6 +327,17 @@ def _cmd_bijection(args) -> int:
     if args.choice is None:
         raise ValueError("bijection inverse needs --choice")
     print(_render(step(forest, args.k, *parts, args.choice), args.format))
+    return EXIT_OK
+
+
+def _cmd_encode(args) -> int:
+    print(codec.render_trace(codec.encode(_family_forest(args))))
+    return EXIT_OK
+
+
+def _cmd_decode(args) -> int:
+    text = args.trace if args.trace is not None else sys.stdin.read()
+    print(_render(codec.decode(codec.parse_trace(text)), args.format))
     return EXIT_OK
 
 
@@ -582,6 +601,17 @@ def _build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--forest")
     pb.add_argument("--format", choices=("text", "json", "dot"), default="text")
     pb.set_defaults(func=_cmd_bijection)
+
+    pn = sub.add_parser("encode", help="print the choice trace of a forest")
+    pn.add_argument("--family", choices=codec.CODEC_FAMILIES, default="plain")
+    pn.add_argument("--kc", type=int)
+    pn.add_argument("--forest")
+    pn.set_defaults(func=_cmd_encode)
+
+    pd = sub.add_parser("decode", help="rebuild the forest of a choice trace")
+    pd.add_argument("trace", nargs="?", help='e.g. "plain 5 : 3 1 4"')
+    pd.add_argument("--format", choices=("text", "json", "dot"), default="text")
+    pd.set_defaults(func=_cmd_decode)
 
     pi = sub.add_parser("identity", help="check a summation identity on a grid")
     pi.add_argument("name", choices=("bipartite", "kary"))

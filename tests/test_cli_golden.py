@@ -5,7 +5,9 @@ stdout and stderr together.  The digests were recorded before the per-family
 dispatch in the CLI, codec and oracles was replaced by lookups, so they fix
 every count formula, every bijection family in both directions and from both
 input sources, the dispatch error messages, the recurrence checks, the
-``count`` help text and the unconditioned samplers.
+``count`` help text and the unconditioned samplers.  The ``encode`` and
+``decode`` cases were recorded from the step-by-step codec, before the run
+engine replaced it.
 """
 
 import contextlib
@@ -101,11 +103,101 @@ SAMPLES = [
     for family, extra in (("plain", ()), ("plane", ()), ("colored", ("--kc", "3")))
 ]
 
+
+
+def big_parents(n: int) -> list[int]:
+    """A tree on 1..n rooted at 1: each vertex hangs below an earlier one."""
+    return [0] + [(v * 7919) % (v - 1) + 1 for v in range(2, n + 1)]
+
+
+def big_plain(n: int) -> str:
+    return " ".join(map(str, [n, 1] + big_parents(n)))
+
+
+def big_plane(n: int) -> str:
+    """big_parents(n) as a plane tree, each vertex's children descending."""
+    kids = {v: [] for v in range(1, n + 1)}
+    for v, p in enumerate(big_parents(n)[1:], start=2):
+        kids[p].insert(0, v)
+    out, stack = [], [1]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        out.append(str(item))
+        if kids[item]:
+            out.append("(")
+            stack.append(")")
+            for j, child in enumerate(reversed(kids[item])):
+                stack.extend((",", child) if j else (child,))
+    return "".join(out)
+
+
+def big_colored(n: int, kc: int = 3) -> str:
+    """The heap tree (parent v // 2), special and properly colored: a child
+    takes the colors its parent's own edge leaves free, in order."""
+    parents = [0] + [v // 2 for v in range(2, n + 1)]
+    colors = [0] * n
+    for v in range(2, n + 1):
+        p = parents[v - 1]
+        free = [c for c in range(1, kc + 1) if c != colors[p - 1]]
+        if p == 1:
+            free = free[: kc - 1]
+        colors[v - 1] = free[v % 2]
+    return " ".join(map(str, [n, 1] + parents + colors))
+
+
+def big_trace(family: str, n: int, kc: int = 0) -> str:
+    """A fixed trace: position i takes (7919 i + 13) mod its bound, plus 1."""
+    params = f"{n} {kc}" if family == "colored" else f"{n}"
+    head = (kc - 1,) if family == "colored" else ()
+    bounds = head + tuple(
+        {"plain": n, "plane": 2 * n - k, "colored": (kc - 2) * n + k}[family]
+        for k in range(n - 1, 1, -1)
+    )
+    choices = [(7919 * i + 13) % b + 1 for i, b in enumerate(bounds)]
+    return f"{family} {params} : " + " ".join(map(str, choices))
+
+
+# The codec subcommands at small n through argv, and at n = 100 through
+# stdin.
+CODEC = [
+    (("encode", "--forest", "5 1 0 1 1 3 3"), None),
+    (("encode", "--family", "plane", "--forest", "1(5,3(4),2)"), None),
+    (("encode", "--family", "colored", "--kc", "3", "--forest", COLORED), None),
+    (("encode", "--family", "plain"), big_plain(100)),
+    (("encode", "--family", "plane"), big_plane(100)),
+    (("encode", "--family", "colored", "--kc", "3"), big_colored(100)),
+    (("decode", "plain 5 : 3 1 4"), None),
+    (("decode", "plain 5 : 3 1 4", "--format", "json"), None),
+    (("decode", "plane 5 : 2 7 1"), None),
+    (("decode", "plane 5 : 2 7 1", "--format", "dot"), None),
+    (("decode", "colored 4 3 : 2 5 1"), None),
+    (("decode", "colored 4 3 : 2 5 1", "--format", "json"), None),
+    (("decode",), big_trace("plain", 100)),
+    (("decode", "--format", "json"), big_trace("plane", 100)),
+    (("decode", "--format", "dot"), big_trace("colored", 100, 3)),
+    # errors: bad traces and non-members
+    (("decode", "plain 5 : 3 1 9"), None),
+    (("decode", "plain 5 3 1 4"), None),
+    (("decode", "plane 4 : x 1"), None),
+    (("decode", "colored 4 : 2 5 1"), None),
+    (("encode", "--forest", "3 2 0 0 1"), None),
+    (("encode", "--forest", "2 2 0 0"), None),
+    (("encode", "--family", "plane", "--forest", "1(2);3"), None),
+    (("encode", "--family", "plane", "--forest", "1(*,2)"), None),
+    (("encode", "--family", "colored", "--forest", COLORED), None),
+    (("encode", "--family", "colored", "--kc", "3", "--forest",
+      "3 1 0 1 1\n0 3 1"), None),
+]
+
 CASES = (
     [(("count",) + argv, None) for argv in COUNTS]
     + list(bijection_cases())
     + [(argv, None) for argv in ERRORS + VERIFY + SAMPLES]
     + [(("count", "--help"), None)]
+    + CODEC
 )
 
 DIGESTS = {
@@ -177,6 +269,31 @@ DIGESTS = {
     'sample --family plane --n 8 --roots 3 --unconditioned --seed 11 --count 4': "57e9d5faa80e7363006d59c0798255c5b31f4f585bedc2e9c12f2fba35d688af",
     'sample --family colored --n 8 --roots 3 --unconditioned --seed 11 --count 4 --kc 3': "8b4f4b83f50815d4410350b8ddfb36a13877e284fc5899b1462a521bb64db540",
     'count --help': "af0a69049fa15237edc30840a9e58a5864cac036dd2e3a6bafd1eb92a3398641",
+    'encode --forest 5 1 0 1 1 3 3': "b3df19c093b337365b54e7ac580c14adbeba3b54df3e9c9140dd36310becc338",
+    'encode --family plane --forest 1(5,3(4),2)': "2b6aeb0dfcb4828000e962b695d3b3677ebaebc14963b3808a9a3de88149d260",
+    'encode --family colored --kc 3 --forest 4 1 0 1 2 1/0 1 2 2': "467e13183520cc9bd39f4693e4042711085b83ed43b2853daf804aa319076329",
+    'encode --family plain <stdin': "004f392b0137813347f6d6d9786a39cc537acba368772593f5f4dae28564e3ef",
+    'encode --family plane <stdin': "5d218b69b2e770d6b468036009d6e1a561d8026713d0ff815f22c6256ce48e07",
+    'encode --family colored --kc 3 <stdin': "caa720cfb3dadfa45acb42bb40b58944af19f1be33ea2179f17a33bbe5466dbf",
+    'decode plain 5 : 3 1 4': "d4156dd5410d1941c1f8fd34c41f4f674ea000b4bded693b0f302e1e719b7a16",
+    'decode plain 5 : 3 1 4 --format json': "c9ce1070fe91f4a9cdf0aba293524b54e68953616e1ff007b1b56c8dfe60a472",
+    'decode plane 5 : 2 7 1': "07ab9679a5981b08c766ca4af459b70fbafd0462f29c2dea40623537a2fad5ab",
+    'decode plane 5 : 2 7 1 --format dot': "aeb048102cf52346cdd94a7af340ada62de29a2507284752f84a3657df0b05b1",
+    'decode colored 4 3 : 2 5 1': "4ecee454c627793b58f56cf4f8fb9dbee9135a40cb53fe57cb068d964284a131",
+    'decode colored 4 3 : 2 5 1 --format json': "424e8c8b08120f8a587187b914f896bef105d60737d2fa87cbe130053593b67e",
+    'decode <stdin': "803dacdc352151d12c9e3107d53c24251f7ae479bd15d608ee6751fb8a290e80",
+    'decode --format json <stdin': "b58f4ca883c6eb73e73588eaa7b1c94ec9dd7dc8158306d881beb30d78f8c085",
+    'decode --format dot <stdin': "82bbb549efc4d737aec462ff4ee73c8b4319d46769c8f1fd49bd674a4b1bd1a5",
+    'decode plain 5 : 3 1 9': "12990448f9379b93ec4ee79a1ecac946ca1a8fee842fd50de5dae6952a335568",
+    'decode plain 5 3 1 4': "a9364bebf2ee220ef43a6706a2333aa71519c36696f38004d80b02b3812f02d4",
+    'decode plane 4 : x 1': "78fd9dd0a429e88ebdb4d97d90d9f7d1348edf396d4bbf01b84f444414eb574e",
+    'decode colored 4 : 2 5 1': "a222ba8c8e89e3b833126e569b48edb7b533d0a6fcb12a2c1b4a9816972d1b87",
+    'encode --forest 3 2 0 0 1': "95668b8902ec395c49d90c8a52147ae1e264197aa41ddfa64c679eb3a8ce5fc3",
+    'encode --forest 2 2 0 0': "c5d7d2444af0f6a3e356142d26be55fcd85611756b175b96957bc076966bc5c9",
+    'encode --family plane --forest 1(2);3': "508cd07d2886ed11d0392ee60330e53f3fd990b55e4ddcc8536f39182a4247a4",
+    'encode --family plane --forest 1(*,2)': "85833b8f4f77752b881f4b241a3c4fa4e696d585aa161c699e7d6596653f70ec",
+    'encode --family colored --forest 4 1 0 1 2 1/0 1 2 2': "fcee99f02bc781ed7ebe518f23a28156f70596c465de7e095a82fdfae43ecabb",
+    'encode --family colored --kc 3 --forest 3 1 0 1 1/0 3 1': "9f25a782a218dda96518c65bd1d7d07c8713b12e2aa8dfdb5bdd8c711c0ab311",
 }
 
 
