@@ -25,8 +25,9 @@ gap, or one per free color), so the forward step sums the counts before its
 target and the inverse step subtracts them until its choice runs out.  The
 output is built once, with the exchange of labels 1 and k applied to its
 parent map, or for plane forests to the two roots that carry them, and its
-constructor validates it in one more pass.  A codec or sampler run takes
-n-2 steps, so it costs O(n^2).
+constructor validates it in one more pass.  Codec and sampler runs do not
+call these steps: :mod:`codec` applies the same rules to one mutable forest
+across a run, in O(log^2 n) a step besides the moves.
 """
 
 from __future__ import annotations

@@ -7,28 +7,36 @@ from the maximal-root state yields a distinct family member, and the trace
 space size equals the family's closed-form count.  Drawing every choice
 uniformly therefore samples the family exactly uniformly.
 
-The three codec families share this code: one builder of the maximal-root
-state (``_base``) and one inverse loop (``_inverse_run``) serve ``decode``
-and ``sample_uniform``, and ``encode`` infers the family from the value's
-type.  Each family's steps are looked up by name in :mod:`bijections`
-(``{family}_forward``, ``{family}_inverse``) when called, and its choice
-counts come from its recurrence multiplier in ``trace_bounds``.
+The three codec families share this code, and ``encode`` infers the family
+from the value's type.  Each family's choice counts come from its
+recurrence multiplier in ``trace_bounds``.
+
+Cost model: a run takes n-2 steps, and one run engine (``_Run``) serves
+``decode``, ``encode`` and ``sample_uniform`` for all three families.  It
+keeps one mutable forest across the steps, applies the rules of the
+:mod:`bijections` steps to it in place, and counts choices with prefix sums
+over labels, so ``decode`` and ``sample_uniform`` cost O(n log^2 n) and
+``encode`` O(n*depth + n log^2 n); the one value a run returns is built,
+and validated, once.  The public steps are not called.  They stay the
+definition: ``_inverse_run`` and ``_step_encode`` run them one by one, at
+O(n) each, and the tests hold the engine to them.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from math import prod
 
 from . import bijections as bij
+from .bijections import _alternating_flip, _used_colors
 from .forests import (
     EdgeColoredForest,
     PlaneForest,
     PlaneNode,
     RootedForest,
-    plane_relabel,
-    swap_colored_labels,
-    swap_labels,
+    _child_index,
+    plane_preorder,
 )
 
 CODEC_FAMILIES = ("plain", "plane", "colored")
@@ -128,12 +136,22 @@ def _base(family: str, n: int, colors: int = 0, base_color: int = 0):
     return EdgeColoredForest(base, colors, (0,) * (n - 1) + (base_color,))
 
 
-def _inverse_run(family: str, n: int, colors: int, choices: tuple[int, ...]):
-    """Run the inverse steps k = n-1, n-2, ... from the maximal-root state,
-    one per choice; a colored run first takes the base color."""
-    base_color = 0
+def _split_head(family: str, n: int, choices: tuple[int, ...]):
+    """The base color a colored trace opens with (0 otherwise), and the
+    choices of the inverse steps."""
     if family == "colored" and n > 1:
-        base_color, choices = choices[0], choices[1:]
+        return choices[0], choices[1:]
+    return 0, choices
+
+
+def _inverse_run(family: str, n: int, colors: int, choices: tuple[int, ...]):
+    """Run the public inverse steps k = n-1, n-2, ... from the maximal-root
+    state, one per choice; a colored run first takes the base color.
+
+    The step-by-step reference for ``_Run``, which ``decode`` and
+    ``sample_uniform`` use.
+    """
+    base_color, choices = _split_head(family, n, choices)
     forest = _base(family, n, colors, base_color)
     inverse = getattr(bij, f"{family}_inverse")
     for k, c in zip(range(n - 1, 1, -1), choices):
@@ -141,9 +159,327 @@ def _inverse_run(family: str, n: int, colors: int, choices: tuple[int, ...]):
     return forest
 
 
+def _step_encode(forest) -> ChoiceTrace:
+    """``encode`` by the public forward steps k = 2, ..., n-1: the
+    step-by-step reference for the ``_Run`` replay."""
+    family, n, colors = _family_of(forest)
+    forward = getattr(bij, f"{family}_forward")
+    chosen = []
+    for k in range(2, n):
+        forest, c = forward(forest, k)
+        chosen.append(c)
+    head = _base_check(family, n, colors, forest)
+    return ChoiceTrace(family, n, colors, head + tuple(reversed(chosen)))
+
+
+def _family_of(forest) -> tuple[str, int, int]:
+    """The codec family of a value, its vertex count and its color count."""
+    family = _FAMILIES.get(type(forest))
+    if family is None:
+        raise TypeError(f"cannot encode {type(forest).__name__}")
+    n = forest.n_vertices if family == "plane" else forest.n
+    colors = forest.color_count if family == "colored" else 0
+    return family, n, colors
+
+
+_FAMILIES = {
+    RootedForest: "plain",
+    PlaneForest: "plane",
+    EdgeColoredForest: "colored",
+}
+
+
+def _base_check(family: str, n: int, colors: int, forest) -> tuple[int, ...]:
+    """The trace head of a forest that must be the maximal-root state: the
+    color of the edge into n when colored.  Raises if it is not that state."""
+    # A colored trace opens with the color of the edge into n.
+    head = (forest.colors[n - 1],) if family == "colored" and n > 1 else ()
+    if forest != _base(family, n, colors, *head):
+        raise ValueError(f"input is not a one-root {family} family member")
+    return head
+
+
+# --------------------------------------------------------------------------
+# The run engine: one mutable forest across all the steps of a run
+# --------------------------------------------------------------------------
+
+
+class _Run:
+    """A forest under a codec or sampler run, edited in place step by step.
+
+    Vertices keep the id they start with, their first label; ``label`` and
+    ``vid`` map ids to labels and back, so exchanging labels 1 and k costs
+    O(1).  ``parent`` and ``color`` are indexed by id - 1 (0 marks a root),
+    and ``kids[id]`` lists a vertex's child ids, in plane order for plane
+    forests.  The moves follow the rules of the :mod:`bijections` steps,
+    whose coloring helpers this reuses.
+
+    An inverse step counts attachment targets: a vertex of degree deg
+    offers ``a + b*deg`` of them (one vertex, deg+1 gaps, or kc-1-deg free
+    colors).  A run from ``base`` keeps what counting needs, since inverse
+    steps only ever join trees: union-find over the trees; for each tree
+    but tree 1, the sorted list ``S`` of its labels and ``P`` of its
+    vertices' parent labels (one entry per child), joined small into large;
+    and a Fenwick tree ``degrees`` of the degrees by label.  The targets at
+    labels up to x then number ``a*x + b*degrees(x)``, and
+    ``a*#S<=x + b*#P<=x`` of them lie in tree k, so a choice is found by
+    binary search, in O(log^2 n).  A forward step cuts a tree apart, which
+    the lists cannot follow, so ``encode`` runs the forward steps on a
+    ``load``-ed forest without counting, records each cut, and replays the
+    record as inverse steps on a ``base`` run to count its choices.
+    """
+
+    def __init__(self, family, n, colors, parent, kids, color) -> None:
+        self.family, self.n, self.kc = family, n, colors
+        # The targets a vertex of degree deg offers: a + b*deg.
+        self.a, self.b = {
+            "plain": (1, 0),
+            "plane": (1, 1),
+            "colored": (colors - 1, -1),
+        }[family]
+        self.parent, self.kids, self.color = parent, kids, color
+        self.label = list(range(n + 1))  # the sentinel 0 stays fixed
+        self.vid = list(range(n + 1))
+
+    @classmethod
+    def base(cls, family: str, n: int, colors: int, base_color: int = 0):
+        """The maximal-root state, ready for inverse steps."""
+        kids = [[] for _ in range(n + 1)]
+        run = cls(family, n, colors, [0] * n, kids, [0] * n)
+        run.up = list(range(n + 1))
+        # No lists for tree 1, nor for the sentinel 0.
+        run.S = [None, None] + [[v] for v in range(2, n + 1)]
+        run.P = [None, None] + [[] for _ in range(2, n + 1)]
+        run.degrees = [0] * (n + 1)
+        if n > 1:
+            run._hang(n, 1, 0, base_color)
+        return run
+
+    @classmethod
+    def load(cls, forest):
+        """A forest of n >= 3 vertices, ready for forward steps.  Raises what
+        the first forward step raises unless it is a one-root family member
+        with vertex n in tree 1, so every later step's check would pass."""
+        family, n, colors = _family_of(forest)
+        if family == "plane":
+            entries = plane_preorder(forest)
+            bij._require_plane(forest, entries, 1)
+            parent, kids = [0] * n, [[] for _ in range(n + 1)]
+            for p, _, node in entries[1:]:
+                up = entries[p][2].label
+                parent[node.label - 1] = up
+                kids[up].append(node.label)
+            return cls(family, n, colors, parent, kids, [0] * n)
+        if family == "plain":
+            kids = _child_index(forest.parents)
+            bij._require_plain(forest, kids, 1, n)
+            return cls(family, n, colors, list(forest.parents), kids, [0] * n)
+        kids = _child_index(forest.base.parents)
+        bij._require_colored(forest, kids, 1)
+        parent, color = list(forest.base.parents), list(forest.colors)
+        return cls(family, n, colors, parent, kids, color)
+
+    # ---------------------------------------------------------------- moves
+
+    def _hang(self, u: int, v: int, j: int, y: int) -> None:
+        """Hang vertex u, a root, below vertex v at gap j, or with color y."""
+        self.parent[u - 1] = v
+        if self.family == "plane":
+            self.kids[v].insert(j, u)
+        else:
+            self.kids[v].append(u)
+            self.color[u - 1] = y
+        # Counting: the degree of v rises and the two trees join.
+        w = self.label[v]
+        self._add_degree(w, 1)
+        s, t = self._find(u), self._find(v)
+        S, P = self.S, self.P
+        if S[s] is None or S[t] is None:
+            # Tree 1 takes the other in.  Its lists are never read: a step
+            # counts in tree k >= 2, and tree 1 keeps root label 1 (in the
+            # swap case the joined tree's root takes it).
+            self.up[s] = t
+            S[s] = P[s] = S[t] = P[t] = None
+            return
+        if len(S[s]) > len(S[t]):
+            s, t = t, s
+        self.up[s] = t
+        for x in S[s]:
+            insort(S[t], x)
+        for x in P[s]:
+            insort(P[t], x)
+        insort(P[t], w)
+        S[s] = P[s] = None
+
+    def _find(self, v: int) -> int:
+        up = self.up
+        while up[v] != v:
+            up[v] = up[up[v]]
+            v = up[v]
+        return v
+
+    def relabel(self, a: int, b: int) -> None:
+        """Exchange labels a and b."""
+        ia, ib = self.vid[a], self.vid[b]
+        self.vid[a], self.vid[b] = ib, ia
+        self.label[ia], self.label[ib] = b, a
+
+    def _exchange(self, k: int) -> None:
+        """Exchange labels 1 and k, and their degrees in the counts.  Both
+        lie in tree 1, whose lists are never read."""
+        d1, dk = len(self.kids[self.vid[1]]), len(self.kids[self.vid[k]])
+        self._add_degree(1, dk - d1)
+        self._add_degree(k, d1 - dk)
+        self.relabel(1, k)
+
+    def _add_degree(self, x: int, d: int) -> None:
+        while x <= self.n:
+            self.degrees[x] += d
+            x += x & -x
+
+    # ------------------------------------------------------------- counting
+
+    def _upto(self, x: int) -> int:
+        """The targets at labels 1..x."""
+        total, i = self.a * x, x
+        while i:
+            total += self.b * self.degrees[i]
+            i &= i - 1
+        return total
+
+    def _in(self, S: list[int], P: list[int], x: int) -> int:
+        """The targets at labels 1..x of the tree with lists S and P."""
+        return self.a * bisect_right(S, x) + self.b * bisect_right(P, x)
+
+    def locate(self, k: int, c: int) -> tuple[int, int, bool]:
+        """The target label, its rank (gap or free color) and the swap flag
+        that choice c names in the inverse step at k."""
+        t = self._find(self.vid[k])
+        S, P = self.S[t], self.P[t]
+        outside = self._upto(self.n) - self._in(S, P, self.n)
+        if c <= outside:
+            # The least label with c targets outside tree k up to it.
+            lo, hi = 1, self.n
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if self._upto(mid) - self._in(S, P, mid) >= c:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            return lo, c - 1 - self._upto(lo - 1) + self._in(S, P, lo - 1), False
+        c -= outside
+        lo, hi = 0, len(S) - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self._in(S, P, S[mid]) >= c:
+                hi = mid
+            else:
+                lo = mid + 1
+        return S[lo], c - 1 - self._in(S, P, S[lo] - 1), True
+
+    def count(self, k: int, w: int, j: int, swap: bool) -> int:
+        """The choice that names label w, rank j and the swap flag in the
+        inverse step at k: ``locate`` inverted."""
+        t = self._find(self.vid[k])
+        S, P = self.S[t], self.P[t]
+        if swap:
+            outside = self._upto(self.n) - self._in(S, P, self.n)
+            return outside + self._in(S, P, w - 1) + j + 1
+        return self._upto(w - 1) - self._in(S, P, w - 1) + j + 1
+
+    # ---------------------------------------------------------------- steps
+
+    def attach(self, k: int, w: int, j: int, swap: bool) -> None:
+        """The inverse step at k: hang tree k, or with ``swap`` tree 1, below
+        label w at gap j or with w's j-th free color, then with ``swap``
+        exchange labels 1 and k."""
+        moved, v = self.vid[1 if swap else k], self.vid[w]
+        y = 0
+        if self.family == "colored":
+            # The j-th color free at v.  j is below the kc-1-deg colors v
+            # offers, so y is at most kc, and at most kc-1 at a root.
+            used = sorted(_used_colors(self.color, self.kids[v], v))
+            y = j + 1
+            for u in used:
+                if 0 < u <= y:
+                    y += 1
+            # Push y back out for the last color below the moved root.
+            _alternating_flip(self.kids, self.color, moved, y, self.kc)
+        self._hang(moved, v, j, y)
+        if swap:
+            self._exchange(k)
+
+    def detach(self, k: int) -> tuple[int, int, bool]:
+        """The forward step at k: cut the subtree at label k and, if vertex
+        n leaves tree 1, exchange labels 1 and k.  Returns what ``attach``
+        takes to undo it: the old parent's label, the gap or free-color
+        rank, and the swap flag, all in the labels of the result."""
+        u = self.vid[k]
+        v = self.parent[u - 1]
+        below = self.kids[v]
+        j = below.index(u)
+        del below[j]
+        self.parent[u - 1] = 0
+        if self.family == "plain":
+            j = 0
+        elif self.family == "colored":
+            x, self.color[u - 1] = self.color[u - 1], 0
+            # The new root's edges avoid the last color: trade it for x.
+            _alternating_flip(self.kids, self.color, u, self.kc, x)
+            used = _used_colors(self.color, below, v)
+            j = x - 1 - sum(1 for y in used if 0 < y < x)
+        # Vertex n leaves tree 1 exactly when it sits below k.
+        z = self.vid[self.n]
+        while z and z != u:
+            z = self.parent[z - 1]
+        if z:
+            self.relabel(1, k)
+        return self.label[v], j, z == u
+
+    # --------------------------------------------------------------- output
+
+    def at_base(self) -> bool:
+        """True iff labels 1..n-1 are roots and n hangs below 1."""
+        up = [self.label[self.parent[u - 1]] for u in self.vid[1:]]
+        return up == [0] * (self.n - 1) + [1]
+
+    def value(self):
+        """The forest as a value, built once."""
+        label, n = self.label, self.n
+        if self.family != "plane":
+            parents, colors = [0] * n, [0] * n
+            for u in range(1, n + 1):
+                parents[label[u] - 1] = label[self.parent[u - 1]]
+                colors[label[u] - 1] = self.color[u - 1]
+            forest = RootedForest(tuple(parents))
+            if self.family == "plain":
+                return forest
+            return EdgeColoredForest(forest, self.kc, tuple(colors))
+        roots = [u for u in range(1, n + 1) if not self.parent[u - 1]]
+        roots.sort(key=label.__getitem__)
+        # Breadth first, so every child is built, walking back, before its
+        # parent.
+        order = list(roots)
+        for u in order:
+            order.extend(self.kids[u])
+        node = [None] * (n + 1)
+        for u in reversed(order):
+            node[u] = PlaneNode(label[u], tuple(node[c] for c in self.kids[u]))
+        return PlaneForest(tuple(node[u] for u in roots))
+
+
+def _run(family: str, n: int, colors: int, choices: tuple[int, ...]) -> _Run:
+    """The inverse steps k = n-1, n-2, ..., one per choice, on a ``_Run``."""
+    base_color, choices = _split_head(family, n, choices)
+    run = _Run.base(family, n, colors, base_color)
+    for k, c in zip(range(n - 1, 1, -1), choices):
+        run.attach(k, *run.locate(k, c))
+    return run
+
+
 def decode(trace: ChoiceTrace):
     """Run the inverse steps k = n-1, ..., 2 from the maximal-root state."""
-    return _inverse_run(trace.family, trace.n, trace.colors, trace.choices)
+    return _run(trace.family, trace.n, trace.colors, trace.choices).value()
 
 
 def encode(forest) -> ChoiceTrace:
@@ -152,26 +488,20 @@ def encode(forest) -> ChoiceTrace:
     The input must be a one-root family member (root 1); the family is
     inferred from the value's type.  ``decode(encode(f)) == f``.
     """
-    families = {
-        RootedForest: "plain",
-        PlaneForest: "plane",
-        EdgeColoredForest: "colored",
-    }
-    family = families.get(type(forest))
-    if family is None:
-        raise TypeError(f"cannot encode {type(forest).__name__}")
-    n = forest.n_vertices if family == "plane" else forest.n
-    colors = forest.color_count if family == "colored" else 0
-    forward = getattr(bij, f"{family}_forward")
-    chosen = []
-    for k in range(2, n):
-        forest, c = forward(forest, k)
-        chosen.append(c)
-    # A colored trace opens with the color of the edge into n.
-    head = (forest.colors[n - 1],) if family == "colored" and n > 1 else ()
-    if forest != _base(family, n, colors, *head):
+    family, n, colors = _family_of(forest)
+    if n < 3:  # no step: the input must be the base state itself
+        return ChoiceTrace(family, n, colors, _base_check(family, n, colors, forest))
+    run = _Run.load(forest)
+    cuts = [run.detach(k) for k in range(2, n)]
+    if not run.at_base():
         raise ValueError(f"input is not a one-root {family} family member")
-    return ChoiceTrace(family, n, colors, head + tuple(reversed(chosen)))
+    head = (run.color[run.vid[n] - 1],) if family == "colored" else ()
+    replay = _Run.base(family, n, colors, *head)
+    chosen = []
+    for k, cut in zip(range(n - 1, 1, -1), reversed(cuts)):
+        chosen.append(replay.count(k, *cut))
+        replay.attach(k, *cut)
+    return ChoiceTrace(family, n, colors, head + tuple(chosen))
 
 
 # --------------------------------------------------------------------------
@@ -243,16 +573,7 @@ def sample_uniform(
     # so the last roots-1 positions of the trace are never drawn.
     bounds = trace_bounds(family, n, colors)
     drawn = bounds[: len(bounds) - roots + 1]
-    forest = _inverse_run(
-        family, n, colors, tuple(rng.below(b) + 1 for b in drawn)
-    )
+    run = _run(family, n, colors, tuple(rng.below(b) + 1 for b in drawn))
     if not conditioned and roots > 1:
-        j = rng.below(roots) + 1
-        if j != 1:
-            relabel = {
-                "plain": swap_labels,
-                "plane": plane_relabel,
-                "colored": swap_colored_labels,
-            }[family]
-            forest = relabel(forest, 1, j)
-    return forest
+        run.relabel(1, rng.below(roots) + 1)
+    return run.value()

@@ -391,7 +391,11 @@ class PlaneForest:
     trees: tuple[PlaneNode, ...]
 
     def __post_init__(self) -> None:
-        labels = [nd.label for nd in _nodes(self.trees) if nd.label is not None]
+        # Breadth first: the order does not matter to the duplicate test.
+        found = list(self.trees)
+        for node in found:
+            found.extend(node.children)
+        labels = [nd.label for nd in found if nd.label is not None]
         if len(labels) != len(set(labels)):
             raise ValueError("duplicate labels in plane forest")
         if not labels:

@@ -26,13 +26,28 @@ from forestcodec import (
 from forestcodec.enumeration import FamilySpec, enumerate_family
 
 
+# 0.999 quantiles of the chi-square distribution, by degrees of freedom.
 CHI2_Q999_DF83 = 128.5648
+CHI2_Q999_DF49 = 85.3506
+CHI2_Q999_DF287 = 366.7676
+CHI2_Q999_DF335 = 420.7176
 
 
 def all_traces(family, n, colors=0):
     bounds = trace_bounds(family, n, colors)
     for combo in product(*(range(1, b + 1) for b in bounds)):
         yield ChoiceTrace(family, n, colors, combo)
+
+
+def assert_uniform(draw, members, per_member, q999):
+    """``draw(rng)`` hits every member, ``per_member`` times on average,
+    with chi-square below the 0.999 quantile ``q999``."""
+    draws = per_member * len(members)
+    rng = SplitMix64(20261018)
+    freq = Counter(draw(rng) for _ in range(draws))
+    assert set(freq) == members
+    chi2 = sum((c - per_member) ** 2 / per_member for c in freq.values())
+    assert chi2 < q999, f"chi-square {chi2:.2f}"
 
 
 class TestDecodeEncode:
@@ -107,10 +122,16 @@ class TestDecodeEncode:
             ChoiceTrace("colored", 4, 1, (1, 1, 1))
 
     def test_deep_plane_round_trip(self):
-        # Deep enough that the recursive dataclass equality overflowed.  A
-        # codec run costs O(n^2), so the 1200-deep chain takes about 16 times
-        # as long as this one.
+        # Deep enough that the recursive dataclass equality overflowed.
         depth = 300
+        text = "(".join(map(str, range(1, depth + 1))) + ")" * (depth - 1)
+        forest = parse_plane(text)
+        assert decode(encode(forest)) == forest
+
+    def test_deep_plane_round_trip_full_depth(self):
+        # The 1200-deep chain: every forward step finds vertex n below k
+        # only at the bottom of the chain.
+        depth = 1200
         text = "(".join(map(str, range(1, depth + 1))) + ")" * (depth - 1)
         forest = parse_plane(text)
         assert decode(encode(forest)) == forest
@@ -232,6 +253,37 @@ class TestSampling:
         expected = draws / len(members)
         chi2 = sum((c - expected) ** 2 / expected for c in freq.values())
         assert chi2 < CHI2_Q999_DF83, f"chi-square {chi2:.2f}"
+
+    def test_plane_one_root_is_uniform(self):
+        members = set(enumerate_family(FamilySpec("plane", n=5, roots=1)))
+        assert len(members) == 336
+        assert_uniform(
+            lambda rng: sample_uniform("plane", 5, seed=0, rng=rng),
+            members, 50, CHI2_Q999_DF335,
+        )
+
+    def test_unconditioned_plain_is_uniform(self):
+        members = set(enumerate_family(FamilySpec("plain", n=5, roots=2)))
+        assert len(members) == 50
+        assert_uniform(
+            lambda rng: sample_uniform(
+                "plain", 5, seed=0, roots=2, conditioned=False, rng=rng
+            ),
+            members, 100, CHI2_Q999_DF49,
+        )
+
+    def test_colored_multi_root_is_uniform(self):
+        members = set(
+            enumerate_family(FamilySpec("special-colored", n=5, roots=2, colors=3))
+        )
+        assert len(members) == 288
+        assert_uniform(
+            lambda rng: sample_uniform(
+                "colored", 5, seed=0, colors=3, roots=2, conditioned=False,
+                rng=rng,
+            ),
+            members, 50, CHI2_Q999_DF287,
+        )
 
     def test_colored_sample_text_stable(self):
         texts = {

@@ -1,0 +1,129 @@
+"""The run engine behind decode, encode and sample_uniform, against the
+public bijection steps it replaces.
+
+``codec._inverse_run`` and ``codec._step_encode`` run the public steps one
+by one; the engine must give the same forest and the same trace on every
+trace of the small sizes, and the sampler the same forest for every draw
+sequence, conditioned or not, at roots 1, 2, 3 and n-1.
+"""
+
+from itertools import product
+
+import pytest
+
+from forestcodec import (
+    ChoiceTrace,
+    decode,
+    encode,
+    parse_colored,
+    parse_forest,
+    parse_plane,
+    sample_uniform,
+    swap_colored_labels,
+    swap_labels,
+    trace_bounds,
+)
+from forestcodec.codec import _inverse_run, _step_encode
+from forestcodec.forests import plane_relabel
+
+SMALL = (
+    [("plain", n, 0) for n in range(1, 7)]
+    + [("plane", n, 0) for n in range(1, 6)]
+    + [("colored", n, 3) for n in range(1, 5)]
+)
+
+RELABEL = {
+    "plain": swap_labels,
+    "plane": plane_relabel,
+    "colored": swap_colored_labels,
+}
+
+
+class Scripted:
+    """Stands in for SplitMix64: ``below`` returns the given draws in order."""
+
+    def __init__(self, draws) -> None:
+        self.draws = iter(draws)
+
+    def below(self, bound: int) -> int:
+        d = next(self.draws)
+        assert 0 <= d < bound
+        return d
+
+
+def step_sample(family, n, colors, drawn, j):
+    """What sample_uniform returns for the inverse-step choices ``drawn``
+    and the root j that takes label 1, by the public steps."""
+    return RELABEL[family](_inverse_run(family, n, colors, drawn), 1, j)
+
+
+def root_counts(n: int) -> list[int]:
+    return sorted({r for r in (1, 2, 3, n - 1) if 1 <= r <= max(n - 1, 1)})
+
+
+def check_sampler(family, n, colors, roots, drawn) -> None:
+    """sample_uniform against step_sample, conditioned and not, for one
+    choice sequence and every root j."""
+    draws = [c - 1 for c in drawn]
+    want = _inverse_run(family, n, colors, drawn)
+    got = sample_uniform(
+        family, n, 0, colors=colors, roots=roots, rng=Scripted(draws)
+    )
+    assert got == want
+    for j in range(1, roots + 1) if roots > 1 else ():
+        got = sample_uniform(
+            family, n, 0, colors=colors, roots=roots, conditioned=False,
+            rng=Scripted(draws + [j - 1]),
+        )
+        assert got == step_sample(family, n, colors, drawn, j)
+
+
+def case_id(case) -> str:
+    family, n, colors = case
+    return f"{family}-n{n}" + (f"-kc{colors}" if colors else "")
+
+
+@pytest.mark.parametrize("case", SMALL, ids=case_id)
+def test_every_trace(case):
+    family, n, colors = case
+    bounds = trace_bounds(family, n, colors)
+    for choices in product(*(range(1, b + 1) for b in bounds)):
+        trace = ChoiceTrace(family, n, colors, choices)
+        forest = _inverse_run(family, n, colors, choices)
+        assert decode(trace) == forest
+        assert encode(forest) == _step_encode(forest) == trace
+
+
+@pytest.mark.parametrize("case", SMALL, ids=case_id)
+def test_sampler_every_draw(case):
+    family, n, colors = case
+    bounds = trace_bounds(family, n, colors)
+    for roots in root_counts(n):
+        drawn = bounds[: len(bounds) - roots + 1]
+        for choices in product(*(range(1, b + 1) for b in drawn)):
+            check_sampler(family, n, colors, roots, choices)
+
+
+def test_encode_errors_match_the_steps():
+    """Non-members raise what the step-by-step encode raises, members
+    encode alike."""
+    forests = [
+        parse_forest("3 2 0 0 1"),  # two roots
+        parse_forest("2 2 0 0"),  # two roots, and no step to run
+        parse_forest("4 1 0 4 1 1"),
+        parse_plane("1(2);3"),
+        parse_plane("1(*,2)"),  # an unlabeled leaf
+        parse_plane("2(1,3)"),  # the root is not 1
+        parse_plane("1(3,2)"),
+        parse_colored("3 1 0 1 1\n0 3 1", 3),  # the last color at the root
+        parse_colored("3 1 0 1 2\n0 1 3", 3),
+    ]
+    for forest in forests:
+        try:
+            want = _step_encode(forest)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                encode(forest)
+            assert str(got.value) == str(exc)
+        else:
+            assert encode(forest) == want

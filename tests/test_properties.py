@@ -2,7 +2,9 @@
 
 Forests are grown by hypothesis independently of the codec: each new vertex
 hangs below an earlier one, so the result is a tree rooted at 1.  Traces
-are drawn position by position within their bounds.
+are drawn position by position within their bounds.  The run engine behind
+the codec and the sampler must agree there with the public steps it
+replaces (``codec._inverse_run`` and ``codec._step_encode``).
 """
 
 import pytest
@@ -22,6 +24,8 @@ from forestcodec import (
     encode,
     trace_bounds,
 )
+from forestcodec.codec import _inverse_run, _step_encode
+from test_engine import check_sampler
 
 MAX_N = 300
 SETTINGS = settings(max_examples=8, deadline=None)
@@ -121,3 +125,27 @@ def test_colored_decode_encode(forest):
 def test_encode_decode(family, data):
     trace = data.draw(traces(family))
     assert encode(decode(trace)) == trace
+
+
+@pytest.mark.parametrize("family", ("plain", "plane", "colored"))
+@SETTINGS
+@given(data=st.data())
+def test_engine_matches_the_steps(family, data):
+    trace = data.draw(traces(family))
+    forest = _inverse_run(trace.family, trace.n, trace.colors, trace.choices)
+    assert decode(trace) == forest
+    assert encode(forest) == _step_encode(forest) == trace
+
+
+@pytest.mark.parametrize("family", ("plain", "plane", "colored"))
+@SETTINGS
+@given(data=st.data())
+def test_sampler_matches_the_steps(family, data):
+    """Draws for roots 1, 2, 3 or n-1, run conditioned and not."""
+    trace = data.draw(traces(family))
+    n, bounds = trace.n, trace_bounds(family, trace.n, trace.colors)
+    roots = data.draw(
+        st.sampled_from([r for r in (1, 2, 3, n - 1) if 1 <= r <= max(n - 1, 1)])
+    )
+    drawn = trace.choices[: len(bounds) - roots + 1]
+    check_sampler(family, n, trace.colors, roots, drawn)
