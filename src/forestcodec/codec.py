@@ -24,7 +24,7 @@ O(n) each, and the tests hold the engine to them.
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from math import prod
 
@@ -222,8 +222,9 @@ class _Run:
     vertices' parent labels (one entry per child), joined small into large;
     and a Fenwick tree ``degrees`` of the degrees by label.  The targets at
     labels up to x then number ``a*x + b*degrees(x)``, and
-    ``a*#S<=x + b*#P<=x`` of them lie in tree k, so a choice is found by
-    binary search, in O(log^2 n).  A forward step cuts a tree apart, which
+    ``a*#S<=x + b*#P<=x`` of them lie in tree k (P's entries are labels of
+    tree k too), so a choice is found by binary search on tree k's labels
+    and one walk down the Fenwick tree, in O(log^2 n).  A forward step cuts a tree apart, which
     the lists cannot follow, so ``encode`` runs the forward steps on a
     ``load``-ed forest without counting, records each cut, and replays the
     record as inverse steps on a ``base`` run to count its choices.
@@ -351,39 +352,46 @@ class _Run:
         """The targets at labels 1..x of the tree with lists S and P."""
         return self.a * bisect_right(S, x) + self.b * bisect_right(P, x)
 
+    def _first(self, c: int) -> tuple[int, int]:
+        """The least label x with c targets at labels 1..x, and the rank of
+        the c-th among x's targets, by one walk down the Fenwick tree."""
+        x, step = 0, 1 << (self.n.bit_length() - 1)
+        while step:
+            if x + step <= self.n:
+                # Node x + step holds labels x+1..x+step.
+                w = self.a * step + self.b * self.degrees[x + step]
+                if w < c:
+                    x, c = x + step, c - w
+            step >>= 1
+        return x + 1, c - 1
+
+    def _tree(self, k: int) -> tuple[list[int], list[int], int]:
+        """The lists of tree k, and the number of targets outside it."""
+        t = self._find(self.vid[k])
+        S, P = self.S[t], self.P[t]
+        return S, P, self._upto(self.n) - self._in(S, P, self.n)
+
     def locate(self, k: int, c: int) -> tuple[int, int, bool]:
         """The target label, its rank (gap or free color) and the swap flag
         that choice c names in the inverse step at k."""
-        t = self._find(self.vid[k])
-        S, P = self.S[t], self.P[t]
-        outside = self._upto(self.n) - self._in(S, P, self.n)
-        if c <= outside:
-            # The least label with c targets outside tree k up to it.
-            lo, hi = 1, self.n
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if self._upto(mid) - self._in(S, P, mid) >= c:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            return lo, c - 1 - self._upto(lo - 1) + self._in(S, P, lo - 1), False
-        c -= outside
-        lo, hi = 0, len(S) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._in(S, P, S[mid]) >= c:
-                hi = mid
-            else:
-                lo = mid + 1
-        return S[lo], c - 1 - self._in(S, P, S[lo] - 1), True
+        S, P, outside = self._tree(k)
+        if c > outside:
+            # The least label of tree k with c - outside targets up to it.
+            c -= outside
+            x = S[bisect_left(S, c, key=lambda s: self._in(S, P, s))]
+            return x, c - 1 - self._in(S, P, x - 1), True
+        # The labels of tree k cut the others into runs.  Find the run that
+        # holds the c-th outside target; tree k's targets below the run then
+        # number `inside`, and the target is the (c + inside)-th overall.
+        i = bisect_left(S, c, key=lambda s: self._upto(s) - self._in(S, P, s))
+        inside = self._in(S, P, S[i - 1]) if i else 0
+        return *self._first(c + inside), False
 
     def count(self, k: int, w: int, j: int, swap: bool) -> int:
         """The choice that names label w, rank j and the swap flag in the
         inverse step at k: ``locate`` inverted."""
-        t = self._find(self.vid[k])
-        S, P = self.S[t], self.P[t]
+        S, P, outside = self._tree(k)
         if swap:
-            outside = self._upto(self.n) - self._in(S, P, self.n)
             return outside + self._in(S, P, w - 1) + j + 1
         return self._upto(w - 1) - self._in(S, P, w - 1) + j + 1
 
