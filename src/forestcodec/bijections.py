@@ -15,38 +15,38 @@ case choices record the attachment vertex in post-swap labels, i.e. as the
 vertex appears in the forest with k roots.
 
 Cost model: every step, choice count and membership check does O(n) work
-on an n-vertex forest.  A step builds one child index of its input's parent
-map (``forests._child_index``) for the labeled families, or one
-parent-linked walk (``forests.plane_preorder``) for the plane families, and
-hands it to the membership check, the marks of tree k, the recoloring and
-the choice lookup.  Choices are counted, not looked up in a list of every
-target: each vertex offers a known number of targets (one, one per child
-gap, or one per free color), so the forward step sums the counts before its
+on an n-vertex forest.  A step builds one child index of its input: of the
+parent map (``forests._child_index``) for the labeled families, or the
+flat arrays of a plane forest (``forests._plane_arrays``), in which a
+labeled vertex's id is its label.  It hands the index to the membership
+check, the marks of tree k, the recoloring and the choice lookup.  Choices
+are counted, not looked up in a list of every target: each vertex offers a
+known number of targets (one, one per child gap, one per free color, or
+one per unlabeled leaf), so the forward step sums the counts before its
 target and the inverse step subtracts them until its choice runs out.  The
-output is built once, with the exchange of labels 1 and k applied to its
-parent map, or for plane forests to the two roots that carry them, and its
-constructor validates it in one more pass.  Codec and sampler runs do not
-call these steps: :mod:`codec` applies the same rules to one mutable forest
-across a run, in O(log^2 n) a step besides the moves.
+move edits the parent map, or the plane child lists, in place, and the
+exchange of labels 1 and k swaps two entries.  The output is built once,
+and its constructor validates it in one more pass.  Codec and sampler runs
+do not call these steps: :mod:`codec` applies the same rules to one
+mutable forest across a run, in O(log^2 n) a step besides the moves.
 """
 
 from __future__ import annotations
 
 from .forests import (
     EdgeColoredForest,
-    Entry,
     PartAssignment,
     PlaneForest,
-    PlaneNode,
     RootedForest,
     _child_index,
+    _descends,
+    _plane_arrays,
+    _plane_forest,
     _special,
     _subtree,
     _transposed,
     _transposition,
     is_descendant,
-    plane_preorder,
-    plane_replace,
 )
 
 __all__ = [
@@ -327,65 +327,41 @@ def reroot_switch(forest: RootedForest) -> RootedForest:
 
 
 def _require_plane(
-    pf: PlaneForest, entries: list[Entry], k: int, leafy: bool = False
-) -> dict[int, int]:
+    parent: list[int], kids: list[list[int]], label: list, k: int,
+    leafy: bool = False,
+) -> int:
     """Validate membership with roots 1..k and the largest label m in tree 1;
-    returns the entry index of each label.  ``entries`` is the forest's walk.
+    returns m.  The arrays are ``forests._plane_arrays`` of the forest.
 
     Every vertex carries one of 1..n, or with ``leafy`` exactly the internal
     vertices carry 1..m and the leaves none.
     """
     if leafy:
         _require(
-            all((node.label is None) == node.is_leaf for _, _, node in entries),
+            all((label[v] is None) == (not kids[v]) for v in range(1, len(kids))),
             "exactly the leaves must be unlabeled",
         )
     else:
-        _require(
-            all(node.label is not None for _, _, node in entries),
-            "plane family here is fully labeled",
+        _require(None not in label, "plane family here is fully labeled")
+    m = len(parent) - label.count(None)
+    if label[1 : m + 1] != list(range(1, m + 1)):
+        raise ValueError(
+            f"internal labels must be 1..{m}" if leafy else "labels must be 1..n"
         )
-    at = {node.label: i for i, (_, _, node) in enumerate(entries)}
-    at.pop(None, None)  # the leaves
-    m = len(at)
-    _require(
-        at.keys() == set(range(1, m + 1)),
-        f"internal labels must be 1..{m}" if leafy else "labels must be 1..n",
-    )
-    _require(
-        pf.root_labels() == tuple(range(1, k + 1)),
-        f"expected roots exactly 1..{k}, got {pf.root_labels()}",
-    )
-    _require(m in at, f"label {m} not present")  # the empty forest
-    # Tree 1 is the run of entries from 0.
-    _require(
-        at[m] < _run_end(entries, 0),
-        f"vertex {m} must lie in the tree rooted at 1",
-    )
-    return at
+    # Each labeled vertex's id is now its label.
+    roots = tuple(map(label.__getitem__, kids[0]))
+    if roots != tuple(range(1, k + 1)):
+        raise ValueError(f"expected roots exactly 1..{k}, got {roots}")
+    if not m:  # the empty forest
+        raise ValueError(f"label {m} not present")
+    if not _descends(parent, m, 1):
+        raise ValueError(f"vertex {m} must lie in the tree rooted at 1")
+    return m
 
 
-def _run_end(entries: list[Entry], i: int) -> int:
-    """The index just past the subtree at entry i.  Its entries are one run,
-    and the first entry after the run has its parent before i."""
-    j = i + 1
-    while j < len(entries) and entries[j][0] >= i:
-        j += 1
-    return j
-
-
-def _plane_targets(
-    entries: list[Entry], lo: int, hi: int
-) -> tuple[list[int], bytearray]:
-    """One slot per child gap of every label, and the marks of the labels
-    whose entries lie in lo..hi-1; ``entries`` is labeled 1..n."""
-    slots = [0] * (len(entries) + 1)
-    inside = bytearray(len(entries) + 1)
-    for i, (_, _, node) in enumerate(entries):
-        slots[node.label] = len(node.children) + 1
-        if lo <= i < hi:
-            inside[node.label] = 1
-    return slots, inside
+def _gaps(kids: list[list[int]]) -> list[int]:
+    """One slot per child gap of every vertex of a labeled plane forest."""
+    return [0] + [len(below) + 1 for below in kids[1:]]
 
 
 def plane_forward(pf: PlaneForest, k: int) -> tuple[PlaneForest, int]:
@@ -394,72 +370,51 @@ def plane_forward(pf: PlaneForest, k: int) -> tuple[PlaneForest, int]:
     Attachment positions are (vertex, gap) pairs, so a vertex of degree d
     offers d+1 slots; over the whole target forest that is 2n-k slots.
     """
-    entries = plane_preorder(pf)
-    n = len(entries)
+    parent, kids, label = _plane_arrays(pf)
+    n = len(parent)
     _require(2 <= k <= n - 1, f"k must satisfy 2 <= k <= n-1, got {k}")
-    at = _require_plane(pf, entries, k - 1)
-    i = at[k]
-    p, gap, sub = entries[i]
-    w = entries[p][2].label
-    end = _run_end(entries, i)
-    # Tree k of the output is the detached subtree, whose entries are i..end-1.
-    slots, inside = _plane_targets(entries, i, end)
-    slots[w] -= 1
-    changes: dict[int, PlaneNode | None] = {i: None}
+    _require_plane(parent, kids, label, k - 1)
     # Vertex n lies in tree 1; it leaves tree 1 exactly when it sits in the
-    # detached subtree.  Then labels 1 and k, two roots, are exchanged, and
-    # tree k of the output is the rest of tree 1.
-    swapped = i <= at[n] < end
+    # detached subtree.  Then labels 1 and k, two roots, are exchanged.
+    swapped = _descends(parent, n, k)
+    inside = _tree_k(kids, k, swapped)
+    w = parent[k - 1]
+    gap = kids[w].index(k)
+    del kids[w][gap]
+    kids[0].append(k)
+    slots = _gaps(kids)
     if swapped:
-        for j in range(_run_end(entries, 0)):
-            inside[entries[j][2].label] ^= 1
+        label[1], label[k] = k, 1
         slots[1], slots[k] = slots[k], slots[1]
-        inside[1], inside[k] = inside[k], inside[1]
         w = _transposition(1, k)(w)
-        changes[0] = PlaneNode(k, entries[0][2].children)
-        sub = PlaneNode(1, sub.children)
-    out = plane_replace(pf, entries, changes, (sub,))
-    return out, _choice_index(slots, inside, w, gap, swapped)
+    return _plane_forest(kids, label), _choice_index(slots, inside, w, gap, swapped)
 
 
 def plane_inverse(pf: PlaneForest, k: int, choice: int) -> PlaneForest:
-    entries = plane_preorder(pf)
-    n = len(entries)
+    parent, kids, label = _plane_arrays(pf)
+    n = len(parent)
     _require(2 <= k <= n - 1, f"k must satisfy 2 <= k <= n-1, got {k}")
-    at = _require_plane(pf, entries, k)
-    # Tree k is the last tree, so its entries are those from its root on.
-    vertex, gap, swap = _chosen(*_plane_targets(entries, at[k], n), choice)
-    moved = at[1 if swap else k]
-    node = entries[moved][2]
-    changes: dict[int, PlaneNode | None] = {moved: None}
-    label = vertex
-    if swap:
-        # Exchange labels 1 and k: the moved root and the root of tree k.
-        node = PlaneNode(k, node.children)
-        changes[at[k]] = PlaneNode(1, entries[at[k]][2].children)
-        label = _transposition(1, k)(vertex)
+    _require_plane(parent, kids, label, k)
+    v, gap, swap = _chosen(_gaps(kids), _tree_k(kids, k), choice)
     # The target vertex never lies in the moved tree: outside slots avoid
     # tree k, inside slots avoid tree 1.
-    kids = entries[at[vertex]][2].children
-    changes[at[vertex]] = PlaneNode(label, kids[:gap] + (node,) + kids[gap:])
-    return plane_replace(pf, entries, changes)
+    moved = 1 if swap else k
+    kids[0].remove(moved)
+    kids[v].insert(gap, moved)
+    if swap:
+        label[1], label[k] = k, 1
+    return _plane_forest(kids, label)
 
 
 def plane_choice_count(pf: PlaneForest, k: int) -> int:
     """The plane multiplier 2n-k: one slot per (vertex, child gap) pair."""
-    entries = plane_preorder(pf)
-    _require_plane(pf, entries, k)
-    return 2 * len(entries) - k
+    n = _require_plane(*_plane_arrays(pf), k)
+    return 2 * n - k
 
 
 # --------------------------------------------------------------------------
 # Leaf-unlabeled plane forests
 # --------------------------------------------------------------------------
-
-
-def _leaves(entries: list[Entry], lo: int, hi: int) -> int:
-    """The number of leaves among entries lo..hi-1."""
-    return sum(1 for j in range(lo, hi) if not entries[j][2].children)
 
 
 def leafplane_forward(pf: PlaneForest, r: int) -> tuple[PlaneForest, int]:
@@ -469,57 +424,61 @@ def leafplane_forward(pf: PlaneForest, r: int) -> tuple[PlaneForest, int]:
     and one more leaf than the input.  The choice index is the preorder rank
     of that hole among the unlabeled leaves of the result.
     """
-    entries = plane_preorder(pf)
-    at = _require_plane(pf, entries, r - 1, leafy=True)
-    nlab = len(at)
-    _require(2 <= r <= nlab - 1, f"r must satisfy 2 <= r <= {nlab - 1}")
-    i = at[r]
-    sub = entries[i][2]
-    end = _run_end(entries, i)
-    changes: dict[int, PlaneNode | None] = {i: PlaneNode(None)}
-    if i <= at[nlab] < end:
-        # Exchange labels 1 and r, two roots.  The result lists the detached
-        # subtree first, then trees 2..r-1, then tree r holding the hole.
-        changes[0] = PlaneNode(r, entries[0][2].children)
-        sub = PlaneNode(1, sub.children)
-        rank = _leaves(entries, 0, len(entries)) - _leaves(
-            entries, end, _run_end(entries, 0)
-        )
+    parent, kids, label = _plane_arrays(pf)
+    m = _require_plane(parent, kids, label, r - 1, leafy=True)
+    _require(2 <= r <= m - 1, f"r must satisfy 2 <= r <= {m - 1}")
+    # The leaves' ids m+1..n run in preorder.  Without a swap the hole keeps
+    # the place of the subtree at r among the leaves.  With one the result
+    # lists the subtree first, then trees 2..r-1, then tree r: the rest of
+    # tree 1, whose leaves after the subtree then come last.
+    n = len(parent)
+    if _descends(parent, m, r):
+        after = _end_leaf(kids, 1, -1) - _end_leaf(kids, r, -1)
+        choice = n - m - after + 1
+        label[1], label[r] = r, 1
     else:
-        # The detached subtree goes last, after everything else.
-        rank = _leaves(entries, 0, i)
-    return plane_replace(pf, entries, changes, (sub,)), rank + 1
+        choice = _end_leaf(kids, r, 0) - m
+    p = parent[r - 1]
+    kids[p][kids[p].index(r)] = n + 1  # the hole, a fresh vertex
+    kids.append([])
+    label.append(None)
+    kids[0].append(r)
+    return _plane_forest(kids, label), choice
 
 
 def leafplane_inverse(pf: PlaneForest, r: int, choice: int) -> PlaneForest:
     """Replace the chosen unlabeled leaf by tree r (or tree 1 plus a swap)."""
-    entries = plane_preorder(pf)
-    at = _require_plane(pf, entries, r, leafy=True)
-    nlab = len(at)
-    _require(2 <= r <= nlab - 1, f"r must satisfy 2 <= r <= {nlab - 1}")
-    leaves = [i for i, (_, _, node) in enumerate(entries) if node.is_leaf]
+    parent, kids, label = _plane_arrays(pf)
+    m = _require_plane(parent, kids, label, r, leafy=True)
+    _require(2 <= r <= m - 1, f"r must satisfy 2 <= r <= {m - 1}")
+    leaves = len(parent) - m
     _require(
-        1 <= choice <= len(leaves),
-        f"choice must be in 1..{len(leaves)}, got {choice}",
+        1 <= choice <= leaves, f"choice must be in 1..{leaves}, got {choice}"
     )
-    leaf = leaves[choice - 1]
-    # Tree r is the last tree, so its entries are those from its root on.
-    swap = leaf > at[r]
-    moved = at[1 if swap else r]
-    node = entries[moved][2]
-    changes: dict[int, PlaneNode | None] = {moved: None}
+    # The leaves' ids m+1..n run in preorder, and tree r's come last.
+    leaf = m + choice
+    swap = leaf >= _end_leaf(kids, r, 0)
+    moved = 1 if swap else r
+    kids[0].remove(moved)
+    p = parent[leaf - 1]
+    kids[p][kids[p].index(leaf)] = moved
     if swap:
-        # Exchange labels 1 and r: the moved root and the root of tree r.
-        node = PlaneNode(r, node.children)
-        changes[at[r]] = PlaneNode(1, entries[at[r]][2].children)
-    changes[leaf] = node
-    return plane_replace(pf, entries, changes)
+        label[1], label[r] = r, 1
+    return _plane_forest(kids, label)
+
+
+def _end_leaf(kids: list[list[int]], v: int, end: int) -> int:
+    """The first (``end`` 0) or last (``end`` -1) leaf below v."""
+    while kids[v]:
+        v = kids[v][end]
+    return v
 
 
 def leafplane_choice_count(pf: PlaneForest, r: int) -> int:
     """One choice per unlabeled leaf of the forest with r roots."""
-    _require_plane(pf, plane_preorder(pf), r, leafy=True)
-    return pf.leaf_count
+    parent, kids, label = _plane_arrays(pf)
+    _require_plane(parent, kids, label, r, leafy=True)
+    return label.count(None)
 
 
 # --------------------------------------------------------------------------

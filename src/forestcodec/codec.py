@@ -36,7 +36,9 @@ from .forests import (
     PlaneNode,
     RootedForest,
     _child_index,
-    plane_preorder,
+    _descends,
+    _plane_arrays,
+    _plane_forest,
 )
 
 CODEC_FAMILIES = ("plain", "plane", "colored")
@@ -194,6 +196,8 @@ def _base_check(family: str, n: int, colors: int, forest) -> tuple[int, ...]:
     color of the edge into n when colored.  Raises if it is not that state."""
     # A colored trace opens with the color of the edge into n.
     head = (forest.colors[n - 1],) if family == "colored" and n > 1 else ()
+    if head == (colors,):  # n's edge, out of root 1 in the base state
+        raise ValueError("an edge out of a root carries the last color")
     if forest != _base(family, n, colors, *head):
         raise ValueError(f"input is not a one-root {family} family member")
     return head
@@ -263,13 +267,8 @@ class _Run:
         with vertex n in tree 1, so every later step's check would pass."""
         family, n, colors = _family_of(forest)
         if family == "plane":
-            entries = plane_preorder(forest)
-            bij._require_plane(forest, entries, 1)
-            parent, kids = [0] * n, [[] for _ in range(n + 1)]
-            for p, _, node in entries[1:]:
-                up = entries[p][2].label
-                parent[node.label - 1] = up
-                kids[up].append(node.label)
+            parent, kids, label = _plane_arrays(forest)
+            bij._require_plane(parent, kids, label, 1)
             return cls(family, n, colors, parent, kids, [0] * n)
         if family == "plain":
             kids = _child_index(forest.parents)
@@ -437,12 +436,10 @@ class _Run:
             used = _used_colors(self.color, below, v)
             j = x - 1 - sum(1 for y in used if 0 < y < x)
         # Vertex n leaves tree 1 exactly when it sits below k.
-        z = self.vid[self.n]
-        while z and z != u:
-            z = self.parent[z - 1]
-        if z:
+        swapped = _descends(self.parent, self.vid[self.n], u)
+        if swapped:
             self.relabel(1, k)
-        return self.label[v], j, z == u
+        return self.label[v], j, swapped
 
     # --------------------------------------------------------------- output
 
@@ -454,26 +451,18 @@ class _Run:
     def value(self):
         """The forest as a value, built once."""
         label, n = self.label, self.n
-        if self.family != "plane":
-            parents, colors = [0] * n, [0] * n
-            for u in range(1, n + 1):
-                parents[label[u] - 1] = label[self.parent[u - 1]]
-                colors[label[u] - 1] = self.color[u - 1]
-            forest = RootedForest(tuple(parents))
-            if self.family == "plain":
-                return forest
-            return EdgeColoredForest(forest, self.kc, tuple(colors))
-        roots = [u for u in range(1, n + 1) if not self.parent[u - 1]]
-        roots.sort(key=label.__getitem__)
-        # Breadth first, so every child is built, walking back, before its
-        # parent.
-        order = list(roots)
-        for u in order:
-            order.extend(self.kids[u])
-        node = [None] * (n + 1)
-        for u in reversed(order):
-            node[u] = PlaneNode(label[u], tuple(node[c] for c in self.kids[u]))
-        return PlaneForest(tuple(node[u] for u in roots))
+        if self.family == "plane":
+            # The steps do not keep kids[0], the roots, up to date.
+            self.kids[0] = [u for u in range(1, n + 1) if not self.parent[u - 1]]
+            return _plane_forest(self.kids, label)
+        parents, colors = [0] * n, [0] * n
+        for u in range(1, n + 1):
+            parents[label[u] - 1] = label[self.parent[u - 1]]
+            colors[label[u] - 1] = self.color[u - 1]
+        forest = RootedForest(tuple(parents))
+        if self.family == "plain":
+            return forest
+        return EdgeColoredForest(forest, self.kc, tuple(colors))
 
 
 def _run(family: str, n: int, colors: int, choices: tuple[int, ...]) -> _Run:

@@ -53,23 +53,49 @@ def forests_with_k_trees(n: int, k: int) -> int:
     return comb(n - 1, k - 1) * n ** (n - k)
 
 
-@lru_cache(maxsize=None)
 def riordan_forest_count(n: int, k: int) -> int:
     """Forests on {1..n} of k trees separating the vertices 1..k.
 
     Computed by the classical deletion recurrence
     T(n, k) = sum_i C(n-k, i) * T(n-1, k-1+i), with T(n, n) = 1; removing
-    vertex 1 with its i neighbors leaves a forest of k-1+i trees.
+    vertex 1 with its i neighbors leaves a forest of k-1+i trees.  The rows
+    below n are filled bottom up, so no call nests, and every value is kept
+    across calls.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if k == n:
-        return 1
-    # The i = 0 term needs T(n-1, 0), which is 0 for n > 1; skip it at k = 1.
+    rows, tops = _riordan_table()
+    while len(rows) <= n:
+        rows.append([1])
+    if n - k < len(rows[n]):
+        return rows[n][n - k]
+    if (n, k) not in tops:
+        # T(n, k) reads row m from T(m, m) down to T(m, k - (n - m)).
+        for m in range(2, n):
+            row = rows[m]
+            for t in range(len(row), min(m, n - k + 1)):
+                value = tops.pop((m, m - t), None)
+                row.append(_riordan(rows[m - 1], m, t) if value is None else value)
+        tops[n, k] = _riordan(rows[n - 1], n, n - k)
+    return tops[n, k]
+
+
+def _riordan(below: list[int], m: int, t: int) -> int:
+    """T(m, m - t) from ``below``, row m-1 of the table."""
+    # below[t - i] is T(m-1, m-1-t+i).  The i = 0 term needs T(m-1, 0),
+    # which is 0 for m > 1; skip it at t = m-1.
     return sum(
-        comb(n - k, i) * riordan_forest_count(n - 1, k - 1 + i)
-        for i in range(0 if k >= 2 else 1, n - k + 1)
+        comb(t, i) * below[t - i] for i in range(0 if t < m - 1 else 1, t + 1)
     )
+
+
+@lru_cache(maxsize=None)
+def _riordan_table() -> tuple[list[list[int]], dict[tuple[int, int], int]]:
+    """The values of T computed so far, made on first use and dropped by
+    ``_riordan_table.cache_clear()`` like the module's other caches.
+    ``rows[m][t]`` is T(m, m - t), filled from t = 0 on; ``tops`` holds the
+    values asked for above the filled part of their row."""
+    return [[], [1]], {}
 
 
 def multipartite_spanning_trees(parts: Sequence[int]) -> int:

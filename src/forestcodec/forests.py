@@ -6,9 +6,10 @@ root.  All values here are immutable; every operation returns a new value,
 so bijection steps compose without aliasing surprises.
 
 Cost model: each operation makes one pass over the value, O(n) for n
-vertices, at any depth.  A plane walk (``plane_preorder``) links each node to
-its parent's entry and its gap, so ``plane_replace`` edits a forest from one
-walk by copying only the ancestors of the changed nodes.
+vertices, at any depth.  A plane forest is edited as flat arrays:
+``_plane_arrays`` gives its parents, ordered child lists and labels by
+vertex id in one walk, the caller edits the lists in place, and
+``_plane_forest`` builds every node of the result once.
 ``children``, ``degree`` and ``EdgeColoredForest.colors_at`` answer for one
 vertex with a full O(n) scan, so code that needs the children of many
 vertices builds one child index with ``_child_index`` instead.  No index or
@@ -58,10 +59,6 @@ class RootedForest:
     def __post_init__(self) -> None:
         if not _reaches_all(self.parents):
             _check_parents(self.parents)
-
-    @classmethod
-    def from_parents(cls, parents: Sequence[int]) -> "RootedForest":
-        return cls(tuple(parents))
 
     @property
     def n(self) -> int:
@@ -153,25 +150,18 @@ def degree(forest: RootedForest, x: int) -> int:
     return len(children(forest, x))
 
 
-def root_of(forest: RootedForest, v: int) -> int:
-    """The root of the tree containing v."""
-    _check_vertex(forest, v)
-    while forest.parents[v - 1] != 0:
-        v = forest.parents[v - 1]
-    return v
-
-
 def is_descendant(forest: RootedForest, y: int, x: int) -> bool:
     """True iff y lies in the subtree rooted at x (reflexively)."""
     _check_vertex(forest, y)
     _check_vertex(forest, x)
-    v = y
-    while True:
-        if v == x:
-            return True
-        v = forest.parents[v - 1]
-        if v == 0:
-            return False
+    return _descends(forest.parents, y, x)
+
+
+def _descends(parents: Sequence[int], y: int, x: int) -> bool:
+    """``is_descendant`` on a parent map: walks up from y to x or a root."""
+    while y and y != x:
+        y = parents[y - 1]
+    return y == x
 
 
 def subtree_vertices(forest: RootedForest, x: int) -> frozenset[int]:
@@ -318,9 +308,13 @@ class PartAssignment:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlaneNode:
-    """One vertex of a plane tree: an optional label and ordered children."""
+    """One vertex of a plane tree: an optional label and ordered children.
+
+    Slotted: a plane step builds every node of its output, and the
+    enumerators build every node of every candidate.
+    """
 
     label: int | None
     children: tuple["PlaneNode", ...] = ()
@@ -406,10 +400,6 @@ class PlaneForest:
         if list(roots) != sorted(roots):
             raise ValueError("trees must be ordered by ascending root label")
 
-    @classmethod
-    def from_trees(cls, trees: Sequence[PlaneNode]) -> "PlaneForest":
-        return cls(tuple(trees))
-
     @property
     def n_vertices(self) -> int:
         return len(_nodes(self.trees))
@@ -477,51 +467,68 @@ def plane_preorder(pf: PlaneForest) -> list[Entry]:
     return entries
 
 
-def plane_replace(
-    pf: PlaneForest,
-    entries: list[Entry],
-    changes: dict[int, PlaneNode | None],
-    added: Sequence[PlaneNode] = (),
-) -> PlaneForest:
-    """Put ``changes[i]`` in place of entry i's node, or delete it when None,
-    copying only the ancestors, and add the trees ``added``; ``entries`` is
-    ``plane_preorder(pf)``.
+def _plane_arrays(pf: PlaneForest) -> tuple[list[int], list[list[int]], list]:
+    """``parent``, ``kids`` and ``label`` of a plane forest by vertex id,
+    from one walk.
 
-    The largest index goes first, so a change below a changed entry lands in
-    its replacement, and a deletion shifts no gap still to be used.
+    ``parent[v - 1]`` is v's parent, 0 for a root; ``kids[v]`` lists v's
+    children in order and ``kids[0]`` the roots in tree order; ``label[v]``
+    is v's label, None when unlabeled, and ``label[0]`` is 0.  When the m
+    labeled vertices carry 1..m, a labeled vertex's id is its label and the
+    unlabeled ones take m+1.. in preorder; otherwise every vertex's id is
+    its preorder position.
     """
-    trees: list[PlaneNode | None] = list(pf.trees)
-    new = dict(changes)
-    for i in range(max(new, default=-1), -1, -1):
-        if i not in new:
-            continue
-        p, gap, _ = entries[i]
-        if p < 0:
-            trees[gap] = new[i]
-            continue
-        up = new.get(p, entries[p][2])
-        if up is None:  # deleted together with its parent
-            continue
-        kids = up.children
-        middle = () if new[i] is None else (new[i],)
-        new[p] = PlaneNode(up.label, kids[:gap] + middle + kids[gap + 1 :])
-    # Shape forests have no root labels and keep their order.
-    trees.extend(added)
-    kept = sorted((t for t in trees if t is not None), key=lambda t: t.label or 0)
-    return PlaneForest(tuple(kept))
+    labels: list[int | None] = []
+    up: list[int] = []  # the parent's preorder position from 1, 0 for a root
+    stack = [(0, tree) for tree in reversed(pf.trees)]
+    while stack:
+        p, node = stack.pop()
+        labels.append(node.label)
+        up.append(p)
+        i = len(labels)
+        for child in reversed(node.children):
+            stack.append((i, child))
+    n = len(labels)
+    m = n - labels.count(None)
+    ids: Sequence[int] = range(n + 1)  # by preorder position; 0 stays 0
+    if max(filter(None, labels), default=0) <= m:  # the labels are 1..m
+        free = iter(range(m + 1, n + 1))
+        ids = [0] + [next(free) if x is None else x for x in labels]
+    parent = [0] * n
+    kids: list[list[int]] = [[] for _ in range(n + 1)]
+    label: list = [0] * (n + 1)
+    for v, x, p in zip(ids[1:], labels, up):
+        p = ids[p]
+        parent[v - 1] = p
+        kids[p].append(v)
+        label[v] = x
+    return parent, kids, label
+
+
+def _plane_forest(kids: list[list[int]], label: list) -> PlaneForest:
+    """The plane forest with roots ``kids[0]``, ordered child lists ``kids``
+    and labels ``label`` by vertex id; each node is built once and the trees
+    are sorted by root label (shape forests keep their order)."""
+    # Breadth first, so every child is built, walking back, before its parent.
+    order = list(kids[0])
+    for v in order:
+        order.extend(kids[v])
+    node: list = [None] * len(kids)
+    built = node.__getitem__
+    for v in reversed(order):
+        below = kids[v]
+        node[v] = PlaneNode(label[v], tuple(map(built, below)) if below else ())
+    roots = sorted(kids[0], key=lambda v: label[v] or 0)
+    return PlaneForest(tuple(map(built, roots)))
 
 
 def plane_relabel(pf: PlaneForest, a: int, b: int) -> PlaneForest:
     """Swap labels a and b, then restore ascending tree order."""
     if a == b:
         return pf
-    entries = plane_preorder(pf)
+    _, kids, label = _plane_arrays(pf)
     swap = {a: b, b: a}
-    return plane_replace(pf, entries, {
-        i: PlaneNode(swap[node.label], node.children)
-        for i, (_, _, node) in enumerate(entries)
-        if node.label in swap
-    })
+    return _plane_forest(kids, [swap.get(x, x) for x in label])
 
 
 def plane_label_in_tree(pf: PlaneForest, label: int, root: int) -> bool:

@@ -252,6 +252,33 @@ class TestPlane:
                         assert plane_forward(plane_inverse(g, k, c), k) == (g, c)
 
 
+def deep_chain(depth: int, leaf: str = "") -> str:
+    """The plane text 1(2(3(...depth...))), optionally ending in a leaf."""
+    labels = list(map(str, range(1, depth + 1))) + ([leaf] if leaf else [])
+    return "(".join(labels) + ")" * (len(labels) - 1)
+
+
+class TestDeepPlaneSteps:
+    """One step at k = 2 on a 1200-deep chain, which takes the swap case
+    (vertex n sits below 2), and back."""
+
+    def test_plane(self):
+        pf = parse_plane(deep_chain(1200))
+        g, c = plane_forward(pf, 2)
+        assert g.root_labels() == (1, 2)
+        # The subtree at 2 takes label 1; the rest of tree 1, its root
+        # alone, takes label 2.
+        assert g.trees[0].children[0].label == 3
+        assert g.trees[1].is_leaf
+        assert plane_inverse(g, 2, c) == pf
+
+    def test_leafplane(self):
+        pf = parse_plane(deep_chain(1200, "*"))
+        g, c = leafplane_forward(pf, 2)
+        assert g.root_labels() == (1, 2)
+        assert leafplane_inverse(g, 2, c) == pf
+
+
 LEAFPLANE_BOTTOM = parse_plane("1(5(*,*),*,*);2(4(*));3(*,*,*)")
 
 # The eight forests with roots 1, 2 that map onto LEAFPLANE_BOTTOM, in

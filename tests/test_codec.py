@@ -223,7 +223,8 @@ class TestSampling:
             assert is_descendant(f, 5, 1)
 
     def test_unconditioned_plane_is_uniform(self):
-        # The 1..j relabeling of an unconditioned draw runs plane_relabel.
+        # An unconditioned draw gives label 1 to a root drawn from 1..j by
+        # exchanging two labels of the run engine.
         members = set(enumerate_family(FamilySpec("plane", n=5, roots=2)))
         assert len(members) == 84
         draws = 16_000

@@ -1,9 +1,15 @@
 """Closed-form counts against brute-force oracles and boundary values."""
 
+import os
+import subprocess
+import sys
+import time
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import forestcodec
 from forestcodec import (
     bipartite_identity,
     catalan,
@@ -78,6 +84,25 @@ class TestCayleyFamily:
             assert riordan_forest_count(n, n) == 1
             for k in range(1, n):
                 assert riordan_forest_count(n, k) == k * n ** (n - k - 1)
+
+    def test_riordan_fresh_at_low_recursion_limit(self):
+        # A fresh process starts with an empty table, and the recursion
+        # limit lies far below n: the rows must fill without nesting.
+        code = (
+            "import sys\n"
+            "from forestcodec import riordan_forest_count\n"
+            "sys.setrecursionlimit(60)\n"
+            "assert riordan_forest_count(150, 1) == 150 ** 148\n"
+        )
+        src = str(Path(forestcodec.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert time.perf_counter() - start < 2
 
 
 class TestMultipartite:

@@ -117,6 +117,7 @@ def test_encode_errors_match_the_steps():
         parse_plane("1(3,2)"),
         parse_colored("3 1 0 1 1\n0 3 1", 3),  # the last color at the root
         parse_colored("3 1 0 1 2\n0 1 3", 3),
+        parse_colored("2 1 0 1\n0 3", 3),  # the last color, and no step
     ]
     for forest in forests:
         try:
@@ -127,3 +128,6 @@ def test_encode_errors_match_the_steps():
             assert str(got.value) == str(exc)
         else:
             assert encode(forest) == want
+    last_color = "^an edge out of a root carries the last color$"
+    with pytest.raises(ValueError, match=last_color):
+        encode(parse_colored("2 1 0 1\n0 3", 3))

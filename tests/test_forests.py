@@ -25,7 +25,12 @@ from forestcodec import (
     swap_labels,
 )
 from forestcodec.enumeration import FamilySpec, enumerate_family
-from forestcodec.forests import plane_preorder, plane_relabel, plane_replace
+from forestcodec.forests import (
+    _plane_arrays,
+    _plane_forest,
+    plane_preorder,
+    plane_relabel,
+)
 
 
 def forests_upto(n_max):
@@ -334,23 +339,24 @@ class TestPlaneWalk:
         ]
         assert entries[4][2] is pf.trees[1]
 
-    def test_replace_deletes_a_tree_and_edits_another(self):
-        pf = parse_plane("1(2,3);4(5)")
-        entries = plane_preorder(pf)
-        new = PlaneNode(3, (entries[3][2],))  # tree 4 moved below vertex 3
-        out = plane_replace(pf, entries, {3: None, 2: new})
-        assert render_plane(out) == "1(2,3(4(5)))"
-        assert out.trees[0].children[0] is pf.trees[0].children[0]
+    def test_arrays_number_labels_then_leaves_in_preorder(self):
+        pf = parse_plane("1(*,2(*));3(*)")
+        parent, kids, label = _plane_arrays(pf)
+        assert label == [0, 1, 2, 3, None, None, None]
+        assert parent == [0, 1, 0, 1, 2, 3]
+        assert kids == [[1, 3], [4, 2], [5], [6], [], [], []]
+        assert _plane_forest(kids, label) == pf
 
-    def test_replace_deletes_siblings_from_the_right(self):
-        pf = parse_plane("1(2,3,4)")
-        entries = plane_preorder(pf)
-        out = plane_replace(pf, entries, {1: None, 3: None, 2: PlaneNode(5)})
-        assert render_plane(out) == "1(5)"
+    def test_arrays_of_other_labels_number_in_preorder(self):
+        pf = parse_plane("1(5,*)")
+        parent, kids, label = _plane_arrays(pf)
+        assert label == [0, 1, 5, None]
+        assert parent == [0, 1, 1]
+        assert _plane_forest(kids, label) == pf
 
     def test_relabel_on_one_root_path(self):
-        # Labels 1 and 4 lie on one root path, so both changes must compose
-        # from the same walk; the swapped trees are then put back in order.
+        # Labels 1 and 4 lie on one root path; the swapped trees are then
+        # put back in order.
         pf = parse_plane("1(2(4(*)));3")
         assert render_plane(plane_relabel(pf, 1, 4)) == "3;4(2(1(*)))"
         assert plane_relabel(pf, 2, 2) is pf
