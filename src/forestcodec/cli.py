@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from itertools import product
 
 from . import bijections as bij
 from . import codec, counting
@@ -353,39 +354,46 @@ def _cmd_convert(args) -> int:
 # --------------------------------------------------------------------------
 
 
+# identity -> (its function in `counting`, its default grid: one range per
+# argument, in argument order, and the test of a grid point it is defined
+# at).  `identity` and `verify all` share the grids.
+_IDENTITIES = {
+    "bipartite": (
+        "bipartite_identity",
+        {"r": range(2, 9), "s": range(1, 9)},
+        lambda r, s: True,
+    ),
+    "kary": (
+        "kary_identity",
+        {"k": range(1, 5), "p": range(1, 4), "q": range(1, 4), "n": range(2, 13)},
+        lambda k, p, q, n: n >= p + q,
+    ),
+}
+
+
+def _identity_rows(name: str, given: dict[str, range]):
+    """(point, lhs, rhs) at each point of an identity's grid, where the
+    ranges given replace the defaults."""
+    func, grid, defined = _IDENTITIES[name]
+    for var in given:
+        if var not in grid:
+            raise ValueError(
+                f"identity {name} has no variable {var!r}; it has {', '.join(grid)}"
+            )
+    grid = {**grid, **given}
+    for values in product(*grid.values()):
+        if defined(*values):
+            point = " ".join(f"{var}={x}" for var, x in zip(grid, values))
+            yield (point, *getattr(counting, func)(*values))
+
+
 def _cmd_identity(args) -> int:
-    grid = _parse_grid(args.grid) if args.grid else None
+    grid = _parse_grid(args.grid) if args.grid else {}
     failures = 0
-    if args.name == "bipartite":
-        grid = grid or {"r": range(2, 9), "s": range(1, 9)}
-        for r in grid["r"]:
-            for s in grid["s"]:
-                lhs, rhs = counting.bipartite_identity(r, s)
-                ok = lhs == rhs
-                failures += not ok
-                print(f"r={r} s={s} lhs={lhs} rhs={rhs} {'PASS' if ok else 'FAIL'}")
-    elif args.name == "kary":
-        grid = grid or {
-            "k": range(1, 5),
-            "p": range(1, 4),
-            "q": range(1, 4),
-            "n": range(2, 13),
-        }
-        for k in grid["k"]:
-            for p in grid["p"]:
-                for q in grid["q"]:
-                    for n in grid["n"]:
-                        if n < p + q:
-                            continue
-                        lhs, rhs = counting.kary_identity(k, p, q, n)
-                        ok = lhs == rhs
-                        failures += not ok
-                        print(
-                            f"k={k} p={p} q={q} n={n} lhs={lhs} rhs={rhs} "
-                            f"{'PASS' if ok else 'FAIL'}"
-                        )
-    else:
-        raise ValueError(f"unknown identity {args.name!r}")
+    for point, lhs, rhs in _identity_rows(args.name, grid):
+        ok = lhs == rhs
+        failures += not ok
+        print(f"{point} lhs={lhs} rhs={rhs} {'PASS' if ok else 'FAIL'}")
     return _verdict(failures)
 
 
@@ -507,16 +515,9 @@ def _verify_all(max_n: int, budget: int | None) -> int:
                 counting.riordan_forest_count(n, k),
                 k * n ** (n - k - 1),
             )
-    for r in range(2, 9):
-        for s in range(1, 9):
-            lhs, rhs = counting.bipartite_identity(r, s)
-            check(f"bipartite-identity r={r} s={s}", lhs, rhs)
-    for k in range(1, 5):
-        for p in range(1, 4):
-            for q in range(1, 4):
-                for n in range(p + q, 13):
-                    lhs, rhs = counting.kary_identity(k, p, q, n)
-                    check(f"kary-identity k={k} p={p} q={q} n={n}", lhs, rhs)
+    for name in _IDENTITIES:
+        for point, lhs, rhs in _identity_rows(name, {}):
+            check(f"{name}-identity {point}", lhs, rhs)
 
     n = 5
     traces = [
@@ -614,7 +615,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pd.set_defaults(func=_cmd_decode)
 
     pi = sub.add_parser("identity", help="check a summation identity on a grid")
-    pi.add_argument("name", choices=("bipartite", "kary"))
+    pi.add_argument("name", choices=tuple(_IDENTITIES))
     pi.add_argument("--grid")
     pi.set_defaults(func=_cmd_identity)
 

@@ -165,6 +165,7 @@ def _step_encode(forest) -> ChoiceTrace:
     """``encode`` by the public forward steps k = 2, ..., n-1: the
     step-by-step reference for the ``_Run`` replay."""
     family, n, colors = _family_of(forest)
+    getattr(bij, f"{family}_choice_count")(forest, 1)  # raises unless a member
     forward = getattr(bij, f"{family}_forward")
     chosen = []
     for k in range(2, n):
@@ -262,9 +263,9 @@ class _Run:
 
     @classmethod
     def load(cls, forest):
-        """A forest of n >= 3 vertices, ready for forward steps.  Raises what
-        the first forward step raises unless it is a one-root family member
-        with vertex n in tree 1, so every later step's check would pass."""
+        """A forest ready for forward steps.  Raises what the first forward
+        step raises unless it is a one-root family member with vertex n in
+        tree 1, so every later step's check would pass."""
         family, n, colors = _family_of(forest)
         if family == "plane":
             parent, kids, label = _plane_arrays(forest)
@@ -446,7 +447,7 @@ class _Run:
     def at_base(self) -> bool:
         """True iff labels 1..n-1 are roots and n hangs below 1."""
         up = [self.label[self.parent[u - 1]] for u in self.vid[1:]]
-        return up == [0] * (self.n - 1) + [1]
+        return up == [0] * (self.n - 1) + [int(self.n > 1)]
 
     def value(self):
         """The forest as a value, built once."""
@@ -486,13 +487,11 @@ def encode(forest) -> ChoiceTrace:
     inferred from the value's type.  ``decode(encode(f)) == f``.
     """
     family, n, colors = _family_of(forest)
-    if n < 3:  # no step: the input must be the base state itself
-        return ChoiceTrace(family, n, colors, _base_check(family, n, colors, forest))
     run = _Run.load(forest)
     cuts = [run.detach(k) for k in range(2, n)]
     if not run.at_base():
         raise ValueError(f"input is not a one-root {family} family member")
-    head = (run.color[run.vid[n] - 1],) if family == "colored" else ()
+    head = (run.color[run.vid[n] - 1],) if family == "colored" and n > 1 else ()
     replay = _Run.base(family, n, colors, *head)
     chosen = []
     for k, cut in zip(range(n - 1, 1, -1), reversed(cuts)):

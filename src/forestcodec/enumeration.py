@@ -2,9 +2,11 @@
 
 These are the brute-force oracles: deliberately naive, auditable, and in a
 fixed canonical order, so closed-form counts, bijection steps, and codecs
-can all be checked against them.  Plain and colored streams are produced
-lazily in their natural lexicographic order; the plane-shaped families are
-materialized and sorted by a structural key.
+can all be checked against them.  Plain, colored and plane streams
+(labeled or shapes) are produced lazily, already in canonical order; a
+plane stream spends its candidate budget one candidate at a time as it
+goes.  The leaf-unlabeled families, leafplane and k-ary, are built, each
+shape labeled every way, and sorted by ``plane_key``.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 from typing import Iterable, Iterator, Sequence
 
 from .forests import (
@@ -141,11 +143,26 @@ class FamilySpec:
 # --------------------------------------------------------------------------
 
 
-def plane_key(pf: PlaneForest):
-    def node_key(node: PlaneNode):
-        return (node.label or 0, tuple(node_key(c) for c in node.children))
+def plane_key(pf: PlaneForest) -> tuple[int, ...]:
+    """The canonical order key of a plane forest, as one flat int tuple.
 
-    return tuple(node_key(t) for t in pf.trees)
+    Each vertex gives 1 and its label (0 when unlabeled), then the keys of
+    its children, then 0; the forest gives its trees' keys and a final 0.
+    This orders forests as the nested ``(label, children)`` tuples would:
+    the 0 that ends a child list sorts before the 1 that opens one more
+    child.  One stack walk, so depth is no limit.
+    """
+    key = []
+    stack = [None, *reversed(pf.trees)]  # None: a child list ends
+    while stack:
+        node = stack.pop()
+        if node is None:
+            key.append(0)
+        else:
+            key += (1, node.label or 0)
+            stack.append(None)
+            stack.extend(reversed(node.children))
+    return tuple(key)
 
 
 def canonical_key(obj):
@@ -259,26 +276,47 @@ def _partite(spec: FamilySpec, guard: _Budget) -> Iterator[RootedForest]:
 
 
 # --------------------------------------------------------------------------
-# Plane shapes and labeled plane forests
+# Plane forests and shapes: one generator, in canonical order
 # --------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _shape_seqs(total: int) -> tuple[tuple[PlaneNode, ...], ...]:
-    # Ordered sequences of plane shapes with `total` vertices altogether.
-    if total == 0:
-        return ((),)
-    out = []
-    for first in range(1, total + 1):
-        for tree in _shape_trees(first):
-            for rest in _shape_seqs(total - first):
-                out.append((tree,) + rest)
-    return tuple(out)
+def _child_lists(
+    labels: tuple[int, ...], blanks: int
+) -> Iterator[tuple[tuple[PlaneNode, ...], tuple[int, ...], int]]:
+    """Each sequence of plane trees drawn from a pool of free ``labels``
+    (ascending) and ``blanks`` unlabeled vertices, with the pool it leaves,
+    in ``plane_key`` order."""
+    # A position takes, in key order: the end of the sequence, an unlabeled
+    # vertex (key 0), then each free label in ascending order.
+    yield (), labels, blanks
+    firsts = [(None, labels, blanks - 1)] if blanks else []
+    firsts += [(v, labels[:i] + labels[i + 1 :], blanks) for i, v in enumerate(labels)]
+    for label, labels_in, blanks_in in firsts:
+        for kids, labels_left, blanks_left in _child_lists(labels_in, blanks_in):
+            child = PlaneNode(label, kids)
+            for rest, labels_end, blanks_end in _child_lists(labels_left, blanks_left):
+                yield (child,) + rest, labels_end, blanks_end
+
+
+def _plane_forests(
+    roots: tuple[int | None, ...], labels: tuple[int, ...], blanks: int
+) -> Iterator[tuple[PlaneNode, ...]]:
+    """Each sequence of plane trees with these roots that uses the whole
+    pool, in ``plane_key`` order: every tree but the last draws any part
+    of the pool, and the last draws the rest."""
+    root, later = roots[0], roots[1:]
+    for kids, labels_left, blanks_left in _child_lists(labels, blanks):
+        tree = PlaneNode(root, kids)
+        if later:
+            for trees in _plane_forests(later, labels_left, blanks_left):
+                yield (tree,) + trees
+        elif not labels_left and not blanks_left:
+            yield (tree,)
 
 
 @lru_cache(maxsize=None)
 def _shape_trees(size: int) -> tuple[PlaneNode, ...]:
-    return tuple(PlaneNode(None, kids) for kids in _shape_seqs(size - 1))
+    return tuple(trees[0] for trees in _plane_forests((None,), (), size - 1))
 
 
 def _compositions(total: int, parts: int, minimum: int) -> Iterator[tuple[int, ...]]:
@@ -291,38 +329,6 @@ def _compositions(total: int, parts: int, minimum: int) -> Iterator[tuple[int, .
             yield (first,) + rest
 
 
-def _labeled_trees(vertices: tuple[int, ...], root: int) -> list[PlaneNode]:
-    rest = tuple(v for v in vertices if v != root)
-    return [PlaneNode(root, kids) for kids in _labeled_child_seqs(rest)]
-
-
-def _labeled_child_seqs(avail: tuple[int, ...]) -> list[tuple[PlaneNode, ...]]:
-    if not avail:
-        return [()]
-    out = []
-    for size in range(1, len(avail) + 1):
-        for subset in combinations(avail, size):
-            remaining = tuple(v for v in avail if v not in subset)
-            for root in subset:
-                for tree in _labeled_trees(subset, root):
-                    for rest in _labeled_child_seqs(remaining):
-                        out.append((tree,) + rest)
-    return out
-
-
-def _ordered_partitions(
-    items: tuple[int, ...], bins: int
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    if bins == 1:
-        yield (items,)
-        return
-    for size in range(len(items) + 1):
-        for subset in combinations(items, size):
-            remaining = tuple(v for v in items if v not in subset)
-            for rest in _ordered_partitions(remaining, bins - 1):
-                yield (subset,) + rest
-
-
 def _plane_degrees_ok(pf: PlaneForest, degrees: tuple[int, ...]) -> bool:
     for _, _, node in plane_preorder(pf):
         if node.label is not None and degrees[node.label - 1] != len(node.children):
@@ -331,44 +337,23 @@ def _plane_degrees_ok(pf: PlaneForest, degrees: tuple[int, ...]) -> bool:
 
 
 def _plane(spec: FamilySpec, guard: _Budget) -> Iterator[PlaneForest]:
-    if not spec.labeled:
-        yield from _plane_shapes(spec, guard)
-        return
-    n = spec.n
-    roots = spec.root_labels()
-    rest = tuple(v for v in range(1, n + 1) if v not in roots)
-    found = []
-    for parcels in _ordered_partitions(rest, len(roots)):
-        tree_choices = [
-            _labeled_trees(tuple(sorted((r,) + parcel)), r)
-            for r, parcel in zip(roots, parcels)
-        ]
-        for trees in product(*tree_choices):
-            guard.spend()
-            pf = PlaneForest(tuple(trees))
-            if spec.conditioned and not plane_label_in_tree(pf, n, 1):
+    n, roots = spec.n, spec.root_labels()
+    labels, blanks = tuple(v for v in range(1, n + 1) if v not in roots), 0
+    conditioned, degrees = spec.conditioned, spec.degrees
+    if not spec.labeled:  # shapes: unlabeled roots, and only the leaf filter
+        roots, labels, blanks = (None,) * len(roots), (), n - len(roots)
+        conditioned, degrees = False, None
+    for trees in _plane_forests(roots, labels, blanks):
+        guard.spend()
+        pf = PlaneForest(trees)
+        if conditioned and not plane_label_in_tree(pf, n, 1):
+            continue
+        if spec.leaves is not None and pf.leaf_count != spec.leaves:
+            continue
+        if degrees is not None:
+            if len(degrees) != n or not _plane_degrees_ok(pf, degrees):
                 continue
-            if spec.leaves is not None and pf.leaf_count != spec.leaves:
-                continue
-            if spec.degrees is not None:
-                if len(spec.degrees) != n or not _plane_degrees_ok(pf, spec.degrees):
-                    continue
-            found.append(pf)
-    found.sort(key=plane_key)
-    yield from found
-
-
-def _plane_shapes(spec: FamilySpec, guard: _Budget) -> Iterator[PlaneForest]:
-    found = []
-    for sizes in _compositions(spec.n, spec.root_label_count(), 1):
-        for trees in product(*(_shape_trees(s) for s in sizes)):
-            guard.spend()
-            pf = PlaneForest(tuple(trees))
-            if spec.leaves is not None and pf.leaf_count != spec.leaves:
-                continue
-            found.append(pf)
-    found.sort(key=plane_key)
-    yield from found
+        yield pf
 
 
 # --------------------------------------------------------------------------

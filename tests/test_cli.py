@@ -4,7 +4,10 @@ import io
 import json
 import sys
 
+import pytest
+
 from forestcodec import cli, parse_colored, parse_forest, parse_plane
+from forestcodec.enumeration import canonical_key
 
 DEEP_CHAIN = "(".join(map(str, range(1, 1201))) + ")" * 1199
 
@@ -95,6 +98,24 @@ class TestIdentity:
         )
         assert code == 0
         assert out.strip().endswith("PASS")
+
+    def test_missing_variables_take_the_default_ranges(self, capsys):
+        code, out, err = run(capsys, "identity", "bipartite", "--grid", "r=2")
+        assert (code, err) == (0, "")
+        rows = out.splitlines()
+        assert rows[0] == "r=2 s=1 lhs=1 rhs=1 PASS"
+        assert [row.split()[1] for row in rows[:-1]] == [f"s={s}" for s in range(1, 9)]
+        code, out, err = run(capsys, "identity", "kary", "--grid", "k=1..2")
+        assert (code, err) == (0, "")
+        rows = out.splitlines()
+        # p, q in 1..3 and p + q <= n <= 12: 81 points per k.
+        assert len(rows) == 2 * 81 + 1 and rows[-1] == "PASS"
+        assert rows[0] == "k=1 p=1 q=1 n=2 lhs=1 rhs=1 PASS"
+
+    def test_unknown_variable(self, capsys):
+        code, out, err = run(capsys, "identity", "kary", "--grid", "k=1,x=1")
+        assert (code, out) == (1, "")
+        assert err == "error: identity kary has no variable 'x'; it has k, p, q, n\n"
 
 
 class TestBijection:
@@ -318,3 +339,46 @@ class TestHelp:
         code, out, _ = run(capsys, "--help")
         assert code == 0
         assert "forestcodec" in out
+
+
+ERROR_PATHS = [
+    ("count", "cayley"),
+    ("count", "zeta", "--n", "3"),
+    ("enumerate", "--family", "plain", "--n", "0"),
+    ("enumerate", "--family", "leafplane", "--n", "5"),
+    ("enumerate", "--family", "plane", "--n", "9", "--roots", "1", "--budget", "100"),
+    ("sample", "--family", "colored", "--n", "4", "--seed", "1"),
+    ("sample", "--family", "plain", "--n", "4", "--roots", "9", "--seed", "1"),
+    ("bijection", "forward", "--family", "plain", "--forest", "5 3 0 0 0 3 1"),
+    ("bijection", "inverse", "--family", "plain", "--k", "3", "--choice", "6",
+     "--forest", "5 3 0 0 0 3 1"),
+    ("encode", "--forest", "2 2 0 0"),
+    ("encode", "--family", "plane", "--forest", "1(2"),
+    ("decode", "plain 5 : 3 1 9"),
+    ("identity", "bipartite", "--grid", "r=1"),
+    ("identity", "kary", "--grid", "x=1"),
+    ("verify", "recurrence"),
+    ("verify", "recurrence", "--family", "plain", "--n", "2"),
+    ("convert", "--kind", "plane", "--forest", "1(2"),
+    ("convert", "--kind", "rooted", "--forest", "3 1 0 5 1"),
+]
+
+
+@pytest.mark.parametrize("argv", ERROR_PATHS, ids=" ".join)
+def test_error_paths(capsys, argv):
+    """Each subcommand reports a bad input on one stderr line and exits 1."""
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+def test_over_budget_enumerate_prints_what_it_found(capsys):
+    code, out, err = run(
+        capsys, "enumerate", "--family", "plane", "--n", "9", "--roots", "1",
+        "--budget", "100",
+    )
+    assert (code, err) == (1, "error: candidate budget exceeded: 101 > 100\n")
+    keys = [canonical_key(parse_plane(line)) for line in out.splitlines()]
+    assert len(keys) == 100
+    assert all(a < b for a, b in zip(keys, keys[1:]))

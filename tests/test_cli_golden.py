@@ -289,7 +289,7 @@ DIGESTS = {
     'decode plane 4 : x 1': "78fd9dd0a429e88ebdb4d97d90d9f7d1348edf396d4bbf01b84f444414eb574e",
     'decode colored 4 : 2 5 1': "a222ba8c8e89e3b833126e569b48edb7b533d0a6fcb12a2c1b4a9816972d1b87",
     'encode --forest 3 2 0 0 1': "95668b8902ec395c49d90c8a52147ae1e264197aa41ddfa64c679eb3a8ce5fc3",
-    'encode --forest 2 2 0 0': "c5d7d2444af0f6a3e356142d26be55fcd85611756b175b96957bc076966bc5c9",
+    'encode --forest 2 2 0 0': "4b68d7cd5bfbf70907e26d85e4cb5a0f7bc09a6621dc9699d30679e36c6eabfe",
     'encode --family plane --forest 1(2);3': "508cd07d2886ed11d0392ee60330e53f3fd990b55e4ddcc8536f39182a4247a4",
     'encode --family plane --forest 1(*,2)': "85833b8f4f77752b881f4b241a3c4fa4e696d585aa161c699e7d6596653f70ec",
     'encode --family colored --forest 4 1 0 1 2 1/0 1 2 2': "fcee99f02bc781ed7ebe518f23a28156f70596c465de7e095a82fdfae43ecabb",

@@ -118,6 +118,8 @@ def test_encode_errors_match_the_steps():
         parse_colored("3 1 0 1 1\n0 3 1", 3),  # the last color at the root
         parse_colored("3 1 0 1 2\n0 1 3", 3),
         parse_colored("2 1 0 1\n0 3", 3),  # the last color, and no step
+        parse_plane("1;2"),  # two roots, and no step
+        parse_colored("2 2 0 0\n0 0", 3),  # two roots, and no step
     ]
     for forest in forests:
         try:
@@ -131,3 +133,13 @@ def test_encode_errors_match_the_steps():
     last_color = "^an edge out of a root carries the last color$"
     with pytest.raises(ValueError, match=last_color):
         encode(parse_colored("2 1 0 1\n0 3", 3))
+    # n = 2 names a second root as n >= 3 does.
+    two_roots = r"^expected roots exactly 1\.\.1, got \(1, 2\)$"
+    for forest in (
+        parse_forest("3 2 0 0 1"),
+        parse_forest("2 2 0 0"),
+        parse_plane("1;2"),
+        parse_colored("2 2 0 0\n0 0", 3),
+    ):
+        with pytest.raises(ValueError, match=two_roots):
+            encode(forest)

@@ -1,11 +1,15 @@
 """The brute-force oracles: order, closure, counts, and the budget guard."""
 
+from itertools import islice
+
 import pytest
 
 from forestcodec import (
     EdgeColoredForest,
     PartAssignment,
     is_descendant,
+    parse_plane,
+    render_plane,
 )
 from forestcodec.enumeration import (
     BudgetExceededError,
@@ -85,7 +89,11 @@ class TestPlaneStream:
     def test_strictly_increasing_keys(self):
         for spec in (
             FamilySpec("plane", n=4, roots=1),
+            FamilySpec("plane", n=5, roots=2, conditioned=True),
+            FamilySpec("plane", n=5, root_set=(2, 4)),
             FamilySpec("plane", n=6, roots=1, labeled=False),
+            FamilySpec("plane", n=7, roots=3, labeled=False),
+            FamilySpec("kary", n=3, arity=2, roots=2),
             FamilySpec("plain", n=4, roots=2),
             FamilySpec("leafplane", n=5, leaves=2, roots=1, conditioned=True),
             FamilySpec("special-colored", n=4, colors=3, roots=1, conditioned=True),
@@ -93,6 +101,19 @@ class TestPlaneStream:
             keys = [canonical_key(x) for x in enumerate_family(spec)]
             assert keys, spec
             assert all(a < b for a, b in zip(keys, keys[1:]))
+
+    def test_streams_lazily(self):
+        # The family has 8! * 1430 members, far over the budget of 100.
+        spec = FamilySpec("plane", n=9, roots=1)
+        first = list(islice(enumerate_family(spec, budget=100), 3))
+        keys = [canonical_key(pf) for pf in first]
+        assert len(keys) == 3
+        assert keys[0] < keys[1] < keys[2]
+
+    def test_key_of_a_deep_chain(self):
+        chain = parse_plane("(".join(map(str, range(1, 1201))) + ")" * 1199)
+        key = canonical_key(chain)
+        assert key == tuple(x for v in range(1, 1201) for x in (1, v)) + (0,) * 1201
 
 
 class TestColoredStream:
@@ -183,6 +204,18 @@ class TestBudget:
     def test_explicit_budget(self):
         with pytest.raises(BudgetExceededError):
             count_by_enumeration(FamilySpec("plain", n=4, roots=1), budget=10)
+
+    def test_plane_spends_one_per_candidate(self):
+        # 10 forests with roots 1, 2 on four labels; 5 have 4 in tree 1.
+        spec = FamilySpec("plane", n=4, roots=2, conditioned=True)
+        assert count_by_enumeration(spec, budget=10) == 5
+        # The stream yields 4 of the 5 before its 10th candidate.
+        got = []
+        with pytest.raises(BudgetExceededError):
+            got.extend(enumerate_family(spec, budget=9))
+        assert [render_plane(pf) for pf in got] == [
+            "1(3,4);2", "1(3(4));2", "1(4);2(3)", "1(4,3);2"
+        ]
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("FORESTCODEC_ORACLE_BUDGET", "10")
