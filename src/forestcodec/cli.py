@@ -16,6 +16,7 @@ from itertools import product
 from . import bijections as bij
 from . import codec, counting
 from .enumeration import (
+    FAMILIES,
     BudgetExceededError,
     FamilySpec,
     count_by_enumeration,
@@ -39,6 +40,11 @@ from .forests import (
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MISMATCH = 2
+
+# The choices of every --format option, and the families with bijection
+# steps and recurrences, which `bijection` and `verify` take.
+_FORMATS = ("text", "json", "dot")
+_STEP_FAMILIES = ("plain", "partite", "plane", "leafplane", "colored")
 
 
 # --------------------------------------------------------------------------
@@ -574,7 +580,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--limit", type=int)
     pe.add_argument("--count-only", action="store_true")
     pe.add_argument("--budget", type=int)
-    pe.add_argument("--format", choices=("text", "json", "dot"), default="text")
+    pe.add_argument("--format", choices=_FORMATS, default="text")
     pe.set_defaults(func=_cmd_enumerate)
 
     ps = sub.add_parser("sample", help="draw uniform random forests")
@@ -585,22 +591,18 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--unconditioned", action="store_true")
     ps.add_argument("--seed", type=int, required=True)
     ps.add_argument("--count", type=int, default=1)
-    ps.add_argument("--format", choices=("text", "json", "dot"), default="text")
+    ps.add_argument("--format", choices=_FORMATS, default="text")
     ps.set_defaults(func=_cmd_sample)
 
     pb = sub.add_parser("bijection", help="apply one forward or inverse step")
     pb.add_argument("direction", choices=("forward", "inverse"))
-    pb.add_argument(
-        "--family",
-        choices=("plain", "partite", "plane", "leafplane", "colored"),
-        default="plain",
-    )
+    pb.add_argument("--family", choices=_STEP_FAMILIES, default="plain")
     pb.add_argument("--k", type=int)
     pb.add_argument("--choice", type=int)
     pb.add_argument("--parts")
     pb.add_argument("--kc", type=int)
     pb.add_argument("--forest")
-    pb.add_argument("--format", choices=("text", "json", "dot"), default="text")
+    pb.add_argument("--format", choices=_FORMATS, default="text")
     pb.set_defaults(func=_cmd_bijection)
 
     pn = sub.add_parser("encode", help="print the choice trace of a forest")
@@ -611,7 +613,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pd = sub.add_parser("decode", help="rebuild the forest of a choice trace")
     pd.add_argument("trace", nargs="?", help='e.g. "plain 5 : 3 1 4"')
-    pd.add_argument("--format", choices=("text", "json", "dot"), default="text")
+    pd.add_argument("--format", choices=_FORMATS, default="text")
     pd.set_defaults(func=_cmd_decode)
 
     pi = sub.add_parser("identity", help="check a summation identity on a grid")
@@ -621,10 +623,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="check formulas against oracles")
     pv.add_argument("what", choices=("recurrence", "all"))
-    pv.add_argument(
-        "--family",
-        choices=("plain", "partite", "plane", "leafplane", "colored"),
-    )
+    pv.add_argument("--family", choices=_STEP_FAMILIES)
     pv.add_argument("--n", type=int)
     pv.add_argument("--k-range")
     pv.add_argument("--parts")
@@ -640,26 +639,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "--kind", choices=("auto", "rooted", "plane", "colored"), default="auto"
     )
     pt.add_argument("--kc", type=int)
-    pt.add_argument("--format", choices=("text", "json", "dot"), default="text")
+    pt.add_argument("--format", choices=_FORMATS, default="text")
     pt.set_defaults(func=_cmd_convert)
 
     return parser
 
 
 def _family_flags(sp) -> None:
-    sp.add_argument(
-        "--family",
-        choices=(
-            "plain",
-            "partite",
-            "plane",
-            "leafplane",
-            "kary",
-            "colored",
-            "special-colored",
-        ),
-        required=True,
-    )
+    sp.add_argument("--family", choices=FAMILIES, required=True)
     sp.add_argument(
         "--n", type=int, help="vertex count (for kary: internal vertex count)"
     )

@@ -110,11 +110,17 @@ def trace_bounds(family: str, n: int, colors: int = 0) -> tuple[int, ...]:
     """Upper bound of each trace position, aligned with ChoiceTrace.choices."""
     if family not in CODEC_FAMILIES:
         raise ValueError(f"no codec for family {family!r}")
-    # The inverse step from k roots has a*n + b*k choices, the family's
-    # recurrence multiplier.
-    a, b = {"plain": (1, 0), "plane": (2, -1), "colored": (colors - 2, 1)}[family]
+    # The inverse step from k roots has one choice per attachment target:
+    # a*n + b*(n-k) of them, as the degrees of the n vertices sum to the n-k
+    # edges.  This is the family's recurrence multiplier.
+    a, b = _targets(family, colors)
     head = (colors - 1,) if family == "colored" and n > 1 else ()
-    return head + tuple(a * n + b * k for k in range(n - 1, 1, -1))
+    return head + tuple(a * n + b * (n - k) for k in range(n - 1, 1, -1))
+
+
+def _targets(family: str, colors: int) -> tuple[int, int]:
+    """(a, b): a vertex of degree deg offers a + b*deg attachment targets."""
+    return {"plain": (1, 0), "plane": (1, 1), "colored": (colors - 1, -1)}[family]
 
 
 def trace_space_size(family: str, n: int, colors: int = 0) -> int:
@@ -237,12 +243,7 @@ class _Run:
 
     def __init__(self, family, n, colors, parent, kids, color) -> None:
         self.family, self.n, self.kc = family, n, colors
-        # The targets a vertex of degree deg offers: a + b*deg.
-        self.a, self.b = {
-            "plain": (1, 0),
-            "plane": (1, 1),
-            "colored": (colors - 1, -1),
-        }[family]
+        self.a, self.b = _targets(family, colors)
         self.parent, self.kids, self.color = parent, kids, color
         self.label = list(range(n + 1))  # the sentinel 0 stays fixed
         self.vid = list(range(n + 1))
@@ -559,6 +560,8 @@ def sample_uniform(
     """
     if family not in CODEC_FAMILIES:
         raise ValueError(f"no sampler for family {family!r}")
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     if not 1 <= roots <= max(n - 1, 1):
         raise ValueError(f"root count {roots} out of range")
     if family == "colored" and n > 1 and colors < 2:

@@ -2,20 +2,18 @@
 
 These are the brute-force oracles: deliberately naive, auditable, and in a
 fixed canonical order, so closed-form counts, bijection steps, and codecs
-can all be checked against them.  Plain, colored and plane streams
-(labeled or shapes) are produced lazily, already in canonical order; a
-plane stream spends its candidate budget one candidate at a time as it
-goes.  The leaf-unlabeled families, leafplane and k-ary, are built, each
-shape labeled every way, and sorted by ``plane_key``.
+can all be checked against them.  Every stream is produced lazily, already
+in canonical order.  The plane families (plane, leafplane and k-ary,
+labeled or shapes) come from one generator and spend their candidate
+budget one candidate at a time as they go.
 """
-
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass, replace
-from functools import lru_cache
-from itertools import permutations, product
-from typing import Iterable, Iterator, Sequence
+from itertools import product
+from typing import Iterator, Sequence
 
 from .forests import (
     EdgeColoredForest,
@@ -108,7 +106,8 @@ class FamilySpec:
         total = self.total_vertices()
         if self.root_set is not None:
             rs = self.root_set
-            if not rs or sorted(set(rs)) != list(rs) or rs[0] < 1 or rs[-1] > total:
+            ascending = all(a < b for a, b in zip(rs, rs[1:]))
+            if not rs or not ascending or rs[0] < 1 or rs[-1] > total:
                 raise ValueError(f"bad root set {rs}")
         elif not 1 <= self.roots <= total:
             raise ValueError(f"root count {self.roots} out of range")
@@ -188,8 +187,8 @@ def enumerate_family(spec: FamilySpec, budget: int | None = None) -> Iterator:
         "plain": _plain,
         "partite": _partite,
         "plane": _plane,
-        "leafplane": _leafplane,
-        "kary": _kary,
+        "leafplane": _plane,
+        "kary": _plane,
         "colored": _colored,
         "special-colored": _colored,
     }
@@ -276,180 +275,119 @@ def _partite(spec: FamilySpec, guard: _Budget) -> Iterator[RootedForest]:
 
 
 # --------------------------------------------------------------------------
-# Plane forests and shapes: one generator, in canonical order
+# Plane, leafplane and k-ary forests: one generator, in canonical order
 # --------------------------------------------------------------------------
+
+# A child-count rule: the least and most children of an unlabeled vertex and
+# of a labeled one.  In leafplane and k-ary the unlabeled vertices are the
+# leaves.
+_MANY = sys.maxsize
+_PLANE = ((0, _MANY), (0, _MANY))
+_LEAFPLANE = ((0, 0), (1, _MANY))
+
+Rule = tuple[tuple[int, int], tuple[int, int]]
 
 
 def _child_lists(
-    labels: tuple[int, ...], blanks: int
-) -> Iterator[tuple[tuple[PlaneNode, ...], tuple[int, ...], int]]:
-    """Each sequence of plane trees drawn from a pool of free ``labels``
-    (ascending) and ``blanks`` unlabeled vertices, with the pool it leaves,
-    in ``plane_key`` order."""
+    labels: tuple, blanks: int, low: int, high: int, rule: Rule, need: int,
+    exact: bool,
+) -> Iterator[tuple[tuple[PlaneNode, ...], tuple, int]]:
+    """Each sequence of ``low`` to ``high`` plane trees under ``rule``,
+    drawn from a pool of free ``labels`` (ascending) and ``blanks``
+    unlabeled vertices, with the pool it leaves, in ``plane_key`` order.
+
+    The sequence leaves at least ``need`` blanks, or when ``exact`` just
+    those and no label.  A pool entry of ``None`` takes the labeled rule
+    but no label; equal entries are tried once.
+    """
+    # When a labeled vertex needs a child, every subtree holds a blank: keep
+    # one back for each subtree still owed.
+    each = rule[1][0] > 0
+    if blanks < need + each * low:
+        return
     # A position takes, in key order: the end of the sequence, an unlabeled
     # vertex (key 0), then each free label in ascending order.
-    yield (), labels, blanks
-    firsts = [(None, labels, blanks - 1)] if blanks else []
-    firsts += [(v, labels[:i] + labels[i + 1 :], blanks) for i, v in enumerate(labels)]
-    for label, labels_in, blanks_in in firsts:
-        for kids, labels_left, blanks_left in _child_lists(labels_in, blanks_in):
+    if not low and not (exact and (labels or blanks != need)):
+        yield (), labels, blanks
+    if not high:
+        return
+    low, high = low and low - 1, high - 1
+    firsts = [(None, rule[0], labels, blanks - 1)] if blanks else []
+    firsts += [
+        (v, rule[1], labels[:i] + labels[i + 1 :], blanks)
+        for i, v in enumerate(labels)
+        if not i or v != labels[i - 1]
+    ]
+    # The last child of an exact sequence with no more to come is exact too.
+    kid_need, kid_exact = need + each * low, exact and not high
+    for label, (kid_low, kid_high), labels_in, blanks_in in firsts:
+        for kids, labels_left, blanks_left in _child_lists(
+            labels_in, blanks_in, kid_low, kid_high, rule, kid_need, kid_exact
+        ):
             child = PlaneNode(label, kids)
-            for rest, labels_end, blanks_end in _child_lists(labels_left, blanks_left):
+            for rest, labels_end, blanks_end in _child_lists(
+                labels_left, blanks_left, low, high, rule, need, exact
+            ):
                 yield (child,) + rest, labels_end, blanks_end
 
 
 def _plane_forests(
-    roots: tuple[int | None, ...], labels: tuple[int, ...], blanks: int
+    roots: tuple, labels: tuple, blanks: int, rule: Rule
 ) -> Iterator[tuple[PlaneNode, ...]]:
-    """Each sequence of plane trees with these roots that uses the whole
-    pool, in ``plane_key`` order: every tree but the last draws any part
-    of the pool, and the last draws the rest."""
+    """Each sequence of plane trees with these roots, which take the labeled
+    rule, that uses the whole pool, in ``plane_key`` order: every tree but
+    the last draws any part of the pool, and the last draws the rest."""
     root, later = roots[0], roots[1:]
-    for kids, labels_left, blanks_left in _child_lists(labels, blanks):
+    low, high = rule[1]
+    for kids, labels_left, blanks_left in _child_lists(
+        labels, blanks, low, high, rule, (low > 0) * len(later), not later
+    ):
         tree = PlaneNode(root, kids)
-        if later:
-            for trees in _plane_forests(later, labels_left, blanks_left):
-                yield (tree,) + trees
-        elif not labels_left and not blanks_left:
+        if not later:
             yield (tree,)
-
-
-@lru_cache(maxsize=None)
-def _shape_trees(size: int) -> tuple[PlaneNode, ...]:
-    return tuple(trees[0] for trees in _plane_forests((None,), (), size - 1))
-
-
-def _compositions(total: int, parts: int, minimum: int) -> Iterator[tuple[int, ...]]:
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(minimum, total - minimum * (parts - 1) + 1):
-        for rest in _compositions(total - first, parts - 1, minimum):
-            yield (first,) + rest
+        else:
+            for trees in _plane_forests(later, labels_left, blanks_left, rule):
+                yield (tree,) + trees
 
 
 def _plane_degrees_ok(pf: PlaneForest, degrees: tuple[int, ...]) -> bool:
-    for _, _, node in plane_preorder(pf):
-        if node.label is not None and degrees[node.label - 1] != len(node.children):
-            return False
-    return True
+    entries = plane_preorder(pf)
+    return len(entries) == len(degrees) and all(
+        degrees[node.label - 1] == len(node.children) for _, _, node in entries
+    )
 
 
 def _plane(spec: FamilySpec, guard: _Budget) -> Iterator[PlaneForest]:
-    n, roots = spec.n, spec.root_labels()
-    labels, blanks = tuple(v for v in range(1, n + 1) if v not in roots), 0
-    conditioned, degrees = spec.conditioned, spec.degrees
-    if not spec.labeled:  # shapes: unlabeled roots, and only the leaf filter
-        roots, labels, blanks = (None,) * len(roots), (), n - len(roots)
-        conditioned, degrees = False, None
-    for trees in _plane_forests(roots, labels, blanks):
+    """Plane, leafplane and k-ary members, each family under its child-count
+    rule.  Leafplane and k-ary label the internal vertices, roots 1..r
+    first, leave the leaves unlabeled and take no filter; k-ary shapes are
+    single trees, whose other internal vertices join the pool unlabeled."""
+    family, roots, arity = spec.family, spec.root_labels(), spec.arity
+    internal = spec.n - spec.leaves if family == "leafplane" else spec.n
+    labels = tuple(v for v in range(1, internal + 1) if v not in roots)
+    blanks = spec.total_vertices() - internal
+    pivot = internal if spec.conditioned else None
+    leaves, degrees = (spec.leaves, spec.degrees) if family == "plane" else (None, None)
+    kary = ((0, 0), (arity, arity))
+    rule = {"plane": _PLANE, "leafplane": _LEAFPLANE, "kary": kary}[family]
+    if family == "plane" and not spec.labeled:  # shapes: only the leaf filter
+        roots, labels, blanks = (None,) * len(roots), (), len(labels)
+        pivot = degrees = None
+    elif family == "kary" and not spec.labeled:
+        roots, labels, pivot = (None,), (None,) * (internal - 1), None
+        blanks = (arity - 1) * internal + 1
+    elif internal < len(roots):
+        return
+    for trees in _plane_forests(roots, labels, blanks, rule):
         guard.spend()
         pf = PlaneForest(trees)
-        if conditioned and not plane_label_in_tree(pf, n, 1):
+        if pivot is not None and not plane_label_in_tree(pf, pivot, 1):
             continue
-        if spec.leaves is not None and pf.leaf_count != spec.leaves:
+        if leaves is not None and pf.leaf_count != leaves:
             continue
-        if degrees is not None:
-            if len(degrees) != n or not _plane_degrees_ok(pf, degrees):
-                continue
+        if degrees is not None and not _plane_degrees_ok(pf, degrees):
+            continue
         yield pf
-
-
-# --------------------------------------------------------------------------
-# Leaf-unlabeled plane forests (general and k-ary)
-# --------------------------------------------------------------------------
-
-
-def _label_shape_forest(
-    shapes: Sequence[PlaneNode], free_labels: Sequence[int]
-) -> PlaneForest:
-    it = iter(free_labels)
-
-    def walk(node: PlaneNode, root_label: int | None) -> PlaneNode:
-        if node.is_leaf:
-            return PlaneNode(None)
-        lab = next(it) if root_label is None else root_label
-        return PlaneNode(lab, tuple(walk(c, None) for c in node.children))
-
-    return PlaneForest(
-        tuple(walk(shape, i + 1) for i, shape in enumerate(shapes))
-    )
-
-
-def _internal_labeled_stream(
-    shape_forests: Iterable[tuple[PlaneNode, ...]],
-    r: int,
-    internal_total: int,
-    conditioned: bool,
-    guard: _Budget,
-) -> Iterator[PlaneForest]:
-    found = []
-    free = list(range(r + 1, internal_total + 1))
-    for shapes in shape_forests:
-        for perm in permutations(free):
-            guard.spend()
-            pf = _label_shape_forest(shapes, perm)
-            if conditioned and not plane_label_in_tree(pf, internal_total, 1):
-                continue
-            found.append(pf)
-    found.sort(key=plane_key)
-    yield from found
-
-
-def _shape_leaves(node: PlaneNode) -> int:
-    if node.is_leaf:
-        return 1
-    return sum(_shape_leaves(c) for c in node.children)
-
-
-def _leafplane(spec: FamilySpec, guard: _Budget) -> Iterator[PlaneForest]:
-    n, p, r = spec.n, spec.leaves, spec.root_label_count()
-    internal = n - p
-    if internal < r:
-        return
-
-    def shape_forests():
-        for sizes in _compositions(n, r, 2):  # every root must be internal
-            for shapes in product(*(_shape_trees(s) for s in sizes)):
-                if sum(_shape_leaves(s) for s in shapes) == p:
-                    yield shapes
-
-    yield from _internal_labeled_stream(
-        shape_forests(), r, internal, spec.conditioned, guard
-    )
-
-
-@lru_cache(maxsize=None)
-def _kary_trees(internal: int, arity: int) -> tuple[PlaneNode, ...]:
-    # k-ary shapes: every internal vertex has exactly `arity` children.
-    if internal == 0:
-        return (PlaneNode(None),)
-    out = []
-    for split in _compositions(internal - 1, arity, 0):
-        for kids in product(*(_kary_trees(m, arity) for m in split)):
-            out.append(PlaneNode(None, kids))
-    return tuple(out)
-
-
-def _kary(spec: FamilySpec, guard: _Budget) -> Iterator[PlaneForest]:
-    internal, r, arity = spec.n, spec.root_label_count(), spec.arity
-    if not spec.labeled:
-        for shape in sorted(
-            (PlaneForest((t,)) for t in _kary_trees(internal, arity)),
-            key=plane_key,
-        ):
-            guard.spend()
-            yield shape
-        return
-
-    def shape_forests():
-        for split in _compositions(internal, r, 1):  # roots are internal
-            yield from product(*(_kary_trees(m, arity) for m in split))
-
-    yield from _internal_labeled_stream(
-        shape_forests(), r, internal, spec.conditioned, guard
-    )
 
 
 # --------------------------------------------------------------------------

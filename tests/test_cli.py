@@ -349,6 +349,7 @@ ERROR_PATHS = [
     ("enumerate", "--family", "plane", "--n", "9", "--roots", "1", "--budget", "100"),
     ("sample", "--family", "colored", "--n", "4", "--seed", "1"),
     ("sample", "--family", "plain", "--n", "4", "--roots", "9", "--seed", "1"),
+    ("sample", "--family", "plain", "--n", "0", "--seed", "1"),
     ("bijection", "forward", "--family", "plain", "--forest", "5 3 0 0 0 3 1"),
     ("bijection", "inverse", "--family", "plain", "--k", "3", "--choice", "6",
      "--forest", "5 3 0 0 0 3 1"),
@@ -374,11 +375,12 @@ def test_error_paths(capsys, argv):
 
 
 def test_over_budget_enumerate_prints_what_it_found(capsys):
-    code, out, err = run(
-        capsys, "enumerate", "--family", "plane", "--n", "9", "--roots", "1",
-        "--budget", "100",
-    )
-    assert (code, err) == (1, "error: candidate budget exceeded: 101 > 100\n")
-    keys = [canonical_key(parse_plane(line)) for line in out.splitlines()]
-    assert len(keys) == 100
-    assert all(a < b for a, b in zip(keys, keys[1:]))
+    for family in (
+        ("--family", "plane", "--n", "9", "--roots", "1"),
+        ("--family", "leafplane", "--n", "12", "--leaves", "5"),
+    ):
+        code, out, err = run(capsys, "enumerate", *family, "--budget", "100")
+        assert (code, err) == (1, "error: candidate budget exceeded: 101 > 100\n")
+        keys = [canonical_key(parse_plane(line)) for line in out.splitlines()]
+        assert len(keys) == 100
+        assert all(a < b for a, b in zip(keys, keys[1:]))

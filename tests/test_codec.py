@@ -292,3 +292,9 @@ class TestSampling:
             for _ in range(3)
         }
         assert len(texts) == 1
+
+    @pytest.mark.parametrize("family", ("plain", "plane", "colored"))
+    @pytest.mark.parametrize("n", (0, -3))
+    def test_rejects_empty_and_negative_n(self, family, n):
+        with pytest.raises(ValueError, match=f"need n >= 1, got {n}"):
+            sample_uniform(family, n, seed=1, colors=3)

@@ -94,8 +94,10 @@ class TestPlaneStream:
             FamilySpec("plane", n=6, roots=1, labeled=False),
             FamilySpec("plane", n=7, roots=3, labeled=False),
             FamilySpec("kary", n=3, arity=2, roots=2),
+            FamilySpec("kary", n=4, arity=3, labeled=False),
             FamilySpec("plain", n=4, roots=2),
             FamilySpec("leafplane", n=5, leaves=2, roots=1, conditioned=True),
+            FamilySpec("leafplane", n=8, leaves=3, roots=3),
             FamilySpec("special-colored", n=4, colors=3, roots=1, conditioned=True),
         ):
             keys = [canonical_key(x) for x in enumerate_family(spec)]
@@ -105,6 +107,21 @@ class TestPlaneStream:
     def test_streams_lazily(self):
         # The family has 8! * 1430 members, far over the budget of 100.
         spec = FamilySpec("plane", n=9, roots=1)
+        first = list(islice(enumerate_family(spec, budget=100), 3))
+        keys = [canonical_key(pf) for pf in first]
+        assert len(keys) == 3
+        assert keys[0] < keys[1] < keys[2]
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            # 6! * 13860 and 7! * 1430 members, far over the budget of 100.
+            FamilySpec("leafplane", n=12, leaves=5, roots=1),
+            FamilySpec("kary", n=8, arity=2, roots=1),
+        ],
+        ids=lambda spec: spec.family,
+    )
+    def test_leaf_unlabeled_streams_lazily(self, spec):
         first = list(islice(enumerate_family(spec, budget=100), 3))
         keys = [canonical_key(pf) for pf in first]
         assert len(keys) == 3

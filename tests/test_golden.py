@@ -1,9 +1,12 @@
-"""Byte-for-byte pin of sampler and codec output.
+"""Byte-for-byte pin of sampler, codec and oracle output.
 
-The digests below were recorded before the bijection steps were rewritten
-for linear work per step.  They fix, for every codec family, the forest that
-each seed samples and the trace that encoding it records, so any change in
-the choice indexing, the RNG draw order or the step results shows up here.
+The sampler and codec digests were recorded before the bijection steps were
+rewritten for linear work per step.  They fix, for every codec family, the
+forest that each seed samples and the trace that encoding it records, so any
+change in the choice indexing, the RNG draw order or the step results shows
+up here.  The oracle digests were recorded while leafplane and k-ary were
+still built shape by shape and sorted; they fix those streams' members and
+canonical order.
 """
 
 import hashlib
@@ -11,6 +14,7 @@ import hashlib
 import pytest
 
 from forestcodec import (
+    FamilySpec,
     encode,
     render_colored,
     render_forest,
@@ -18,6 +22,7 @@ from forestcodec import (
     render_trace,
     sample_uniform,
 )
+from forestcodec.enumeration import enumerate_family
 
 FAMILIES = {
     "plain": (0, render_forest),
@@ -77,3 +82,31 @@ def digest(lines: list[str]) -> str:
 @pytest.mark.parametrize("mode", ("one-root", "roots3"))
 def test_golden_output(family, n, mode):
     assert digest(golden_lines(family, n, mode)) == DIGESTS[(family, n, mode)]
+
+
+# sha256 of the rendered stream, one forest a line, with its member count.
+ORACLE_DIGESTS = {
+    "leafplane n=8 p=3 r=2": (
+        FamilySpec("leafplane", n=8, leaves=3, roots=2),
+        240, "f71b8e547fa50ec302daec00e0179ce1c15ed18feb9111e484a446149c87da28",
+    ),
+    "leafplane n=8 p=3 r=2 conditioned": (
+        FamilySpec("leafplane", n=8, leaves=3, roots=2, conditioned=True),
+        120, "43c03288bad4f4567f62c44f66a0053607ea91d6785a9b3df848c6f44f98a9f9",
+    ),
+    "kary a=2 n=4 r=2": (
+        FamilySpec("kary", n=4, arity=2, roots=2),
+        28, "1afc002eacf6733a502773dd5af4c40be8b70b24cbf52378e9c1b9b23b8f9198",
+    ),
+    "kary a=3 n=4 shapes": (
+        FamilySpec("kary", n=4, arity=3, labeled=False),
+        55, "3f00338a004a8c09bcac52a2c41f8bc7397e0f141a4a29c6421c014b988672b2",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_DIGESTS)
+def test_oracle_stream(name):
+    spec, count, want = ORACLE_DIGESTS[name]
+    lines = [render_plane(pf) for pf in enumerate_family(spec)]
+    assert (len(lines), digest(lines)) == (count, want)
