@@ -3,48 +3,38 @@ sampling, identities, and the verification battery.
 
 Exit codes: 0 success, 1 usage or validation failure, 2 a verification
 mismatch (a formula disagreeing with its oracle, or a failed identity).
+
+Each command imports the library modules it runs when it runs, so a
+process compiles only those: ``count`` loads ``counting`` and nothing else.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
-from dataclasses import replace
 from itertools import product
-
-from . import bijections as bij
-from . import codec, counting
-from .enumeration import (
-    FAMILIES,
-    BudgetExceededError,
-    FamilySpec,
-    count_by_enumeration,
-    enumerate_family,
-    verify_recurrence,
-)
-from .forests import (
-    EdgeColoredForest,
-    PartAssignment,
-    PlaneForest,
-    RootedForest,
-    parse_colored,
-    parse_forest,
-    parse_plane,
-    plane_preorder,
-    render_colored,
-    render_forest,
-    render_plane,
-)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MISMATCH = 2
 
-# The choices of every --format option, and the families with bijection
-# steps and recurrences, which `bijection` and `verify` take.
+# The choices of every --format option; the families with bijection steps
+# and recurrences, which `bijection` and `verify` take; and, as literals so
+# that building the parser imports neither module, `codec.CODEC_FAMILIES`
+# and `enumeration.FAMILIES`, which a test pins them to.
 _FORMATS = ("text", "json", "dot")
 _STEP_FAMILIES = ("plain", "partite", "plane", "leafplane", "colored")
+_CODEC_FAMILIES = ("plain", "plane", "colored")
+_FAMILIES = (
+    "plain",
+    "partite",
+    "plane",
+    "leafplane",
+    "kary",
+    "colored",
+    "special-colored",
+)
 
 
 # --------------------------------------------------------------------------
@@ -53,6 +43,8 @@ _STEP_FAMILIES = ("plain", "partite", "plane", "leafplane", "colored")
 
 
 def _to_json(obj) -> dict:
+    from .forests import EdgeColoredForest, PlaneForest, RootedForest
+
     if isinstance(obj, EdgeColoredForest):
         return {
             "kind": "colored",
@@ -88,6 +80,8 @@ def _to_json(obj) -> dict:
 
 
 def _to_dot(obj) -> str:
+    from .forests import EdgeColoredForest, PlaneForest, RootedForest, plane_preorder
+
     lines = ["digraph forest {"]
     if isinstance(obj, (RootedForest, EdgeColoredForest)):
         base = obj.base if isinstance(obj, EdgeColoredForest) else obj
@@ -124,6 +118,8 @@ def _dumps(doc: dict) -> str:
     forest's document overflows.  The stack holds either text ready to emit
     or a dict or list still to open.
     """
+    import json
+
     out: list[str] = []
     stack: list = [doc]
     while stack:
@@ -152,6 +148,14 @@ def _render(obj, fmt: str) -> str:
         return _dumps(_to_json(obj))
     if fmt == "dot":
         return _to_dot(obj)
+    from .forests import (
+        EdgeColoredForest,
+        RootedForest,
+        render_colored,
+        render_forest,
+        render_plane,
+    )
+
     if isinstance(obj, EdgeColoredForest):
         return render_colored(obj)
     if isinstance(obj, RootedForest):
@@ -160,6 +164,8 @@ def _render(obj, fmt: str) -> str:
 
 
 def _parse_any(text: str, kind: str, color_count: int | None):
+    from .forests import parse_colored, parse_forest, parse_plane
+
     if kind == "auto":
         if any(ch in text for ch in "(;*"):
             kind = "plane"
@@ -243,6 +249,8 @@ def _need(args, *names):
 def _cmd_count(args) -> int:
     if args.formula not in _FORMULAS:
         raise ValueError(f"unknown formula {args.formula!r}")
+    from . import counting
+
     name, flags = _FORMULAS[args.formula]
     values = _need(args, *flags.split())
     out = getattr(counting, name)(
@@ -258,7 +266,9 @@ def _cmd_count(args) -> int:
 # --------------------------------------------------------------------------
 
 
-def _spec_from_args(args) -> FamilySpec:
+def _spec_from_args(args):
+    from .enumeration import FamilySpec
+
     return FamilySpec(
         family=args.family,
         n=args.n or 0,
@@ -274,6 +284,8 @@ def _spec_from_args(args) -> FamilySpec:
 
 
 def _cmd_enumerate(args) -> int:
+    from .enumeration import count_by_enumeration, enumerate_family
+
     spec = _spec_from_args(args)
     if args.count_only:
         print(count_by_enumeration(spec, args.budget))
@@ -288,6 +300,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    from . import codec
+
     rng = codec.SplitMix64(args.seed)
     for _ in range(args.count):
         forest = codec.sample_uniform(
@@ -316,6 +330,9 @@ def _family_forest(args):
 
 
 def _cmd_bijection(args) -> int:
+    from . import bijections
+    from .forests import PartAssignment
+
     family = args.family
     forest = _family_forest(args)
     if args.k is None:
@@ -325,7 +342,7 @@ def _cmd_bijection(args) -> int:
         if not args.parts:
             raise ValueError("partite bijections need --parts")
         parts = (PartAssignment(_ints(args.parts)),)
-    step = getattr(bij, f"{family}_{args.direction}")
+    step = getattr(bijections, f"{family}_{args.direction}")
     if args.direction == "forward":
         out, c = step(forest, args.k, *parts)
         print(_render(out, args.format))
@@ -338,11 +355,15 @@ def _cmd_bijection(args) -> int:
 
 
 def _cmd_encode(args) -> int:
+    from . import codec
+
     print(codec.render_trace(codec.encode(_family_forest(args))))
     return EXIT_OK
 
 
 def _cmd_decode(args) -> int:
+    from . import codec
+
     text = args.trace if args.trace is not None else sys.stdin.read()
     print(_render(codec.decode(codec.parse_trace(text)), args.format))
     return EXIT_OK
@@ -380,6 +401,8 @@ _IDENTITIES = {
 def _identity_rows(name: str, given: dict[str, range]):
     """(point, lhs, rhs) at each point of an identity's grid, where the
     ranges given replace the defaults."""
+    from . import counting
+
     func, grid, defined = _IDENTITIES[name]
     for var in given:
         if var not in grid:
@@ -423,6 +446,8 @@ def _verdict(failures: int) -> int:
 
 def _cmd_verify(args) -> int:
     if args.what == "recurrence":
+        from .enumeration import verify_recurrence
+
         if args.family is None:
             raise ValueError("verify recurrence needs --family")
         rows = verify_recurrence(
@@ -439,6 +464,11 @@ def _cmd_verify(args) -> int:
 
 
 def _verify_all(max_n: int, budget: int | None) -> int:
+    from dataclasses import replace
+
+    from . import codec, counting
+    from .enumeration import FamilySpec, count_by_enumeration, verify_recurrence
+
     failures = 0
 
     def check(name: str, got, want) -> None:
@@ -584,7 +614,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pe.set_defaults(func=_cmd_enumerate)
 
     ps = sub.add_parser("sample", help="draw uniform random forests")
-    ps.add_argument("--family", choices=codec.CODEC_FAMILIES, default="plain")
+    ps.add_argument("--family", choices=_CODEC_FAMILIES, default="plain")
     ps.add_argument("--n", type=int, required=True)
     ps.add_argument("--kc", type=int)
     ps.add_argument("--roots", type=int, default=1)
@@ -606,7 +636,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pb.set_defaults(func=_cmd_bijection)
 
     pn = sub.add_parser("encode", help="print the choice trace of a forest")
-    pn.add_argument("--family", choices=codec.CODEC_FAMILIES, default="plain")
+    pn.add_argument("--family", choices=_CODEC_FAMILIES, default="plain")
     pn.add_argument("--kc", type=int)
     pn.add_argument("--forest")
     pn.set_defaults(func=_cmd_encode)
@@ -646,7 +676,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _family_flags(sp) -> None:
-    sp.add_argument("--family", choices=FAMILIES, required=True)
+    sp.add_argument("--family", choices=_FAMILIES, required=True)
     sp.add_argument(
         "--n", type=int, help="vertex count (for kary: internal vertex count)"
     )
@@ -666,6 +696,14 @@ def _family_flags(sp) -> None:
     sp.add_argument("--degrees", help="child counts per vertex, e.g. 1,1,0")
 
 
+def _reported_errors() -> tuple[type[Exception], ...]:
+    """The errors a command reports on one ``error: `` line.  Only a loaded
+    enumeration module can raise its budget error, so this loads none."""
+    enumeration = sys.modules.get(f"{__package__}.enumeration")
+    budget = (enumeration.BudgetExceededError,) if enumeration else ()
+    return (ValueError, ArithmeticError, *budget)
+
+
 def run(argv: list[str]) -> int:
     parser = _build_parser()
     try:
@@ -680,8 +718,16 @@ def run(argv: list[str]) -> int:
         digits = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
-    except (ValueError, ArithmeticError, BudgetExceededError) as exc:
+        code = args.func(args)
+        sys.stdout.flush()  # so a reader that left early fails it here
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull, so the flush at exit has nothing to fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_USAGE
+    except _reported_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     finally:

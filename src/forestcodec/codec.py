@@ -96,11 +96,12 @@ class ChoiceTrace:
             raise ValueError(f"need n >= 1, got {self.n}")
         if self.family == "colored" and self.n > 1 and self.colors < 2:
             raise ValueError("colored traces need at least two colors")
+        # Count before listing the bounds: n may come from outside and be
+        # far too large to list.
+        want = max(self.n - 2, 0) + (self.family == "colored" and self.n > 1)
+        if len(self.choices) != want:
+            raise ValueError(f"expected {want} choices, got {len(self.choices)}")
         bounds = trace_bounds(self.family, self.n, self.colors)
-        if len(self.choices) != len(bounds):
-            raise ValueError(
-                f"expected {len(bounds)} choices, got {len(self.choices)}"
-            )
         for c, bound in zip(self.choices, bounds):
             if not 1 <= c <= bound:
                 raise ValueError(f"choice {c} out of range 1..{bound}")

@@ -120,6 +120,15 @@ class FamilySpec:
             raise ValueError(f"{self.family} roots are always labeled 1..r")
         if self.family in ("colored", "special-colored") and self.colors < 1:
             raise ValueError("colored families need at least one color")
+        # A filter the family's generator would drop is an error, not a no-op.
+        shapes = not self.labeled and self.family in ("plane", "kary")
+        kind = f"unlabeled {self.family}" if shapes else self.family
+        if self.degrees is not None and (shapes or self.family in ("leafplane", "kary")):
+            raise ValueError(f"{kind} forests take no degrees filter")
+        if self.conditioned and shapes:
+            raise ValueError(f"{kind} forests take no conditioned filter")
+        if shapes and self.family == "kary" and self.roots != 1:
+            raise ValueError(f"{kind} forests are single trees: roots must be 1")
 
     def total_vertices(self) -> int:
         if self.family == "partite":

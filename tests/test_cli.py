@@ -2,10 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import forestcodec
 from forestcodec import cli, parse_colored, parse_forest, parse_plane
 from forestcodec.enumeration import canonical_key
 
@@ -79,7 +83,7 @@ class TestVerify:
 
     def test_mismatch_exits_two(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            cli.counting, "bipartite_identity", lambda r, s: (1, 2)
+            forestcodec.counting, "bipartite_identity", lambda r, s: (1, 2)
         )
         code, out, _ = run(capsys, "identity", "bipartite", "--grid", "r=2..2,s=1..1")
         assert code == 2
@@ -347,6 +351,12 @@ ERROR_PATHS = [
     ("enumerate", "--family", "plain", "--n", "0"),
     ("enumerate", "--family", "leafplane", "--n", "5"),
     ("enumerate", "--family", "plane", "--n", "9", "--roots", "1", "--budget", "100"),
+    ("enumerate", "--family", "leafplane", "--n", "5", "--leaves", "2", "--degrees", "9",
+     "--count-only"),
+    ("enumerate", "--family", "plane", "--n", "7", "--unlabeled", "--degrees", "1,1",
+     "--count-only"),
+    ("enumerate", "--family", "kary", "--n", "2", "--arity", "2", "--roots", "3",
+     "--unlabeled", "--conditioned", "--count-only"),
     ("sample", "--family", "colored", "--n", "4", "--seed", "1"),
     ("sample", "--family", "plain", "--n", "4", "--roots", "9", "--seed", "1"),
     ("sample", "--family", "plain", "--n", "0", "--seed", "1"),
@@ -356,6 +366,7 @@ ERROR_PATHS = [
     ("encode", "--forest", "2 2 0 0"),
     ("encode", "--family", "plane", "--forest", "1(2"),
     ("decode", "plain 5 : 3 1 9"),
+    ("decode", "plain 100000000000000000000 : 1"),
     ("identity", "bipartite", "--grid", "r=1"),
     ("identity", "kary", "--grid", "x=1"),
     ("verify", "recurrence"),
@@ -384,3 +395,27 @@ def test_over_budget_enumerate_prints_what_it_found(capsys):
         keys = [canonical_key(parse_plane(line)) for line in out.splitlines()]
         assert len(keys) == 100
         assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+@pytest.mark.parametrize("unbuffered", ("1", ""), ids=("unbuffered", "buffered"))
+def test_reader_closing_the_pipe_exits_one_quietly(unbuffered):
+    """``forestcodec enumerate ... | head -1``: the command stops with exit 1
+    and writes nothing to stderr when its reader goes away."""
+    src = str(Path(forestcodec.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [
+            sys.executable,
+            "-c",
+            "import sys; from forestcodec.cli import main; sys.exit(main())",
+            "enumerate", "--family", "plane", "--n", "7",
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered},
+    )
+    # 1.6 MB of output: far more than the pipe holds.
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), first, err) == (1, b"1(2,3,4,5,6,7)\n", b"")

@@ -259,3 +259,30 @@ class TestSpecValidation:
     def test_root_count_out_of_range(self):
         with pytest.raises(ValueError, match="root count"):
             list(enumerate_family(FamilySpec("partite", part_sizes=(2, 2), roots=5)))
+
+    @pytest.mark.parametrize(
+        "spec, param",
+        [
+            (FamilySpec("leafplane", n=5, leaves=2, degrees=(9,)), "degrees"),
+            (FamilySpec("kary", n=2, arity=2, degrees=(2, 0, 0, 0, 0)), "degrees"),
+            (FamilySpec("plane", n=7, labeled=False, degrees=(1, 1)), "degrees"),
+            (FamilySpec("kary", n=2, arity=2, labeled=False, degrees=(2,)), "degrees"),
+            (FamilySpec("plane", n=4, labeled=False, conditioned=True), "conditioned"),
+            (FamilySpec("kary", n=2, arity=2, labeled=False, conditioned=True), "conditioned"),
+            (FamilySpec("kary", n=2, arity=2, labeled=False, roots=3), "roots"),
+        ],
+    )
+    def test_ignored_parameters_are_rejected(self, spec, param):
+        """A parameter the family's generator would drop names itself."""
+        with pytest.raises(ValueError, match=param):
+            spec.validate()
+
+    def test_parameters_the_family_uses_still_pass(self):
+        for spec in (
+            FamilySpec("plane", n=3, degrees=(2, 0, 0)),
+            FamilySpec("plane", n=4, labeled=False, leaves=2),
+            FamilySpec("kary", n=2, arity=2, roots=2, conditioned=True),
+            FamilySpec("kary", n=2, arity=2, labeled=False),
+            FamilySpec("colored", n=3, colors=2, degrees=(2, 0, 0)),
+        ):
+            spec.validate()
