@@ -123,7 +123,8 @@ class FamilySpec:
         # A filter the family's generator would drop is an error, not a no-op.
         shapes = not self.labeled and self.family in ("plane", "kary")
         kind = f"unlabeled {self.family}" if shapes else self.family
-        if self.degrees is not None and (shapes or self.family in ("leafplane", "kary")):
+        unfiltered = shapes or self.family in ("leafplane", "kary")
+        if self.degrees is not None and unfiltered:
             raise ValueError(f"{kind} forests take no degrees filter")
         if self.conditioned and shapes:
             raise ValueError(f"{kind} forests take no conditioned filter")

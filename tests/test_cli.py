@@ -351,8 +351,8 @@ ERROR_PATHS = [
     ("enumerate", "--family", "plain", "--n", "0"),
     ("enumerate", "--family", "leafplane", "--n", "5"),
     ("enumerate", "--family", "plane", "--n", "9", "--roots", "1", "--budget", "100"),
-    ("enumerate", "--family", "leafplane", "--n", "5", "--leaves", "2", "--degrees", "9",
-     "--count-only"),
+    ("enumerate", "--family", "leafplane", "--n", "5", "--leaves", "2",
+     "--degrees", "9", "--count-only"),
     ("enumerate", "--family", "plane", "--n", "7", "--unlabeled", "--degrees", "1,1",
      "--count-only"),
     ("enumerate", "--family", "kary", "--n", "2", "--arity", "2", "--roots", "3",

@@ -268,7 +268,10 @@ class TestSpecValidation:
             (FamilySpec("plane", n=7, labeled=False, degrees=(1, 1)), "degrees"),
             (FamilySpec("kary", n=2, arity=2, labeled=False, degrees=(2,)), "degrees"),
             (FamilySpec("plane", n=4, labeled=False, conditioned=True), "conditioned"),
-            (FamilySpec("kary", n=2, arity=2, labeled=False, conditioned=True), "conditioned"),
+            (
+                FamilySpec("kary", n=2, arity=2, labeled=False, conditioned=True),
+                "conditioned",
+            ),
             (FamilySpec("kary", n=2, arity=2, labeled=False, roots=3), "roots"),
         ],
     )

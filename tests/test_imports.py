@@ -37,13 +37,15 @@ def loaded_by(*argv: str) -> set[str]:
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    return {m.removeprefix("forestcodec.") for m in done.stdout.splitlines()[-1].split()}
+    loaded = done.stdout.splitlines()[-1].split()
+    return {m.removeprefix("forestcodec.") for m in loaded}
 
 
 @pytest.mark.parametrize(
     "argv, unused",
     [
-        (("count", "cayley", "--n", "5"), {"codec", "enumeration", "bijections", "forests"}),
+        (("count", "cayley", "--n", "5"),
+         {"codec", "enumeration", "bijections", "forests"}),
         (("convert", "--forest", "1(5,3(4));2", "--format", "json"),
          {"codec", "enumeration", "bijections", "counting"}),
         (("convert", "--forest", "5 3 0 0 0 3 1", "--format", "dot"),

@@ -159,7 +159,9 @@ PARSERS = {
     ),
     "trace": (
         parse_trace,
-        st.sampled_from(("plain", "plane", "colored")).flatmap(traces).map(render_trace),
+        st.sampled_from(("plain", "plane", "colored"))
+        .flatmap(traces)
+        .map(render_trace),
     ),
 }
 
