@@ -14,21 +14,22 @@ by the swap-case targets inside the moved subtree in the same order.  Swap
 case choices record the attachment vertex in post-swap labels, i.e. as the
 vertex appears in the forest with k roots.
 
-Cost model: every step, choice count and membership check does O(n) work
-on an n-vertex forest.  A step builds one child index of its input: of the
-parent map (``forests._child_index``) for the labeled families, or the
-flat arrays of a plane forest (``forests._plane_arrays``), in which a
-labeled vertex's id is its label.  It hands the index to the membership
-check, the marks of tree k, the recoloring and the choice lookup.  Choices
-are counted, not looked up in a list of every target: each vertex offers a
-known number of targets (one, one per child gap, one per free color, or
-one per unlabeled leaf), so the forward step sums the counts before its
-target and the inverse step subtracts them until its choice runs out.  The
-move edits the parent map, or the plane child lists, in place, and the
-exchange of labels 1 and k swaps two entries.  The output is built once,
-and its constructor validates it in one more pass.  Codec and sampler runs
-do not call these steps: :mod:`codec` applies the same rules to one
-mutable forest across a run, in O(log^2 n) a step besides the moves.
+Cost model: every step, choice count and membership check does O(n) work on
+an n-vertex forest.  A step builds one child index of its input: of the
+parent map (``forests._child_index``) for the labeled families, or the flat
+arrays that ``forests._plane_arrays`` reads from a plane forest's preorder
+word, in which a labeled vertex's id is its label.  It hands the index to
+the membership check, the marks of tree k, the recoloring and the choice
+lookup.  Choices are counted, not looked up in a list of every target: each
+vertex offers a known number of targets (one, one per child gap, one per
+free color, or one per unlabeled leaf), so the forward step sums the counts
+before its target and the inverse step subtracts them until its choice runs
+out.  The move edits the parent map, or the plane child lists, in place,
+and the exchange of labels 1 and k swaps two entries.  The output is built
+once (a plane forest's as its word, without nodes), and its constructor
+validates it in one more pass.  Codec and sampler runs do not call these
+steps: :mod:`codec` applies the same rules to one mutable forest across a
+run, in O(log^2 n) a step besides the moves.
 """
 
 from __future__ import annotations

@@ -43,7 +43,7 @@ _FAMILIES = (
 
 
 def _to_json(obj) -> dict:
-    from .forests import EdgeColoredForest, PlaneForest, RootedForest
+    from .forests import EdgeColoredForest, PlaneForest, RootedForest, _preorder_parents
 
     if isinstance(obj, EdgeColoredForest):
         return {
@@ -62,15 +62,11 @@ def _to_json(obj) -> dict:
             "parents": list(obj.parents),
         }
     if isinstance(obj, PlaneForest):
+        # From the word, so depth is no limit.
         trees: list[dict] = []
-        # Iterative, so depth is no limit: each node's dict goes into the
-        # children list of its parent's dict, in order.
-        stack = [(t, trees) for t in reversed(obj.trees)]
-        while stack:
-            nd, siblings = stack.pop()
-            entry = {"label": nd.label, "children": []}
-            siblings.append(entry)
-            stack.extend((c, entry["children"]) for c in reversed(nd.children))
+        entries = [{"label": x or None, "children": []} for x in obj.preorder_labels]
+        for entry, p in zip(entries, _preorder_parents(obj.preorder_degrees)):
+            (entries[p - 1]["children"] if p else trees).append(entry)
         return {
             "kind": "plane",
             "vertices": obj.n_vertices,
@@ -80,7 +76,7 @@ def _to_json(obj) -> dict:
 
 
 def _to_dot(obj) -> str:
-    from .forests import EdgeColoredForest, PlaneForest, RootedForest, plane_preorder
+    from .forests import EdgeColoredForest, PlaneForest, RootedForest, _preorder_parents
 
     lines = ["digraph forest {"]
     if isinstance(obj, (RootedForest, EdgeColoredForest)):
@@ -95,14 +91,13 @@ def _to_dot(obj) -> str:
             attr = f' [label="{colors[v - 1]}"]' if colors else ""
             lines.append(f"  v{p} -> v{v}{attr};")
     elif isinstance(obj, PlaneForest):
-        entries = plane_preorder(obj)
-        kids: list[list[int]] = [[] for _ in entries]
-        for i, (p, _, nd) in enumerate(entries):
-            text = "*" if nd.label is None else str(nd.label)
-            lines.append(f'  v{i} [label="{text}"];')
-            if p >= 0:
-                kids[p].append(i)
-        for i, below in enumerate(kids):
+        # Vertex v{i} is the i-th in global preorder.
+        kids: list[list[int]] = [[] for _ in range(obj.n_vertices + 1)]
+        up = _preorder_parents(obj.preorder_degrees)
+        for i, (x, p) in enumerate(zip(obj.preorder_labels, up)):
+            lines.append(f'  v{i} [label="{x or "*"}"];')
+            kids[p].append(i)
+        for i, below in enumerate(kids[1:]):
             for j in below:
                 lines.append(f"  v{i} -> v{j};")
     else:

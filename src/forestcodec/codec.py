@@ -33,12 +33,12 @@ from .bijections import _alternating_flip, _used_colors
 from .forests import (
     EdgeColoredForest,
     PlaneForest,
-    PlaneNode,
     RootedForest,
     _child_index,
     _descends,
     _plane_arrays,
     _plane_forest,
+    _plane_word,
 )
 
 CODEC_FAMILIES = ("plain", "plane", "colored")
@@ -137,8 +137,9 @@ def trace_space_size(family: str, n: int, colors: int = 0) -> int:
 def _base(family: str, n: int, colors: int = 0, base_color: int = 0):
     """Roots 1..n-1 and vertex n below root 1, its edge colored base_color."""
     if family == "plane":
-        first = PlaneNode(1, (PlaneNode(n),) if n > 1 else ())
-        return PlaneForest((first,) + tuple(PlaneNode(v) for v in range(2, n)))
+        # In preorder: root 1 and n below it, then the roots 2..n-1.
+        labels = (1, n, *range(2, n)) if n > 1 else (1,)
+        return _plane_word(labels, (int(n > 1),) + (0,) * (len(labels) - 1))
     base = RootedForest((0,) * (n - 1) + (int(n > 1),))
     if family == "plain":
         return base

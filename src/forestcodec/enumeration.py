@@ -19,11 +19,10 @@ from .forests import (
     EdgeColoredForest,
     PartAssignment,
     PlaneForest,
-    PlaneNode,
     RootedForest,
     _cycle_vertex,
-    plane_label_in_tree,
-    plane_preorder,
+    _depths,
+    _plane_word,
 )
 
 DEFAULT_BUDGET = 10**8
@@ -128,6 +127,10 @@ class FamilySpec:
             raise ValueError(f"{kind} forests take no degrees filter")
         if self.conditioned and shapes:
             raise ValueError(f"{kind} forests take no conditioned filter")
+        if not self.labeled and not shapes:
+            raise ValueError(f"{kind} forests have no unlabeled shapes")
+        if self.leaves is not None and self.family not in ("plane", "leafplane"):
+            raise ValueError(f"{kind} forests take no leaves filter")
         if shapes and self.family == "kary" and self.roots != 1:
             raise ValueError(f"{kind} forests are single trees: roots must be 1")
 
@@ -159,18 +162,13 @@ def plane_key(pf: PlaneForest) -> tuple[int, ...]:
     its children, then 0; the forest gives its trees' keys and a final 0.
     This orders forests as the nested ``(label, children)`` tuples would:
     the 0 that ends a child list sorts before the 1 that opens one more
-    child.  One stack walk, so depth is no limit.
+    child.  One pass over the preorder word, so depth is no limit.
     """
-    key = []
-    stack = [None, *reversed(pf.trees)]  # None: a child list ends
-    while stack:
-        node = stack.pop()
-        if node is None:
-            key.append(0)
-        else:
-            key += (1, node.label or 0)
-            stack.append(None)
-            stack.extend(reversed(node.children))
+    key: list[int] = []
+    depth = _depths(pf.preorder_degrees)
+    for i, x in enumerate(pf.preorder_labels):
+        key += (1, x) + (0,) * (depth[i] + 1 - depth[i + 1])
+    key.append(0)
     return tuple(key)
 
 
@@ -301,14 +299,16 @@ Rule = tuple[tuple[int, int], tuple[int, int]]
 def _child_lists(
     labels: tuple, blanks: int, low: int, high: int, rule: Rule, need: int,
     exact: bool,
-) -> Iterator[tuple[tuple[PlaneNode, ...], tuple, int]]:
+) -> Iterator[tuple[tuple[int, ...], int, tuple, int]]:
     """Each sequence of ``low`` to ``high`` plane trees under ``rule``,
     drawn from a pool of free ``labels`` (ascending) and ``blanks``
-    unlabeled vertices, with the pool it leaves, in ``plane_key`` order.
+    unlabeled vertices, in ``plane_key`` order: its part of the preorder
+    word, as (label, child count) pairs run together, its number of trees,
+    and the pool it leaves.
 
     The sequence leaves at least ``need`` blanks, or when ``exact`` just
-    those and no label.  A pool entry of ``None`` takes the labeled rule
-    but no label; equal entries are tried once.
+    those and no label.  A pool entry of 0 takes the labeled rule but no
+    label; equal entries are tried once.
     """
     # When a labeled vertex needs a child, every subtree holds a blank: keep
     # one back for each subtree still owed.
@@ -318,11 +318,11 @@ def _child_lists(
     # A position takes, in key order: the end of the sequence, an unlabeled
     # vertex (key 0), then each free label in ascending order.
     if not low and not (exact and (labels or blanks != need)):
-        yield (), labels, blanks
+        yield (), 0, labels, blanks
     if not high:
         return
     low, high = low and low - 1, high - 1
-    firsts = [(None, rule[0], labels, blanks - 1)] if blanks else []
+    firsts = [(0, rule[0], labels, blanks - 1)] if blanks else []
     firsts += [
         (v, rule[1], labels[:i] + labels[i + 1 :], blanks)
         for i, v in enumerate(labels)
@@ -331,40 +331,34 @@ def _child_lists(
     # The last child of an exact sequence with no more to come is exact too.
     kid_need, kid_exact = need + each * low, exact and not high
     for label, (kid_low, kid_high), labels_in, blanks_in in firsts:
-        for kids, labels_left, blanks_left in _child_lists(
+        for kids, count, labels_left, blanks_left in _child_lists(
             labels_in, blanks_in, kid_low, kid_high, rule, kid_need, kid_exact
         ):
-            child = PlaneNode(label, kids)
-            for rest, labels_end, blanks_end in _child_lists(
+            child = (label, count, *kids)
+            for rest, trees, labels_end, blanks_end in _child_lists(
                 labels_left, blanks_left, low, high, rule, need, exact
             ):
-                yield (child,) + rest, labels_end, blanks_end
+                yield child + rest, trees + 1, labels_end, blanks_end
 
 
 def _plane_forests(
     roots: tuple, labels: tuple, blanks: int, rule: Rule
-) -> Iterator[tuple[PlaneNode, ...]]:
+) -> Iterator[tuple[tuple[int, ...], int]]:
     """Each sequence of plane trees with these roots, which take the labeled
-    rule, that uses the whole pool, in ``plane_key`` order: every tree but
+    rule, that uses the whole pool, in ``plane_key`` order: its word as in
+    ``_child_lists``, and where tree 1's part of it ends.  Every tree but
     the last draws any part of the pool, and the last draws the rest."""
     root, later = roots[0], roots[1:]
     low, high = rule[1]
-    for kids, labels_left, blanks_left in _child_lists(
+    for kids, count, labels_left, blanks_left in _child_lists(
         labels, blanks, low, high, rule, (low > 0) * len(later), not later
     ):
-        tree = PlaneNode(root, kids)
+        tree = (root, count, *kids)
         if not later:
-            yield (tree,)
+            yield tree, len(tree)
         else:
-            for trees in _plane_forests(later, labels_left, blanks_left, rule):
-                yield (tree,) + trees
-
-
-def _plane_degrees_ok(pf: PlaneForest, degrees: tuple[int, ...]) -> bool:
-    entries = plane_preorder(pf)
-    return len(entries) == len(degrees) and all(
-        degrees[node.label - 1] == len(node.children) for _, _, node in entries
-    )
+            for rest, _ in _plane_forests(later, labels_left, blanks_left, rule):
+                yield tree + rest, len(tree)
 
 
 def _plane(spec: FamilySpec, guard: _Budget) -> Iterator[PlaneForest]:
@@ -381,21 +375,24 @@ def _plane(spec: FamilySpec, guard: _Budget) -> Iterator[PlaneForest]:
     kary = ((0, 0), (arity, arity))
     rule = {"plane": _PLANE, "leafplane": _LEAFPLANE, "kary": kary}[family]
     if family == "plane" and not spec.labeled:  # shapes: only the leaf filter
-        roots, labels, blanks = (None,) * len(roots), (), len(labels)
+        roots, labels, blanks = (0,) * len(roots), (), len(labels)
         pivot = degrees = None
     elif family == "kary" and not spec.labeled:
-        roots, labels, pivot = (None,), (None,) * (internal - 1), None
+        roots, labels, pivot = (0,), (0,) * (internal - 1), None
         blanks = (arity - 1) * internal + 1
     elif internal < len(roots):
         return
-    for trees in _plane_forests(roots, labels, blanks, rule):
+    for word, first in _plane_forests(roots, labels, blanks, rule):
         guard.spend()
-        pf = PlaneForest(trees)
-        if pivot is not None and not plane_label_in_tree(pf, pivot, 1):
+        pf = _plane_word(word[::2], word[1::2])
+        if pivot is not None and pivot not in word[:first:2]:
             continue
         if leaves is not None and pf.leaf_count != leaves:
             continue
-        if degrees is not None and not _plane_degrees_ok(pf, degrees):
+        if degrees is not None and (
+            len(degrees) != pf.n_vertices
+            or any(degrees[x - 1] != d for x, d in zip(word[::2], word[1::2]))
+        ):
             continue
         yield pf
 

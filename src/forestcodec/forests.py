@@ -6,10 +6,12 @@ root.  All values here are immutable; every operation returns a new value,
 so bijection steps compose without aliasing surprises.
 
 Cost model: each operation makes one pass over the value, O(n) for n
-vertices, at any depth.  A plane forest is edited as flat arrays:
-``_plane_arrays`` gives its parents, ordered child lists and labels by
-vertex id in one walk, the caller edits the lists in place, and
-``_plane_forest`` builds every node of the result once.
+vertices, at any depth.  A plane forest is stored as its preorder word, two
+int tuples, and edited as flat arrays: ``_plane_arrays`` reads its parents,
+ordered child lists and labels by vertex id from the word in one pass, the
+caller edits the lists in place, and ``_plane_forest`` writes the word of
+the result in preorder.  ``PlaneNode`` trees are built only when a caller
+reads ``PlaneForest.trees``, and anew on each read.
 ``children``, ``degree`` and ``EdgeColoredForest.colors_at`` answer for one
 vertex with a full O(n) scan, so code that needs the children of many
 vertices builds one child index with ``_child_index`` instead.  No index or
@@ -30,6 +32,7 @@ from __future__ import annotations
 import bisect
 import re
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterator, Sequence
 
 
@@ -312,8 +315,8 @@ class PartAssignment:
 class PlaneNode:
     """One vertex of a plane tree: an optional label and ordered children.
 
-    Slotted: a plane step builds every node of its output, and the
-    enumerators build every node of every candidate.
+    Slotted: ``PlaneForest.trees`` builds every node of a forest on each
+    access.
     """
 
     label: int | None
@@ -340,8 +343,7 @@ class PlaneNode:
         return True
 
     def __hash__(self) -> int:
-        # The preorder of (label, child count) pairs determines the tree.
-        return hash(tuple((nd.label, len(nd.children)) for nd in _nodes((self,))))
+        return hash(_preorder((self,), *_NODE))  # the word determines the tree
 
     def __repr__(self) -> str:
         # The dataclass text; the stack holds nodes and the text after them.
@@ -365,16 +367,23 @@ class PlaneNode:
 
     @property
     def size(self) -> int:
-        return len(_nodes((self,)))
+        return len(_preorder((self,), *_NODE)[0])
 
     @property
     def is_leaf(self) -> bool:
         return not self.children
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class PlaneForest:
-    """An ordered sequence of plane trees.
+    """An ordered sequence of plane trees, stored as its preorder word.
+
+    ``preorder_labels`` and ``preorder_degrees`` give each vertex's label (0
+    when unlabeled) and child count in global preorder, tree after tree.
+    This labeled Łukasiewicz word fixes the forest: a tree ends where its
+    vertices have no child left to come.  Equality and hashing compare the
+    two tuples, and ``trees`` builds ``PlaneNode`` trees from them on each
+    access.
 
     Labeled vertices carry distinct labels.  In the fully labeled family
     every vertex is labeled 1..n; in the leaf-unlabeled family exactly the
@@ -382,94 +391,139 @@ class PlaneForest:
     Trees are kept in ascending order of root label.
     """
 
-    trees: tuple[PlaneNode, ...]
+    preorder_labels: tuple[int, ...]
+    preorder_degrees: tuple[int, ...]
+
+    def __init__(self, trees: Sequence[PlaneNode]) -> None:
+        _store(self, *_preorder(trees, *_NODE))
 
     def __post_init__(self) -> None:
-        # Breadth first: the order does not matter to the duplicate test.
-        found = list(self.trees)
-        for node in found:
-            found.extend(node.children)
-        labels = [nd.label for nd in found if nd.label is not None]
-        if len(labels) != len(set(labels)):
+        labels, degrees = self.preorder_labels, self.preorder_degrees
+        if len(labels) != len(degrees) or min((*labels, *degrees), default=0) < 0:
+            raise ValueError("each vertex needs a label and a child count >= 0")
+        roots, owed = [], 0  # owed: vertices still to come in the current tree
+        for x, d in zip(labels, degrees):
+            if owed:
+                owed += d - 1
+            else:  # x starts a tree
+                roots.append(x)
+                owed = d
+        if owed:
+            raise ValueError("the preorder child counts end inside a tree")
+        named = list(filter(None, labels))
+        if len(named) != len(set(named)):
             raise ValueError("duplicate labels in plane forest")
-        if not labels:
+        if not named:
             return  # a pure shape forest: no ordering constraint
-        roots = [t.label for t in self.trees]
-        if any(r is None for r in roots):
+        if 0 in roots:
             raise ValueError("every tree root must be labeled")
-        if list(roots) != sorted(roots):
+        if roots != sorted(roots):
             raise ValueError("trees must be ordered by ascending root label")
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(trees={self.trees!r})"
+
+    @property
+    def trees(self) -> tuple[PlaneNode, ...]:
+        # Walking the word back, a vertex's children are the last nodes
+        # built, its first child on top.
+        built: list[PlaneNode] = []
+        for x, d in reversed(list(zip(self.preorder_labels, self.preorder_degrees))):
+            kids = tuple(built[: -d - 1 : -1])
+            del built[len(built) - d :]
+            built.append(PlaneNode(x or None, kids))
+        return tuple(reversed(built))
 
     @property
     def n_vertices(self) -> int:
-        return len(_nodes(self.trees))
+        return len(self.preorder_labels)
 
     @property
     def tree_count(self) -> int:
-        return len(self.trees)
+        return self.n_vertices - sum(self.preorder_degrees)
 
     @property
     def leaf_count(self) -> int:
-        return sum(1 for node in _nodes(self.trees) if node.is_leaf)
+        return self.preorder_degrees.count(0)
 
     @property
     def labeled_count(self) -> int:
-        return sum(1 for _ in self.labels())
+        return self.n_vertices - self.preorder_labels.count(0)
 
     def labels(self) -> Iterator[int]:
-        for node in _nodes(self.trees):
-            if node.label is not None:
-                yield node.label
+        return filter(None, self.preorder_labels)
 
     def root_labels(self) -> tuple[int, ...]:
         return tuple(t.label for t in self.trees)  # type: ignore[misc]
 
     def is_fully_labeled(self) -> bool:
-        return self.labeled_count == self.n_vertices
+        return 0 not in self.preorder_labels
 
     def is_leaf_unlabeled(self) -> bool:
         """True iff a vertex is unlabeled exactly when it is a leaf."""
         return all(
-            (node.label is None) == node.is_leaf
-            for node in _nodes(self.trees)
+            (not x) == (not d)
+            for x, d in zip(self.preorder_labels, self.preorder_degrees)
         )
 
 
-def _nodes(roots: Sequence[PlaneNode]) -> list[PlaneNode]:
-    """Every node below the given roots in global preorder, iteratively."""
-    found: list[PlaneNode] = []
-    stack = list(reversed(roots))
+def _store(pf: PlaneForest, labels: tuple, degrees: tuple) -> PlaneForest:
+    """Give ``pf`` this word and validate it: every construction ends here."""
+    object.__setattr__(pf, "preorder_labels", labels)
+    object.__setattr__(pf, "preorder_degrees", degrees)
+    pf.__post_init__()
+    return pf
+
+
+def _plane_word(labels: tuple[int, ...], degrees: tuple[int, ...]) -> PlaneForest:
+    """The plane forest with this preorder word, validated like every other."""
+    return _store(object.__new__(PlaneForest), labels, degrees)
+
+
+def _preorder(roots: Sequence, children, label) -> tuple[tuple, tuple]:
+    """The preorder word, labels (0 when unlabeled) and child counts, of the
+    trees below ``roots``, iteratively; ``children(v)`` and ``label(v)``
+    read a vertex, which is a node or a vertex id."""
+    labels, degrees, stack = [], [], list(reversed(roots))
     while stack:
-        node = stack.pop()
-        found.append(node)
-        stack.extend(reversed(node.children))
-    return found
+        v = stack.pop()
+        below = children(v)
+        labels.append(label(v) or 0)
+        degrees.append(len(below))
+        stack += reversed(below)
+    return tuple(labels), tuple(degrees)
 
 
-Entry = tuple[int, int, PlaneNode]
+_NODE = (attrgetter("children"), attrgetter("label"))  # how _preorder reads nodes
 
 
-def plane_preorder(pf: PlaneForest) -> list[Entry]:
-    """(parent, gap, node) for every node in global preorder, iteratively.
+def _preorder_parents(degrees: Sequence[int]) -> list[int]:
+    """Each vertex's parent as a preorder position from 1, 0 for a root."""
+    up = [0] * len(degrees)
+    waiting: list[int] = []  # a vertex waits here once per child to come
+    for i, d in enumerate(degrees):
+        if waiting:
+            up[i] = waiting.pop()
+        if d:
+            waiting += [i + 1] * d
+    return up
 
-    ``parent`` is the index of the parent's entry, or -1 for a root, whose
-    ``gap`` is then its tree index.  Each tree's entries are one run.
-    """
-    entries: list[Entry] = []
-    stack = [(-1, ti, tree) for ti, tree in reversed(list(enumerate(pf.trees)))]
-    while stack:
-        entry = stack.pop()
-        i = len(entries)
-        entries.append(entry)
-        kids = entry[2].children
-        for gap in range(len(kids) - 1, -1, -1):
-            stack.append((i, gap, kids[gap]))
-    return entries
+
+def _depths(degrees: Sequence[int]) -> list[int]:
+    """Each vertex's depth in its tree, in preorder, and a final 0.  After
+    vertex i end depth[i] + 1 - depth[i + 1] child lists, its own included:
+    none when it has children, and the whole tree's when the next vertex is
+    a root."""
+    depth = [0] * (len(degrees) + 1)
+    for i, p in enumerate(_preorder_parents(degrees)):
+        if p:
+            depth[i] = depth[p - 1] + 1
+    return depth
 
 
 def _plane_arrays(pf: PlaneForest) -> tuple[list[int], list[list[int]], list]:
     """``parent``, ``kids`` and ``label`` of a plane forest by vertex id,
-    from one walk.
+    from one pass over its word.
 
     ``parent[v - 1]`` is v's parent, 0 for a root; ``kids[v]`` lists v's
     children in order and ``kids[0]`` the roots in tree order; ``label[v]``
@@ -478,48 +532,30 @@ def _plane_arrays(pf: PlaneForest) -> tuple[list[int], list[list[int]], list]:
     unlabeled ones take m+1.. in preorder; otherwise every vertex's id is
     its preorder position.
     """
-    labels: list[int | None] = []
-    up: list[int] = []  # the parent's preorder position from 1, 0 for a root
-    stack = [(0, tree) for tree in reversed(pf.trees)]
-    while stack:
-        p, node = stack.pop()
-        labels.append(node.label)
-        up.append(p)
-        i = len(labels)
-        for child in reversed(node.children):
-            stack.append((i, child))
+    labels = pf.preorder_labels
     n = len(labels)
-    m = n - labels.count(None)
+    m = n - labels.count(0)
     ids: Sequence[int] = range(n + 1)  # by preorder position; 0 stays 0
-    if max(filter(None, labels), default=0) <= m:  # the labels are 1..m
+    if max(labels, default=0) <= m:  # the labels are 1..m
         free = iter(range(m + 1, n + 1))
-        ids = [0] + [next(free) if x is None else x for x in labels]
+        ids = [0] + [x or next(free) for x in labels]
     parent = [0] * n
     kids: list[list[int]] = [[] for _ in range(n + 1)]
     label: list = [0] * (n + 1)
-    for v, x, p in zip(ids[1:], labels, up):
+    for v, x, p in zip(ids[1:], labels, _preorder_parents(pf.preorder_degrees)):
         p = ids[p]
         parent[v - 1] = p
         kids[p].append(v)
-        label[v] = x
+        label[v] = x or None
     return parent, kids, label
 
 
 def _plane_forest(kids: list[list[int]], label: list) -> PlaneForest:
     """The plane forest with roots ``kids[0]``, ordered child lists ``kids``
-    and labels ``label`` by vertex id; each node is built once and the trees
-    are sorted by root label (shape forests keep their order)."""
-    # Breadth first, so every child is built, walking back, before its parent.
-    order = list(kids[0])
-    for v in order:
-        order.extend(kids[v])
-    node: list = [None] * len(kids)
-    built = node.__getitem__
-    for v in reversed(order):
-        below = kids[v]
-        node[v] = PlaneNode(label[v], tuple(map(built, below)) if below else ())
+    and labels ``label`` by vertex id, written in preorder; the trees are
+    sorted by root label (shape forests keep their order)."""
     roots = sorted(kids[0], key=lambda v: label[v] or 0)
-    return PlaneForest(tuple(map(built, roots)))
+    return _plane_word(*_preorder(roots, kids.__getitem__, label.__getitem__))
 
 
 def plane_relabel(pf: PlaneForest, a: int, b: int) -> PlaneForest:
@@ -529,14 +565,6 @@ def plane_relabel(pf: PlaneForest, a: int, b: int) -> PlaneForest:
     _, kids, label = _plane_arrays(pf)
     swap = {a: b, b: a}
     return _plane_forest(kids, [swap.get(x, x) for x in label])
-
-
-def plane_label_in_tree(pf: PlaneForest, label: int, root: int) -> bool:
-    """True iff the vertex carrying `label` lies in the tree rooted `root`."""
-    for tree in pf.trees:
-        if any(node.label == label for node in _nodes((tree,))):
-            return tree.label == root
-    raise ValueError(f"label {label} not present")
 
 
 # --------------------------------------------------------------------------
@@ -716,26 +744,15 @@ def _parse_ints(text: str, tokens: list[str]) -> list[int]:
 
 def render_plane(pf: PlaneForest) -> str:
     out: list[str] = []
-    # The stack holds nodes still to render and the punctuation between them.
-    stack: list[PlaneNode | str] = []
-    for i, tree in enumerate(pf.trees):
-        if i:
-            out.append(";")
-        stack.append(tree)
-        while stack:
-            item = stack.pop()
-            if isinstance(item, str):
-                out.append(item)
-                continue
-            out.append("*" if item.label is None else str(item.label))
-            if item.children:
-                out.append("(")
-                stack.append(")")
-                for j in range(len(item.children) - 1, 0, -1):
-                    stack.append(item.children[j])
-                    stack.append(",")
-                stack.append(item.children[0])
-    return "".join(out)
+    depth = _depths(pf.preorder_degrees)
+    for i, x in enumerate(pf.preorder_labels):
+        out.append(str(x) if x else "*")
+        # A vertex with children opens its list.  A leaf closes the lists
+        # that end with it; then ',' follows, or ';' if its tree ends (the
+        # last tree drops it).
+        up = depth[i] - depth[i + 1]
+        out.append("(" if up < 0 else ")" * up + ("," if depth[i + 1] else ";"))
+    return "".join(out)[:-1]
 
 
 def parse_plane(text: str) -> PlaneForest:
@@ -746,20 +763,19 @@ def parse_plane(text: str) -> PlaneForest:
         while pos < len(text) and text[pos].isspace():
             pos += 1
 
-    # Iterative descent: `open_nodes` holds the label and children parsed so
-    # far of every node whose child list is still open, innermost last.
-    trees: list[PlaneNode] = []
-    open_nodes: list[tuple[int, list[PlaneNode]]] = []
+    # The word is written as the text is read, in preorder.  `open_lists`
+    # holds the position of every vertex whose child list is still open,
+    # innermost last; a vertex's child count grows as its children are read.
+    labels: list[int] = []
+    degrees: list[int] = []
+    open_lists: list[int] = []
     while True:
         skip_ws()
         if pos >= len(text):
             raise ParseError("unexpected end of input", pos)
         if text[pos] == "*":
             pos += 1
-            skip_ws()
-            if pos < len(text) and text[pos] == "(":
-                raise ParseError("unlabeled vertices must be leaves", pos)
-            node = PlaneNode(None)
+            label = 0
         else:
             start = pos
             while pos < len(text) and "0" <= text[pos] <= "9":
@@ -769,16 +785,22 @@ def parse_plane(text: str) -> PlaneForest:
                     f"expected label or '*', found {text[pos]!r}", pos
                 )
             label = int(text[start:pos])
-            skip_ws()
-            if pos < len(text) and text[pos] == "(":
-                pos += 1
-                open_nodes.append((label, []))
-                continue
-            node = PlaneNode(label, ())
-        # `node` is complete: add it to its parent, closing every child list
-        # that ends here, until a ',' or ';' asks for the next node.
-        while open_nodes:
-            open_nodes[-1][1].append(node)
+            if not label:  # in the word, 0 means unlabeled
+                raise ValueError("label must be positive, got 0")
+        if open_lists:
+            degrees[open_lists[-1]] += 1
+        labels.append(label)
+        degrees.append(0)
+        skip_ws()
+        if pos < len(text) and text[pos] == "(":
+            if not label:
+                raise ParseError("unlabeled vertices must be leaves", pos)
+            pos += 1
+            open_lists.append(len(labels) - 1)
+            continue
+        # The vertex is complete: close every child list that ends here,
+        # until a ',' or ';' asks for the next vertex.
+        while open_lists:
             skip_ws()
             if pos >= len(text):
                 raise ParseError("unterminated child list", pos)
@@ -790,10 +812,8 @@ def parse_plane(text: str) -> PlaneForest:
                     f"expected ',' or ')', found {text[pos]!r}", pos
                 )
             pos += 1
-            label, kids = open_nodes.pop()
-            node = PlaneNode(label, tuple(kids))
+            open_lists.pop()
         else:
-            trees.append(node)
             skip_ws()
             if pos < len(text) and text[pos] == ";":
                 pos += 1
@@ -801,4 +821,4 @@ def parse_plane(text: str) -> PlaneForest:
             break
     if pos != len(text):
         raise ParseError(f"trailing input {text[pos]!r}", pos)
-    return PlaneForest(tuple(trees))
+    return _plane_word(tuple(labels), tuple(degrees))

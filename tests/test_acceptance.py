@@ -53,7 +53,6 @@ from forestcodec.enumeration import (
     count_by_enumeration,
     enumerate_family,
 )
-from forestcodec.forests import plane_preorder
 
 # 0.999 quantile of the chi-square distribution with 15 degrees of freedom.
 CHI2_Q999_DF15 = 37.6973
@@ -292,8 +291,8 @@ def degree_vector_plain(forest):
 
 def degree_vector_plane(pf):
     counts = [0] * pf.n_vertices
-    for _, _, node in plane_preorder(pf):
-        counts[node.label - 1] = len(node.children)
+    for label, d in zip(pf.preorder_labels, pf.preorder_degrees):
+        counts[label - 1] = d
     return tuple(counts)
 
 
@@ -342,9 +341,9 @@ def test_08_degree_sequences_and_partitions():
                 FamilySpec("plane", n=n, roots=1, labeled=False)
             ):
                 mult = [0] * (n - 1)
-                for _, _, node in plane_preorder(pf):
-                    if node.children:
-                        mult[len(node.children) - 1] += 1
+                for d in pf.preorder_degrees:
+                    if d:
+                        mult[d - 1] += 1
                 by_mult[tuple(mult)] += 1
             for mult in partitions_as_multiplicities(n - 1, n - 1):
                 assert by_mult.get(mult, 0) == erdelyi_etherington(mult)

@@ -271,14 +271,31 @@ class TestConvert:
         assert labels + [node["label"]] == list(range(1, 1201))
 
     def test_deep_plane_json(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO(DEEP_CHAIN))
-        code, out, _ = run(capsys, "convert", "--kind", "plane", "--format", "json")
-        # json.loads recurses too, so the expected text is built here.
-        tree = '{"children": [], "label": 1200}'
-        for label in range(1199, 0, -1):
-            tree = f'{{"children": [{tree}], "label": {label}}}'
-        want = f'{{"kind": "plane", "trees": [{tree}], "vertices": 1200}}\n'
-        assert (code, out) == (0, want)
+        for depth in (1200, 20_000):
+            chain = "(".join(map(str, range(1, depth + 1))) + ")" * (depth - 1)
+            monkeypatch.setattr("sys.stdin", io.StringIO(chain))
+            code, out, _ = run(capsys, "convert", "--kind", "plane", "--format", "json")
+            # json.loads recurses too, so the expected text is built here.
+            tree = (
+                '{"children": [' * (depth - 1)
+                + f'{{"children": [], "label": {depth}}}'
+                + "".join(f'], "label": {v}}}' for v in range(depth - 1, 0, -1))
+            )
+            want = f'{{"kind": "plane", "trees": [{tree}], "vertices": {depth}}}\n'
+            assert (code, out) == (0, want)
+
+    def test_deep_plane_dot(self, capsys, monkeypatch):
+        for depth in (1200, 20_000):
+            chain = "(".join(map(str, range(1, depth + 1))) + ")" * (depth - 1)
+            monkeypatch.setattr("sys.stdin", io.StringIO(chain))
+            code, out, _ = run(capsys, "convert", "--kind", "plane", "--format", "dot")
+            lines = (
+                ["digraph forest {"]
+                + [f'  v{i} [label="{i + 1}"];' for i in range(depth)]
+                + [f"  v{i} -> v{i + 1};" for i in range(depth - 1)]
+                + ["}"]
+            )
+            assert (code, out) == (0, "\n".join(lines) + "\n")
 
     def test_json_text_matches_json_dumps(self):
         forests = [
@@ -357,6 +374,10 @@ ERROR_PATHS = [
      "--count-only"),
     ("enumerate", "--family", "kary", "--n", "2", "--arity", "2", "--roots", "3",
      "--unlabeled", "--conditioned", "--count-only"),
+    ("enumerate", "--family", "plain", "--n", "3", "--unlabeled", "--count-only"),
+    ("enumerate", "--family", "plain", "--n", "3", "--leaves", "1", "--count-only"),
+    ("enumerate", "--family", "leafplane", "--n", "5", "--leaves", "2", "--unlabeled",
+     "--count-only"),
     ("sample", "--family", "colored", "--n", "4", "--seed", "1"),
     ("sample", "--family", "plain", "--n", "4", "--roots", "9", "--seed", "1"),
     ("sample", "--family", "plain", "--n", "0", "--seed", "1"),

@@ -40,7 +40,6 @@ from forestcodec.enumeration import (
     count_by_enumeration,
     enumerate_family,
 )
-from forestcodec.forests import plane_preorder
 
 
 def count(spec):
@@ -294,8 +293,7 @@ class TestDegreeSequences:
     def test_erdelyi_etherington(self):
         def shape_degree_multiplicities(pf):
             out = {}
-            for _, _, node in plane_preorder(pf):
-                d = len(node.children)
+            for d in pf.preorder_degrees:
                 if d:
                     out[d] = out.get(d, 0) + 1
             return out

@@ -273,6 +273,16 @@ class TestSpecValidation:
                 "conditioned",
             ),
             (FamilySpec("kary", n=2, arity=2, labeled=False, roots=3), "roots"),
+            (FamilySpec("plain", n=3, labeled=False), "unlabeled"),
+            (FamilySpec("partite", part_sizes=(2, 2), labeled=False), "unlabeled"),
+            (FamilySpec("colored", n=3, colors=2, labeled=False), "unlabeled"),
+            (FamilySpec("special-colored", n=3, colors=2, labeled=False), "unlabeled"),
+            (FamilySpec("leafplane", n=5, leaves=2, labeled=False), "unlabeled"),
+            (FamilySpec("plain", n=3, leaves=1), "leaves"),
+            (FamilySpec("partite", part_sizes=(2, 2), leaves=1), "leaves"),
+            (FamilySpec("kary", n=2, arity=2, leaves=3), "leaves"),
+            (FamilySpec("colored", n=3, colors=2, leaves=1), "leaves"),
+            (FamilySpec("special-colored", n=3, colors=2, leaves=1), "leaves"),
         ],
     )
     def test_ignored_parameters_are_rejected(self, spec, param):

@@ -24,13 +24,15 @@ from forestcodec import (
     swap_colored_labels,
     swap_labels,
 )
-from forestcodec.enumeration import FamilySpec, enumerate_family
+from forestcodec.enumeration import FamilySpec, enumerate_family, plane_key
 from forestcodec.forests import (
     _plane_arrays,
     _plane_forest,
-    plane_preorder,
     plane_relabel,
 )
+
+# Depths of the deep plane chains: every walk must be iterative.
+DEPTHS = (1200, 20_000)
 
 
 def forests_upto(n_max):
@@ -265,21 +267,27 @@ class TestTextFormats:
         assert info.value.position == 2
 
     def test_deep_plane_chain(self):
-        depth = 1200
-        text = "(".join(map(str, range(1, depth + 1))) + ")" * (depth - 1)
-        pf = parse_plane(text)
-        assert render_plane(pf) == text
-        assert pf.n_vertices == pf.trees[0].size == depth
-        assert pf.leaf_count == 1
-        assert list(pf.labels()) == list(range(1, depth + 1))
+        for depth in DEPTHS:
+            text = "(".join(map(str, range(1, depth + 1))) + ")" * (depth - 1)
+            pf = parse_plane(text)
+            assert render_plane(pf) == text
+            assert pf.n_vertices == pf.trees[0].size == depth
+            assert pf.leaf_count == 1
+            assert list(pf.labels()) == list(range(1, depth + 1))
+            assert PlaneForest(pf.trees) == pf
+            assert plane_key(pf) == (
+                tuple(x for v in range(1, depth + 1) for x in (1, v))
+                + (0,) * (depth + 1)
+            )
 
     def test_deep_plane_equality_and_hash(self):
-        text = "(".join(map(str, range(1, 1201))) + ")" * 1199
-        a, b = parse_plane(text), parse_plane(text)
-        assert a == b and hash(a) == hash(b)
-        assert a.trees[0] == b.trees[0] and hash(a.trees[0]) == hash(b.trees[0])
-        assert a != parse_plane(text.replace("1200", "1201"))
-        assert a != parse_plane(text[: text.rindex("(")] + ")" * 1198)
+        for depth in DEPTHS:
+            text = "(".join(map(str, range(1, depth + 1))) + ")" * (depth - 1)
+            a, b = parse_plane(text), parse_plane(text)
+            assert a == b and hash(a) == hash(b)
+            assert a.trees[0] == b.trees[0] and hash(a.trees[0]) == hash(b.trees[0])
+            assert a != parse_plane(text.replace(str(depth), str(depth + 1)))
+            assert a != parse_plane(text[: text.rindex("(")] + ")" * (depth - 2))
 
     def test_plane_equality_shares_subtrees(self):
         # An identical subtree compares equal without being walked, as tuple
@@ -314,6 +322,9 @@ class TestTextFormats:
             parse_plane("1(2")
         with pytest.raises(ParseError, match="trailing"):
             parse_plane("1(2))")
+        for text in ("0", "1(0)", "0(1)", "2;0(1"):  # 0 means unlabeled in the word
+            with pytest.raises(ValueError, match="^label must be positive, got 0$"):
+                parse_plane(text)
 
     def test_plane_tree_order_enforced(self):
         with pytest.raises(ValueError, match="ascending"):
@@ -331,14 +342,6 @@ class TestTextFormats:
 
 
 class TestPlaneWalk:
-    def test_preorder_links_parents_and_gaps(self):
-        pf = parse_plane("1(2,3(*));4")
-        entries = plane_preorder(pf)
-        assert [(p, gap, node.label) for p, gap, node in entries] == [
-            (-1, 0, 1), (0, 0, 2), (0, 1, 3), (2, 0, None), (-1, 1, 4),
-        ]
-        assert entries[4][2] is pf.trees[1]
-
     def test_arrays_number_labels_then_leaves_in_preorder(self):
         pf = parse_plane("1(*,2(*));3(*)")
         parent, kids, label = _plane_arrays(pf)

@@ -1,8 +1,9 @@
-"""Plane, leaf-unlabeled plane and multipartite steps at sizes the
-exhaustive oracles cannot reach.
+"""Bijection steps of every family at sizes the exhaustive oracles cannot
+reach.
 
-The codec runs only the fully labeled plane steps, and only from one root;
-here both plane families and the partite family are stepped at a drawn k.
+The codec runs no public step, and its engine starts from one root; here
+the plain, multipartite, plane, leaf-unlabeled plane and colored steps are
+stepped at a drawn k.
 Forests are grown by hypothesis independently of the bijections: roots
 1..k-1 come first, each later vertex hangs below an earlier one, and the
 pivot (the largest label, or the first label of part 2) goes to a vertex of
@@ -17,16 +18,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forestcodec import (
+    EdgeColoredForest,
     PartAssignment,
     PlaneForest,
     PlaneNode,
     RootedForest,
+    colored_choice_count,
+    colored_forward,
+    colored_inverse,
     leafplane_forward,
     leafplane_inverse,
     partite_choice_count,
     partite_forward,
     partite_inverse,
     plane_choice_count,
+    plain_choice_count,
+    plain_forward,
+    plain_inverse,
     plane_forward,
     plane_inverse,
 )
@@ -166,3 +174,73 @@ def test_partite_steps_invert(start, data):
     assert partite_inverse(g, k, parts, c) == f
     c = data.draw(st.integers(1, partite_choice_count(g, k, parts)))
     assert partite_forward(partite_inverse(g, k, parts, c), k, parts) == (g, c)
+
+
+@st.composite
+def labeled_grown(draw):
+    """(parents, k, order): a forest on 1..n with roots 1..k-1 and vertex n
+    in tree 1; ``order`` lists the vertices in the order they were hung,
+    each below an earlier one."""
+    n = draw(st.integers(3, MAX_LABELS))
+    k = draw(st.integers(2, n - 1))
+    parents = [0] * n
+    root = list(range(n + 1))
+    order = list(range(1, k))
+
+    def hang(v, u):
+        parents[v - 1], root[v] = u, root[u]
+        order.append(v)
+
+    # The forward step swaps labels exactly when n lies below k, so half
+    # the draws start with the chain 1 -> k -> n.
+    if draw(st.booleans()):
+        hang(k, 1)
+        hang(n, k)
+    for v in draw(st.permutations([v for v in range(k, n + 1) if v not in order])):
+        hang(v, draw(st.sampled_from([u for u in order if v != n or root[u] == 1])))
+    return parents, k, order
+
+
+@st.composite
+def colored_grown(draw):
+    """(forest, k): a special colored member of ``labeled_grown``'s shape,
+    with just enough colors or one more, each edge's color drawn from those
+    free at its parent."""
+    parents, k, order = draw(labeled_grown())
+    n = len(parents)
+    degree = [0] * (n + 1)
+    for p in parents:
+        degree[p] += 1
+    # A root's edges avoid the last color; a non-root's edge in takes one.
+    kc = 1 + max(degree[v] for v in range(1, n + 1)) + draw(st.integers(0, 1))
+    colors = [0] * n
+    for v in order:  # a parent is hung, and its edge colored, before its children
+        p = parents[v - 1]
+        if p:
+            used = {colors[u - 1] for u in order if parents[u - 1] == p}
+            used |= {colors[p - 1], kc if not parents[p - 1] else 0}
+            colors[v - 1] = draw(st.sampled_from(
+                [c for c in range(1, kc + 1) if c not in used]
+            ))
+    return EdgeColoredForest(RootedForest(tuple(parents)), kc, tuple(colors)), k
+
+
+@SETTINGS
+@given(labeled_grown(), st.data())
+def test_plain_steps_invert(start, data):
+    parents, k, _ = start
+    f = RootedForest(tuple(parents))
+    g, c = plain_forward(f, k)
+    assert plain_inverse(g, k, c) == f
+    c = data.draw(st.integers(1, plain_choice_count(g, k)))
+    assert plain_forward(plain_inverse(g, k, c), k) == (g, c)
+
+
+@SETTINGS
+@given(colored_grown(), st.data())
+def test_colored_steps_invert(start, data):
+    f, k = start
+    g, c = colored_forward(f, k)
+    assert colored_inverse(g, k, c) == f
+    c = data.draw(st.integers(1, colored_choice_count(g, k)))
+    assert colored_forward(colored_inverse(g, k, c), k) == (g, c)

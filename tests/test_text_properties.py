@@ -30,6 +30,8 @@ from forestcodec import (
     render_trace,
 )
 from forestcodec.cli import _dumps, _to_json
+from forestcodec.enumeration import plane_key
+from forestcodec.forests import _plane_arrays, _plane_forest
 from test_properties import traces
 
 MAX_N = 40
@@ -104,6 +106,28 @@ def test_rooted_round_trip(forest):
 @given(plane_forests())
 def test_plane_round_trip(forest):
     assert parse_plane(render_plane(forest)) == forest
+
+
+@SETTINGS
+@given(plane_forests())
+def test_plane_word_round_trips(forest):
+    """The word survives the node trees and the flat arrays a step edits."""
+    assert PlaneForest(forest.trees) == forest
+    _, kids, label = _plane_arrays(forest)
+    assert _plane_forest(kids, label) == forest
+
+
+def nested(node):
+    return (node.label or 0, tuple(map(nested, node.children)))
+
+
+@SETTINGS
+@given(plane_forests(), plane_forests())
+def test_plane_key_orders_as_nested_tuples(a, b):
+    """``plane_key`` reads the word; the nested tuples read the node trees."""
+    x, y = tuple(map(nested, a.trees)), tuple(map(nested, b.trees))
+    assert (plane_key(a) < plane_key(b)) == (x < y)
+    assert (plane_key(a) == plane_key(b)) == (x == y) == (a == b)
 
 
 @SETTINGS
