@@ -6,6 +6,8 @@ import pytest
 from forestcodec import (
     EdgeColoredForest,
     PartAssignment,
+    PlaneForest,
+    PlaneNode,
     RootedForest,
     colored_choice_count,
     colored_forward,
@@ -258,25 +260,136 @@ def deep_chain(depth: int, leaf: str = "") -> str:
     return "(".join(labels) + ")" * (len(labels) - 1)
 
 
+DEPTHS = (1200, 20_000)
+
+
 class TestDeepPlaneSteps:
-    """One step at k = 2 on a 1200-deep chain, which takes the swap case
-    (vertex n sits below 2), and back."""
+    """One step at k = 2 on deep chains, which takes the swap case (vertex
+    n sits below 2), and back."""
 
     def test_plane(self):
-        pf = parse_plane(deep_chain(1200))
-        g, c = plane_forward(pf, 2)
-        assert g.root_labels() == (1, 2)
-        # The subtree at 2 takes label 1; the rest of tree 1, its root
-        # alone, takes label 2.
-        assert g.trees[0].children[0].label == 3
-        assert g.trees[1].is_leaf
-        assert plane_inverse(g, 2, c) == pf
+        for depth in DEPTHS:
+            pf = parse_plane(deep_chain(depth))
+            g, c = plane_forward(pf, 2)
+            assert g.root_labels() == (1, 2)
+            # The subtree at 2 takes label 1; the rest of tree 1, its root
+            # alone, takes label 2.
+            assert g.trees[0].children[0].label == 3
+            assert g.trees[1].is_leaf
+            assert c == 2 * depth - 2
+            assert plane_inverse(g, 2, c) == pf
 
     def test_leafplane(self):
-        pf = parse_plane(deep_chain(1200, "*"))
-        g, c = leafplane_forward(pf, 2)
-        assert g.root_labels() == (1, 2)
-        assert leafplane_inverse(g, 2, c) == pf
+        for depth in DEPTHS:
+            pf = parse_plane(deep_chain(depth, "*"))
+            g, c = leafplane_forward(pf, 2)
+            assert g.root_labels() == (1, 2)
+            # The hole is tree 2's one leaf, the last of the forest.
+            assert g.preorder_labels[-2:] == (2, 0)
+            assert c == 2
+            assert leafplane_inverse(g, 2, c) == pf
+
+
+PLANE_STEPS = {
+    "forward": lambda pf, k: plane_forward(pf, k),
+    "inverse": lambda pf, k: plane_inverse(pf, k, 1),
+    "choice_count": lambda pf, k: plane_choice_count(pf, k),
+}
+
+LEAFPLANE_STEPS = {
+    "forward": lambda pf, r: leafplane_forward(pf, r),
+    "inverse": lambda pf, r: leafplane_inverse(pf, r, 1),
+    "choice_count": lambda pf, r: leafplane_choice_count(pf, r),
+}
+
+# (forest text, k for forward, k for inverse and choice count, message, in
+# which {k} stands for the roots the step expects).  Forward reads roots
+# 1..k-1, the others roots 1..k.
+PLANE_MESSAGES = [
+    ("1(*,2,3)", 2, 2, "plane family here is fully labeled"),
+    ("1(2,5)", 2, 2, "labels must be 1..n"),
+    ("1(3,4);2", 2, 3, "expected roots exactly 1..{k}, got (1, 2)"),
+    ("1(2,3,4)", 3, 2, "expected roots exactly 1..{k}, got (1,)"),
+    ("1(3);2(4)", 3, 2, "vertex 4 must lie in the tree rooted at 1"),
+]
+
+LEAFPLANE_MESSAGES = [
+    ("1(2,*)", 2, 2, "exactly the leaves must be unlabeled"),
+    ("1(3(*),*)", 2, 2, "internal labels must be 1..2"),
+    ("1(*);2(3(*))", 2, 3, "expected roots exactly 1..{k}, got (1, 2)"),
+    ("1(2(*),3(*))", 3, 2, "expected roots exactly 1..{k}, got (1,)"),
+    ("*;*", 2, 2, "expected roots exactly 1..{k}, got (None, None)"),
+    ("1(*);2(3(*))", 3, 2, "vertex 3 must lie in the tree rooted at 1"),
+]
+
+
+def raised(call) -> str:
+    with pytest.raises(ValueError) as info:
+        call()
+    return str(info.value)
+
+
+class TestPlaneMembershipMessages:
+    """The membership messages of every plane and leafplane entry point."""
+
+    @pytest.mark.parametrize("step", sorted(PLANE_STEPS))
+    @pytest.mark.parametrize("text, k_forward, k, message", PLANE_MESSAGES)
+    def test_plane(self, step, text, k_forward, k, message):
+        if step == "forward":
+            k = k_forward
+        roots = k - 1 if step == "forward" else k
+        got = raised(lambda: PLANE_STEPS[step](parse_plane(text), k))
+        assert got == message.replace("{k}", str(roots))
+
+    @pytest.mark.parametrize("step", sorted(LEAFPLANE_STEPS))
+    @pytest.mark.parametrize("text, r_forward, r, message", LEAFPLANE_MESSAGES)
+    def test_leafplane(self, step, text, r_forward, r, message):
+        if step == "forward":
+            r = r_forward
+        roots = r - 1 if step == "forward" else r
+        got = raised(lambda: LEAFPLANE_STEPS[step](parse_plane(text), r))
+        assert got == message.replace("{k}", str(roots))
+
+    def test_internal_unlabeled_vertex(self):
+        # The constructor accepts an unlabeled internal vertex below a root;
+        # neither family does.
+        pf = PlaneForest((PlaneNode(1, (PlaneNode(None, (PlaneNode(2),)),)),))
+        leafy = "exactly the leaves must be unlabeled"
+        assert raised(lambda: leafplane_forward(pf, 2)) == leafy
+        assert raised(lambda: leafplane_inverse(pf, 1, 1)) == leafy
+        assert raised(lambda: leafplane_choice_count(pf, 1)) == leafy
+        full = "plane family here is fully labeled"
+        assert raised(lambda: plane_forward(pf, 2)) == full
+        assert raised(lambda: plane_choice_count(pf, 1)) == full
+
+    def test_empty_forest(self):
+        empty = PlaneForest(())
+        for count in (plane_choice_count, leafplane_choice_count):
+            assert raised(lambda: count(empty, 0)) == "label 0 not present"
+            assert raised(lambda: count(empty, 1)) == (
+                "expected roots exactly 1..1, got ()"
+            )
+
+    def test_ranges(self):
+        pf, two = parse_plane("1(2,3,4)"), parse_plane("1(3,4);2")
+        k_range = "k must satisfy 2 <= k <= n-1, got {}"
+        assert raised(lambda: plane_forward(pf, 4)) == k_range.format(4)
+        assert raised(lambda: plane_inverse(pf, 1, 1)) == k_range.format(1)
+        for c in (0, 7):
+            assert raised(lambda: plane_inverse(two, 2, c)) == (
+                f"choice must be in 1..6, got {c}"
+            )
+        lp = parse_plane("1(2(*),3(*))")
+        r_range = "r must satisfy 2 <= r <= 2"
+        assert raised(
+            lambda: leafplane_forward(parse_plane("1(3(*),*);2(*)"), 3)
+        ) == r_range
+        assert raised(lambda: leafplane_inverse(lp, 1, 1)) == r_range
+        lp2 = parse_plane("1(3(4(*),*),*);2(*)")
+        for c in (0, 5):
+            assert raised(lambda: leafplane_inverse(lp2, 2, c)) == (
+                f"choice must be in 1..4, got {c}"
+            )
 
 
 LEAFPLANE_BOTTOM = parse_plane("1(5(*,*),*,*);2(4(*));3(*,*,*)")
