@@ -15,24 +15,30 @@ case choices record the attachment vertex in post-swap labels, i.e. as the
 vertex appears in the forest with k roots.
 
 Cost model: every step, choice count and membership check does O(n) work on
-an n-vertex forest.  A step builds one child index of its input: of the
-parent map (``forests._child_index``) for the labeled families, or the flat
-arrays that ``forests._plane_arrays`` reads from a plane forest's preorder
-word, in which a labeled vertex's id is its label.  It hands the index to
-the membership check, the marks of tree k, the recoloring and the choice
-lookup.  Choices are counted, not looked up in a list of every target: each
-vertex offers a known number of targets (one, one per child gap, one per
-free color, or one per unlabeled leaf), so the forward step sums the counts
+an n-vertex forest.  A labeled step builds one child index of its input's
+parent map (``forests._child_index``) and hands it to the membership check,
+the marks of tree k, the recoloring and the choice lookup; a partite step
+also reads one part table (``forests._part_table``), built once per call.
+A plane step builds no index: it walks the child counts of the preorder
+word, in which the moved subtree and every tree are contiguous runs, and
+writes its output as runs of the input word, with one child count changed
+or one unlabeled leaf added or removed, and labels 1 and k exchanged.
+Choices are counted, not looked up in a list of every target: each vertex
+offers a known number of targets (one, one per child gap, one per free
+color, or one per unlabeled leaf), so the forward step sums the counts
 before its target and the inverse step subtracts them until its choice runs
-out.  The move edits the parent map, or the plane child lists, in place,
-and the exchange of labels 1 and k swaps two entries.  The output is built
-once (a plane forest's as its word, without nodes), and its constructor
-validates it in one more pass.  Codec and sampler runs do not call these
+out; a plane step does so in one pass over its side of the word.  The
+labeled moves edit the parent map in place, and the exchange of labels 1
+and k swaps two entries.  The output is built once (a plane forest's as its
+word, without nodes), and its constructor validates it in one more pass.
+Codec and sampler runs do not call these
 steps: :mod:`codec` applies the same rules to one mutable forest across a
 run, in O(log^2 n) a step besides the moves.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 from .forests import (
     EdgeColoredForest,
@@ -40,13 +46,13 @@ from .forests import (
     PlaneForest,
     RootedForest,
     _child_index,
-    _descends,
-    _plane_arrays,
-    _plane_forest,
+    _cross_part,
+    _part_table,
+    _plane_word,
     _special,
     _subtree,
+    _swapped,
     _transposed,
-    _transposition,
     is_descendant,
 )
 
@@ -143,19 +149,14 @@ def _require_plain(
     )
 
 
-def _targets(
-    inside: bytearray, k: int, parts: PartAssignment | None
-) -> list[int]:
-    """One slot per attachment target, given the marks of tree k: every
-    vertex, or with parts the vertices outside tree k that avoid k's part
-    and those inside it that avoid 1's."""
-    slots = [0] + [1] * (len(inside) - 1)
-    if parts is not None:
-        for side, u in ((0, k), (1, 1)):
-            for v in parts.block(parts.part_of(u)):
-                if inside[v] == side:
-                    slots[v] = 0
-    return slots
+def _targets(inside: bytearray, k: int, part: Sequence[int]) -> list[int]:
+    """One slot per attachment target, given the marks of tree k and the
+    part of each vertex (``forests._part_table``): the vertices outside tree
+    k that avoid k's part and those inside it that avoid 1's.  A plain
+    forest puts each vertex in a part of its own, ``range(n + 1)``, so that
+    every vertex is a target."""
+    avoid = (part[k], part[1])
+    return [0] + [int(p != avoid[i]) for p, i in zip(part[1:], inside[1:])]
 
 
 def _detach(
@@ -163,7 +164,7 @@ def _detach(
     kids: list[list[int]],
     k: int,
     pivot: int,
-    parts: PartAssignment | None,
+    part: Sequence[int],
 ) -> tuple[RootedForest, int]:
     """The forward step of the labeled families, with its choice index;
     ``kids`` is the input's child index."""
@@ -176,8 +177,8 @@ def _detach(
     inside = _tree_k(kids, k, swapped)
     if swapped:
         parents = _transposed(parents, 1, k)
-        w = _transposition(1, k)(w)
-    choice = _choice_index(_targets(inside, k, parts), inside, w, 0, swapped)
+        w = _swapped(w, 1, k)
+    choice = _choice_index(_targets(inside, k, part), inside, w, 0, swapped)
     return RootedForest(tuple(parents)), choice
 
 
@@ -185,13 +186,13 @@ def _attach(
     forest: RootedForest,
     kids: list[list[int]],
     k: int,
-    parts: PartAssignment | None,
+    part: Sequence[int],
     choice: int,
 ) -> RootedForest:
     """The inverse step of the labeled families; ``kids`` is the input's
     child index."""
     inside = _tree_k(kids, k)
-    u, _, swap = _chosen(_targets(inside, k, parts), inside, choice)
+    u, _, swap = _chosen(_targets(inside, k, part), inside, choice)
     parents = list(forest.parents)
     parents[(1 if swap else k) - 1] = u
     if swap:
@@ -210,7 +211,7 @@ def plain_forward(forest: RootedForest, k: int) -> tuple[RootedForest, int]:
     _require(2 <= k <= n - 1, f"k must satisfy 2 <= k <= n-1, got {k}")
     kids = _child_index(forest.parents)
     _require_plain(forest, kids, k - 1, n)
-    return _detach(forest, kids, k, n, None)
+    return _detach(forest, kids, k, n, range(n + 1))
 
 
 def plain_inverse(forest: RootedForest, k: int, choice: int) -> RootedForest:
@@ -224,7 +225,7 @@ def plain_inverse(forest: RootedForest, k: int, choice: int) -> RootedForest:
     _require(2 <= k <= n - 1, f"k must satisfy 2 <= k <= n-1, got {k}")
     kids = _child_index(forest.parents)
     _require_plain(forest, kids, k, n)
-    return _attach(forest, kids, k, None, choice)
+    return _attach(forest, kids, k, range(n + 1), choice)
 
 
 def plain_choice_count(forest: RootedForest, k: int) -> int:
@@ -239,17 +240,17 @@ def plain_choice_count(forest: RootedForest, k: int) -> int:
 
 
 def _require_partite(
-    forest: RootedForest,
-    kids: list[list[int]],
-    k: int,
-    parts: PartAssignment,
-    pivot: int,
-) -> None:
+    forest: RootedForest, kids: list[list[int]], k: int, parts: PartAssignment
+) -> list[int]:
+    """Returns the part table, ``forests._part_table``.  The pivot vertex is
+    the smallest label of part 2."""
     _require(parts.n == forest.n, "part sizes must cover the vertex set")
     _require(parts.part_count >= 2, "at least two parts are required")
     _require(k <= parts.sizes[0], f"roots 1..{k} must lie in part 1")
-    _require(parts.respects(forest), "forest has an edge inside one part")
-    _require_plain(forest, kids, k, pivot)
+    part = _part_table(parts)
+    _require(_cross_part(part, forest.parents), "forest has an edge inside one part")
+    _require_plain(forest, kids, k, parts.sizes[0] + 1)
+    return part
 
 
 def partite_forward(
@@ -261,36 +262,33 @@ def partite_forward(
     are restricted to vertices in a different part from the attached root,
     which is what makes the multiplier the size of the complement of part 1.
     """
-    pivot = parts.sizes[0] + 1
     _require(
         2 <= k <= parts.sizes[0],
         f"k must satisfy 2 <= k <= |part 1| = {parts.sizes[0]}, got {k}",
     )
     kids = _child_index(forest.parents)
-    _require_partite(forest, kids, k - 1, parts, pivot)
-    return _detach(forest, kids, k, pivot, parts)
+    part = _require_partite(forest, kids, k - 1, parts)
+    return _detach(forest, kids, k, parts.sizes[0] + 1, part)
 
 
 def partite_inverse(
     forest: RootedForest, k: int, parts: PartAssignment, choice: int
 ) -> RootedForest:
-    pivot = parts.sizes[0] + 1
     _require(
         2 <= k <= parts.sizes[0],
         f"k must satisfy 2 <= k <= |part 1| = {parts.sizes[0]}, got {k}",
     )
     kids = _child_index(forest.parents)
-    _require_partite(forest, kids, k, parts, pivot)
-    return _attach(forest, kids, k, parts, choice)
+    part = _require_partite(forest, kids, k, parts)
+    return _attach(forest, kids, k, part, choice)
 
 
 def partite_choice_count(
     forest: RootedForest, k: int, parts: PartAssignment
 ) -> int:
-    pivot = parts.sizes[0] + 1
     kids = _child_index(forest.parents)
-    _require_partite(forest, kids, k, parts, pivot)
-    return sum(_targets(_tree_k(kids, k), k, parts))
+    part = _require_partite(forest, kids, k, parts)
+    return sum(_targets(_tree_k(kids, k), k, part))
 
 
 def reroot_tree(forest: RootedForest, v: int) -> RootedForest:
@@ -325,44 +323,102 @@ def reroot_switch(forest: RootedForest) -> RootedForest:
 # --------------------------------------------------------------------------
 # Fully labeled plane forests
 # --------------------------------------------------------------------------
+#
+# The plane steps edit the preorder word.  A subtree is a contiguous run of
+# it and a tree a run starting at a root, so a step cuts the word at a few
+# positions and writes the runs out in a new order, with one child count
+# changed or an unlabeled leaf added or removed, and labels 1 and k
+# exchanged when the move takes the swap case.
 
 
-def _require_plane(
-    parent: list[int], kids: list[list[int]], label: list, k: int,
-    leafy: bool = False,
-) -> int:
+def _subtree_end(degrees: Sequence[int], i: int) -> int:
+    """The preorder position just past the subtree at position i."""
+    owed = 1  # vertices of the subtree still to come
+    while owed:
+        owed += degrees[i] - 1
+        i += 1
+    return i
+
+
+def _parent_gap(degrees: Sequence[int], i: int) -> tuple[int, int]:
+    """The position of the parent of the non-root vertex at position i, and
+    the child gap i sits in, counted from 0, walking the word backwards."""
+    items = 1  # whole subtrees from position j+1 on, up to i's
+    j = i - 1
+    while degrees[j] < items:  # j's children end before i
+        items -= degrees[j] - 1
+        j -= 1
+    return j, items - 1
+
+
+def _require_plane(pf: PlaneForest, k: int, leafy: bool = False) -> tuple[int, list]:
     """Validate membership with roots 1..k and the largest label m in tree 1;
-    returns m.  The arrays are ``forests._plane_arrays`` of the forest.
+    returns m and the positions where the trees start in the word, followed
+    by its length.
 
     Every vertex carries one of 1..n, or with ``leafy`` exactly the internal
     vertices carry 1..m and the leaves none.
     """
+    labels, degrees = pf.preorder_labels, pf.preorder_degrees
     if leafy:
-        _require(
-            all((label[v] is None) == (not kids[v]) for v in range(1, len(kids))),
-            "exactly the leaves must be unlabeled",
-        )
+        _require(pf.is_leaf_unlabeled(), "exactly the leaves must be unlabeled")
     else:
-        _require(None not in label, "plane family here is fully labeled")
-    m = len(parent) - label.count(None)
-    if label[1 : m + 1] != list(range(1, m + 1)):
+        _require(0 not in labels, "plane family here is fully labeled")
+    m = len(labels) - labels.count(0)
+    if max(labels, default=0) != m:  # the distinct labels are not 1..m
         raise ValueError(
             f"internal labels must be 1..{m}" if leafy else "labels must be 1..n"
         )
-    # Each labeled vertex's id is now its label.
-    roots = tuple(map(label.__getitem__, kids[0]))
-    if roots != tuple(range(1, k + 1)):
+    starts = [0]
+    while starts[-1] < len(labels):
+        starts.append(_subtree_end(degrees, starts[-1]))
+    roots = [labels[j] for j in starts[:-1]]
+    if roots != list(range(1, k + 1)):
+        roots = tuple(x or None for x in roots)
         raise ValueError(f"expected roots exactly 1..{k}, got {roots}")
-    if not m:  # the empty forest
-        raise ValueError(f"label {m} not present")
-    if not _descends(parent, m, 1):
+    _require(m > 0, "label 0 not present")  # the empty forest
+    if labels.index(m) >= starts[1]:
         raise ValueError(f"vertex {m} must lie in the tree rooted at 1")
-    return m
+    return m, starts
 
 
-def _gaps(kids: list[list[int]]) -> list[int]:
-    """One slot per child gap of every vertex of a labeled plane forest."""
-    return [0] + [len(below) + 1 for below in kids[1:]]
+def _spliced(word: tuple[list, list], runs) -> PlaneForest:
+    """The forest whose word is these (start, end) runs of the two lists."""
+    out: tuple[list, list] = ([], [])
+    for a, b in runs:
+        out[0].extend(word[0][a:b])
+        out[1].extend(word[1][a:b])
+    return _plane_word(tuple(out[0]), tuple(out[1]))
+
+
+def _detached(
+    word: tuple[list, list], k: int, starts: list, i: int, e: int, swapped: bool
+) -> PlaneForest:
+    """A forward step's result, from the word of its input as two lists and
+    the input's tree starts: the subtree at positions i..e-1 becomes tree k
+    and leaves in its place what the lists hold past the input (an
+    unlabeled leaf, or nothing).  With ``swapped`` labels 1 and k, two
+    roots, are exchanged in the lists: the subtree becomes tree 1 and the
+    rest of tree 1 tree k."""
+    e1, n, end = starts[1], starts[-1], len(word[0])
+    if swapped:
+        word[0][0], word[0][i] = k, 1
+        return _spliced(word, ((i, e), (e1, n), (0, i), (n, end), (e, e1)))
+    return _spliced(word, ((0, i), (n, end), (e, n), (i, e)))
+
+
+def _attached(
+    word: tuple[list, list], k: int, starts: list, at: int, after: int, swap: bool
+) -> PlaneForest:
+    """An inverse step's result, from the word of its input as two lists and
+    the input's tree starts: tree k, the last, goes in at position ``at`` in
+    place of positions at..after-1 (an unlabeled leaf, or nothing).  With
+    ``swap`` tree 1 goes in instead, and labels 1 and k are exchanged."""
+    cut, e1, n = starts[-2], starts[1], starts[-1]
+    if swap:
+        word[0][0], word[0][cut] = k, 1
+        return _spliced(word, ((cut, at), (0, e1), (after, n), (e1, cut)))
+    return _spliced(word, ((0, at), (cut, n), (after, cut)))
 
 
 def plane_forward(pf: PlaneForest, k: int) -> tuple[PlaneForest, int]:
@@ -371,46 +427,61 @@ def plane_forward(pf: PlaneForest, k: int) -> tuple[PlaneForest, int]:
     Attachment positions are (vertex, gap) pairs, so a vertex of degree d
     offers d+1 slots; over the whole target forest that is 2n-k slots.
     """
-    parent, kids, label = _plane_arrays(pf)
-    n = len(parent)
+    labels, degrees = pf.preorder_labels, pf.preorder_degrees
+    n = len(labels)
     _require(2 <= k <= n - 1, f"k must satisfy 2 <= k <= n-1, got {k}")
-    _require_plane(parent, kids, label, k - 1)
+    starts = _require_plane(pf, k - 1)[1]
+    i = labels.index(k)
+    e = _subtree_end(degrees, i)
+    w, gap = _parent_gap(degrees, i)
+    word = (list(labels), list(degrees))
+    word[1][w] -= 1
     # Vertex n lies in tree 1; it leaves tree 1 exactly when it sits in the
-    # detached subtree.  Then labels 1 and k, two roots, are exchanged.
-    swapped = _descends(parent, n, k)
-    inside = _tree_k(kids, k, swapped)
-    w = parent[k - 1]
-    gap = kids[w].index(k)
-    del kids[w][gap]
-    kids[0].append(k)
-    slots = _gaps(kids)
-    if swapped:
-        label[1], label[k] = k, 1
-        slots[1], slots[k] = slots[k], slots[1]
-        w = _transposition(1, k)(w)
-    return _plane_forest(kids, label), _choice_index(slots, inside, w, gap, swapped)
+    # detached subtree.
+    swapped = i <= labels.index(n) < e
+    g = _detached(word, k, starts, i, e, swapped)
+    # On w's side of g's tree k, positions lo..hi-1 of g's word, the choice
+    # counts the child gaps of the vertices labeled below w (w's label is
+    # now word[0][w]), then w's own up to gap; in the swap case the 2cut-k+1
+    # gaps outside tree k, the first cut positions, come first.
+    lo, hi = (n - starts[1] + e - i, n) if swapped else (0, n - e + i)
+    side = zip(g.preorder_labels[lo:hi], g.preorder_degrees[lo:hi])
+    choice = gap + 1 + sum(d + 1 for x, d in side if x < word[0][w])
+    return g, choice + (2 * lo - k + 1 if swapped else 0)
 
 
 def plane_inverse(pf: PlaneForest, k: int, choice: int) -> PlaneForest:
-    parent, kids, label = _plane_arrays(pf)
-    n = len(parent)
+    labels, degrees = pf.preorder_labels, pf.preorder_degrees
+    n = len(labels)
     _require(2 <= k <= n - 1, f"k must satisfy 2 <= k <= n-1, got {k}")
-    _require_plane(parent, kids, label, k)
-    v, gap, swap = _chosen(_gaps(kids), _tree_k(kids, k), choice)
+    starts = _require_plane(pf, k)[1]
+    cut = starts[-2]  # tree k, the last
+    outside, total = 2 * cut - k + 1, 2 * n - k
+    _require(1 <= choice <= total, f"choice must be in 1..{total}, got {choice}")
+    # Count the child gaps of the choice's side of tree k by vertex label.
     # The target vertex never lies in the moved tree: outside slots avoid
     # tree k, inside slots avoid tree 1.
-    moved = 1 if swap else k
-    kids[0].remove(moved)
-    kids[v].insert(gap, moved)
-    if swap:
-        label[1], label[k] = k, 1
-    return _plane_forest(kids, label)
+    swap = choice > outside
+    lo, hi, c = (cut, n, choice - outside) if swap else (0, cut, choice)
+    slots = [0] * (n + 1)
+    for x, d in zip(labels[lo:hi], degrees[lo:hi]):
+        slots[x] = d + 1
+    for v, s in enumerate(slots):
+        if c <= s:
+            break
+        c -= s
+    p = labels.index(v)
+    at = p + 1  # where gap c-1 of v opens
+    for _ in range(c - 1):
+        at = _subtree_end(degrees, at)
+    word = (list(labels), list(degrees))
+    word[1][p] += 1
+    return _attached(word, k, starts, at, at, swap)
 
 
 def plane_choice_count(pf: PlaneForest, k: int) -> int:
     """The plane multiplier 2n-k: one slot per (vertex, child gap) pair."""
-    n = _require_plane(*_plane_arrays(pf), k)
-    return 2 * n - k
+    return 2 * _require_plane(pf, k)[0] - k
 
 
 # --------------------------------------------------------------------------
@@ -425,61 +496,44 @@ def leafplane_forward(pf: PlaneForest, r: int) -> tuple[PlaneForest, int]:
     and one more leaf than the input.  The choice index is the preorder rank
     of that hole among the unlabeled leaves of the result.
     """
-    parent, kids, label = _plane_arrays(pf)
-    m = _require_plane(parent, kids, label, r - 1, leafy=True)
+    labels, degrees = pf.preorder_labels, pf.preorder_degrees
+    m, starts = _require_plane(pf, r - 1, leafy=True)
     _require(2 <= r <= m - 1, f"r must satisfy 2 <= r <= {m - 1}")
-    # The leaves' ids m+1..n run in preorder.  Without a swap the hole keeps
-    # the place of the subtree at r among the leaves.  With one the result
-    # lists the subtree first, then trees 2..r-1, then tree r: the rest of
-    # tree 1, whose leaves after the subtree then come last.
-    n = len(parent)
-    if _descends(parent, m, r):
-        after = _end_leaf(kids, 1, -1) - _end_leaf(kids, r, -1)
-        choice = n - m - after + 1
-        label[1], label[r] = r, 1
+    i = labels.index(r)
+    e = _subtree_end(degrees, i)
+    # Without a swap the hole keeps the place of the subtree at r among the
+    # leaves.  With one the result lists the subtree first, then trees
+    # 2..r-1, then tree r: the rest of tree 1, whose leaves after the hole
+    # then come last.
+    swapped = i <= labels.index(m) < e
+    if swapped:
+        choice = labels.count(0) - labels[e : starts[1]].count(0) + 1
     else:
-        choice = _end_leaf(kids, r, 0) - m
-    p = parent[r - 1]
-    kids[p][kids[p].index(r)] = n + 1  # the hole, a fresh vertex
-    kids.append([])
-    label.append(None)
-    kids[0].append(r)
-    return _plane_forest(kids, label), choice
+        choice = labels[:i].count(0) + 1
+    hole = (list(labels) + [0], list(degrees) + [0])  # a fresh leaf past the word
+    return _detached(hole, r, starts, i, e, swapped), choice
 
 
 def leafplane_inverse(pf: PlaneForest, r: int, choice: int) -> PlaneForest:
     """Replace the chosen unlabeled leaf by tree r (or tree 1 plus a swap)."""
-    parent, kids, label = _plane_arrays(pf)
-    m = _require_plane(parent, kids, label, r, leafy=True)
+    labels = pf.preorder_labels
+    m, starts = _require_plane(pf, r, leafy=True)
     _require(2 <= r <= m - 1, f"r must satisfy 2 <= r <= {m - 1}")
-    leaves = len(parent) - m
-    _require(
-        1 <= choice <= leaves, f"choice must be in 1..{leaves}, got {choice}"
-    )
-    # The leaves' ids m+1..n run in preorder, and tree r's come last.
-    leaf = m + choice
-    swap = leaf >= _end_leaf(kids, r, 0)
-    moved = 1 if swap else r
-    kids[0].remove(moved)
-    p = parent[leaf - 1]
-    kids[p][kids[p].index(leaf)] = moved
-    if swap:
-        label[1], label[r] = r, 1
-    return _plane_forest(kids, label)
-
-
-def _end_leaf(kids: list[list[int]], v: int, end: int) -> int:
-    """The first (``end`` 0) or last (``end`` -1) leaf below v."""
-    while kids[v]:
-        v = kids[v][end]
-    return v
+    leaves = len(labels) - m
+    _require(1 <= choice <= leaves, f"choice must be in 1..{leaves}, got {choice}")
+    leaf = -1
+    for _ in range(choice):
+        leaf = labels.index(0, leaf + 1)
+    # The leaves of tree r, the last tree, come last: choosing one of them
+    # takes the swap case.
+    word = (list(labels), list(pf.preorder_degrees))
+    return _attached(word, r, starts, leaf, leaf + 1, leaf >= starts[-2])
 
 
 def leafplane_choice_count(pf: PlaneForest, r: int) -> int:
     """One choice per unlabeled leaf of the forest with r roots."""
-    parent, kids, label = _plane_arrays(pf)
-    _require_plane(parent, kids, label, r, leafy=True)
-    return label.count(None)
+    _require_plane(pf, r, leafy=True)
+    return pf.preorder_labels.count(0)
 
 
 # --------------------------------------------------------------------------
@@ -578,7 +632,7 @@ def colored_forward(
         parents = _transposed(parents, 1, r)
         colors[0], colors[r - 1] = colors[r - 1], colors[0]
         slots[1], slots[r] = slots[r], slots[1]
-        w = _transposition(1, r)(w)
+        w = _swapped(w, 1, r)
     out = EdgeColoredForest(RootedForest(tuple(parents)), kc, tuple(colors))
     return out, _choice_index(slots, inside, w, j, swapped)
 

@@ -294,9 +294,23 @@ def _cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
+# The one family that reads each family parameter of sample, bijection and
+# verify recurrence.
+_READERS = {"parts": "partite", "leaves": "leafplane", "kc": "colored"}
+
+
+def _reject_unread(args) -> None:
+    """A family parameter given to a family that never reads it is an
+    error, not a no-op."""
+    for name, family in _READERS.items():
+        if getattr(args, name, None) is not None and args.family != family:
+            raise ValueError(f"{args.family} forests take no --{name}")
+
+
 def _cmd_sample(args) -> int:
     from . import codec
 
+    _reject_unread(args)
     rng = codec.SplitMix64(args.seed)
     for _ in range(args.count):
         forest = codec.sample_uniform(
@@ -329,6 +343,7 @@ def _cmd_bijection(args) -> int:
     from .forests import PartAssignment
 
     family = args.family
+    _reject_unread(args)
     forest = _family_forest(args)
     if args.k is None:
         raise ValueError("bijection needs --k (the new root label)")
@@ -445,6 +460,7 @@ def _cmd_verify(args) -> int:
 
         if args.family is None:
             raise ValueError("verify recurrence needs --family")
+        _reject_unread(args)
         rows = verify_recurrence(
             args.family,
             n=args.n or 0,

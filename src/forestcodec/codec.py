@@ -271,8 +271,8 @@ class _Run:
         tree 1, so every later step's check would pass."""
         family, n, colors = _family_of(forest)
         if family == "plane":
-            parent, kids, label = _plane_arrays(forest)
-            bij._require_plane(parent, kids, label, 1)
+            bij._require_plane(forest, 1)
+            parent, kids, _ = _plane_arrays(forest)
             return cls(family, n, colors, parent, kids, [0] * n)
         if family == "plain":
             kids = _child_index(forest.parents)

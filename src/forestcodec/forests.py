@@ -7,11 +7,14 @@ so bijection steps compose without aliasing surprises.
 
 Cost model: each operation makes one pass over the value, O(n) for n
 vertices, at any depth.  A plane forest is stored as its preorder word, two
-int tuples, and edited as flat arrays: ``_plane_arrays`` reads its parents,
+int tuples.  The bijection steps cut and splice the word itself; the codec
+and ``plane_relabel`` edit flat arrays: ``_plane_arrays`` reads its parents,
 ordered child lists and labels by vertex id from the word in one pass, the
 caller edits the lists in place, and ``_plane_forest`` writes the word of
 the result in preorder.  ``PlaneNode`` trees are built only when a caller
-reads ``PlaneForest.trees``, and anew on each read.
+reads ``PlaneForest.trees``, and anew on each read.  ``PartAssignment``
+answers ``respects`` from a part table by vertex, ``_part_table``, built
+anew on each call.
 ``children``, ``degree`` and ``EdgeColoredForest.colors_at`` answer for one
 vertex with a full O(n) scan, so code that needs the children of many
 vertices builds one child index with ``_child_index`` instead.  No index or
@@ -32,7 +35,8 @@ from __future__ import annotations
 import bisect
 import re
 from dataclasses import dataclass
-from operator import attrgetter
+from itertools import accumulate
+from operator import attrgetter, ne
 from typing import Iterator, Sequence
 
 
@@ -229,15 +233,9 @@ def _transposed(parents: Sequence[int], a: int, b: int) -> list[int]:
     return out
 
 
-def _transposition(a: int, b: int):
-    def sigma(v: int) -> int:
-        if v == a:
-            return b
-        if v == b:
-            return a
-        return v
-
-    return sigma
+def _swapped(v: int, a: int, b: int) -> int:
+    """Vertex v relabeled by the transposition (a b)."""
+    return b if v == a else a if v == b else v
 
 
 def _check_vertex(forest: RootedForest, v: int) -> None:
@@ -277,33 +275,31 @@ class PartAssignment:
     def part_count(self) -> int:
         return len(self.sizes)
 
-    @property
-    def _offsets(self) -> tuple[int, ...]:
-        total, offs = 0, []
-        for s in self.sizes:
-            total += s
-            offs.append(total)
-        return tuple(offs)
-
     def part_of(self, v: int) -> int:
         """1-based part index of vertex v."""
         if not 1 <= v <= self.n:
             raise ValueError(f"vertex {v} out of range 1..{self.n}")
-        return bisect.bisect_left(self._offsets, v) + 1
+        return bisect.bisect_left(list(accumulate(self.sizes)), v) + 1
 
     def block(self, i: int) -> range:
         """The label range of part i."""
-        offs = (0,) + self._offsets
-        return range(offs[i - 1] + 1, offs[i] + 1)
+        start = sum(self.sizes[: i - 1])
+        return range(start + 1, start + self.sizes[i - 1] + 1)
 
     def respects(self, forest: RootedForest) -> bool:
         """True iff no edge of the forest joins two vertices of one part."""
-        if forest.n != self.n:
-            return False
-        return all(
-            p == 0 or self.part_of(v) != self.part_of(p)
-            for v, p in enumerate(forest.parents, start=1)
-        )
+        return forest.n == self.n and _cross_part(_part_table(self), forest.parents)
+
+
+def _part_table(parts: PartAssignment) -> list[int]:
+    """``part[v]`` is the part of vertex v, from 1, and ``part[0]`` is 0."""
+    return [0] + [i for i, s in enumerate(parts.sizes, start=1) for _ in range(s)]
+
+
+def _cross_part(part: list[int], parents: Sequence[int]) -> bool:
+    """``respects`` on a part table and a parent map over the same n
+    vertices; a root's sentinel 0 lies in no part."""
+    return all(map(ne, part[1:], map(part.__getitem__, parents)))
 
 
 # --------------------------------------------------------------------------
@@ -461,10 +457,8 @@ class PlaneForest:
 
     def is_leaf_unlabeled(self) -> bool:
         """True iff a vertex is unlabeled exactly when it is a leaf."""
-        return all(
-            (not x) == (not d)
-            for x, d in zip(self.preorder_labels, self.preorder_degrees)
-        )
+        labels, degrees = self.preorder_labels, self.preorder_degrees
+        return list(map(bool, labels)) == list(map(bool, degrees))
 
 
 def _store(pf: PlaneForest, labels: tuple, degrees: tuple) -> PlaneForest:

@@ -381,9 +381,19 @@ ERROR_PATHS = [
     ("sample", "--family", "colored", "--n", "4", "--seed", "1"),
     ("sample", "--family", "plain", "--n", "4", "--roots", "9", "--seed", "1"),
     ("sample", "--family", "plain", "--n", "0", "--seed", "1"),
+    ("sample", "--family", "plain", "--n", "5", "--kc", "3", "--seed", "1"),
+    ("sample", "--family", "plane", "--n", "5", "--kc", "3", "--seed", "1"),
     ("bijection", "forward", "--family", "plain", "--forest", "5 3 0 0 0 3 1"),
     ("bijection", "inverse", "--family", "plain", "--k", "3", "--choice", "6",
      "--forest", "5 3 0 0 0 3 1"),
+    ("bijection", "forward", "--family", "plain", "--k", "2", "--kc", "3",
+     "--forest", "3 1 0 1 1"),
+    ("bijection", "forward", "--family", "partite", "--k", "2", "--parts", "2,2",
+     "--kc", "3", "--forest", "4 1 0 3 1 2"),
+    ("bijection", "forward", "--family", "plain", "--k", "2", "--parts", "2,2",
+     "--forest", "3 1 0 1 1"),
+    ("bijection", "forward", "--family", "colored", "--k", "2", "--kc", "3",
+     "--parts", "2,2", "--forest", "3 1 0 1 1\n0 1 2"),
     ("encode", "--forest", "2 2 0 0"),
     ("encode", "--family", "plane", "--forest", "1(2"),
     ("decode", "plain 5 : 3 1 9"),
@@ -392,6 +402,13 @@ ERROR_PATHS = [
     ("identity", "kary", "--grid", "x=1"),
     ("verify", "recurrence"),
     ("verify", "recurrence", "--family", "plain", "--n", "2"),
+    ("verify", "recurrence", "--family", "plain", "--n", "4", "--leaves", "2"),
+    ("verify", "recurrence", "--family", "plain", "--n", "4", "--kc", "3"),
+    ("verify", "recurrence", "--family", "plane", "--n", "4", "--parts", "2,2"),
+    ("verify", "recurrence", "--family", "colored", "--n", "4", "--kc", "3",
+     "--leaves", "2"),
+    ("verify", "recurrence", "--family", "leafplane", "--n", "6", "--leaves", "2",
+     "--kc", "3"),
     ("convert", "--kind", "plane", "--forest", "1(2"),
     ("convert", "--kind", "rooted", "--forest", "3 1 0 5 1"),
 ]
@@ -404,6 +421,27 @@ def test_error_paths(capsys, argv):
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("sample", "--family", "plane", "--n", "5", "--kc", "3", "--seed", "1"),
+         "plane forests take no --kc"),
+        (("bijection", "forward", "--family", "plain", "--k", "2", "--kc", "3",
+          "--forest", "3 1 0 1 1"), "plain forests take no --kc"),
+        (("bijection", "forward", "--family", "plain", "--k", "2", "--parts", "2,2",
+          "--forest", "3 1 0 1 1"), "plain forests take no --parts"),
+        (("verify", "recurrence", "--family", "plain", "--n", "4", "--leaves", "2"),
+         "plain forests take no --leaves"),
+        (("verify", "recurrence", "--family", "plane", "--n", "4", "--parts", "2,2"),
+         "plane forests take no --parts"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else v,
+)
+def test_unread_parameters_are_named(capsys, argv, message):
+    """A parameter the family never reads fails and names itself."""
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
 def test_over_budget_enumerate_prints_what_it_found(capsys):
