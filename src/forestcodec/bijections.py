@@ -38,6 +38,8 @@ run, in O(log^2 n) a step besides the moves.
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import ne
 from typing import Sequence
 
 from .forests import (
@@ -93,10 +95,10 @@ def _choice_index(
 ) -> int:
     """The choice that makes the inverse step attach at target j (counted
     from 0) of vertex w, on the outside or, when ``swapped``, inside."""
-    c = j + 1 + sum(s for s, i in zip(slots[:w], inside) if i == swapped)
-    if swapped:
-        c += sum(s for s, i in zip(slots, inside) if not i)
-    return c
+    inner = sum(compress(slots[:w], inside))  # below w, inside tree k
+    if swapped:  # after every target outside tree k
+        return j + 1 + inner + sum(slots) - sum(compress(slots, inside))
+    return j + 1 + sum(slots[:w]) - inner
 
 
 def _chosen(
@@ -104,8 +106,8 @@ def _chosen(
 ) -> tuple[int, int, bool]:
     """The vertex and target (counted from 0) a choice names, and whether it
     takes the swap case."""
-    outside = sum(s for s, i in zip(slots, inside) if not i)
     total = sum(slots)
+    outside = total - sum(compress(slots, inside))
     _require(1 <= choice <= total, f"choice must be in 1..{total}, got {choice}")
     swap = choice > outside
     c = choice - outside if swap else choice
@@ -156,7 +158,7 @@ def _targets(inside: bytearray, k: int, part: Sequence[int]) -> list[int]:
     forest puts each vertex in a part of its own, ``range(n + 1)``, so that
     every vertex is a target."""
     avoid = (part[k], part[1])
-    return [0] + [int(p != avoid[i]) for p, i in zip(part[1:], inside[1:])]
+    return [0, *map(ne, part[1:], map(avoid.__getitem__, inside[1:]))]
 
 
 def _detach(
@@ -253,6 +255,14 @@ def _require_partite(
     return part
 
 
+def _require_partite_k(k: int, parts: PartAssignment) -> None:
+    """The range of a partite step's k: the new root lies in part 1."""
+    _require(
+        2 <= k <= parts.sizes[0],
+        f"k must satisfy 2 <= k <= |part 1| = {parts.sizes[0]}, got {k}",
+    )
+
+
 def partite_forward(
     forest: RootedForest, k: int, parts: PartAssignment
 ) -> tuple[RootedForest, int]:
@@ -262,10 +272,7 @@ def partite_forward(
     are restricted to vertices in a different part from the attached root,
     which is what makes the multiplier the size of the complement of part 1.
     """
-    _require(
-        2 <= k <= parts.sizes[0],
-        f"k must satisfy 2 <= k <= |part 1| = {parts.sizes[0]}, got {k}",
-    )
+    _require_partite_k(k, parts)
     kids = _child_index(forest.parents)
     part = _require_partite(forest, kids, k - 1, parts)
     return _detach(forest, kids, k, parts.sizes[0] + 1, part)
@@ -274,10 +281,7 @@ def partite_forward(
 def partite_inverse(
     forest: RootedForest, k: int, parts: PartAssignment, choice: int
 ) -> RootedForest:
-    _require(
-        2 <= k <= parts.sizes[0],
-        f"k must satisfy 2 <= k <= |part 1| = {parts.sizes[0]}, got {k}",
-    )
+    _require_partite_k(k, parts)
     kids = _child_index(forest.parents)
     part = _require_partite(forest, kids, k, parts)
     return _attach(forest, kids, k, part, choice)
@@ -501,17 +505,16 @@ def leafplane_forward(pf: PlaneForest, r: int) -> tuple[PlaneForest, int]:
     _require(2 <= r <= m - 1, f"r must satisfy 2 <= r <= {m - 1}")
     i = labels.index(r)
     e = _subtree_end(degrees, i)
-    # Without a swap the hole keeps the place of the subtree at r among the
-    # leaves.  With one the result lists the subtree first, then trees
-    # 2..r-1, then tree r: the rest of tree 1, whose leaves after the hole
-    # then come last.
+    # The hole's rank counts every leaf of the result but those after it.
+    # Without a swap the hole takes the place of the subtree at r, which
+    # moves to the end, so the leaves from position i on follow it.  With
+    # one the result lists the subtree first, then trees 2..r-1, then tree
+    # r: the rest of tree 1, whose leaves after the subtree come last.
     swapped = i <= labels.index(m) < e
-    if swapped:
-        choice = labels.count(0) - labels[e : starts[1]].count(0) + 1
-    else:
-        choice = labels[:i].count(0) + 1
+    after = labels[e : starts[1]] if swapped else labels[i:]
     hole = (list(labels) + [0], list(degrees) + [0])  # a fresh leaf past the word
-    return _detached(hole, r, starts, i, e, swapped), choice
+    g = _detached(hole, r, starts, i, e, swapped)
+    return g, labels.count(0) - after.count(0) + 1
 
 
 def leafplane_inverse(pf: PlaneForest, r: int, choice: int) -> PlaneForest:

@@ -283,8 +283,8 @@ class PartAssignment:
 
     def block(self, i: int) -> range:
         """The label range of part i."""
-        start = sum(self.sizes[: i - 1])
-        return range(start + 1, start + self.sizes[i - 1] + 1)
+        offs = (0, *accumulate(self.sizes))
+        return range(offs[i - 1] + 1, offs[i] + 1)
 
     def respects(self, forest: RootedForest) -> bool:
         """True iff no edge of the forest joins two vertices of one part."""
