@@ -291,15 +291,15 @@ class TestDeepPlaneSteps:
 
 
 PLANE_STEPS = {
-    "forward": lambda pf, k: plane_forward(pf, k),
+    "forward": plane_forward,
     "inverse": lambda pf, k: plane_inverse(pf, k, 1),
-    "choice_count": lambda pf, k: plane_choice_count(pf, k),
+    "choice_count": plane_choice_count,
 }
 
 LEAFPLANE_STEPS = {
-    "forward": lambda pf, r: leafplane_forward(pf, r),
+    "forward": leafplane_forward,
     "inverse": lambda pf, r: leafplane_inverse(pf, r, 1),
-    "choice_count": lambda pf, r: leafplane_choice_count(pf, r),
+    "choice_count": leafplane_choice_count,
 }
 
 # (forest text, k for forward, k for inverse and choice count, message, in
