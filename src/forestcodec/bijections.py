@@ -50,11 +50,12 @@ from .forests import (
     _child_index,
     _cross_part,
     _part_table,
-    _plane_word,
     _special,
+    _spliced,
     _subtree,
     _swapped,
     _transposed,
+    _tree_starts,
     is_descendant,
 )
 
@@ -363,7 +364,7 @@ def _require_plane(pf: PlaneForest, k: int, leafy: bool = False) -> tuple[int, l
     Every vertex carries one of 1..n, or with ``leafy`` exactly the internal
     vertices carry 1..m and the leaves none.
     """
-    labels, degrees = pf.preorder_labels, pf.preorder_degrees
+    labels = pf.preorder_labels
     if leafy:
         _require(pf.is_leaf_unlabeled(), "exactly the leaves must be unlabeled")
     else:
@@ -373,26 +374,13 @@ def _require_plane(pf: PlaneForest, k: int, leafy: bool = False) -> tuple[int, l
         raise ValueError(
             f"internal labels must be 1..{m}" if leafy else "labels must be 1..n"
         )
-    starts = [0]
-    while starts[-1] < len(labels):
-        starts.append(_subtree_end(degrees, starts[-1]))
-    roots = [labels[j] for j in starts[:-1]]
-    if roots != list(range(1, k + 1)):
-        roots = tuple(x or None for x in roots)
-        raise ValueError(f"expected roots exactly 1..{k}, got {roots}")
+    starts = _tree_starts(pf.preorder_degrees)
+    if [labels[j] for j in starts[:-1]] != list(range(1, k + 1)):
+        raise ValueError(f"expected roots exactly 1..{k}, got {pf.root_labels()}")
     _require(m > 0, "label 0 not present")  # the empty forest
     if labels.index(m) >= starts[1]:
         raise ValueError(f"vertex {m} must lie in the tree rooted at 1")
     return m, starts
-
-
-def _spliced(word: tuple[list, list], runs) -> PlaneForest:
-    """The forest whose word is these (start, end) runs of the two lists."""
-    out: tuple[list, list] = ([], [])
-    for a, b in runs:
-        out[0].extend(word[0][a:b])
-        out[1].extend(word[1][a:b])
-    return _plane_word(tuple(out[0]), tuple(out[1]))
 
 
 def _detached(

@@ -43,7 +43,7 @@ _FAMILIES = (
 
 
 def _to_json(obj) -> dict:
-    from .forests import EdgeColoredForest, PlaneForest, RootedForest, _preorder_parents
+    from .forests import EdgeColoredForest, RootedForest
 
     if isinstance(obj, EdgeColoredForest):
         return {
@@ -61,18 +61,28 @@ def _to_json(obj) -> dict:
             "roots": list(obj.roots),
             "parents": list(obj.parents),
         }
-    if isinstance(obj, PlaneForest):
-        # From the word, so depth is no limit.
-        trees: list[dict] = []
-        entries = [{"label": x or None, "children": []} for x in obj.preorder_labels]
-        for entry, p in zip(entries, _preorder_parents(obj.preorder_degrees)):
-            (entries[p - 1]["children"] if p else trees).append(entry)
-        return {
-            "kind": "plane",
-            "vertices": obj.n_vertices,
-            "trees": trees,
-        }
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _plane_json(pf) -> str:
+    """The text ``json.dumps(doc, sort_keys=True)`` gives for a plane
+    forest's nested document, written from its word, so depth is no limit.
+    The sorted keys put a vertex's ``"label"`` after its ``"children"``, so
+    the stack holds the label of each vertex whose child list is open."""
+    from .forests import _depths
+
+    depth = _depths(pf.preorder_degrees)
+    out, stack = [], []
+    for i, x in enumerate(pf.preorder_labels):
+        out.append('{"children": [')
+        stack.append(x)
+        ends = depth[i] + 1 - depth[i + 1]  # child lists that end with vertex i
+        for _ in range(ends):
+            out.append(f'], "label": {stack.pop() or "null"}}}')
+        if ends:  # the next vertex, if any, is a sibling
+            out.append(", ")
+    trees = "".join(out)[:-2]
+    return f'{{"kind": "plane", "trees": [{trees}], "vertices": {pf.n_vertices}}}'
 
 
 def _to_dot(obj) -> str:
@@ -91,71 +101,39 @@ def _to_dot(obj) -> str:
             attr = f' [label="{colors[v - 1]}"]' if colors else ""
             lines.append(f"  v{p} -> v{v}{attr};")
     elif isinstance(obj, PlaneForest):
-        # Vertex v{i} is the i-th in global preorder.
-        kids: list[list[int]] = [[] for _ in range(obj.n_vertices + 1)]
+        # Vertex v{i} is the i-th in global preorder.  The edges go by
+        # parent, then child, position: (p, j) pairs in sorted order.
         up = _preorder_parents(obj.preorder_degrees)
-        for i, (x, p) in enumerate(zip(obj.preorder_labels, up)):
+        for i, x in enumerate(obj.preorder_labels):
             lines.append(f'  v{i} [label="{x or "*"}"];')
-            kids[p].append(i)
-        for i, below in enumerate(kids[1:]):
-            for j in below:
-                lines.append(f"  v{i} -> v{j};")
+        for p, j in sorted((p, j) for j, p in enumerate(up) if p):
+            lines.append(f"  v{p - 1} -> v{j};")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
     lines.append("}")
     return "\n".join(lines)
 
 
-def _dumps(doc: dict) -> str:
-    """``json.dumps(doc, sort_keys=True)``, without recursion.
-
-    The C encoder recurses once per nesting level, which a deep plane
-    forest's document overflows.  The stack holds either text ready to emit
-    or a dict or list still to open.
-    """
-    import json
-
-    out: list[str] = []
-    stack: list = [doc]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-            continue
-        if isinstance(item, dict):
-            entries = [(json.dumps(key) + ": ", item[key]) for key in sorted(item)]
-            brackets = "{}"
-        else:
-            entries = [("", value) for value in item]
-            brackets = "[]"
-        tokens = [brackets[0]]
-        for i, (head, value) in enumerate(entries):
-            tokens.append(", " + head if i else head)
-            nested = isinstance(value, (dict, list))
-            tokens.append(value if nested else json.dumps(value))
-        tokens.append(brackets[1])
-        stack.extend(reversed(tokens))
-    return "".join(out)
-
-
 def _render(obj, fmt: str) -> str:
-    if fmt == "json":
-        return _dumps(_to_json(obj))
     if fmt == "dot":
         return _to_dot(obj)
     from .forests import (
         EdgeColoredForest,
-        RootedForest,
+        PlaneForest,
         render_colored,
         render_forest,
         render_plane,
     )
 
+    if isinstance(obj, PlaneForest):
+        return _plane_json(obj) if fmt == "json" else render_plane(obj)
+    if fmt == "json":
+        import json
+
+        return json.dumps(_to_json(obj), sort_keys=True)
     if isinstance(obj, EdgeColoredForest):
         return render_colored(obj)
-    if isinstance(obj, RootedForest):
-        return render_forest(obj)
-    return render_plane(obj)
+    return render_forest(obj)
 
 
 def _parse_any(text: str, kind: str, color_count: int | None):
@@ -185,8 +163,10 @@ def _ints(text: str) -> tuple[int, ...]:
 
 def _parse_range(text: str) -> range:
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
+        lo, hi = map(int, text.split("..", 1))
+        if lo > hi:
+            raise ValueError(f"empty range {text!r}: {lo} > {hi}")
+        return range(lo, hi + 1)
     v = int(text)
     return range(v, v + 1)
 
@@ -281,16 +261,17 @@ def _spec_from_args(args):
 def _cmd_enumerate(args) -> int:
     from .enumeration import count_by_enumeration, enumerate_family
 
+    if args.limit is not None and args.limit < 0:
+        raise ValueError(f"--limit must be nonnegative, got {args.limit}")
     spec = _spec_from_args(args)
     if args.count_only:
         print(count_by_enumeration(spec, args.budget))
         return EXIT_OK
-    emitted = 0
-    for forest in enumerate_family(spec, args.budget):
-        print(_render(forest, args.format))
-        emitted += 1
-        if args.limit is not None and emitted >= args.limit:
+    # The first member is drawn even at --limit 0, so a bad spec still fails.
+    for emitted, forest in enumerate(enumerate_family(spec, args.budget)):
+        if emitted == args.limit:
             break
+        print(_render(forest, args.format))
     return EXIT_OK
 
 
@@ -311,6 +292,8 @@ def _cmd_sample(args) -> int:
     from . import codec
 
     _reject_unread(args)
+    if args.count < 0:
+        raise ValueError(f"--count must be nonnegative, got {args.count}")
     rng = codec.SplitMix64(args.seed)
     for _ in range(args.count):
         forest = codec.sample_uniform(

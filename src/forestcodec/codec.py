@@ -17,9 +17,11 @@ keeps one mutable forest across the steps, applies the rules of the
 :mod:`bijections` steps to it in place, and counts choices with prefix sums
 over labels, so ``decode`` and ``sample_uniform`` cost O(n log^2 n) and
 ``encode`` O(n*depth + n log^2 n); the one value a run returns is built,
-and validated, once.  The public steps are not called.  They stay the
-definition: ``_inverse_run`` and ``_step_encode`` run them one by one, at
-O(n) each, and the tests hold the engine to them.
+and validated, once.  A plane run reads its input's preorder word into
+parents and ordered child lists by label in one pass and writes its
+result's word in one preorder walk.  The public steps are not called.
+They stay the definition: ``_inverse_run`` and ``_step_encode`` run them
+one by one, at O(n) each, and the tests hold the engine to them.
 """
 
 from __future__ import annotations
@@ -36,9 +38,9 @@ from .forests import (
     RootedForest,
     _child_index,
     _descends,
-    _plane_arrays,
-    _plane_forest,
     _plane_word,
+    _preorder,
+    _preorder_parents,
 )
 
 CODEC_FAMILIES = ("plain", "plane", "colored")
@@ -272,7 +274,12 @@ class _Run:
         family, n, colors = _family_of(forest)
         if family == "plane":
             bij._require_plane(forest, 1)
-            parent, kids, _ = _plane_arrays(forest)
+            labels = forest.preorder_labels
+            # A vertex's id is its label; ids[p] is the id at position p.
+            ids, parent, kids = (0, *labels), [0] * n, [[] for _ in range(n + 1)]
+            for x, p in zip(labels, _preorder_parents(forest.preorder_degrees)):
+                parent[x - 1] = ids[p]
+                kids[ids[p]].append(x)
             return cls(family, n, colors, parent, kids, [0] * n)
         if family == "plain":
             kids = _child_index(forest.parents)
@@ -455,10 +462,10 @@ class _Run:
     def value(self):
         """The forest as a value, built once."""
         label, n = self.label, self.n
-        if self.family == "plane":
-            # The steps do not keep kids[0], the roots, up to date.
-            self.kids[0] = [u for u in range(1, n + 1) if not self.parent[u - 1]]
-            return _plane_forest(self.kids, label)
+        if self.family == "plane":  # the roots by ascending label, in preorder
+            roots = [u for u in self.vid[1:] if not self.parent[u - 1]]
+            word = _preorder(roots, self.kids.__getitem__, label.__getitem__)
+            return _plane_word(*word)
         parents, colors = [0] * n, [0] * n
         for u in range(1, n + 1):
             parents[label[u] - 1] = label[self.parent[u - 1]]

@@ -45,6 +45,8 @@ class BudgetExceededError(RuntimeError):
 
 class _Budget:
     def __init__(self, limit: int) -> None:
+        if limit <= 0:
+            raise ValueError(f"candidate budget must be positive: {limit}")
         self.limit = limit
         self.used = 0
 

@@ -7,12 +7,12 @@ so bijection steps compose without aliasing surprises.
 
 Cost model: each operation makes one pass over the value, O(n) for n
 vertices, at any depth.  A plane forest is stored as its preorder word, two
-int tuples.  The bijection steps cut and splice the word itself; the codec
-and ``plane_relabel`` edit flat arrays: ``_plane_arrays`` reads its parents,
-ordered child lists and labels by vertex id from the word in one pass, the
-caller edits the lists in place, and ``_plane_forest`` writes the word of
-the result in preorder.  ``PlaneNode`` trees are built only when a caller
-reads ``PlaneForest.trees``, and anew on each read.  ``PartAssignment``
+int tuples, and has no other representation: the bijection steps and
+``plane_relabel`` cut and splice the word, finding the trees with one
+``_tree_starts`` walk of the child counts, and the codec's run engine reads
+it with ``_preorder_parents`` and writes it with ``_preorder``.
+``PlaneNode`` trees are built only when a caller reads
+``PlaneForest.trees``, and anew on each read.  ``PartAssignment``
 answers ``respects`` from a part table by vertex, ``_part_table``, built
 anew on each call.
 ``children``, ``degree`` and ``EdgeColoredForest.colors_at`` answer for one
@@ -322,21 +322,14 @@ class PlaneNode:
         if self.label is not None and self.label < 1:
             raise ValueError(f"label must be positive, got {self.label}")
 
-    # Equality, hashing and repr walk the tree with a stack, so depth is no
-    # limit; the dataclass versions recurse once per level.
+    # Equality, hashing and repr read the preorder word or walk the tree
+    # with a stack, so depth is no limit; the dataclass versions recurse
+    # once per level.
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:  # a shared subtree
-                continue
-            if a.label != b.label or len(a.children) != len(b.children):
-                return False
-            stack.extend(zip(a.children, b.children))
-        return True
+        return _preorder((self,), *_NODE) == _preorder((other,), *_NODE)
 
     def __hash__(self) -> int:
         return hash(_preorder((self,), *_NODE))  # the word determines the tree
@@ -449,8 +442,9 @@ class PlaneForest:
     def labels(self) -> Iterator[int]:
         return filter(None, self.preorder_labels)
 
-    def root_labels(self) -> tuple[int, ...]:
-        return tuple(t.label for t in self.trees)  # type: ignore[misc]
+    def root_labels(self) -> tuple[int | None, ...]:
+        labels, starts = self.preorder_labels, _tree_starts(self.preorder_degrees)
+        return tuple(labels[i] or None for i in starts[:-1])
 
     def is_fully_labeled(self) -> bool:
         return 0 not in self.preorder_labels
@@ -515,50 +509,38 @@ def _depths(degrees: Sequence[int]) -> list[int]:
     return depth
 
 
-def _plane_arrays(pf: PlaneForest) -> tuple[list[int], list[list[int]], list]:
-    """``parent``, ``kids`` and ``label`` of a plane forest by vertex id,
-    from one pass over its word.
-
-    ``parent[v - 1]`` is v's parent, 0 for a root; ``kids[v]`` lists v's
-    children in order and ``kids[0]`` the roots in tree order; ``label[v]``
-    is v's label, None when unlabeled, and ``label[0]`` is 0.  When the m
-    labeled vertices carry 1..m, a labeled vertex's id is its label and the
-    unlabeled ones take m+1.. in preorder; otherwise every vertex's id is
-    its preorder position.
-    """
-    labels = pf.preorder_labels
-    n = len(labels)
-    m = n - labels.count(0)
-    ids: Sequence[int] = range(n + 1)  # by preorder position; 0 stays 0
-    if max(labels, default=0) <= m:  # the labels are 1..m
-        free = iter(range(m + 1, n + 1))
-        ids = [0] + [x or next(free) for x in labels]
-    parent = [0] * n
-    kids: list[list[int]] = [[] for _ in range(n + 1)]
-    label: list = [0] * (n + 1)
-    for v, x, p in zip(ids[1:], labels, _preorder_parents(pf.preorder_degrees)):
-        p = ids[p]
-        parent[v - 1] = p
-        kids[p].append(v)
-        label[v] = x or None
-    return parent, kids, label
+def _tree_starts(degrees: Sequence[int]) -> list[int]:
+    """The preorder positions where the trees of a valid word start,
+    followed by the word's length, from one walk over its child counts."""
+    starts, owed = [], 0  # owed: vertices still to come in the current tree
+    for i, d in enumerate(degrees):
+        if not owed:
+            starts.append(i)
+            owed = 1
+        owed += d - 1
+    starts.append(len(degrees))
+    return starts
 
 
-def _plane_forest(kids: list[list[int]], label: list) -> PlaneForest:
-    """The plane forest with roots ``kids[0]``, ordered child lists ``kids``
-    and labels ``label`` by vertex id, written in preorder; the trees are
-    sorted by root label (shape forests keep their order)."""
-    roots = sorted(kids[0], key=lambda v: label[v] or 0)
-    return _plane_word(*_preorder(roots, kids.__getitem__, label.__getitem__))
+def _spliced(word: tuple[Sequence, Sequence], runs) -> PlaneForest:
+    """The forest whose word is these (start, end) runs of the two lists."""
+    out: tuple[list, list] = ([], [])
+    for a, b in runs:
+        out[0].extend(word[0][a:b])
+        out[1].extend(word[1][a:b])
+    return _plane_word(tuple(out[0]), tuple(out[1]))
 
 
 def plane_relabel(pf: PlaneForest, a: int, b: int) -> PlaneForest:
     """Swap labels a and b, then restore ascending tree order."""
     if a == b:
         return pf
-    _, kids, label = _plane_arrays(pf)
     swap = {a: b, b: a}
-    return _plane_forest(kids, [swap.get(x, x) for x in label])
+    labels = [swap.get(x, x) for x in pf.preorder_labels]
+    starts = _tree_starts(pf.preorder_degrees)
+    # Shape forests keep their order: the sort is stable.
+    runs = sorted(zip(starts, starts[1:]), key=lambda run: labels[run[0]])
+    return _spliced((labels, pf.preorder_degrees), runs)
 
 
 # --------------------------------------------------------------------------

@@ -197,6 +197,13 @@ class TestEnumerate:
         assert code == 0
         assert out.splitlines() == ["4 1 0 1 1 1", "4 1 0 1 1 2"]
 
+    def test_limit_zero_prints_nothing_and_negative_fails(self, capsys):
+        argv = ("enumerate", "--family", "plain", "--n", "4", "--limit")
+        assert run(capsys, *argv, "0") == (0, "", "")
+        assert run(capsys, *argv, "-2") == (
+            1, "", "error: --limit must be nonnegative, got -2\n"
+        )
+
     def test_json_lines(self, capsys):
         code, out, _ = run(
             capsys, "enumerate", "--family", "plain", "--n", "3", "--roots", "1",
@@ -215,6 +222,15 @@ class TestEnumerate:
         )
         assert code == 1
         assert "budget" in err
+
+    def test_nonpositive_budget_fails(self, capsys):
+        for budget in ("-5", "0"):
+            code, out, err = run(
+                capsys, "enumerate", "--family", "plain", "--n", "3",
+                "--budget", budget,
+            )
+            assert (code, out) == (1, "")
+            assert err == f"error: candidate budget must be positive: {budget}\n"
 
 
 class TestSample:
@@ -262,14 +278,6 @@ class TestConvert:
         code, out, _ = run(capsys, "convert", "--kind", "plane")
         assert (code, out) == (0, DEEP_CHAIN + "\n")
 
-    def test_deep_plane_json_document(self):
-        node = cli._to_json(parse_plane(DEEP_CHAIN))["trees"][0]
-        labels = []
-        while node["children"]:
-            labels.append(node["label"])
-            (node,) = node["children"]
-        assert labels + [node["label"]] == list(range(1, 1201))
-
     def test_deep_plane_json(self, capsys, monkeypatch):
         for depth in (1200, 20_000):
             chain = "(".join(map(str, range(1, depth + 1))) + ")" * (depth - 1)
@@ -298,13 +306,18 @@ class TestConvert:
             assert (code, out) == (0, "\n".join(lines) + "\n")
 
     def test_json_text_matches_json_dumps(self):
-        forests = [
-            parse_plane("1(5,3(4));2"),
-            parse_plane("1(*,2(*,*));3(*)"),
+        def nested(node):
+            return {"children": [*map(nested, node.children)], "label": node.label}
+
+        for text in ("1(5,3(4));2", "1(*,2(*,*));3(*)"):
+            pf = parse_plane(text)
+            trees = [*map(nested, pf.trees)]
+            doc = {"kind": "plane", "trees": trees, "vertices": pf.n_vertices}
+            assert cli._render(pf, "json") == json.dumps(doc, sort_keys=True)
+        for forest in (
             parse_forest("5 3 0 0 0 3 1"),
             parse_colored("3 1 0 1 2\n0 1 2", 2),
-        ]
-        for forest in forests:
+        ):
             doc = cli._to_json(forest)
             assert cli._render(forest, "json") == json.dumps(doc, sort_keys=True)
 
@@ -442,6 +455,27 @@ def test_error_paths(capsys, argv):
 def test_unread_parameters_are_named(capsys, argv, message):
     """A parameter the family never reads fails and names itself."""
     assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "recurrence", "--family", "plain", "--n", "5", "--k-range", "5..3"),
+        ("identity", "bipartite", "--grid", "r=5..3"),
+    ],
+    ids=" ".join,
+)
+def test_empty_ranges_fail(capsys, argv):
+    """A range that checks nothing is an error, not a PASS."""
+    assert run(capsys, *argv) == (1, "", "error: empty range '5..3': 5 > 3\n")
+
+
+def test_negative_sample_count_fails(capsys):
+    argv = ("sample", "--n", "5", "--seed", "1", "--count")
+    assert run(capsys, *argv, "0") == (0, "", "")
+    assert run(capsys, *argv, "-1") == (
+        1, "", "error: --count must be nonnegative, got -1\n"
+    )
 
 
 def test_over_budget_enumerate_prints_what_it_found(capsys):

@@ -242,6 +242,11 @@ class TestBudget:
         with pytest.raises(ValueError):
             count_by_enumeration(FamilySpec("plain", n=4, roots=1))
 
+    def test_nonpositive_budget(self):
+        for budget in (0, -5):
+            with pytest.raises(ValueError, match="must be positive"):
+                count_by_enumeration(FamilySpec("plain", n=4, roots=1), budget)
+
 
 class TestSpecValidation:
     def test_unknown_family(self):

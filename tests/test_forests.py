@@ -25,11 +25,7 @@ from forestcodec import (
     swap_labels,
 )
 from forestcodec.enumeration import FamilySpec, enumerate_family, plane_key
-from forestcodec.forests import (
-    _plane_arrays,
-    _plane_forest,
-    plane_relabel,
-)
+from forestcodec.forests import plane_relabel
 
 # Depths of the deep plane chains: every walk must be iterative.
 DEPTHS = (1200, 20_000)
@@ -290,10 +286,11 @@ class TestTextFormats:
             assert a != parse_plane(text[: text.rindex("(")] + ")" * (depth - 2))
 
     def test_plane_equality_shares_subtrees(self):
-        # An identical subtree compares equal without being walked, as tuple
-        # comparison does; this one has no label to read.
-        shared = object()
+        # Equality compares the preorder words, so a subtree shared by both
+        # sides compares like any other.
+        shared = PlaneNode(2, (PlaneNode(None),))
         assert PlaneNode(1, (shared,)) == PlaneNode(1, (shared,))
+        assert PlaneNode(1, (shared,)) != PlaneNode(1, (shared, shared))
         assert PlaneNode(1, (PlaneNode(2),)) != PlaneNode(1, (PlaneNode(3),))
         assert PlaneNode(1) != PlaneNode(1, (PlaneNode(2),))
         assert hash(PlaneNode(1, (PlaneNode(2),))) == hash(
@@ -342,27 +339,28 @@ class TestTextFormats:
 
 
 class TestPlaneWalk:
-    def test_arrays_number_labels_then_leaves_in_preorder(self):
-        pf = parse_plane("1(*,2(*));3(*)")
-        parent, kids, label = _plane_arrays(pf)
-        assert label == [0, 1, 2, 3, None, None, None]
-        assert parent == [0, 1, 0, 1, 2, 3]
-        assert kids == [[1, 3], [4, 2], [5], [6], [], [], []]
-        assert _plane_forest(kids, label) == pf
-
-    def test_arrays_of_other_labels_number_in_preorder(self):
-        pf = parse_plane("1(5,*)")
-        parent, kids, label = _plane_arrays(pf)
-        assert label == [0, 1, 5, None]
-        assert parent == [0, 1, 1]
-        assert _plane_forest(kids, label) == pf
-
     def test_relabel_on_one_root_path(self):
         # Labels 1 and 4 lie on one root path; the swapped trees are then
         # put back in order.
         pf = parse_plane("1(2(4(*)));3")
         assert render_plane(plane_relabel(pf, 1, 4)) == "3;4(2(1(*)))"
         assert plane_relabel(pf, 2, 2) is pf
+
+    def test_root_labels_keep_unlabeled_roots(self):
+        shapes = PlaneForest((PlaneNode(None, (PlaneNode(None),)), PlaneNode(None)))
+        assert shapes.root_labels() == (None, None)
+        assert parse_plane("1(*,2(*));3(*)").root_labels() == (1, 3)
+
+    def test_root_labels_read_the_word(self, monkeypatch):
+        depth = DEPTHS[-1]
+        text = "(".join(map(str, range(1, depth + 1))) + ")" * (depth - 1)
+        pf = parse_plane(text)
+
+        def no_trees(self):
+            raise AssertionError("root_labels built the node trees")
+
+        monkeypatch.setattr(PlaneForest, "trees", property(no_trees))
+        assert pf.root_labels() == (1,)
 
     def test_plane_node_repr_matches_dataclass(self):
         node = parse_plane("1(2,3(*),4(5))").trees[0]

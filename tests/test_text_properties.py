@@ -1,4 +1,5 @@
-"""Forest and trace text: round trips, the JSON writer, and malformed input.
+"""Forest and trace text: round trips, the plane JSON writer, plane
+relabeling, and malformed input.
 
 Forests are drawn independently of the parsers: a random parent map with
 any roots, sibling order and, for plane forests, unlabeled leaves; a proper
@@ -29,9 +30,9 @@ from forestcodec import (
     render_plane,
     render_trace,
 )
-from forestcodec.cli import _dumps, _to_json
+from forestcodec.cli import _render
 from forestcodec.enumeration import plane_key
-from forestcodec.forests import _plane_arrays, _plane_forest
+from forestcodec.forests import plane_relabel
 from test_properties import traces
 
 MAX_N = 40
@@ -76,6 +77,27 @@ def plane_forests(draw):
 
 
 @st.composite
+def family_forests(draw):
+    """A fully labeled, leaf-unlabeled or shape plane forest: the kinds the
+    plane families enumerate."""
+    kind = draw(st.sampled_from(("labeled", "leafplane", "shape")))
+    n, order, parents = draw(parent_maps())
+    kids: dict[int, list] = {v: [] for v in order}
+    for v in order:
+        if parents[v - 1]:
+            kids[parents[v - 1]].append(v)
+    nodes: dict = {}
+    for v in reversed(order):
+        below = [nodes[c] for c in kids[v]]
+        if kind == "leafplane":  # every labeled vertex takes a leaf or two
+            for _ in range(draw(st.integers(1, 2))):
+                below.insert(draw(st.integers(0, len(below))), PlaneNode(None))
+        nodes[v] = PlaneNode(None if kind == "shape" else v, tuple(below))
+    roots = sorted(v for v in order if parents[v - 1] == 0)
+    return PlaneForest(tuple(nodes[r] for r in roots))
+
+
+@st.composite
 def colored_forests(draw):
     n, order, parents = draw(parent_maps())
     edges = [0] * (n + 1)  # edges at each vertex
@@ -111,10 +133,26 @@ def test_plane_round_trip(forest):
 @SETTINGS
 @given(plane_forests())
 def test_plane_word_round_trips(forest):
-    """The word survives the node trees and the flat arrays a step edits."""
+    """The word survives the node trees."""
     assert PlaneForest(forest.trees) == forest
-    _, kids, label = _plane_arrays(forest)
-    assert _plane_forest(kids, label) == forest
+
+
+def relabeled(node, swap):
+    kids = tuple(relabeled(c, swap) for c in node.children)
+    return PlaneNode(swap.get(node.label, node.label), kids)
+
+
+@SETTINGS
+@given(family_forests(), st.data())
+def test_plane_relabel_matches_node_relabel(forest, data):
+    """``plane_relabel`` edits the word; the reference relabels the node
+    trees and sorts them by root label.  Either label may be absent."""
+    label = st.integers(1, forest.labeled_count + 1)
+    a, b = data.draw(label), data.draw(label)
+    swap = {a: b, b: a}
+    trees = [relabeled(t, swap) for t in forest.trees]
+    want = PlaneForest(sorted(trees, key=lambda t: t.label or 0))
+    assert plane_relabel(forest, a, b) == want
 
 
 def nested(node):
@@ -144,11 +182,18 @@ def test_trace_round_trip(family, data):
     assert parse_trace(render_trace(trace)) == trace
 
 
+def node_doc(node):
+    return {"children": [node_doc(c) for c in node.children], "label": node.label}
+
+
 @SETTINGS
-@given(st.one_of(rooted_forests(), plane_forests(), colored_forests()))
-def test_json_writer_matches_json_dumps(forest):
-    doc = _to_json(forest)
-    assert _dumps(doc) == json.dumps(doc, sort_keys=True)
+@given(st.one_of(plane_forests(), family_forests()))
+def test_plane_json_matches_json_dumps(forest):
+    """The plane JSON is written from the word; the reference nests the
+    documents of the node trees."""
+    trees = [node_doc(t) for t in forest.trees]
+    doc = {"kind": "plane", "trees": trees, "vertices": forest.n_vertices}
+    assert _render(forest, "json") == json.dumps(doc, sort_keys=True)
 
 
 # Characters of every format, a letter, and a non-ASCII digit.
