@@ -53,6 +53,7 @@ from .forests import (
     _special,
     _spliced,
     _subtree,
+    _subtree_end,
     _swapped,
     _transposed,
     _tree_starts,
@@ -334,15 +335,6 @@ def reroot_switch(forest: RootedForest) -> RootedForest:
 # positions and writes the runs out in a new order, with one child count
 # changed or an unlabeled leaf added or removed, and labels 1 and k
 # exchanged when the move takes the swap case.
-
-
-def _subtree_end(degrees: Sequence[int], i: int) -> int:
-    """The preorder position just past the subtree at position i."""
-    owed = 1  # vertices of the subtree still to come
-    while owed:
-        owed += degrees[i] - 1
-        i += 1
-    return i
 
 
 def _parent_gap(degrees: Sequence[int], i: int) -> tuple[int, int]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import product
+from itertools import islice, product
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -101,13 +101,15 @@ def _to_dot(obj) -> str:
             attr = f' [label="{colors[v - 1]}"]' if colors else ""
             lines.append(f"  v{p} -> v{v}{attr};")
     elif isinstance(obj, PlaneForest):
-        # Vertex v{i} is the i-th in global preorder.  The edges go by
-        # parent, then child, position: (p, j) pairs in sorted order.
+        # Vertex v{i} is the i-th in global preorder.
+        kids: list[list[int]] = [[] for _ in range(obj.n_vertices + 1)]
         up = _preorder_parents(obj.preorder_degrees)
-        for i, x in enumerate(obj.preorder_labels):
+        for i, (x, p) in enumerate(zip(obj.preorder_labels, up)):
             lines.append(f'  v{i} [label="{x or "*"}"];')
-        for p, j in sorted((p, j) for j, p in enumerate(up) if p):
-            lines.append(f"  v{p - 1} -> v{j};")
+            kids[p].append(i)
+        for i, below in enumerate(kids[1:]):
+            for j in below:
+                lines.append(f"  v{i} -> v{j};")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
     lines.append("}")
@@ -259,7 +261,7 @@ def _spec_from_args(args):
 
 
 def _cmd_enumerate(args) -> int:
-    from .enumeration import count_by_enumeration, enumerate_family
+    from .enumeration import _checked, count_by_enumeration, enumerate_family
 
     if args.limit is not None and args.limit < 0:
         raise ValueError(f"--limit must be nonnegative, got {args.limit}")
@@ -267,10 +269,8 @@ def _cmd_enumerate(args) -> int:
     if args.count_only:
         print(count_by_enumeration(spec, args.budget))
         return EXIT_OK
-    # The first member is drawn even at --limit 0, so a bad spec still fails.
-    for emitted, forest in enumerate(enumerate_family(spec, args.budget)):
-        if emitted == args.limit:
-            break
+    _checked(spec, args.budget)  # a bad spec or budget fails at --limit 0 too
+    for forest in islice(enumerate_family(spec, args.budget), args.limit):
         print(_render(forest, args.format))
     return EXIT_OK
 

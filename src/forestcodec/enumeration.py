@@ -189,10 +189,16 @@ def canonical_key(obj):
 # --------------------------------------------------------------------------
 
 
+def _checked(spec: FamilySpec, budget: int | None) -> _Budget:
+    """Check spec and budget now; ``enumerate_family`` checks at its first draw
+    only, as a generator function, whose yields perfbench's tracer counts."""
+    spec.validate()
+    return _Budget(default_budget() if budget is None else budget)
+
+
 def enumerate_family(spec: FamilySpec, budget: int | None = None) -> Iterator:
     """Yield each family member exactly once, in canonical order."""
-    spec.validate()
-    guard = _Budget(default_budget() if budget is None else budget)
+    guard = _checked(spec, budget)
     generators = {
         "plain": _plain,
         "partite": _partite,

@@ -509,16 +509,21 @@ def _depths(degrees: Sequence[int]) -> list[int]:
     return depth
 
 
+def _subtree_end(degrees: Sequence[int], i: int) -> int:
+    """The preorder position just past the subtree at position i."""
+    owed = 1  # vertices of the subtree still to come
+    while owed:
+        owed += degrees[i] - 1
+        i += 1
+    return i
+
+
 def _tree_starts(degrees: Sequence[int]) -> list[int]:
     """The preorder positions where the trees of a valid word start,
-    followed by the word's length, from one walk over its child counts."""
-    starts, owed = [], 0  # owed: vertices still to come in the current tree
-    for i, d in enumerate(degrees):
-        if not owed:
-            starts.append(i)
-            owed = 1
-        owed += d - 1
-    starts.append(len(degrees))
+    followed by the word's length."""
+    starts = [0]
+    while starts[-1] < len(degrees):
+        starts.append(_subtree_end(degrees, starts[-1]))
     return starts
 
 

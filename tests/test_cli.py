@@ -203,6 +203,17 @@ class TestEnumerate:
         assert run(capsys, *argv, "-2") == (
             1, "", "error: --limit must be nonnegative, got -2\n"
         )
+        assert run(capsys, *argv, "0", "--budget", "-5") == (
+            1, "", "error: candidate budget must be positive: -5\n"
+        )
+
+    def test_limit_draws_no_further_member(self, capsys):
+        """Plane words spend the budget one candidate each, so drawing a
+        member past the limit would exceed a budget of one."""
+        assert run(
+            capsys, "enumerate", "--family", "plane", "--n", "3", "--roots", "1",
+            "--limit", "1", "--budget", "1",
+        ) == (0, "1(2,3)\n", "")
 
     def test_json_lines(self, capsys):
         code, out, _ = run(
