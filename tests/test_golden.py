@@ -110,3 +110,82 @@ def test_oracle_stream(name):
     spec, count, want = ORACLE_DIGESTS[name]
     lines = [render_plane(pf) for pf in enumerate_family(spec)]
     assert (len(lines), digest(lines)) == (count, want)
+
+
+# The same pin for the labeled families, rendered one forest (two lines when
+# colored) per member.  Recorded while the oracles still kept their own
+# copies of the properness, special-color and pivot checks.
+LABELED_ORACLE_DIGESTS = {
+    "plain n=5": (
+        FamilySpec("plain", n=5),
+        125, "d96e8071dc855836818f7964fc1d7e54b86e9556ee5e7289aae2481fe7f105f4",
+    ),
+    "plain n=6 r=2 conditioned": (
+        FamilySpec("plain", n=6, roots=2, conditioned=True),
+        216, "c0f85a75d25123fb230cf8f2e357a4882afdc6a9f69be87a6280367f5e93c16a",
+    ),
+    "plain n=5 root_set=2,4": (
+        FamilySpec("plain", n=5, root_set=(2, 4)),
+        50, "51c67f32aca2e389e17d77bcd4e40893704015da3e56aaaadc8ba722453da036",
+    ),
+    "plain n=6 r=2 degrees": (
+        FamilySpec("plain", n=6, roots=2, degrees=(2, 0, 1, 0, 1, 0)),
+        6, "e837e945fe957565a10361db047c0dfb2dec2a26452376ecd58c9015786714fb",
+    ),
+    "partite 2,3 r=1": (
+        FamilySpec("partite", part_sizes=(2, 3)),
+        12, "cf7273e8f92869432fded99083d42639a8cad7a46000a5aae43df772549a1034",
+    ),
+    "partite 3,3 r=2 conditioned": (
+        FamilySpec("partite", part_sizes=(3, 3), roots=2, conditioned=True),
+        27, "d84701216e6825ab9908406eb6066d9469eb2734ddb91e43b3617ba30c61861f",
+    ),
+    "partite 2,2,2 r=2": (
+        FamilySpec("partite", part_sizes=(2, 2, 2), roots=2),
+        192, "b9bfcf6c7be34095963348b6b8add528feeaec6b58b63f0c0ec975c9c77557f7",
+    ),
+    "partite 3,2,2 r=1 conditioned": (
+        FamilySpec("partite", part_sizes=(3, 2, 2), conditioned=True),
+        2800, "69d225db4125b7b02e0eadedf9c972666ccd21b64941a12fc375827b5e203476",
+    ),
+    "colored n=4 kc=2 r=1": (
+        FamilySpec("colored", n=4, colors=2),
+        24, "ee6e5e387631a8c81aae75afe5c257852ac4998f8f908955aa7cb1a0a2eab9cd",
+    ),
+    "colored n=4 kc=3 r=2 conditioned": (
+        FamilySpec("colored", n=4, colors=3, roots=2, conditioned=True),
+        27, "1a690e39055fe9fd2242cd6f61838975e657ec73cbb7382a89a6ae1e66642220",
+    ),
+    "colored n=4 kc=3 root_set=1,3": (
+        FamilySpec("colored", n=4, colors=3, root_set=(1, 3)),
+        54, "a4ff2aaf5791743f3b2ddc91f72cfa7f2b06b1899329b78e586ff4eb4c699a03",
+    ),
+    "colored n=5 kc=2 degrees": (
+        FamilySpec("colored", n=5, colors=2, degrees=(1, 1, 1, 1, 0)),
+        12, "a2e077ff243cbf24a5e384a562885061d2ab52a38a5ed182f4ea671b1e7449af",
+    ),
+    "special-colored n=4 kc=2 r=2": (
+        FamilySpec("special-colored", n=4, colors=2, roots=2),
+        6, "367ca122327e830595277700db1e50cb9c8cc6d5d59ba9021b69bcfce5e9f2d1",
+    ),
+    "special-colored n=4 kc=3 r=1": (
+        FamilySpec("special-colored", n=4, colors=3),
+        84, "df259f33cbe0e768a23764936c3a8af988dc81c6724882a409a91f4e06b61801",
+    ),
+    "special-colored n=5 kc=3 r=2 conditioned": (
+        FamilySpec("special-colored", n=5, colors=3, roots=2, conditioned=True),
+        144, "b0fa926b8731253c0bd53f7204008ecab257b39d618c6460043bda1f058e3cd9",
+    ),
+    "special-colored n=5 kc=2 r=3 conditioned": (
+        FamilySpec("special-colored", n=5, colors=2, roots=3, conditioned=True),
+        4, "95cb9b634d8521b23e346f3256be6a0239cbe34b4b11a40f74d7967b8cbd994e",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", LABELED_ORACLE_DIGESTS)
+def test_labeled_oracle_stream(name):
+    spec, count, want = LABELED_ORACLE_DIGESTS[name]
+    render = render_colored if spec.family.endswith("colored") else render_forest
+    lines = [render(forest) for forest in enumerate_family(spec)]
+    assert (len(lines), digest(lines)) == (count, want)
