@@ -530,7 +530,8 @@ def _require_colored(
     """``kids`` is the child index of ``ef.base``."""
     if kids[0] != list(range(1, r + 1)):
         raise ValueError(f"expected roots exactly 1..{r}, got {ef.base.roots}")
-    _require(_special(ef, kids), "an edge out of a root carries the last color")
+    special = _special(ef.colors, ef.color_count, kids)
+    _require(special, "an edge out of a root carries the last color")
     _require(
         is_descendant(ef.base, ef.n, 1),
         f"vertex {ef.n} must lie in the tree rooted at 1",

@@ -188,9 +188,14 @@ def _parse_grid(text: str) -> dict[str, range]:
 # --------------------------------------------------------------------------
 
 
+# The flags of `count`, in help order: int flags, comma-separated lists
+# (which arrive as strings), and the switch --conditioned.
+_COUNT_INTS = "n k r s t p v m kc arity internal roots".split()
+_COUNT_LISTS = "parts degrees multiplicities".split()
+
 # formula -> (its function in `counting`, the flags it takes in argument
 # order).  Names, not functions, so each call sees the module's current
-# attribute.  The comma-separated flags arrive as strings.
+# attribute.
 _FORMULAS = {
     "cayley": ("cayley", "n"),
     "rooted-forest": ("rooted_forest_count", "n k conditioned"),
@@ -213,14 +218,13 @@ _FORMULAS = {
 }
 
 
-def _need(args, *names):
-    values = []
+def _reject_flags(args, command: str, names) -> None:
+    """Each flag named is one ``command`` never reads: given, it is an error,
+    not a no-op.  A flag not given is None, or False for a switch."""
     for name in names:
-        value = getattr(args, name.replace("-", "_"))
-        if value is None:
-            raise ValueError(f"count {args.formula} needs --{name}")
-        values.append(value)
-    return values
+        value = getattr(args, name)
+        if value is not None and value is not False:
+            raise ValueError(f"{command} takes no --{name.replace('_', '-')}")
 
 
 def _cmd_count(args) -> int:
@@ -229,7 +233,12 @@ def _cmd_count(args) -> int:
     from . import counting
 
     name, flags = _FORMULAS[args.formula]
-    values = _need(args, *flags.split())
+    read = flags.split()
+    unread = [f for f in (*_COUNT_INTS, *_COUNT_LISTS, "conditioned") if f not in read]
+    _reject_flags(args, f"count {args.formula}", unread)
+    values = [getattr(args, flag) for flag in read]
+    if None in values:
+        raise ValueError(f"count {args.formula} needs --{read[values.index(None)]}")
     out = getattr(counting, name)(
         *(_ints(v) if isinstance(v, str) else v for v in values)
     )
@@ -438,6 +447,10 @@ def _verdict(failures: int) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # Each mode rejects the flags only the other reads.
+    recurrence = ("family", "n", "k_range", "parts", "kc", "leaves")
+    other = ("max_n",) if args.what == "recurrence" else recurrence
+    _reject_flags(args, f"verify {args.what}", other)
     if args.what == "recurrence":
         from .enumeration import verify_recurrence
 
@@ -454,7 +467,7 @@ def _cmd_verify(args) -> int:
             budget=args.budget,
         )
         return _verdict(_print_rows(rows))
-    return _verify_all(args.max_n, args.budget)
+    return _verify_all(6 if args.max_n is None else args.max_n, args.budget)
 
 
 def _verify_all(max_n: int, budget: int | None) -> int:
@@ -580,22 +593,10 @@ def _build_parser() -> argparse.ArgumentParser:
         epilog="formulas: " + ", ".join(_FORMULAS),
     )
     pc.add_argument("formula")
-    pc.add_argument("--n", type=int)
-    pc.add_argument("--k", type=int)
-    pc.add_argument("--r", type=int)
-    pc.add_argument("--s", type=int)
-    pc.add_argument("--t", type=int)
-    pc.add_argument("--p", type=int)
-    pc.add_argument("--q", type=int)
-    pc.add_argument("--v", type=int)
-    pc.add_argument("--m", type=int)
-    pc.add_argument("--kc", type=int)
-    pc.add_argument("--arity", type=int)
-    pc.add_argument("--internal", type=int)
-    pc.add_argument("--roots", type=int)
-    pc.add_argument("--parts")
-    pc.add_argument("--degrees")
-    pc.add_argument("--multiplicities")
+    for flag in _COUNT_INTS:
+        pc.add_argument(f"--{flag}", type=int)
+    for flag in _COUNT_LISTS:
+        pc.add_argument(f"--{flag}")
     pc.add_argument("--conditioned", action="store_true")
     pc.set_defaults(func=_cmd_count)
 
@@ -653,7 +654,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--parts")
     pv.add_argument("--kc", type=int)
     pv.add_argument("--leaves", type=int)
-    pv.add_argument("--max-n", type=int, default=6)
+    pv.add_argument("--max-n", type=int, help="largest n checked (default 6)")
     pv.add_argument("--budget", type=int)
     pv.set_defaults(func=_cmd_verify)
 

@@ -64,20 +64,17 @@ def riordan_forest_count(n: int, k: int) -> int:
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    rows, tops = _riordan_table()
+    rows = _riordan_table()
     while len(rows) <= n:
         rows.append([1])
     if n - k < len(rows[n]):
         return rows[n][n - k]
-    if (n, k) not in tops:
-        # T(n, k) reads row m from T(m, m) down to T(m, k - (n - m)).
-        for m in range(2, n):
-            row = rows[m]
-            for t in range(len(row), min(m, n - k + 1)):
-                value = tops.pop((m, m - t), None)
-                row.append(_riordan(rows[m - 1], m, t) if value is None else value)
-        tops[n, k] = _riordan(rows[n - 1], n, n - k)
-    return tops[n, k]
+    # T(n, k) reads row m from T(m, m) down to T(m, k - (n - m)).
+    for m in range(2, n + 1):
+        row = rows[m]
+        for t in range(len(row), min(m, n - k + 1)):
+            row.append(_riordan(rows[m - 1], m, t))
+    return rows[n][n - k]
 
 
 def _riordan(below: list[int], m: int, t: int) -> int:
@@ -90,12 +87,11 @@ def _riordan(below: list[int], m: int, t: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _riordan_table() -> tuple[list[list[int]], dict[tuple[int, int], int]]:
+def _riordan_table() -> list[list[int]]:
     """The values of T computed so far, made on first use and dropped by
     ``_riordan_table.cache_clear()`` like the module's other caches.
-    ``rows[m][t]`` is T(m, m - t), filled from t = 0 on; ``tops`` holds the
-    values asked for above the filled part of their row."""
-    return [[], [1]], {}
+    ``rows[m][t]`` is T(m, m - t), filled from t = 0 on."""
+    return [[], [1]]
 
 
 def multipartite_spanning_trees(parts: Sequence[int]) -> int:

@@ -3,9 +3,13 @@
 These are the brute-force oracles: deliberately naive, auditable, and in a
 fixed canonical order, so closed-form counts, bijection steps, and codecs
 can all be checked against them.  Every stream is produced lazily, already
-in canonical order.  The plane families (plane, leafplane and k-ary,
-labeled or shapes) come from one generator and spend their candidate
-budget one candidate at a time as they go.
+in canonical order.  The plain, partite and colored families generate
+every candidate and keep those that pass the value types' own checks
+(``_cycle_vertex``, ``_descends``, ``_part_table``, ``_properly_colored``,
+``_special``), so each membership rule has one definition.  The plane
+families (plane, leafplane and k-ary, labeled or shapes) come from one
+generator and spend their candidate budget one candidate at a time as they
+go.
 """
 from __future__ import annotations
 
@@ -20,9 +24,14 @@ from .forests import (
     PartAssignment,
     PlaneForest,
     RootedForest,
+    _child_index,
     _cycle_vertex,
     _depths,
+    _descends,
+    _part_table,
     _plane_word,
+    _properly_colored,
+    _special,
 )
 
 DEFAULT_BUDGET = 10**8
@@ -227,12 +236,6 @@ def enumerate_degree_filtered(
 # --------------------------------------------------------------------------
 
 
-def _reaches_root_one(parents: Sequence[int], v: int) -> bool:
-    while parents[v - 1] != 0:
-        v = parents[v - 1]
-    return v == 1
-
-
 def _matches_degrees(parents: Sequence[int], degrees: Sequence[int]) -> bool:
     n = len(parents)
     counts = [0] * (n + 1)
@@ -263,7 +266,7 @@ def _assignment_stream(
             parents[v - 1] = p
         if _cycle_vertex(parents):
             continue
-        if pivot is not None and not _reaches_root_one(parents, pivot):
+        if pivot is not None and not _descends(parents, pivot, 1):
             continue
         if degrees is not None and not _matches_degrees(parents, degrees):
             continue
@@ -279,14 +282,14 @@ def _plain(spec: FamilySpec, guard: _Budget) -> Iterator[RootedForest]:
 
 
 def _partite(spec: FamilySpec, guard: _Budget) -> Iterator[RootedForest]:
-    parts = PartAssignment(tuple(spec.part_sizes))
-    n = parts.n
+    part = _part_table(PartAssignment(tuple(spec.part_sizes)))
+    n = len(part) - 1
     roots = spec.root_labels()
     choices = {
-        v: [u for u in range(1, n + 1) if parts.part_of(u) != parts.part_of(v)]
+        v: [u for u in range(1, n + 1) if part[u] != part[v]]
         for v in range(1, n + 1)
     }
-    pivot = parts.sizes[0] + 1 if spec.conditioned else None
+    pivot = spec.part_sizes[0] + 1 if spec.conditioned else None
     yield from _assignment_stream(n, roots, choices, pivot, spec.degrees, guard)
 
 
@@ -410,50 +413,21 @@ def _plane(spec: FamilySpec, guard: _Budget) -> Iterator[PlaneForest]:
 # --------------------------------------------------------------------------
 
 
-def _proper(parents: Sequence[int], colors: Sequence[int]) -> bool:
-    n = len(parents)
-    for x in range(1, n + 1):
-        seen = set()
-        if parents[x - 1] != 0:
-            seen.add(colors[x - 1])
-        for v in range(1, n + 1):
-            if parents[v - 1] == x:
-                if colors[v - 1] in seen:
-                    return False
-                seen.add(colors[v - 1])
-    return True
-
-
-def _special_ok(parents: Sequence[int], colors: Sequence[int], kc: int) -> bool:
-    for v in range(1, len(parents) + 1):
-        p = parents[v - 1]
-        if p != 0 and parents[p - 1] == 0 and colors[v - 1] == kc:
-            return False
-    return True
-
-
 def _colored(spec: FamilySpec, guard: _Budget) -> Iterator[EdgeColoredForest]:
     n, kc = spec.n, spec.colors
     special = spec.family == "special-colored"
-    base_spec = FamilySpec(
-        family="plain",
-        n=n,
-        roots=spec.roots,
-        root_set=spec.root_set,
-        conditioned=spec.conditioned,
-        degrees=spec.degrees,
-    )
     roots = set(spec.root_labels())
     non_roots = [v for v in range(1, n + 1) if v not in roots]
-    for base in _plain(base_spec, guard):
+    for base in _plain(spec, guard):
         guard.spend(kc ** len(non_roots))
+        kids = _child_index(base.parents)
         for combo in product(range(1, kc + 1), repeat=len(non_roots)):
             colors = [0] * n
             for v, c in zip(non_roots, combo):
                 colors[v - 1] = c
-            if not _proper(base.parents, colors):
+            if not _properly_colored(base.parents, kc, colors):
                 continue
-            if special and not _special_ok(base.parents, colors, kc):
+            if special and not _special(colors, kc, kids):
                 continue
             yield EdgeColoredForest(base, kc, tuple(colors))
 

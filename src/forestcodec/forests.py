@@ -538,6 +538,8 @@ def _spliced(word: tuple[Sequence, Sequence], runs) -> PlaneForest:
 
 def plane_relabel(pf: PlaneForest, a: int, b: int) -> PlaneForest:
     """Swap labels a and b, then restore ascending tree order."""
+    if min(a, b) < 1:  # 0 marks an unlabeled vertex in the word
+        raise ValueError(f"label must be positive, got {min(a, b)}")
     if a == b:
         return pf
     swap = {a: b, b: a}
@@ -577,7 +579,7 @@ class EdgeColoredForest:
 
     def is_special(self) -> bool:
         """True iff no edge out of any root carries the last color."""
-        return _special(self, _child_index(self.base.parents))
+        return _special(self.colors, self.color_count, _child_index(self.base.parents))
 
     def colors_at(self, x: int) -> frozenset[int]:
         """Colors of all edges incident to x (the edge into x plus those out)."""
@@ -639,11 +641,10 @@ def _properly_colored(
     return len(keys) == 2 * edges
 
 
-def _special(ef: EdgeColoredForest, kids: list[list[int]]) -> bool:
-    """``ef.is_special()``, from a child index of its parent map."""
-    return all(
-        ef.colors[v - 1] != ef.color_count for r in kids[0] for v in kids[r]
-    )
+def _special(colors: Sequence[int], color_count: int, kids: list[list[int]]) -> bool:
+    """``is_special`` on the colors of a coloring and a child index of its
+    parent map: no edge out of a root carries color ``color_count``."""
+    return all(colors[v - 1] != color_count for r in kids[0] for v in kids[r])
 
 
 def swap_colored_labels(ef: EdgeColoredForest, a: int, b: int) -> EdgeColoredForest:

@@ -469,6 +469,27 @@ def test_unread_parameters_are_named(capsys, argv, message):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("count", "cayley", "--n", "5", "--k", "3"), "count cayley takes no --k"),
+        (("count", "catalan", "--n", "5", "--parts", "2,3"),
+         "count catalan takes no --parts"),
+        (("count", "forests-k-trees", "--n", "5", "--k", "2", "--conditioned"),
+         "count forests-k-trees takes no --conditioned"),
+        (("verify", "all", "--max-n", "3", "--n", "9", "--family", "plane"),
+         "verify all takes no --family"),
+        (("verify", "all", "--k-range", "2..3"), "verify all takes no --k-range"),
+        (("verify", "recurrence", "--family", "plain", "--n", "4", "--max-n", "4"),
+         "verify recurrence takes no --max-n"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else v,
+)
+def test_unread_flags_are_named(capsys, argv, message):
+    """A flag the formula or verify mode never reads fails and names itself."""
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("verify", "recurrence", "--family", "plain", "--n", "5", "--k-range", "5..3"),

@@ -268,7 +268,7 @@ DIGESTS = {
     'sample --family plain --n 8 --roots 3 --unconditioned --seed 11 --count 4': "d5f0f9c0822bf2b2a0d26771163cc6e263395c52b4a3ed0566e717e8d6823173",
     'sample --family plane --n 8 --roots 3 --unconditioned --seed 11 --count 4': "57e9d5faa80e7363006d59c0798255c5b31f4f585bedc2e9c12f2fba35d688af",
     'sample --family colored --n 8 --roots 3 --unconditioned --seed 11 --count 4 --kc 3': "8b4f4b83f50815d4410350b8ddfb36a13877e284fc5899b1462a521bb64db540",
-    'count --help': "af0a69049fa15237edc30840a9e58a5864cac036dd2e3a6bafd1eb92a3398641",
+    'count --help': "a4cdc89cbd79dad4220f0076abc1e024e92728e0b3c8bd31bd2630180915cbdd",
     'encode --forest 5 1 0 1 1 3 3': "b3df19c093b337365b54e7ac580c14adbeba3b54df3e9c9140dd36310becc338",
     'encode --family plane --forest 1(5,3(4),2)': "2b6aeb0dfcb4828000e962b695d3b3677ebaebc14963b3808a9a3de88149d260",
     'encode --family colored --kc 3 --forest 4 1 0 1 2 1/0 1 2 2': "467e13183520cc9bd39f4693e4042711085b83ed43b2853daf804aa319076329",

@@ -346,6 +346,13 @@ class TestPlaneWalk:
         assert render_plane(plane_relabel(pf, 1, 4)) == "3;4(2(1(*)))"
         assert plane_relabel(pf, 2, 2) is pf
 
+    @pytest.mark.parametrize("a, b", [(0, 3), (3, 0), (0, 0), (-1, 2), (2, -1)])
+    def test_relabel_rejects_a_label_below_one(self, a, b):
+        pf = parse_plane("1(*,2(*));3")
+        message = f"^label must be positive, got {min(a, b)}$"
+        with pytest.raises(ValueError, match=message):
+            plane_relabel(pf, a, b)
+
     def test_root_labels_keep_unlabeled_roots(self):
         shapes = PlaneForest((PlaneNode(None, (PlaneNode(None),)), PlaneNode(None)))
         assert shapes.root_labels() == (None, None)
