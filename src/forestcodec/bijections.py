@@ -33,7 +33,8 @@ and k swaps two entries.  The output is built once (a plane forest's as its
 word, without nodes), and its constructor validates it in one more pass.
 Codec and sampler runs do not call these
 steps: :mod:`codec` applies the same rules to one mutable forest across a
-run, in O(log^2 n) a step besides the moves.
+run, in O(log^2 n) a step besides the moves, with the coloring rules that
+both take from :mod:`forests`.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .forests import (
     PartAssignment,
     PlaneForest,
     RootedForest,
+    _alternating_flip,
     _child_index,
     _cross_part,
     _part_table,
@@ -57,6 +59,7 @@ from .forests import (
     _swapped,
     _transposed,
     _tree_starts,
+    _used_colors,
     is_descendant,
 )
 
@@ -538,29 +541,6 @@ def _require_colored(
     )
 
 
-def _alternating_flip(
-    kids: list[list[int]], colors: list[int], start: int, first: int, second: int
-) -> None:
-    """Swap the colors `first` and `second` along the path descending from
-    `start` that alternates between them; ``kids`` indexes the children
-    below `start`.
-
-    A single recoloring of the edge out of `start` can collide with an edge
-    one level further down, so the exchange must propagate: by properness
-    each vertex has at most one incident edge of either color, hence the
-    affected edges form a downward path and flipping all of them restores a
-    proper coloring.  Flipping the same path again undoes the exchange,
-    which is what keeps the forward and inverse steps mutually inverse.
-    """
-    v, want, other = start, first, second
-    while True:
-        child = next((u for u in kids[v] if colors[u - 1] == want), None)
-        if child is None:
-            return
-        colors[child - 1] = other
-        v, want, other = child, other, want
-
-
 def _free_counts(kids: list[list[int]], kc: int) -> list[int]:
     """The number of (vertex, color) attachment pairs at each vertex of a
     special forest with roots 1..r, which are the colors free there.
@@ -573,13 +553,6 @@ def _free_counts(kids: list[list[int]], kc: int) -> list[int]:
     slots = [kc - 1 - len(below) for below in kids]
     slots[0] = 0
     return slots
-
-
-def _used_colors(colors: list[int], kids: list[int], v: int) -> set[int]:
-    """The colors incident to v, given its children ``kids``; 0 at a root."""
-    used = {colors[u - 1] for u in kids}
-    used.add(colors[v - 1])
-    return used
 
 
 def colored_forward(

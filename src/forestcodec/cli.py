@@ -159,8 +159,12 @@ def _parse_any(text: str, kind: str, color_count: int | None):
     return parse_forest(text)
 
 
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok != "")
+def _ints(text: str, flag: str) -> tuple[int, ...]:
+    """The comma-separated integers given to --``flag``."""
+    try:
+        return tuple(int(tok) for tok in text.split(",") if tok != "")
+    except ValueError:
+        raise ValueError(f"--{flag} takes comma-separated integers, got {text!r}") from None
 
 
 def _parse_range(text: str) -> range:
@@ -240,7 +244,7 @@ def _cmd_count(args) -> int:
     if None in values:
         raise ValueError(f"count {args.formula} needs --{read[values.index(None)]}")
     out = getattr(counting, name)(
-        *(_ints(v) if isinstance(v, str) else v for v in values)
+        *(_ints(v, f) if isinstance(v, str) else v for f, v in zip(read, values))
     )
     # composition_stats answers with a (count, total) pair.
     print(*(out if isinstance(out, tuple) else (out,)))
@@ -259,13 +263,13 @@ def _spec_from_args(args):
         family=args.family,
         n=args.n or 0,
         roots=args.roots,
-        part_sizes=_ints(args.parts) if args.parts else (),
+        part_sizes=_ints(args.parts, "parts") if args.parts else (),
         leaves=args.leaves,
         colors=args.kc or 0,
         arity=args.arity or 0,
         conditioned=args.conditioned,
         labeled=not args.unlabeled,
-        degrees=_ints(args.degrees) if args.degrees else None,
+        degrees=_ints(args.degrees, "degrees") if args.degrees else None,
     )
 
 
@@ -343,7 +347,7 @@ def _cmd_bijection(args) -> int:
     if family == "partite":
         if not args.parts:
             raise ValueError("partite bijections need --parts")
-        parts = (PartAssignment(_ints(args.parts)),)
+        parts = (PartAssignment(_ints(args.parts, "parts")),)
     step = getattr(bijections, f"{family}_{args.direction}")
     if args.direction == "forward":
         out, c = step(forest, args.k, *parts)
@@ -461,13 +465,16 @@ def _cmd_verify(args) -> int:
             args.family,
             n=args.n or 0,
             k_range=_parse_range(args.k_range) if args.k_range else None,
-            part_sizes=_ints(args.parts) if args.parts else (),
+            part_sizes=_ints(args.parts, "parts") if args.parts else (),
             colors=args.kc or 0,
             leaves=args.leaves,
             budget=args.budget,
         )
         return _verdict(_print_rows(rows))
-    return _verify_all(6 if args.max_n is None else args.max_n, args.budget)
+    max_n = 6 if args.max_n is None else args.max_n
+    if max_n < 3:  # the least n with a recurrence step
+        raise ValueError(f"--max-n must be at least 3, got {max_n}")
+    return _verify_all(max_n, args.budget)
 
 
 def _verify_all(max_n: int, budget: int | None) -> int:
@@ -654,7 +661,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--parts")
     pv.add_argument("--kc", type=int)
     pv.add_argument("--leaves", type=int)
-    pv.add_argument("--max-n", type=int, help="largest n checked (default 6)")
+    pv.add_argument("--max-n", type=int, help="largest n checked (default 6, at least 3)")
     pv.add_argument("--budget", type=int)
     pv.set_defaults(func=_cmd_verify)
 

@@ -15,13 +15,18 @@ Cost model: a run takes n-2 steps, and one run engine (``_Run``) serves
 ``decode``, ``encode`` and ``sample_uniform`` for all three families.  It
 keeps one mutable forest across the steps, applies the rules of the
 :mod:`bijections` steps to it in place, and counts choices with prefix sums
-over labels, so ``decode`` and ``sample_uniform`` cost O(n log^2 n) and
-``encode`` O(n*depth + n log^2 n); the one value a run returns is built,
-and validated, once.  A plane run reads its input's preorder word into
-parents and ordered child lists by label in one pass and writes its
-result's word in one preorder walk.  The public steps are not called.
-They stay the definition: ``_inverse_run`` and ``_step_encode`` run them
-one by one, at O(n) each, and the tests hold the engine to them.
+over labels, so a run costs O(n log^2 n) besides the recoloring walks of
+a colored run (see ``_Run``); the one value a run returns is built, and
+validated, once.  A plane run reads its input's preorder word into parents
+and ordered child lists by label in one pass and writes its result's word
+in one preorder walk.
+
+The public steps are not called, and this module does not load
+:mod:`bijections`: the coloring rules the colored steps and the engine
+share live in :mod:`forests`, and only ``encode`` loads the step module,
+for the first forward step's membership checks.  The steps stay the
+definition: the tests run them one by one as the reference the engine must
+match.
 """
 
 from __future__ import annotations
@@ -30,17 +35,16 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from math import prod
 
-from . import bijections as bij
-from .bijections import _alternating_flip, _used_colors
 from .forests import (
     EdgeColoredForest,
     PlaneForest,
     RootedForest,
+    _alternating_flip,
     _child_index,
-    _descends,
     _plane_word,
     _preorder,
     _preorder_parents,
+    _used_colors,
 )
 
 CODEC_FAMILIES = ("plain", "plane", "colored")
@@ -96,11 +100,11 @@ class ChoiceTrace:
             raise ValueError(f"no codec for family {self.family!r}")
         if self.n < 1:
             raise ValueError(f"need n >= 1, got {self.n}")
-        if self.family == "colored" and self.n > 1 and self.colors < 2:
+        if _has_head(self.family, self.n) and self.colors < 2:
             raise ValueError("colored traces need at least two colors")
         # Count before listing the bounds: n may come from outside and be
         # far too large to list.
-        want = max(self.n - 2, 0) + (self.family == "colored" and self.n > 1)
+        want = max(self.n - 2, 0) + _has_head(self.family, self.n)
         if len(self.choices) != want:
             raise ValueError(f"expected {want} choices, got {len(self.choices)}")
         bounds = trace_bounds(self.family, self.n, self.colors)
@@ -113,12 +117,20 @@ def trace_bounds(family: str, n: int, colors: int = 0) -> tuple[int, ...]:
     """Upper bound of each trace position, aligned with ChoiceTrace.choices."""
     if family not in CODEC_FAMILIES:
         raise ValueError(f"no codec for family {family!r}")
+    if family != "colored" and colors:
+        raise ValueError(f"{family} forests take no colors, got {colors}")
     # The inverse step from k roots has one choice per attachment target:
     # a*n + b*(n-k) of them, as the degrees of the n vertices sum to the n-k
     # edges.  This is the family's recurrence multiplier.
     a, b = _targets(family, colors)
-    head = (colors - 1,) if family == "colored" and n > 1 else ()
+    head = (colors - 1,) if _has_head(family, n) else ()
     return head + tuple(a * n + b * (n - k) for k in range(n - 1, 1, -1))
+
+
+def _has_head(family: str, n: int) -> bool:
+    """True iff the family's traces at n open with the base color: the
+    color of the edge into n in the maximal-root state."""
+    return family == "colored" and n > 1
 
 
 def _targets(family: str, colors: int) -> tuple[int, int]:
@@ -131,58 +143,12 @@ def trace_space_size(family: str, n: int, colors: int = 0) -> int:
     return prod(trace_bounds(family, n, colors))
 
 
-# --------------------------------------------------------------------------
-# Base states: the unique (up to base color) forests with roots 1..n-1
-# --------------------------------------------------------------------------
-
-
-def _base(family: str, n: int, colors: int = 0, base_color: int = 0):
-    """Roots 1..n-1 and vertex n below root 1, its edge colored base_color."""
-    if family == "plane":
-        # In preorder: root 1 and n below it, then the roots 2..n-1.
-        labels = (1, n, *range(2, n)) if n > 1 else (1,)
-        return _plane_word(labels, (int(n > 1),) + (0,) * (len(labels) - 1))
-    base = RootedForest((0,) * (n - 1) + (int(n > 1),))
-    if family == "plain":
-        return base
-    return EdgeColoredForest(base, colors, (0,) * (n - 1) + (base_color,))
-
-
 def _split_head(family: str, n: int, choices: tuple[int, ...]):
     """The base color a colored trace opens with (0 otherwise), and the
     choices of the inverse steps."""
-    if family == "colored" and n > 1:
+    if _has_head(family, n):
         return choices[0], choices[1:]
     return 0, choices
-
-
-def _inverse_run(family: str, n: int, colors: int, choices: tuple[int, ...]):
-    """Run the public inverse steps k = n-1, n-2, ... from the maximal-root
-    state, one per choice; a colored run first takes the base color.
-
-    The step-by-step reference for ``_Run``, which ``decode`` and
-    ``sample_uniform`` use.
-    """
-    base_color, choices = _split_head(family, n, choices)
-    forest = _base(family, n, colors, base_color)
-    inverse = getattr(bij, f"{family}_inverse")
-    for k, c in zip(range(n - 1, 1, -1), choices):
-        forest = inverse(forest, k, c)
-    return forest
-
-
-def _step_encode(forest) -> ChoiceTrace:
-    """``encode`` by the public forward steps k = 2, ..., n-1: the
-    step-by-step reference for the ``_Run`` replay."""
-    family, n, colors = _family_of(forest)
-    getattr(bij, f"{family}_choice_count")(forest, 1)  # raises unless a member
-    forward = getattr(bij, f"{family}_forward")
-    chosen = []
-    for k in range(2, n):
-        forest, c = forward(forest, k)
-        chosen.append(c)
-    head = _base_check(family, n, colors, forest)
-    return ChoiceTrace(family, n, colors, head + tuple(reversed(chosen)))
 
 
 def _family_of(forest) -> tuple[str, int, int]:
@@ -202,18 +168,6 @@ _FAMILIES = {
 }
 
 
-def _base_check(family: str, n: int, colors: int, forest) -> tuple[int, ...]:
-    """The trace head of a forest that must be the maximal-root state: the
-    color of the edge into n when colored.  Raises if it is not that state."""
-    # A colored trace opens with the color of the edge into n.
-    head = (forest.colors[n - 1],) if family == "colored" and n > 1 else ()
-    if head == (colors,):  # n's edge, out of root 1 in the base state
-        raise ValueError("an edge out of a root carries the last color")
-    if forest != _base(family, n, colors, *head):
-        raise ValueError(f"input is not a one-root {family} family member")
-    return head
-
-
 # --------------------------------------------------------------------------
 # The run engine: one mutable forest across all the steps of a run
 # --------------------------------------------------------------------------
@@ -227,7 +181,7 @@ class _Run:
     O(1).  ``parent`` and ``color`` are indexed by id - 1 (0 marks a root),
     and ``kids[id]`` lists a vertex's child ids, in plane order for plane
     forests.  The moves follow the rules of the :mod:`bijections` steps,
-    whose coloring helpers this reuses.
+    with the coloring helpers of :mod:`forests` that the colored steps use.
 
     An inverse step counts attachment targets: a vertex of degree deg
     offers ``a + b*deg`` of them (one vertex, deg+1 gaps, or kc-1-deg free
@@ -239,10 +193,14 @@ class _Run:
     labels up to x then number ``a*x + b*degrees(x)``, and
     ``a*#S<=x + b*#P<=x`` of them lie in tree k (P's entries are labels of
     tree k too), so a choice is found by binary search on tree k's labels
-    and one walk down the Fenwick tree, in O(log^2 n).  A forward step cuts a tree apart, which
-    the lists cannot follow, so ``encode`` runs the forward steps on a
-    ``load``-ed forest without counting, records each cut, and replays the
-    record as inverse steps on a ``base`` run to count its choices.
+    and one walk down the Fenwick tree, in O(log^2 n).  A forward step cuts
+    a tree apart, which the lists cannot follow, so ``encode`` runs the
+    forward steps on a ``load``-ed forest without counting, records each
+    cut, and replays the record as inverse steps on a ``base`` run to count
+    its choices.  ``load`` finds the steps that take vertex n out of tree 1
+    in one walk up from n, the set ``swaps``.  A colored move also walks the
+    path whose two colors it exchanges (``_alternating_flip``), which can
+    be as long as the tree is deep.
     """
 
     def __init__(self, family, n, colors, parent, kids, color) -> None:
@@ -271,24 +229,38 @@ class _Run:
         """A forest ready for forward steps.  Raises what the first forward
         step raises unless it is a one-root family member with vertex n in
         tree 1, so every later step's check would pass."""
+        # Imported here, so that decode and sample_uniform never load the steps.
+        from .bijections import _require_colored, _require_plain, _require_plane
+
         family, n, colors = _family_of(forest)
+        color = [0] * n
         if family == "plane":
-            bij._require_plane(forest, 1)
+            _require_plane(forest, 1)
             labels = forest.preorder_labels
             # A vertex's id is its label; ids[p] is the id at position p.
             ids, parent, kids = (0, *labels), [0] * n, [[] for _ in range(n + 1)]
             for x, p in zip(labels, _preorder_parents(forest.preorder_degrees)):
                 parent[x - 1] = ids[p]
                 kids[ids[p]].append(x)
-            return cls(family, n, colors, parent, kids, [0] * n)
-        if family == "plain":
+        elif family == "plain":
             kids = _child_index(forest.parents)
-            bij._require_plain(forest, kids, 1, n)
-            return cls(family, n, colors, list(forest.parents), kids, [0] * n)
-        kids = _child_index(forest.base.parents)
-        bij._require_colored(forest, kids, 1)
-        parent, color = list(forest.base.parents), list(forest.colors)
-        return cls(family, n, colors, parent, kids, color)
+            _require_plain(forest, kids, 1, n)
+            parent = list(forest.parents)
+        else:
+            kids = _child_index(forest.base.parents)
+            _require_colored(forest, kids, 1)
+            parent, color = list(forest.base.parents), list(forest.colors)
+        run = cls(family, n, colors, parent, kids, color)
+        # The step at k cuts id k (label k is not exchanged before it), and
+        # steps only cut, so vertex n leaves tree 1 at the step at k exactly
+        # when k lies on n's root path and no id between n and k is smaller.
+        run.swaps, low, v = set(), n, n
+        while v:
+            if v < low:
+                run.swaps.add(v)
+                low = v
+            v = parent[v - 1]
+        return run
 
     # ---------------------------------------------------------------- moves
 
@@ -446,8 +418,7 @@ class _Run:
             _alternating_flip(self.kids, self.color, u, self.kc, x)
             used = _used_colors(self.color, below, v)
             j = x - 1 - sum(1 for y in used if 0 < y < x)
-        # Vertex n leaves tree 1 exactly when it sits below k.
-        swapped = _descends(self.parent, self.vid[self.n], u)
+        swapped = k in self.swaps  # vertex n leaves tree 1
         if swapped:
             self.relabel(1, k)
         return self.label[v], j, swapped
@@ -501,7 +472,7 @@ def encode(forest) -> ChoiceTrace:
     cuts = [run.detach(k) for k in range(2, n)]
     if not run.at_base():
         raise ValueError(f"input is not a one-root {family} family member")
-    head = (run.color[run.vid[n] - 1],) if family == "colored" and n > 1 else ()
+    head = (run.color[run.vid[n] - 1],) if _has_head(family, n) else ()
     replay = _Run.base(family, n, colors, *head)
     chosen = []
     for k, cut in zip(range(n - 1, 1, -1), reversed(cuts)):
@@ -573,7 +544,7 @@ def sample_uniform(
         raise ValueError(f"need n >= 1, got {n}")
     if not 1 <= roots <= max(n - 1, 1):
         raise ValueError(f"root count {roots} out of range")
-    if family == "colored" and n > 1 and colors < 2:
+    if _has_head(family, n) and colors < 2:
         raise ValueError("colored sampling needs at least two colors")
     if rng is None:
         rng = SplitMix64(seed)

@@ -27,7 +27,11 @@ loops (``_check_parents``, ``_check_coloring``), which name the fault.
 Family-level constraints (roots being exactly 1..k, a pivot vertex lying in
 tree 1, part discipline, special color rules) are *not* type invariants:
 intermediate states of the bijections legitimately violate them.  They are
-enforced by the functions that need them.
+enforced by the functions that need them.  The coloring rules of the
+colored steps (``_used_colors``, and ``_alternating_flip``, which restores
+a proper coloring after one edge changes color) live here, beside
+``_properly_colored`` and ``_special``, so that the codec's run engine
+shares them without loading :mod:`bijections`.
 """
 
 from __future__ import annotations
@@ -645,6 +649,36 @@ def _special(colors: Sequence[int], color_count: int, kids: list[list[int]]) -> 
     """``is_special`` on the colors of a coloring and a child index of its
     parent map: no edge out of a root carries color ``color_count``."""
     return all(colors[v - 1] != color_count for r in kids[0] for v in kids[r])
+
+
+def _alternating_flip(
+    kids: list[list[int]], colors: list[int], start: int, first: int, second: int
+) -> None:
+    """Swap the colors `first` and `second` along the path descending from
+    `start` that alternates between them; ``kids`` indexes the children
+    below `start`.
+
+    A single recoloring of the edge out of `start` can collide with an edge
+    one level further down, so the exchange must propagate: by properness
+    each vertex has at most one incident edge of either color, hence the
+    affected edges form a downward path and flipping all of them restores a
+    proper coloring.  Flipping the same path again undoes the exchange,
+    which is what keeps the forward and inverse steps mutually inverse.
+    """
+    v, want, other = start, first, second
+    while True:
+        child = next((u for u in kids[v] if colors[u - 1] == want), None)
+        if child is None:
+            return
+        colors[child - 1] = other
+        v, want, other = child, other, want
+
+
+def _used_colors(colors: list[int], kids: list[int], v: int) -> set[int]:
+    """The colors incident to v, given its children ``kids``; 0 at a root."""
+    used = {colors[u - 1] for u in kids}
+    used.add(colors[v - 1])
+    return used
 
 
 def swap_colored_labels(ef: EdgeColoredForest, a: int, b: int) -> EdgeColoredForest:

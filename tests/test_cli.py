@@ -389,6 +389,8 @@ class TestHelp:
 ERROR_PATHS = [
     ("count", "cayley"),
     ("count", "zeta", "--n", "3"),
+    ("count", "multipartite", "--parts", "2,x"),
+    ("enumerate", "--family", "plane", "--n", "4", "--degrees", "1,y", "--count-only"),
     ("enumerate", "--family", "plain", "--n", "0"),
     ("enumerate", "--family", "leafplane", "--n", "5"),
     ("enumerate", "--family", "plane", "--n", "9", "--roots", "1", "--budget", "100"),
@@ -424,6 +426,8 @@ ERROR_PATHS = [
     ("decode", "plain 100000000000000000000 : 1"),
     ("identity", "bipartite", "--grid", "r=1"),
     ("identity", "kary", "--grid", "x=1"),
+    ("verify", "all", "--max-n", "2"),
+    ("verify", "all", "--max-n", "-5"),
     ("verify", "recurrence"),
     ("verify", "recurrence", "--family", "plain", "--n", "2"),
     ("verify", "recurrence", "--family", "plain", "--n", "4", "--leaves", "2"),
@@ -486,6 +490,30 @@ def test_unread_parameters_are_named(capsys, argv, message):
 )
 def test_unread_flags_are_named(capsys, argv, message):
     """A flag the formula or verify mode never reads fails and names itself."""
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("count", "multipartite", "--parts", "2,x"),
+         "--parts takes comma-separated integers, got '2,x'"),
+        (("count", "erdelyi-etherington", "--multiplicities", "1,z"),
+         "--multiplicities takes comma-separated integers, got '1,z'"),
+        (("enumerate", "--family", "plane", "--n", "4", "--degrees", "1,y"),
+         "--degrees takes comma-separated integers, got '1,y'"),
+        (("bijection", "forward", "--family", "partite", "--k", "2", "--parts", "2;2",
+          "--forest", "4 1 0 3 1 2"),
+         "--parts takes comma-separated integers, got '2;2'"),
+        (("verify", "recurrence", "--family", "partite", "--n", "4", "--parts", "a"),
+         "--parts takes comma-separated integers, got 'a'"),
+        (("verify", "all", "--max-n", "2"), "--max-n must be at least 3, got 2"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else v,
+)
+def test_malformed_flags_are_named(capsys, argv, message):
+    """A list flag that is not integers, or a --max-n below 3, fails and
+    names its flag."""
     assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 
 

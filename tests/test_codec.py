@@ -7,6 +7,7 @@ import pytest
 
 from forestcodec import (
     ChoiceTrace,
+    EdgeColoredForest,
     RootedForest,
     SplitMix64,
     decode,
@@ -136,9 +137,27 @@ class TestDecodeEncode:
         forest = parse_plane(text)
         assert decode(encode(forest)) == forest
 
+    @pytest.mark.parametrize("family", ("plain", "plane", "colored"))
+    def test_deep_chain_round_trip(self, family):
+        # The chain 1-2-...-n: every forward step takes vertex n out of
+        # tree 1.  Colored edges alternate colors 1 and 2 of 3.
+        n = 20_000
+        forest = RootedForest(tuple(range(n)))
+        if family == "plane":
+            forest = parse_plane("(".join(map(str, range(1, n + 1))) + ")" * (n - 1))
+        elif family == "colored":
+            colors = (0,) + tuple(1 + v % 2 for v in range(n - 1))
+            forest = EdgeColoredForest(forest, 3, colors)
+        assert decode(encode(forest)) == forest
+
     def test_encode_rejects_non_members(self):
         with pytest.raises(ValueError, match="roots"):
             encode(RootedForest((0, 0, 1)))  # two roots
+
+    @pytest.mark.parametrize("family", ("plain", "plane"))
+    def test_rejects_colors_on_uncolored_traces(self, family):
+        with pytest.raises(ValueError, match=f"^{family} forests take no colors, got 9$"):
+            ChoiceTrace(family, 4, 9, (1, 1))
 
 
 class TestTraceText:
@@ -292,6 +311,11 @@ class TestSampling:
             for _ in range(3)
         }
         assert len(texts) == 1
+
+    @pytest.mark.parametrize("family", ("plain", "plane"))
+    def test_rejects_colors_on_uncolored_families(self, family):
+        with pytest.raises(ValueError, match=f"^{family} forests take no colors, got 7$"):
+            sample_uniform(family, 5, 1, colors=7)
 
     @pytest.mark.parametrize("family", ("plain", "plane", "colored"))
     @pytest.mark.parametrize("n", (0, -3))

@@ -1,8 +1,8 @@
 """The run engine behind decode, encode and sample_uniform, against the
 public bijection steps it replaces.
 
-``codec._inverse_run`` and ``codec._step_encode`` run the public steps one
-by one; the engine must give the same forest and the same trace on every
+``_inverse_run`` and ``_step_encode`` below run the public steps one by
+one; the engine must give the same forest and the same trace on every
 trace of the small sizes, and the sampler the same forest for every draw
 sequence, conditioned or not, at roots 1, 2, 3 and n-1.
 """
@@ -13,6 +13,8 @@ import pytest
 
 from forestcodec import (
     ChoiceTrace,
+    EdgeColoredForest,
+    RootedForest,
     decode,
     encode,
     parse_colored,
@@ -23,8 +25,68 @@ from forestcodec import (
     swap_labels,
     trace_bounds,
 )
-from forestcodec.codec import _inverse_run, _step_encode
-from forestcodec.forests import plane_relabel
+from forestcodec import bijections as bij
+from forestcodec.codec import _family_of, _split_head
+from forestcodec.forests import _plane_word, plane_relabel
+
+
+# --------------------------------------------------------------------------
+# The step-by-step references: the public steps, one call per step
+# --------------------------------------------------------------------------
+
+
+def _base(family: str, n: int, colors: int = 0, base_color: int = 0):
+    """Roots 1..n-1 and vertex n below root 1, its edge colored base_color."""
+    if family == "plane":
+        # In preorder: root 1 and n below it, then the roots 2..n-1.
+        labels = (1, n, *range(2, n)) if n > 1 else (1,)
+        return _plane_word(labels, (int(n > 1),) + (0,) * (len(labels) - 1))
+    base = RootedForest((0,) * (n - 1) + (int(n > 1),))
+    if family == "plain":
+        return base
+    return EdgeColoredForest(base, colors, (0,) * (n - 1) + (base_color,))
+
+
+def _inverse_run(family: str, n: int, colors: int, choices: tuple[int, ...]):
+    """Run the public inverse steps k = n-1, n-2, ... from the maximal-root
+    state, one per choice; a colored run first takes the base color.
+
+    The step-by-step reference for ``_Run``, which ``decode`` and
+    ``sample_uniform`` use.
+    """
+    base_color, choices = _split_head(family, n, choices)
+    forest = _base(family, n, colors, base_color)
+    inverse = getattr(bij, f"{family}_inverse")
+    for k, c in zip(range(n - 1, 1, -1), choices):
+        forest = inverse(forest, k, c)
+    return forest
+
+
+def _step_encode(forest) -> ChoiceTrace:
+    """``encode`` by the public forward steps k = 2, ..., n-1: the
+    step-by-step reference for the ``_Run`` replay."""
+    family, n, colors = _family_of(forest)
+    getattr(bij, f"{family}_choice_count")(forest, 1)  # raises unless a member
+    forward = getattr(bij, f"{family}_forward")
+    chosen = []
+    for k in range(2, n):
+        forest, c = forward(forest, k)
+        chosen.append(c)
+    head = _base_check(family, n, colors, forest)
+    return ChoiceTrace(family, n, colors, head + tuple(reversed(chosen)))
+
+
+def _base_check(family: str, n: int, colors: int, forest) -> tuple[int, ...]:
+    """The trace head of a forest that must be the maximal-root state: the
+    color of the edge into n when colored.  Raises if it is not that state."""
+    # A colored trace opens with the color of the edge into n.
+    head = (forest.colors[n - 1],) if family == "colored" and n > 1 else ()
+    if head == (colors,):  # n's edge, out of root 1 in the base state
+        raise ValueError("an edge out of a root carries the last color")
+    if forest != _base(family, n, colors, *head):
+        raise ValueError(f"input is not a one-root {family} family member")
+    return head
+
 
 SMALL = (
     [("plain", n, 0) for n in range(1, 7)]

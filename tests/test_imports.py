@@ -53,6 +53,16 @@ def loaded_by(*argv: str) -> set[str]:
         (("bijection", "forward", "--family", "plain", "--k", "3",
           "--forest", "5 2 0 0 5 3 1"),
          {"codec", "enumeration", "counting"}),
+        (("sample", "--family", "plain", "--n", "9", "--seed", "1"),
+         {"bijections", "enumeration", "counting"}),
+        (("sample", "--family", "plane", "--n", "9", "--seed", "1", "--format", "json"),
+         {"bijections", "enumeration", "counting"}),
+        (("sample", "--family", "colored", "--n", "9", "--kc", "3", "--seed", "1"),
+         {"bijections", "enumeration", "counting"}),
+        (("decode", "plane 5 : 3 1 2"),
+         {"bijections", "enumeration", "counting"}),
+        (("decode", "colored 5 3 : 1 2 1 3"),
+         {"bijections", "enumeration", "counting"}),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, tuple) else None,
 )

@@ -4,7 +4,7 @@ Forests are grown by hypothesis independently of the codec: each new vertex
 hangs below an earlier one, so the result is a tree rooted at 1.  Traces
 are drawn position by position within their bounds.  The run engine behind
 the codec and the sampler must agree there with the public steps it
-replaces (``codec._inverse_run`` and ``codec._step_encode``).
+replaces (``_inverse_run`` and ``_step_encode`` of ``test_engine``).
 """
 
 import pytest
@@ -24,8 +24,7 @@ from forestcodec import (
     encode,
     trace_bounds,
 )
-from forestcodec.codec import _inverse_run, _step_encode
-from test_engine import check_sampler
+from test_engine import _inverse_run, _step_encode, check_sampler
 
 MAX_N = 300
 SETTINGS = settings(max_examples=8, deadline=None)
