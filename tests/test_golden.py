@@ -15,7 +15,9 @@ import pytest
 
 from forestcodec import (
     FamilySpec,
+    RootedForest,
     encode,
+    parse_plane,
     render_colored,
     render_forest,
     render_plane,
@@ -189,3 +191,56 @@ def test_labeled_oracle_stream(name):
     render = render_colored if spec.family.endswith("colored") else render_forest
     lines = [render(forest) for forest in enumerate_family(spec)]
     assert (len(lines), digest(lines)) == (count, want)
+
+
+# The same pin for colored runs whose vertices offer kc-1-deg targets at
+# other color counts: kc=2 (one target at a leaf, none at a degree-1
+# vertex) and kc=5.  Lines as in "one-root" above, at n=100.
+COLORED_DIGESTS = {
+    2: "0ea2b6dd6956f488f676d749444ae128df0b2c92b267c744921bfcee1393dff9",
+    5: "54a3a48652c712d8adaecbd8e8a79cd277544b92ae222a6d8047d787651c5f21",
+}
+
+
+@pytest.mark.parametrize("colors", sorted(COLORED_DIGESTS))
+def test_golden_colored_counts(colors):
+    lines = []
+    for seed in SEEDS:
+        forest = sample_uniform("colored", 100, seed, colors=colors)
+        lines += [render_colored(forest), render_trace(encode(forest))]
+    assert digest(lines) == COLORED_DIGESTS[colors]
+
+
+def wide_forest(family: str, shape: str, n: int):
+    """The star (every vertex below 1) or the broom (2 below 1, 3..n-1
+    below 2, and n below 1) on n vertices."""
+    if shape == "star":
+        kids = [range(2, n + 1)]
+    else:
+        kids = [(2, n), range(3, n)]
+    if family == "plain":
+        parents = [0] * n
+        for v, below in enumerate(kids, 1):
+            for u in below:
+                parents[u - 1] = v
+        return RootedForest(tuple(parents))
+    inner = ",".join(map(str, kids[-1]))
+    if shape == "star":
+        return parse_plane(f"1({inner})")
+    return parse_plane(f"1(2({inner}),{n})")
+
+
+# sha256 of the encode trace of each wide shape at n=2,000: every forward
+# step cuts a leaf or a broom's handle from a vertex of high degree.
+WIDE_DIGESTS = {
+    ("plain", "star"): "288e7222eb8f6cee3dd5c71225178fee31c47193a60878ac316cd915ba5b8173",
+    ("plain", "broom"): "08e53f340a0255e57036ca5cf7e0cfa193883439644bcae70815e50d12fa262a",
+    ("plane", "star"): "08392cc5c2a84cfe2db2b4018dd53b46a53d5f7d58b980250232e4e885f1de56",
+    ("plane", "broom"): "b7df7e2d73bcd51fc6ea3e15e4ac07ad0ee453289f606f72247d62a28b546859",
+}
+
+
+@pytest.mark.parametrize("family, shape", sorted(WIDE_DIGESTS))
+def test_golden_wide_traces(family, shape):
+    trace = encode(wide_forest(family, shape, 2000))
+    assert digest([render_trace(trace)]) == WIDE_DIGESTS[(family, shape)]
