@@ -38,7 +38,8 @@ _SUBMODULE_EXPORTS = {
         degseq_rooted_count erdelyi_etherington forests_with_k_trees
         kary_forest_count kary_identity kary_unlabeled_count
         multipartite_spanning_trees narayana plane_labeled_count
-        riordan_forest_count rooted_forest_count special_colored_count
+        riordan_closed_form riordan_forest_count rooted_forest_count
+        special_colored_count
         tripartite_base_count""",
     "codec": """ChoiceTrace SplitMix64 decode encode parse_trace render_trace
         sample_uniform trace_bounds trace_space_size""",

@@ -204,7 +204,7 @@ _FORMULAS = {
     "cayley": ("cayley", "n"),
     "rooted-forest": ("rooted_forest_count", "n k conditioned"),
     "forests-k-trees": ("forests_with_k_trees", "n k"),
-    "riordan": ("riordan_forest_count", "n k"),
+    "riordan": ("riordan_closed_form", "n k"),
     "multipartite": ("multipartite_spanning_trees", "parts"),
     "tripartite-base": ("tripartite_base_count", "r s t"),
     "plane-labeled": ("plane_labeled_count", "v"),

@@ -17,7 +17,11 @@ keeps one mutable forest across the steps, applies the rules of the
 :mod:`bijections` steps to it in place, and counts choices with prefix sums
 over labels, so a run costs O(n log^2 n) besides the recoloring walks of
 a colored run (see ``_Run``); the one value a run returns is built, and
-validated, once.  A plane run reads its input's preorder word into parents
+validated, once.  A run keeps only the state it reads: plain keeps parents
+and counts by label alone, plane adds ordered child lists and colored adds
+child lists and colors, and both add the parent labels and degrees their
+counts weigh.  ``encode``'s replay of its forward steps only counts, so it
+moves no vertex.  A plane run reads its input's preorder word into parents
 and ordered child lists by label in one pass and writes its result's word
 in one preorder walk.
 
@@ -182,25 +186,29 @@ class _Run:
     and ``kids[id]`` lists a vertex's child ids, in plane order for plane
     forests.  The moves follow the rules of the :mod:`bijections` steps,
     with the coloring helpers of :mod:`forests` that the colored steps use.
+    Plain reads no child list once ``load`` has checked its input: its
+    moves set parents only, and its forward steps name gap 0.
 
     An inverse step counts attachment targets: a vertex of degree deg
     offers ``a + b*deg`` of them (one vertex, deg+1 gaps, or kc-1-deg free
     colors).  A run from ``base`` keeps what counting needs, since inverse
-    steps only ever join trees: union-find over the trees; for each tree
-    but tree 1, the sorted list ``S`` of its labels and ``P`` of its
-    vertices' parent labels (one entry per child), joined small into large;
-    and a Fenwick tree ``degrees`` of the degrees by label.  The targets at
-    labels up to x then number ``a*x + b*degrees(x)``, and
-    ``a*#S<=x + b*#P<=x`` of them lie in tree k (P's entries are labels of
-    tree k too), so a choice is found by binary search on tree k's labels
-    and one walk down the Fenwick tree, in O(log^2 n).  A forward step cuts
-    a tree apart, which the lists cannot follow, so ``encode`` runs the
-    forward steps on a ``load``-ed forest without counting, records each
-    cut, and replays the record as inverse steps on a ``base`` run to count
-    its choices.  ``load`` finds the steps that take vertex n out of tree 1
-    in one walk up from n, the set ``swaps``.  A colored move also walks the
-    path whose two colors it exchanges (``_alternating_flip``), which can
-    be as long as the tree is deep.
+    steps only ever join trees: union-find over the trees, and for each
+    tree but tree 1 the sorted list ``S`` of its labels, joined small into
+    large.  Plane and colored (b != 0) also keep, per tree, the sorted list
+    ``P`` of its vertices' parent labels (one entry per child), and a
+    Fenwick tree ``degrees`` of the degrees by label; plain (b = 0) counts
+    by label alone and keeps neither.  The targets at labels up to x then
+    number ``a*x + b*degrees(x)``, and ``a*#S<=x + b*#P<=x`` of them lie in
+    tree k (P's entries are labels of tree k too), so a choice is found by
+    binary search on tree k's labels and one walk down the Fenwick tree, in
+    O(log^2 n).  A forward step cuts a tree apart, which the lists cannot
+    follow, so ``encode`` runs the forward steps on a ``load``-ed forest
+    without counting, records each cut, and replays the record on a
+    ``base`` run that only counts: it joins the trees (``_join``) and
+    exchanges labels, but moves no vertex.  ``load`` finds the steps that
+    take vertex n out of tree 1 in one walk up from n, the set ``swaps``.
+    A colored move also walks the path whose two colors it exchanges
+    (``_alternating_flip``), which can be as long as the tree is deep.
     """
 
     def __init__(self, family, n, colors, parent, kids, color) -> None:
@@ -213,15 +221,17 @@ class _Run:
     @classmethod
     def base(cls, family: str, n: int, colors: int, base_color: int = 0):
         """The maximal-root state, ready for inverse steps."""
-        kids = [[] for _ in range(n + 1)]
+        kids = None if family == "plain" else [[] for _ in range(n + 1)]
         run = cls(family, n, colors, [0] * n, kids, [0] * n)
         run.up = list(range(n + 1))
         # No lists for tree 1, nor for the sentinel 0.
         run.S = [None, None] + [[v] for v in range(2, n + 1)]
-        run.P = [None, None] + [[] for _ in range(2, n + 1)]
-        run.degrees = [0] * (n + 1)
+        if run.b:
+            run.P = [None, None] + [[] for _ in range(2, n + 1)]
+            run.degrees = [0] * (n + 1)
         if n > 1:
             run._hang(n, 1, 0, base_color)
+            run._join(n, 1)
         return run
 
     @classmethod
@@ -243,9 +253,8 @@ class _Run:
                 parent[x - 1] = ids[p]
                 kids[ids[p]].append(x)
         elif family == "plain":
-            kids = _child_index(forest.parents)
-            _require_plain(forest, kids, 1, n)
-            parent = list(forest.parents)
+            _require_plain(forest, _child_index(forest.parents), 1, n)
+            parent, kids = list(forest.parents), None
         else:
             kids = _child_index(forest.base.parents)
             _require_colored(forest, kids, 1)
@@ -269,30 +278,39 @@ class _Run:
         self.parent[u - 1] = v
         if self.family == "plane":
             self.kids[v].insert(j, u)
-        else:
+        elif self.family == "colored":
             self.kids[v].append(u)
             self.color[u - 1] = y
-        # Counting: the degree of v rises and the two trees join.
-        w = self.label[v]
-        self._add_degree(w, 1)
+
+    def _join(self, u: int, v: int) -> None:
+        """Count vertex u, a root, as hung below vertex v: the degree of v
+        rises and the two trees join."""
+        w, b = self.label[v], self.b
+        if b:
+            self._add_degree(w, 1)
         s, t = self._find(u), self._find(v)
-        S, P = self.S, self.P
+        S = self.S
         if S[s] is None or S[t] is None:
             # Tree 1 takes the other in.  Its lists are never read: a step
             # counts in tree k >= 2, and tree 1 keeps root label 1 (in the
             # swap case the joined tree's root takes it).
             self.up[s] = t
-            S[s] = P[s] = S[t] = P[t] = None
+            S[s] = S[t] = None
+            if b:
+                self.P[s] = self.P[t] = None
             return
         if len(S[s]) > len(S[t]):
             s, t = t, s
         self.up[s] = t
         for x in S[s]:
             insort(S[t], x)
-        for x in P[s]:
-            insort(P[t], x)
-        insort(P[t], w)
-        S[s] = P[s] = None
+        S[s] = None
+        if b:
+            P = self.P
+            for x in P[s]:
+                insort(P[t], x)
+            insort(P[t], w)
+            P[s] = None
 
     def _find(self, v: int) -> int:
         up = self.up
@@ -310,9 +328,10 @@ class _Run:
     def _exchange(self, k: int) -> None:
         """Exchange labels 1 and k, and their degrees in the counts.  Both
         lie in tree 1, whose lists are never read."""
-        d1, dk = len(self.kids[self.vid[1]]), len(self.kids[self.vid[k]])
-        self._add_degree(1, dk - d1)
-        self._add_degree(k, d1 - dk)
+        if self.b:
+            d1, dk = self._degree(1), self._degree(k)
+            self._add_degree(1, dk - d1)
+            self._add_degree(k, d1 - dk)
         self.relabel(1, k)
 
     def _add_degree(self, x: int, d: int) -> None:
@@ -320,23 +339,39 @@ class _Run:
             self.degrees[x] += d
             x += x & -x
 
+    def _degree(self, x: int) -> int:
+        """The degree at label x: node x of the Fenwick tree less the nodes
+        that cover labels x-(x&-x)+1..x-1."""
+        d, stop = self.degrees[x], x - (x & -x)
+        x -= 1
+        while x > stop:
+            d -= self.degrees[x]
+            x &= x - 1
+        return d
+
     # ------------------------------------------------------------- counting
 
     def _upto(self, x: int) -> int:
         """The targets at labels 1..x."""
-        total, i = self.a * x, x
-        while i:
-            total += self.b * self.degrees[i]
-            i &= i - 1
+        total = self.a * x
+        if self.b:
+            i = x
+            while i:
+                total += self.b * self.degrees[i]
+                i &= i - 1
         return total
 
-    def _in(self, S: list[int], P: list[int], x: int) -> int:
+    def _in(self, S: list[int], P: list[int] | None, x: int) -> int:
         """The targets at labels 1..x of the tree with lists S and P."""
-        return self.a * bisect_right(S, x) + self.b * bisect_right(P, x)
+        if self.b:
+            return self.a * bisect_right(S, x) + self.b * bisect_right(P, x)
+        return self.a * bisect_right(S, x)
 
     def _first(self, c: int) -> tuple[int, int]:
         """The least label x with c targets at labels 1..x, and the rank of
         the c-th among x's targets, by one walk down the Fenwick tree."""
+        if not self.b:  # every label offers a targets
+            return (c - 1) // self.a + 1, (c - 1) % self.a
         x, step = 0, 1 << (self.n.bit_length() - 1)
         while step:
             if x + step <= self.n:
@@ -347,11 +382,15 @@ class _Run:
             step >>= 1
         return x + 1, c - 1
 
-    def _tree(self, k: int) -> tuple[list[int], list[int], int]:
+    def _tree(self, k: int) -> tuple[list[int], list[int] | None, int]:
         """The lists of tree k, and the number of targets outside it."""
         t = self._find(self.vid[k])
-        S, P = self.S[t], self.P[t]
-        return S, P, self._upto(self.n) - self._in(S, P, self.n)
+        S = self.S[t]
+        P = self.P[t] if self.b else None
+        # k roots: the degrees sum to the n-k edges, and tree k's to its
+        # len(S)-1 edges.
+        n, a, b = self.n, self.a, self.b
+        return S, P, a * (n - len(S)) + b * (n - k - len(S) + 1)
 
     def locate(self, k: int, c: int) -> tuple[int, int, bool]:
         """The target label, its rank (gap or free color) and the swap flag
@@ -396,6 +435,7 @@ class _Run:
             # Push y back out for the last color below the moved root.
             _alternating_flip(self.kids, self.color, moved, y, self.kc)
         self._hang(moved, v, j, y)
+        self._join(moved, v)
         if swap:
             self._exchange(k)
 
@@ -406,13 +446,13 @@ class _Run:
         rank, and the swap flag, all in the labels of the result."""
         u = self.vid[k]
         v = self.parent[u - 1]
-        below = self.kids[v]
-        j = below.index(u)
-        del below[j]
         self.parent[u - 1] = 0
-        if self.family == "plain":
-            j = 0
-        elif self.family == "colored":
+        j = 0  # plain has one gap and keeps no child lists
+        if self.family != "plain":
+            below = self.kids[v]
+            j = below.index(u)
+            del below[j]
+        if self.family == "colored":
             x, self.color[u - 1] = self.color[u - 1], 0
             # The new root's edges avoid the last color: trade it for x.
             _alternating_flip(self.kids, self.color, u, self.kc, x)
@@ -437,13 +477,15 @@ class _Run:
             roots = [u for u in self.vid[1:] if not self.parent[u - 1]]
             word = _preorder(roots, self.kids.__getitem__, label.__getitem__)
             return _plane_word(*word)
-        parents, colors = [0] * n, [0] * n
+        parents = [0] * n
         for u in range(1, n + 1):
             parents[label[u] - 1] = label[self.parent[u - 1]]
-            colors[label[u] - 1] = self.color[u - 1]
         forest = RootedForest(tuple(parents))
         if self.family == "plain":
             return forest
+        colors = [0] * n
+        for u in range(1, n + 1):
+            colors[label[u] - 1] = self.color[u - 1]
         return EdgeColoredForest(forest, self.kc, tuple(colors))
 
 
@@ -475,9 +517,13 @@ def encode(forest) -> ChoiceTrace:
     head = (run.color[run.vid[n] - 1],) if _has_head(family, n) else ()
     replay = _Run.base(family, n, colors, *head)
     chosen = []
-    for k, cut in zip(range(n - 1, 1, -1), reversed(cuts)):
-        chosen.append(replay.count(k, *cut))
-        replay.attach(k, *cut)
+    # The replay only counts: it joins trees and exchanges labels, but moves
+    # no vertex, as count reads neither parents, child lists nor colors.
+    for k, (w, j, swap) in zip(range(n - 1, 1, -1), reversed(cuts)):
+        chosen.append(replay.count(k, w, j, swap))
+        replay._join(replay.vid[1 if swap else k], replay.vid[w])
+        if swap:
+            replay._exchange(k)
     return ChoiceTrace(family, n, colors, head + tuple(chosen))
 
 

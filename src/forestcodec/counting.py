@@ -77,6 +77,14 @@ def riordan_forest_count(n: int, k: int) -> int:
     return rows[n][n - k]
 
 
+def riordan_closed_form(n: int, k: int) -> int:
+    """The count of ``riordan_forest_count`` by its closed form,
+    k * n^(n-k-1), and 1 for k = n."""
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    return 1 if k == n else k * n ** (n - k - 1)
+
+
 def _riordan(below: list[int], m: int, t: int) -> int:
     """T(m, m - t) from ``below``, row m-1 of the table."""
     # below[t - i] is T(m-1, m-1-t+i).  The i = 0 term needs T(m-1, 0),

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,28 @@ class TestCount:
     def test_compositions_pair(self, capsys):
         code, out, _ = run(capsys, "count", "compositions", "--n", "5", "--m", "3")
         assert (code, out) == (0, "6 10\n")
+
+    def test_riordan_all_roots(self, capsys):
+        code, out, _ = run(capsys, "count", "riordan", "--n", "7", "--k", "7")
+        assert (code, out) == (0, "1\n")
+
+    def test_riordan_too_many_roots(self, capsys):
+        code, out, err = run(capsys, "count", "riordan", "--n", "5", "--k", "6")
+        assert (code, out) == (1, "")
+        assert err == "error: need 1 <= k <= n, got k=6, n=5\n"
+
+    def test_riordan_large_n_prints_the_closed_form(self, capsys):
+        # The deletion recurrence would take minutes here.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "count", "riordan", "--n", "2000", "--k", "1")
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (0, "")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert int(out) == 2000**1998
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_missing_flag(self, capsys):
         code, _, err = run(capsys, "count", "cayley")

@@ -150,6 +150,25 @@ class TestDecodeEncode:
             forest = EdgeColoredForest(forest, 3, colors)
         assert decode(encode(forest)) == forest
 
+    @pytest.mark.parametrize("family", ("plain", "plane"))
+    @pytest.mark.parametrize("shape", ("star", "broom"))
+    def test_wide_round_trip(self, family, shape):
+        # The star hangs every vertex below 1; the broom hangs 2 and n below
+        # 1 and 3..n-1 below 2.  Every step cuts from, or hangs below, a
+        # vertex of high degree, and the trees joined are lopsided.
+        n = 20_000
+        below = [range(2, n + 1)] if shape == "star" else [(2, n), range(3, n)]
+        if family == "plain":
+            parents = [0] * n
+            for v, kids in enumerate(below, 1):
+                for u in kids:
+                    parents[u - 1] = v
+            forest = RootedForest(tuple(parents))
+        else:
+            inner = ",".join(map(str, below[-1]))
+            forest = parse_plane(f"1({inner})" if shape == "star" else f"1(2({inner}),{n})")
+        assert decode(encode(forest)) == forest
+
     def test_encode_rejects_non_members(self):
         with pytest.raises(ValueError, match="roots"):
             encode(RootedForest((0, 0, 1)))  # two roots

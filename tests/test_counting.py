@@ -29,6 +29,7 @@ from forestcodec import (
     multipartite_spanning_trees,
     narayana,
     plane_labeled_count,
+    riordan_closed_form,
     riordan_forest_count,
     rooted_forest_count,
     special_colored_count,
@@ -83,6 +84,14 @@ class TestCayleyFamily:
             assert riordan_forest_count(n, n) == 1
             for k in range(1, n):
                 assert riordan_forest_count(n, k) == k * n ** (n - k - 1)
+
+    def test_riordan_closed_form(self):
+        for n in range(1, 41):
+            for k in range(1, n + 1):
+                assert riordan_closed_form(n, k) == riordan_forest_count(n, k)
+        for n, k in ((3, 0), (3, 4), (0, 0)):
+            with pytest.raises(ValueError, match=f"^need 1 <= k <= n, got k={k}, n={n}$"):
+                riordan_closed_form(n, k)
 
     def test_riordan_fresh_at_low_recursion_limit(self):
         # A fresh process starts with an empty table, and the recursion
