@@ -563,7 +563,7 @@ def _verify_all(max_n: int, budget: int | None) -> int:
             check(
                 f"riordan n={n} k={k}",
                 counting.riordan_forest_count(n, k),
-                k * n ** (n - k - 1),
+                counting.riordan_closed_form(n, k),
             )
     for name in _IDENTITIES:
         for point, lhs, rhs in _identity_rows(name, {}):
