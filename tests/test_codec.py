@@ -2,6 +2,7 @@
 
 from collections import Counter
 from itertools import product
+from math import comb, factorial
 
 import pytest
 
@@ -10,15 +11,19 @@ from forestcodec import (
     EdgeColoredForest,
     RootedForest,
     SplitMix64,
+    colored_root_degree_count,
     decode,
     encode,
     is_descendant,
+    narayana,
     parse_plane,
     parse_trace,
+    plane_labeled_count,
     render_colored,
     render_forest,
     render_plane,
     render_trace,
+    rooted_forest_count,
     sample_uniform,
     special_colored_count,
     trace_bounds,
@@ -32,6 +37,13 @@ CHI2_Q999_DF83 = 128.5648
 CHI2_Q999_DF49 = 85.3506
 CHI2_Q999_DF287 = 366.7676
 CHI2_Q999_DF335 = 420.7176
+# ... and for 1..30 degrees of freedom, CHI2_Q999[df - 1].
+CHI2_Q999 = (
+    10.8276, 13.8155, 16.2662, 18.4668, 20.5150, 22.4577, 24.3219, 26.1245,
+    27.8772, 29.5883, 31.2641, 32.9095, 34.5282, 36.1233, 37.6973, 39.2524,
+    40.7902, 42.3124, 43.8202, 45.3147, 46.7970, 48.2679, 49.7282, 51.1786,
+    52.6197, 54.0520, 55.4760, 56.8923, 58.3012, 59.7031,
+)
 
 
 def all_traces(family, n, colors=0):
@@ -341,3 +353,73 @@ class TestSampling:
     def test_rejects_empty_and_negative_n(self, family, n):
         with pytest.raises(ValueError, match=f"need n >= 1, got {n}"):
             sample_uniform(family, n, seed=1, colors=3)
+
+
+# One statistic per codec family, with its exact distribution over the
+# one-root family on n vertices: weight[x] members take the value x, so the
+# weights sum to the family's count.
+def plain_root_degree(n):
+    weights = {d: comb(n - 2, d - 1) * (n - 1) ** (n - 1 - d) for d in range(1, n)}
+    return (lambda f: f.parents.count(1)), weights, rooted_forest_count(n, 1)
+
+
+def plane_leaf_count(n):
+    weights = {p: factorial(n - 1) * narayana(n - 1, p) for p in range(1, n)}
+    count, rest = divmod(plane_labeled_count(n), n)  # root 1 of n labels
+    assert rest == 0
+    return (lambda f: f.preorder_degrees.count(0)), weights, count
+
+
+def colored_root_degree(n, kc=3):
+    # The root avoids the last color: (kc-r)/kc of the trees with root
+    # degree r are special.
+    weights = {
+        r: (kc - r) * colored_root_degree_count(n, kc, r) // kc for r in range(1, kc)
+    }
+    return (lambda f: f.base.parents.count(1)), weights, special_colored_count(n, kc, 1)
+
+
+DISTRIBUTIONS = {
+    "plain": (0, plain_root_degree),
+    "plane": (0, plane_leaf_count),
+    "colored": (3, colored_root_degree),
+}
+
+
+def pooled_chi2(freq, weights, draws):
+    """Chi-square of the counts ``freq`` against ``weights``, with bins
+    pooled in key order until each expects at least 5 draws, and its
+    degrees of freedom."""
+    assert set(freq) <= set(weights)
+    total = sum(weights.values())
+    pooled, expected, observed = [], 0.0, 0
+    for x in sorted(weights):
+        expected += draws * weights[x] / total
+        observed += freq[x]
+        if expected >= 5:
+            pooled.append((expected, observed))
+            expected, observed = 0.0, 0
+    last_expected, last_observed = pooled.pop()
+    pooled.append((last_expected + expected, last_observed + observed))
+    chi2 = sum((o - e) ** 2 / e for e, o in pooled)
+    return chi2, len(pooled) - 1
+
+
+@pytest.mark.parametrize("n", (100, 200))
+@pytest.mark.parametrize("family", sorted(DISTRIBUTIONS))
+def test_sampler_distribution_at_size(family, n):
+    """A statistic of uniform samples at sizes no oracle reaches follows its
+    exact distribution: plain root degree, plane leaf count and colored
+    (kc=3) root degree."""
+    colors, distribution = DISTRIBUTIONS[family]
+    statistic, weights, count = distribution(n)
+    assert sum(weights.values()) == count == trace_space_size(family, n, colors)
+    draws = 400
+    rng = SplitMix64(20261019 + n)
+    freq = Counter(
+        statistic(sample_uniform(family, n, seed=0, colors=colors, rng=rng))
+        for _ in range(draws)
+    )
+    chi2, df = pooled_chi2(freq, weights, draws)
+    assert df >= 1
+    assert chi2 < CHI2_Q999[df - 1], f"chi-square {chi2:.2f} on {df} df"

@@ -14,8 +14,10 @@ import hashlib
 import pytest
 
 from forestcodec import (
+    ChoiceTrace,
     FamilySpec,
     RootedForest,
+    decode,
     encode,
     parse_plane,
     render_colored,
@@ -23,6 +25,7 @@ from forestcodec import (
     render_plane,
     render_trace,
     sample_uniform,
+    trace_bounds,
 )
 from forestcodec.enumeration import enumerate_family
 
@@ -244,3 +247,48 @@ WIDE_DIGESTS = {
 def test_golden_wide_traces(family, shape):
     trace = encode(wide_forest(family, shape, 2000))
     assert digest([render_trace(trace)]) == WIDE_DIGESTS[(family, shape)]
+
+
+# Traces at n=100 that take the swap branch at many steps: a choice above
+# the targets outside tree k hangs tree 1 below tree k.  Random samples
+# rarely do.  The all-maximum trace swaps at every step, and the
+# alternating one (1 first, in trace order) at every other.
+EXTREME_TRACES = {
+    "ones": lambda bounds: (1,) * len(bounds),
+    "max": lambda bounds: bounds,
+    "alternating": lambda bounds: tuple(
+        b if i % 2 else 1 for i, b in enumerate(bounds)
+    ),
+}
+RENDER = {"plain": render_forest, "plane": render_plane, "colored": render_colored}
+
+# sha256 of the decoded forest's line and its encode trace's line, per
+# (family, colors, trace).
+EXTREME_DIGESTS = {
+    ("colored", 2, "alternating"): "27a90ff0f2419954b22f09172824fce58b38c58044c218ea8d3108b5c8a41226",
+    ("colored", 2, "max"): "322bfcf84ef1e1babc2da4da3e07b5bcc267bd98d3acd38fffb83ea94f2a8d46",
+    ("colored", 2, "ones"): "ef3a36ff6a438fd52a31709306de7ac6f2b57928ee9077f0ed03f30a40d984f2",
+    ("colored", 3, "alternating"): "1daf923b46c91879030120899185523842b0c85ae446d28043338de564119595",
+    ("colored", 3, "max"): "c6e83fa4385c1a036c0ae5219b872ab6a9983d0012dbffbbaa7f6ea3b0be64b8",
+    ("colored", 3, "ones"): "995fc7289fccb039d7aec942c1f0a6c30c444eb2aaa3508d44865087e0292447",
+    ("colored", 5, "alternating"): "c4a868009c58f00f49dbced104bef87ee1f209312dd4d990a455243b7fb1c744",
+    ("colored", 5, "max"): "793492e1321042271e7352708b140b614058d841f4fbc9a3bcc97d050f9d36a5",
+    ("colored", 5, "ones"): "894f5dba8bc927fe40f76d0485b7df6d32ae3efbb882c39abcbac0eb22ac66d1",
+    ("plain", 0, "alternating"): "85ac2886a02249bd62d4d81e6d030a1206e12e53f5b317feb7ef43c3d3033e1d",
+    ("plain", 0, "max"): "d819a53e18fb9823cfd218a7de498af587d8e3e3a972782d42777572b289c20b",
+    ("plain", 0, "ones"): "8e250d6a818e4df8f2f684c4cc6b55ee60fce56f3ceddafc5727ffd2d257221f",
+    ("plane", 0, "alternating"): "5239e76866291ae6c4e26f0ca5c9953d01ba3353bc558fa28b14b77023170981",
+    ("plane", 0, "max"): "05747ccc8c2fda41836dc52f1c2b66d274ba1df95a23f30cd36493ae64cf7e6b",
+    ("plane", 0, "ones"): "3470ec98f6bbdb4fe2c12c8ec9d9546e42af4a6f24330c52dae36819a850733c",
+}
+
+
+@pytest.mark.parametrize("family, colors, pattern", sorted(EXTREME_DIGESTS))
+def test_golden_extreme_traces(family, colors, pattern):
+    bounds = trace_bounds(family, 100, colors)
+    trace = ChoiceTrace(family, 100, colors, EXTREME_TRACES[pattern](bounds))
+    forest = decode(trace)
+    back = encode(forest)
+    assert back == trace
+    lines = [RENDER[family](forest), render_trace(back)]
+    assert digest(lines) == EXTREME_DIGESTS[(family, colors, pattern)]
