@@ -307,6 +307,9 @@ def _cmd_sample(args) -> int:
     _reject_unread(args)
     if args.count < 0:
         raise ValueError(f"--count must be nonnegative, got {args.count}")
+    if not 0 <= args.seed <= codec._MASK64:
+        # SplitMix64 takes its seed mod 2^64: -1 would sample as 2^64 - 1.
+        raise ValueError(f"--seed must lie in 0..{codec._MASK64}, got {args.seed}")
     rng = codec.SplitMix64(args.seed)
     for _ in range(args.count):
         forest = codec.sample_uniform(

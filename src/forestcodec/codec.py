@@ -60,7 +60,9 @@ class SplitMix64:
     """The splitmix64 generator: a published, fixed 64-bit algorithm.
 
     Pure integer arithmetic, so identical seeds give identical streams on
-    every platform.  Range reduction uses rejection to avoid modulo bias.
+    every platform.  The seed is taken mod 2^64, so seeds that differ by a
+    multiple of 2^64 give the same stream.  Range reduction uses rejection
+    to avoid modulo bias.
     """
 
     def __init__(self, seed: int) -> None:

@@ -432,6 +432,8 @@ ERROR_PATHS = [
     ("sample", "--family", "plain", "--n", "0", "--seed", "1"),
     ("sample", "--family", "plain", "--n", "5", "--kc", "3", "--seed", "1"),
     ("sample", "--family", "plane", "--n", "5", "--kc", "3", "--seed", "1"),
+    ("sample", "--family", "plain", "--n", "5", "--seed", "-1"),
+    ("sample", "--family", "plain", "--n", "5", "--seed", str(1 << 64)),
     ("bijection", "forward", "--family", "plain", "--forest", "5 3 0 0 0 3 1"),
     ("bijection", "inverse", "--family", "plain", "--k", "3", "--choice", "6",
      "--forest", "5 3 0 0 0 3 1"),
@@ -559,6 +561,19 @@ def test_negative_sample_count_fails(capsys):
     assert run(capsys, *argv, "-1") == (
         1, "", "error: --count must be nonnegative, got -1\n"
     )
+
+
+def test_sample_seed_outside_64_bits_fails(capsys):
+    """SplitMix64 takes its seed mod 2^64, so sample takes only 0..2^64-1
+    rather than print the forest of another seed."""
+    argv = ("sample", "--n", "5", "--seed")
+    top = (1 << 64) - 1
+    assert run(capsys, *argv, "0")[0] == 0
+    assert run(capsys, *argv, str(top))[0] == 0
+    for seed in (-1, top + 1, top + 6):
+        assert run(capsys, *argv, str(seed)) == (
+            1, "", f"error: --seed must lie in 0..{top}, got {seed}\n"
+        )
 
 
 def test_over_budget_enumerate_prints_what_it_found(capsys):
