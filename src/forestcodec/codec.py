@@ -11,19 +11,24 @@ The three codec families share this code, and ``encode`` infers the family
 from the value's type.  Each family's choice counts come from its
 recurrence multiplier in ``trace_bounds``.
 
-Cost model: a run takes n-2 steps, and one run engine (``_Run``) serves
-``decode``, ``encode`` and ``sample_uniform`` for all three families.  It
-keeps one mutable forest across the steps, applies the rules of the
+Cost model: a run takes n-2 steps, and one run engine serves ``decode``,
+``encode`` and ``sample_uniform`` for all three families.  It keeps one
+mutable forest (``_Run``) across the steps, applies the rules of the
 :mod:`bijections` steps to it in place, and counts choices with prefix sums
 over labels, so a run costs O(n log^2 n) besides the recoloring walks of
-a colored run (see ``_Run``); the one value a run returns is built, and
-validated, once.  A run keeps only the state it reads: plain keeps parents
-and counts by label alone, plane adds ordered child lists and colored adds
-child lists and colors, and both add the parent labels and degrees their
-counts weigh.  ``encode``'s replay of its forward steps only counts, so it
-moves no vertex.  A plane run reads its input's preorder word into parents
-and ordered child lists by label in one pass and writes its result's word
-in one preorder walk.
+a colored run (see ``_run``); the one value a run returns is built, and
+validated, once.  Each pass over the steps is one loop over k: the inverse
+steps of ``decode`` and ``sample_uniform`` and ``encode``'s replay in
+``_run``, and ``encode``'s forward steps in ``encode``.  The loop holds the
+run's lists in locals and does the target search, the move and the join
+inline: a step calls no function but bisect's, list methods and, in a
+colored move, the coloring rules of :mod:`forests`.  A run keeps only the state it reads:
+plain keeps parents and counts by label alone, plane adds ordered child
+lists and colored adds child lists and colors, and both add the parent
+labels and degrees their counts weigh.  ``encode``'s replay of its forward
+steps only counts, so it moves no vertex.  A plane run reads its input's
+preorder word into parents and ordered child lists by label in one pass
+and writes its result's word in one preorder walk.
 
 The public steps are not called, and this module does not load
 :mod:`bijections`: the coloring rules the colored steps and the engine
@@ -180,61 +185,23 @@ _FAMILIES = {
 
 
 class _Run:
-    """A forest under a codec or sampler run, edited in place step by step.
+    """A forest under a codec or sampler run, edited in place.
 
     Vertices keep the id they start with, their first label; ``label`` and
     ``vid`` map ids to labels and back, so exchanging labels 1 and k costs
     O(1).  ``parent`` and ``color`` are indexed by id - 1 (0 marks a root),
     and ``kids[id]`` lists a vertex's child ids, in plane order for plane
-    forests.  The moves follow the rules of the :mod:`bijections` steps,
-    with the coloring helpers of :mod:`forests` that the colored steps use.
-    Plain reads no child list once ``load`` has checked its input: its
-    moves set parents only, and its forward steps name gap 0.
-
-    An inverse step counts attachment targets: a vertex of degree deg
-    offers ``a + b*deg`` of them (one vertex, deg+1 gaps, or kc-1-deg free
-    colors).  A run from ``base`` keeps what counting needs, since inverse
-    steps only ever join trees: union-find over the trees, and for each
-    tree but tree 1 the sorted list ``S`` of its labels, joined small into
-    large.  Plane and colored (b != 0) also keep, per tree, the sorted list
-    ``P`` of its vertices' parent labels (one entry per child), and a
-    Fenwick tree ``degrees`` of the degrees by label; plain (b = 0) counts
-    by label alone and keeps neither.  The targets at labels up to x then
-    number ``a*x + b*degrees(x)``, and ``a*#S<=x + b*#P<=x`` of them lie in
-    tree k (P's entries are labels of tree k too), so a choice is found by
-    binary search on tree k's labels and one walk down the Fenwick tree, in
-    O(log^2 n).  A forward step cuts a tree apart, which the lists cannot
-    follow, so ``encode`` runs the forward steps on a ``load``-ed forest
-    without counting, records each cut, and replays the record on a
-    ``base`` run that only counts: it joins the trees (``_join``) and
-    exchanges labels, but moves no vertex.  ``load`` finds the steps that
-    take vertex n out of tree 1 in one walk up from n, the set ``swaps``.
-    A colored move also walks the path whose two colors it exchanges
-    (``_alternating_flip``), which can be as long as the tree is deep.
+    forests.  Plain keeps no child lists: its moves set parents only, and
+    its forward steps name gap 0.  ``_run`` (the inverse steps) and
+    ``encode`` (the forward steps) each walk their steps in one loop over k
+    that holds these lists in locals and edits them inline.
     """
 
     def __init__(self, family, n, colors, parent, kids, color) -> None:
         self.family, self.n, self.kc = family, n, colors
-        self.a, self.b = _targets(family, colors)
         self.parent, self.kids, self.color = parent, kids, color
         self.label = list(range(n + 1))  # the sentinel 0 stays fixed
         self.vid = list(range(n + 1))
-
-    @classmethod
-    def base(cls, family: str, n: int, colors: int, base_color: int = 0):
-        """The maximal-root state, ready for inverse steps."""
-        kids = None if family == "plain" else [[] for _ in range(n + 1)]
-        run = cls(family, n, colors, [0] * n, kids, [0] * n)
-        run.up = list(range(n + 1))
-        # No lists for tree 1, nor for the sentinel 0.
-        run.S = [None, None] + [[v] for v in range(2, n + 1)]
-        if run.b:
-            run.P = [None, None] + [[] for _ in range(2, n + 1)]
-            run.degrees = [0] * (n + 1)
-        if n > 1:
-            run._hang(n, 1, 0, base_color)
-            run._join(n, 1)
-        return run
 
     @classmethod
     def load(cls, forest):
@@ -273,199 +240,11 @@ class _Run:
             v = parent[v - 1]
         return run
 
-    # ---------------------------------------------------------------- moves
-
-    def _hang(self, u: int, v: int, j: int, y: int) -> None:
-        """Hang vertex u, a root, below vertex v at gap j, or with color y."""
-        self.parent[u - 1] = v
-        if self.family == "plane":
-            self.kids[v].insert(j, u)
-        elif self.family == "colored":
-            self.kids[v].append(u)
-            self.color[u - 1] = y
-
-    def _join(self, u: int, v: int) -> None:
-        """Count vertex u, a root, as hung below vertex v: the degree of v
-        rises and the two trees join."""
-        w, b = self.label[v], self.b
-        if b:
-            self._add_degree(w, 1)
-        s, t = self._find(u), self._find(v)
-        S = self.S
-        if S[s] is None or S[t] is None:
-            # Tree 1 takes the other in.  Its lists are never read: a step
-            # counts in tree k >= 2, and tree 1 keeps root label 1 (in the
-            # swap case the joined tree's root takes it).
-            self.up[s] = t
-            S[s] = S[t] = None
-            if b:
-                self.P[s] = self.P[t] = None
-            return
-        if len(S[s]) > len(S[t]):
-            s, t = t, s
-        self.up[s] = t
-        for x in S[s]:
-            insort(S[t], x)
-        S[s] = None
-        if b:
-            P = self.P
-            for x in P[s]:
-                insort(P[t], x)
-            insort(P[t], w)
-            P[s] = None
-
-    def _find(self, v: int) -> int:
-        up = self.up
-        while up[v] != v:
-            up[v] = up[up[v]]
-            v = up[v]
-        return v
-
     def relabel(self, a: int, b: int) -> None:
         """Exchange labels a and b."""
         ia, ib = self.vid[a], self.vid[b]
         self.vid[a], self.vid[b] = ib, ia
         self.label[ia], self.label[ib] = b, a
-
-    def _exchange(self, k: int) -> None:
-        """Exchange labels 1 and k, and their degrees in the counts.  Both
-        lie in tree 1, whose lists are never read."""
-        if self.b:
-            d1, dk = self._degree(1), self._degree(k)
-            self._add_degree(1, dk - d1)
-            self._add_degree(k, d1 - dk)
-        self.relabel(1, k)
-
-    def _add_degree(self, x: int, d: int) -> None:
-        while x <= self.n:
-            self.degrees[x] += d
-            x += x & -x
-
-    def _degree(self, x: int) -> int:
-        """The degree at label x: node x of the Fenwick tree less the nodes
-        that cover labels x-(x&-x)+1..x-1."""
-        d, stop = self.degrees[x], x - (x & -x)
-        x -= 1
-        while x > stop:
-            d -= self.degrees[x]
-            x &= x - 1
-        return d
-
-    # ------------------------------------------------------------- counting
-
-    def _upto(self, x: int) -> int:
-        """The targets at labels 1..x."""
-        total = self.a * x
-        if self.b:
-            i = x
-            while i:
-                total += self.b * self.degrees[i]
-                i &= i - 1
-        return total
-
-    def _in(self, S: list[int], P: list[int] | None, x: int) -> int:
-        """The targets at labels 1..x of the tree with lists S and P."""
-        if self.b:
-            return self.a * bisect_right(S, x) + self.b * bisect_right(P, x)
-        return self.a * bisect_right(S, x)
-
-    def _first(self, c: int) -> tuple[int, int]:
-        """The least label x with c targets at labels 1..x, and the rank of
-        the c-th among x's targets, by one walk down the Fenwick tree."""
-        if not self.b:  # every label offers a targets
-            return (c - 1) // self.a + 1, (c - 1) % self.a
-        x, step = 0, 1 << (self.n.bit_length() - 1)
-        while step:
-            if x + step <= self.n:
-                # Node x + step holds labels x+1..x+step.
-                w = self.a * step + self.b * self.degrees[x + step]
-                if w < c:
-                    x, c = x + step, c - w
-            step >>= 1
-        return x + 1, c - 1
-
-    def _tree(self, k: int) -> tuple[list[int], list[int] | None, int]:
-        """The lists of tree k, and the number of targets outside it."""
-        t = self._find(self.vid[k])
-        S = self.S[t]
-        P = self.P[t] if self.b else None
-        # k roots: the degrees sum to the n-k edges, and tree k's to its
-        # len(S)-1 edges.
-        n, a, b = self.n, self.a, self.b
-        return S, P, a * (n - len(S)) + b * (n - k - len(S) + 1)
-
-    def locate(self, k: int, c: int) -> tuple[int, int, bool]:
-        """The target label, its rank (gap or free color) and the swap flag
-        that choice c names in the inverse step at k."""
-        S, P, outside = self._tree(k)
-        if c > outside:
-            # The least label of tree k with c - outside targets up to it.
-            c -= outside
-            x = S[bisect_left(S, c, key=lambda s: self._in(S, P, s))]
-            return x, c - 1 - self._in(S, P, x - 1), True
-        # The labels of tree k cut the others into runs.  Find the run that
-        # holds the c-th outside target; tree k's targets below the run then
-        # number `inside`, and the target is the (c + inside)-th overall.
-        i = bisect_left(S, c, key=lambda s: self._upto(s) - self._in(S, P, s))
-        inside = self._in(S, P, S[i - 1]) if i else 0
-        return *self._first(c + inside), False
-
-    def count(self, k: int, w: int, j: int, swap: bool) -> int:
-        """The choice that names label w, rank j and the swap flag in the
-        inverse step at k: ``locate`` inverted."""
-        S, P, outside = self._tree(k)
-        if swap:
-            return outside + self._in(S, P, w - 1) + j + 1
-        return self._upto(w - 1) - self._in(S, P, w - 1) + j + 1
-
-    # ---------------------------------------------------------------- steps
-
-    def attach(self, k: int, w: int, j: int, swap: bool) -> None:
-        """The inverse step at k: hang tree k, or with ``swap`` tree 1, below
-        label w at gap j or with w's j-th free color, then with ``swap``
-        exchange labels 1 and k."""
-        moved, v = self.vid[1 if swap else k], self.vid[w]
-        y = 0
-        if self.family == "colored":
-            # The j-th color free at v.  j is below the kc-1-deg colors v
-            # offers, so y is at most kc, and at most kc-1 at a root.
-            used = sorted(_used_colors(self.color, self.kids[v], v))
-            y = j + 1
-            for u in used:
-                if 0 < u <= y:
-                    y += 1
-            # Push y back out for the last color below the moved root.
-            _alternating_flip(self.kids, self.color, moved, y, self.kc)
-        self._hang(moved, v, j, y)
-        self._join(moved, v)
-        if swap:
-            self._exchange(k)
-
-    def detach(self, k: int) -> tuple[int, int, bool]:
-        """The forward step at k: cut the subtree at label k and, if vertex
-        n leaves tree 1, exchange labels 1 and k.  Returns what ``attach``
-        takes to undo it: the old parent's label, the gap or free-color
-        rank, and the swap flag, all in the labels of the result."""
-        u = self.vid[k]
-        v = self.parent[u - 1]
-        self.parent[u - 1] = 0
-        j = 0  # plain has one gap and keeps no child lists
-        if self.family != "plain":
-            below = self.kids[v]
-            j = below.index(u)
-            del below[j]
-        if self.family == "colored":
-            x, self.color[u - 1] = self.color[u - 1], 0
-            # The new root's edges avoid the last color: trade it for x.
-            _alternating_flip(self.kids, self.color, u, self.kc, x)
-            used = _used_colors(self.color, below, v)
-            j = x - 1 - sum(1 for y in used if 0 < y < x)
-        swapped = k in self.swaps  # vertex n leaves tree 1
-        if swapped:
-            self.relabel(1, k)
-        return self.label[v], j, swapped
-
-    # --------------------------------------------------------------- output
 
     def at_base(self) -> bool:
         """True iff labels 1..n-1 are roots and n hangs below 1."""
@@ -491,18 +270,185 @@ class _Run:
         return EdgeColoredForest(forest, self.kc, tuple(colors))
 
 
-def _run(family: str, n: int, colors: int, choices: tuple[int, ...]) -> _Run:
-    """The inverse steps k = n-1, n-2, ..., one per choice, on a ``_Run``."""
+def _run(family: str, n: int, colors: int, choices: tuple[int, ...], cuts=None):
+    """The inverse steps k = n-1, n-2, ..., 2 from the maximal-root state,
+    one per choice, in one loop; returns the run and its choices.
+
+    Step k finds tree k and the targets outside it, finds the target its
+    choice names, hangs tree k below it (or, in the swap case, tree 1 below
+    a target in tree k), joins the two trees and, in the swap case,
+    exchanges labels 1 and k.  A vertex of degree deg offers ``a + b*deg``
+    targets (one vertex, deg+1 gaps, or kc-1-deg free colors), and the run
+    keeps what counting them needs, since inverse steps only ever join
+    trees: union-find ``up`` over the trees, in which tree 1 is the set of
+    id 1, and for each tree but tree 1 the sorted list ``S`` of its labels,
+    joined small into large.  Plane and colored (b != 0) also keep, per
+    tree, the sorted list ``P`` of its vertices' parent labels (one entry
+    per child), and a Fenwick tree ``fen`` of the degrees by label; plain
+    (b = 0) counts by label alone and keeps neither.  Tree k's least label
+    is k, as labels 1..k-1 are the other roots, so a choice is found by one
+    walk down the Fenwick tree less tree k's entries, or by binary search
+    on tree k's labels, in O(log^2 n).
+
+    A forward step cuts a tree apart, which the lists cannot follow, so
+    ``encode`` runs its forward steps without counting and replays their
+    record here, as ``cuts`` from the last: each step then counts the
+    choice that names its record's target instead, and moves no vertex.
+    ``choices`` is then only a colored trace's head, the base color.
+    """
     base_color, choices = _split_head(family, n, choices)
-    run = _Run.base(family, n, colors, base_color)
-    for k, c in zip(range(n - 1, 1, -1), choices):
-        run.attach(k, *run.locate(k, c))
-    return run
+    a, b = _targets(family, colors)
+    # The maximal-root state: labels 1..n-1 are roots, n hangs below 1.
+    kids = [[] for _ in range(n + 1)] if b else None
+    run = _Run(family, n, colors, [0] * n, kids, [0] * n)
+    label, vid, parent, color = run.label, run.vid, run.parent, run.color
+    up = list(range(n + 1))
+    S = [None, None] + [[v] for v in range(2, n + 1)]  # none for 0 and tree 1
+    P = [None, None] + [[] for _ in range(2, n + 1)] if b else None
+    fen = [0] * (n + 1) if b else None
+    if n > 1:
+        parent[n - 1] = up[n] = 1
+        color[n - 1] = base_color
+        S[n] = None
+        if b:
+            kids[1].append(n)
+            x = 1
+            while x <= n:  # degree 1 at label 1
+                fen[x] += 1
+                x += x & -x
+    plane, colored, replay = family == "plane", family == "colored", cuts is not None
+    top = 1 << (n.bit_length() - 1)  # the first step down the Fenwick tree
+    chosen = []
+    for k, c in zip(range(n - 1, 1, -1), cuts if replay else choices):
+        t = vid[k]
+        while up[t] != t:
+            up[t] = up[up[t]]
+            t = up[t]
+        Sk = S[t]
+        Pk = P[t] if b else None
+        # k roots: the degrees sum to the n-k edges, and tree k's to its
+        # size-1 edges.
+        size = len(Sk)
+        outside = a * (n - size) + b * (n - k - size + 1)
+        if replay:
+            w, j, swap = c
+            c = a * bisect_left(Sk, w) + (b * bisect_left(Pk, w) if b else 0)
+            if swap:  # tree k's targets below w follow all outside it
+                c += outside
+            else:  # the targets below w, less tree k's
+                c, x = a * (w - 1) - c, w - 1
+                while b and x:
+                    c += b * fen[x]
+                    x &= x - 1
+            chosen.append(c + j + 1)
+        elif not b:  # plain: every label offers a targets
+            if c > outside:
+                i, j = divmod(c - outside - 1, a)
+                w, swap = Sk[i], True
+            else:
+                # The (m+1)-th label outside tree k is m+1+i, with i the
+                # labels of tree k below it.
+                m, j = divmod(c - 1, a)
+                i, hi = 0, size
+                while i < hi:
+                    mid = (i + hi) // 2
+                    if Sk[mid] - mid <= m + 1:
+                        i = mid + 1
+                    else:
+                        hi = mid
+                w, swap = m + 1 + i, False
+        elif c > outside:
+            # The least label Sk[i] of tree k with c - outside targets up to
+            # it: a*(i+1) + b*#(Pk <= Sk[i]) of them.
+            c, i, hi, swap = c - outside, 0, size - 1, True
+            while i < hi:
+                mid = (i + hi) // 2
+                if a * (mid + 1) + b * bisect_right(Pk, Sk[mid]) < c:
+                    i = mid + 1
+                else:
+                    hi = mid
+            w = Sk[i]
+            j = c - 1 - a * i - b * bisect_left(Pk, w)
+        else:
+            # Walk down the Fenwick tree, less tree k's labels and children:
+            # node y holds labels y-(y&-y)+1..y, and si and pi count the
+            # entries of Sk and Pk at labels up to x, the labels passed.
+            x, step, si, pi, swap = 0, top, 0, 0, False
+            while step:
+                y = x + step
+                if y <= n:
+                    sj, pj = si, pi
+                    if y >= k:  # tree k lies at labels k and above
+                        sj = bisect_right(Sk, y, si)
+                        pj = bisect_right(Pk, y, pi)
+                    wy = a * (step - sj + si) + b * (fen[y] - pj + pi)
+                    if wy < c:
+                        x, c, si, pi = y, c - wy, sj, pj
+                step >>= 1
+            w, j = x + 1, c - 1
+        if not replay:  # hang the moved tree's root below w
+            moved, v = vid[1] if swap else vid[k], vid[w]
+            parent[moved - 1] = v
+            if plane:
+                kids[v].insert(j, moved)
+            elif colored:
+                # The j-th color free at v.  j is below the kc-1-deg colors v
+                # offers, so y is at most kc, and at most kc-1 at a root.
+                y = j + 1
+                for u in sorted(_used_colors(color, kids[v], v)):
+                    if 0 < u <= y:
+                        y += 1
+                # Push y back out for the last color below the moved root.
+                _alternating_flip(kids, color, moved, y, colors)
+                kids[v].append(moved)
+                color[moved - 1] = y
+        # Join the trees: w's degree rises, and tree 1 takes the other in,
+        # or the smaller tree's lists go into the larger's.
+        x = w
+        while b and x <= n:
+            fen[x] += 1
+            x += x & -x
+        if swap:
+            u = 1
+        else:
+            u = vid[w]
+            while up[u] != u:
+                up[u] = up[up[u]]
+                u = up[u]
+        if u == 1:  # tree 1's lists are never read: a step counts in tree k
+            up[t], S[t] = 1, None
+            if b:
+                P[t] = None
+        else:
+            if len(S[u]) < size:
+                t, u = u, t
+            up[t] = u
+            for x in S[t]:
+                insort(S[u], x)
+            S[t] = None
+            if b:
+                for x in P[t]:
+                    insort(P[u], x)
+                insort(P[u], w)
+                P[t] = None
+        if swap:  # exchange labels 1 and k, and their degrees
+            if b:
+                d1, dk, x = fen[1], fen[k], k - 1
+                while x > k - (k & -k):  # node k less the nodes below it
+                    dk -= fen[x]
+                    x &= x - 1
+                for x, d in ((1, dk - d1), (k, d1 - dk)):
+                    while x <= n:
+                        fen[x] += d
+                        x += x & -x
+            i1, ik = vid[1], vid[k]
+            vid[1], vid[k], label[i1], label[ik] = ik, i1, k, 1
+    return run, chosen
 
 
 def decode(trace: ChoiceTrace):
     """Run the inverse steps k = n-1, ..., 2 from the maximal-root state."""
-    return _run(trace.family, trace.n, trace.colors, trace.choices).value()
+    return _run(trace.family, trace.n, trace.colors, trace.choices)[0].value()
 
 
 def encode(forest) -> ChoiceTrace:
@@ -513,19 +459,34 @@ def encode(forest) -> ChoiceTrace:
     """
     family, n, colors = _family_of(forest)
     run = _Run.load(forest)
-    cuts = [run.detach(k) for k in range(2, n)]
+    parent, kids, color, label, vid = run.parent, run.kids, run.color, run.label, run.vid
+    swaps, cuts = run.swaps, []
+    # The forward step at k cuts the subtree at label k and, if vertex n
+    # leaves tree 1, exchanges labels 1 and k.  It records what the inverse
+    # step at k takes to undo it: the old parent's label, the gap or
+    # free-color rank, and the swap flag, all in the labels of the result.
+    for k in range(2, n):
+        u = vid[k]
+        v = parent[u - 1]
+        parent[u - 1] = j = 0  # plain has one gap and keeps no child lists
+        if kids is not None:
+            below = kids[v]
+            j = below.index(u)
+            del below[j]
+            if colors:  # colored
+                x, color[u - 1] = color[u - 1], 0
+                # The new root's edges avoid the last color: trade it for x.
+                _alternating_flip(kids, color, u, colors, x)
+                j = x - 1 - sum(1 for y in _used_colors(color, below, v) if 0 < y < x)
+        swap = k in swaps  # vertex n leaves tree 1
+        if swap:
+            i1, ik = vid[1], vid[k]
+            vid[1], vid[k], label[i1], label[ik] = ik, i1, k, 1
+        cuts.append((label[v], j, swap))
     if not run.at_base():
         raise ValueError(f"input is not a one-root {family} family member")
-    head = (run.color[run.vid[n] - 1],) if _has_head(family, n) else ()
-    replay = _Run.base(family, n, colors, *head)
-    chosen = []
-    # The replay only counts: it joins trees and exchanges labels, but moves
-    # no vertex, as count reads neither parents, child lists nor colors.
-    for k, (w, j, swap) in zip(range(n - 1, 1, -1), reversed(cuts)):
-        chosen.append(replay.count(k, w, j, swap))
-        replay._join(replay.vid[1 if swap else k], replay.vid[w])
-        if swap:
-            replay._exchange(k)
+    head = (color[vid[n] - 1],) if _has_head(family, n) else ()
+    chosen = _run(family, n, colors, head, reversed(cuts))[1]
     return ChoiceTrace(family, n, colors, head + tuple(chosen))
 
 
@@ -600,7 +561,7 @@ def sample_uniform(
     # so the last roots-1 positions of the trace are never drawn.
     bounds = trace_bounds(family, n, colors)
     drawn = bounds[: len(bounds) - roots + 1]
-    run = _run(family, n, colors, tuple(rng.below(b) + 1 for b in drawn))
+    run = _run(family, n, colors, tuple(rng.below(b) + 1 for b in drawn))[0]
     if not conditioned and roots > 1:
         run.relabel(1, rng.below(roots) + 1)
     return run.value()

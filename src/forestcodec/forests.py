@@ -667,8 +667,10 @@ def _alternating_flip(
     """
     v, want, other = start, first, second
     while True:
-        child = next((u for u in kids[v] if colors[u - 1] == want), None)
-        if child is None:
+        for child in kids[v]:
+            if colors[child - 1] == want:
+                break
+        else:
             return
         colors[child - 1] = other
         v, want, other = child, other, want
