@@ -14,21 +14,23 @@ recurrence multiplier in ``trace_bounds``.
 Cost model: a run takes n-2 steps, and one run engine serves ``decode``,
 ``encode`` and ``sample_uniform`` for all three families.  It keeps one
 mutable forest (``_Run``) across the steps, applies the rules of the
-:mod:`bijections` steps to it in place, and counts choices with prefix sums
-over labels, so a run costs O(n log^2 n) besides the recoloring walks of
-a colored run (see ``_run``); the one value a run returns is built, and
+:mod:`bijections` steps to it in place, and counts choices with prefix
+sums over labels, so a run costs O(n log^2 n) besides the recoloring walks
+of a colored run (see ``_run``); the one value a run returns is built, and
 validated, once.  Each pass over the steps is one loop over k: the inverse
 steps of ``decode`` and ``sample_uniform`` and ``encode``'s replay in
-``_run``, and ``encode``'s forward steps in ``encode``.  The loop holds the
-run's lists in locals and does the target search, the move and the join
-inline: a step calls no function but bisect's, list methods and, in a
-colored move, the coloring rules of :mod:`forests`.  A run keeps only the state it reads:
-plain keeps parents and counts by label alone, plane adds ordered child
-lists and colored adds child lists and colors, and both add the parent
-labels and degrees their counts weigh.  ``encode``'s replay of its forward
-steps only counts, so it moves no vertex.  A plane run reads its input's
-preorder word into parents and ordered child lists by label in one pass
-and writes its result's word in one preorder walk.
+``_run``, and ``encode``'s forward steps in ``encode``.  The loop holds
+the run's lists in locals and does the target search, the move and the
+join inline: a step calls no function but bisect's, list methods and, in a
+colored move, the coloring rules of :mod:`forests`.  At n = 100 this made
+``decode`` 1.6-2.5 and ``encode`` 1.35-1.7 times as fast as a method call
+per search, move and join (``BENCH_17.json``).  A run keeps only the state
+it reads: plain keeps parents and counts by label alone, plane adds
+ordered child lists and colored adds child lists and colors, and both add
+the parent labels and degrees their counts weigh.  ``encode``'s replay of
+its forward steps only counts, so it moves no vertex.  A plane run reads
+its input's preorder word into parents and ordered child lists by label in
+one pass and writes its result's word in one preorder walk.
 
 The public steps are not called, and this module does not load
 :mod:`bijections`: the coloring rules the colored steps and the engine

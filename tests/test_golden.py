@@ -260,7 +260,6 @@ EXTREME_TRACES = {
         b if i % 2 else 1 for i, b in enumerate(bounds)
     ),
 }
-RENDER = {"plain": render_forest, "plane": render_plane, "colored": render_colored}
 
 # sha256 of the decoded forest's line and its encode trace's line, per
 # (family, colors, trace).
@@ -290,5 +289,5 @@ def test_golden_extreme_traces(family, colors, pattern):
     forest = decode(trace)
     back = encode(forest)
     assert back == trace
-    lines = [RENDER[family](forest), render_trace(back)]
+    lines = [FAMILIES[family][1](forest), render_trace(back)]
     assert digest(lines) == EXTREME_DIGESTS[(family, colors, pattern)]
