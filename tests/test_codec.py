@@ -423,3 +423,59 @@ def test_sampler_distribution_at_size(family, n):
     chi2, df = pooled_chi2(freq, weights, draws)
     assert df >= 1
     assert chi2 < CHI2_Q999[df - 1], f"chi-square {chi2:.2f} on {df} df"
+
+
+def tree_one_size(forest):
+    """The number of vertices in the tree rooted at vertex 1."""
+    parents = forest.parents
+    root = [0] * (len(parents) + 1)
+    for v in range(1, len(parents) + 1):
+        path = []
+        while not root[v] and parents[v - 1]:
+            path.append(v)
+            v = parents[v - 1]
+        top = root[v] or v
+        for u in path:
+            root[u] = top
+    return sum(1 for v in range(1, len(parents) + 1) if (root[v] or v) == 1)
+
+
+def tree_one_weights(n, r, conditioned):
+    """Members of the plain family with roots 1..r whose tree 1 has s
+    vertices.  Tree 1 holds vertex 1 (and vertex n when conditioned) and
+    s-1 (or s-2) of the other non-roots, is one of s^(s-2) trees rooted at
+    1, and the other n-s vertices form a forest on roots 2..r."""
+
+    def forests(m, k):
+        return 1 if m == k else rooted_forest_count(m, k)
+
+    low, fixed = (2, 2) if conditioned else (1, 1)
+    return {
+        s: comb(n - r - fixed + 1, s - fixed) * s ** max(s - 2, 0) * forests(n - s, r - 1)
+        for s in range(low, n - r + 2)
+    }
+
+
+# The 0.999 quantiles at the degrees of freedom the pooled tree-1 sizes
+# below have at n = 100 with three roots: 36 conditioned, 34 not.
+CHI2_Q999_TREE_ONE = {True: (36, 67.9852), False: (34, 65.2472)}
+
+
+@pytest.mark.parametrize("conditioned", (True, False), ids=("conditioned", "unconditioned"))
+def test_sampler_distribution_with_roots(conditioned):
+    """Plain samples at n = 100 with three roots, conditioned on vertex n in
+    tree 1 or not, follow the exact distribution of tree 1's size."""
+    n, roots, draws = 100, 3, 400
+    weights = tree_one_weights(n, roots, conditioned)
+    assert sum(weights.values()) == rooted_forest_count(n, roots, conditioned=conditioned)
+    rng = SplitMix64(20261019 + n)
+    freq = Counter(
+        tree_one_size(
+            sample_uniform("plain", n, seed=0, roots=roots, conditioned=conditioned, rng=rng)
+        )
+        for _ in range(draws)
+    )
+    chi2, df = pooled_chi2(freq, weights, draws)
+    want_df, quantile = CHI2_Q999_TREE_ONE[conditioned]
+    assert df == want_df
+    assert chi2 < quantile, f"chi-square {chi2:.2f} on {df} df"
