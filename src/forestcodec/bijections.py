@@ -63,26 +63,6 @@ from .forests import (
     is_descendant,
 )
 
-__all__ = [
-    "plain_forward",
-    "plain_inverse",
-    "plain_choice_count",
-    "partite_forward",
-    "partite_inverse",
-    "partite_choice_count",
-    "reroot_tree",
-    "reroot_switch",
-    "plane_forward",
-    "plane_inverse",
-    "plane_choice_count",
-    "leafplane_forward",
-    "leafplane_inverse",
-    "leafplane_choice_count",
-    "colored_forward",
-    "colored_inverse",
-    "colored_choice_count",
-]
-
 
 def _require(cond: bool, msg: str) -> None:
     if not cond:

@@ -43,17 +43,14 @@ _FAMILIES = (
 
 
 def _to_json(obj) -> dict:
+    """A rooted forest's document; a colored one's is its base's, with its
+    colors added."""
     from .forests import EdgeColoredForest, RootedForest
 
     if isinstance(obj, EdgeColoredForest):
-        return {
-            "kind": "colored",
-            "n": obj.n,
-            "roots": list(obj.base.roots),
-            "parents": list(obj.base.parents),
-            "colors": list(obj.colors),
-            "colorCount": obj.color_count,
-        }
+        doc = _to_json(obj.base)
+        doc.update(kind="colored", colors=list(obj.colors), colorCount=obj.color_count)
+        return doc
     if isinstance(obj, RootedForest):
         return {
             "kind": "rooted",

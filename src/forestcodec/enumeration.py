@@ -37,17 +37,6 @@ from .forests import (
 DEFAULT_BUDGET = 10**8
 BUDGET_ENV_VAR = "FORESTCODEC_ORACLE_BUDGET"
 
-FAMILIES = (
-    "plain",
-    "partite",
-    "plane",
-    "leafplane",
-    "kary",
-    "colored",
-    "special-colored",
-)
-
-
 class BudgetExceededError(RuntimeError):
     """The search space exceeds the configured candidate budget."""
 
@@ -208,16 +197,7 @@ def _checked(spec: FamilySpec, budget: int | None) -> _Budget:
 def enumerate_family(spec: FamilySpec, budget: int | None = None) -> Iterator:
     """Yield each family member exactly once, in canonical order."""
     guard = _checked(spec, budget)
-    generators = {
-        "plain": _plain,
-        "partite": _partite,
-        "plane": _plane,
-        "leafplane": _plane,
-        "kary": _plane,
-        "colored": _colored,
-        "special-colored": _colored,
-    }
-    yield from generators[spec.family](spec, guard)
+    yield from _GENERATORS[spec.family](spec, guard)
 
 
 def count_by_enumeration(spec: FamilySpec, budget: int | None = None) -> int:
@@ -430,6 +410,19 @@ def _colored(spec: FamilySpec, guard: _Budget) -> Iterator[EdgeColoredForest]:
             if special and not _special(colors, kc, kids):
                 continue
             yield EdgeColoredForest(base, kc, tuple(colors))
+
+
+# family -> its generator, in the order `FAMILIES` lists them.
+_GENERATORS = {
+    "plain": _plain,
+    "partite": _partite,
+    "plane": _plane,
+    "leafplane": _plane,
+    "kary": _plane,
+    "colored": _colored,
+    "special-colored": _colored,
+}
+FAMILIES = tuple(_GENERATORS)
 
 
 # --------------------------------------------------------------------------

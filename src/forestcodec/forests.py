@@ -140,11 +140,6 @@ def _cycle_vertex(parents: Sequence[int]) -> int:
     return 0
 
 
-def parent(forest: RootedForest, v: int) -> int:
-    _check_vertex(forest, v)
-    return forest.parents[v - 1]
-
-
 def children(forest: RootedForest, x: int) -> tuple[int, ...]:
     """The children of x in ascending order.
 
@@ -266,10 +261,6 @@ class PartAssignment:
             raise ValueError("at least one part is required")
         if any(s < 1 for s in self.sizes):
             raise ValueError("every part must be nonempty")
-
-    @classmethod
-    def from_sizes(cls, sizes: Sequence[int]) -> "PartAssignment":
-        return cls(tuple(sizes))
 
     @property
     def n(self) -> int:
