@@ -164,14 +164,15 @@ def _ints(text: str, flag: str) -> tuple[int, ...]:
         raise ValueError(f"--{flag} takes comma-separated integers, got {text!r}") from None
 
 
-def _parse_range(text: str) -> range:
-    if ".." in text:
-        lo, hi = map(int, text.split("..", 1))
-        if lo > hi:
-            raise ValueError(f"empty range {text!r}: {lo} > {hi}")
-        return range(lo, hi + 1)
-    v = int(text)
-    return range(v, v + 1)
+def _parse_range(text: str, flag: str) -> range:
+    """The integer or inclusive range lo..hi given to --``flag``."""
+    try:
+        lo, hi = map(int, text.split("..", 1) if ".." in text else (text, text))
+    except ValueError:
+        raise ValueError(f"--{flag} takes an integer or lo..hi, got {text!r}") from None
+    if lo > hi:
+        raise ValueError(f"empty range {text!r}: {lo} > {hi}")
+    return range(lo, hi + 1)
 
 
 def _parse_grid(text: str) -> dict[str, range]:
@@ -180,7 +181,7 @@ def _parse_grid(text: str) -> dict[str, range]:
         if "=" not in item:
             raise ValueError(f"grid entries look like var=lo..hi, got {item!r}")
         name, _, spec = item.partition("=")
-        grid[name.strip()] = _parse_range(spec.strip())
+        grid[name.strip()] = _parse_range(spec.strip(), "grid")
     return grid
 
 
@@ -464,7 +465,7 @@ def _cmd_verify(args) -> int:
         rows = verify_recurrence(
             args.family,
             n=args.n or 0,
-            k_range=_parse_range(args.k_range) if args.k_range else None,
+            k_range=_parse_range(args.k_range, "k-range") if args.k_range else None,
             part_sizes=_ints(args.parts, "parts") if args.parts else (),
             colors=args.kc or 0,
             leaves=args.leaves,

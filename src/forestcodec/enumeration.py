@@ -459,14 +459,18 @@ def verify_recurrence(
     For each step k the reported row is (|family with k-1 roots|, the
     multiplier, |family with k roots|); the step passes when the first
     equals the product of the other two.  Both counts come from
-    ``enumerate_family``, never from closed forms.
+    ``enumerate_family``, never from closed forms.  ``k_range`` defaults to
+    every step; a k outside them is an error.
     """
     sizes = tuple(part_sizes)
     p = leaves or 0
     if family in ("plain", "plane", "colored") and n < 3:
         raise ValueError(f"need n >= 3 for a recurrence step, got {n}")
-    if family == "partite" and len(sizes) < 2:
-        raise ValueError("partite verification needs at least two parts")
+    if family == "partite":
+        if len(sizes) < 2:
+            raise ValueError("partite verification needs at least two parts")
+        if sizes[0] < 2:
+            raise ValueError("need at least two vertices in part 1 for a step")
     if family == "leafplane":
         if leaves is None:
             raise ValueError("leafplane verification needs the base leaf count")
@@ -505,6 +509,11 @@ def verify_recurrence(
     if family not in recurrences:
         raise ValueError(f"no recurrence check for family {family!r}")
     steps, row, params = recurrences[family]
+    for k in k_range or ():
+        if k not in steps:
+            raise ValueError(
+                f"k={k} is not a {family} step: k must lie in {steps[0]}..{steps[-1]}"
+            )
     spec_family = "special-colored" if family == "colored" else family
 
     def count(k: int) -> int:

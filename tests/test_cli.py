@@ -464,6 +464,19 @@ ERROR_PATHS = [
      "--kc", "3"),
     ("convert", "--kind", "plane", "--forest", "1(2"),
     ("convert", "--kind", "rooted", "--forest", "3 1 0 5 1"),
+    ("verify", "recurrence", "--family", "plain", "--n", "4", "--k-range", "4"),
+    ("verify", "recurrence", "--family", "plane", "--n", "4", "--k-range", "4"),
+    ("verify", "recurrence", "--family", "colored", "--n", "4", "--kc", "3",
+     "--k-range", "4"),
+    ("verify", "recurrence", "--family", "partite", "--parts", "2,2", "--k-range", "3"),
+    ("verify", "recurrence", "--family", "partite", "--parts", "1,3"),
+    ("verify", "recurrence", "--family", "leafplane", "--n", "6", "--leaves", "2",
+     "--k-range", "4"),
+    ("verify", "recurrence", "--family", "leafplane", "--n", "6", "--leaves", "2",
+     "--k-range", "9"),
+    ("verify", "recurrence", "--family", "plain", "--n", "4", "--k-range", "1..2"),
+    ("verify", "recurrence", "--family", "plain", "--n", "4", "--k-range", "1..x"),
+    ("identity", "bipartite", "--grid", "r=1..x"),
 ]
 
 
@@ -553,6 +566,47 @@ def test_malformed_flags_are_named(capsys, argv, message):
 def test_empty_ranges_fail(capsys, argv):
     """A range that checks nothing is an error, not a PASS."""
     assert run(capsys, *argv) == (1, "", "error: empty range '5..3': 5 > 3\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verify", "recurrence", "--family", "plain", "--n", "4", "--k-range", "4"),
+         "k=4 is not a plain step: k must lie in 2..3"),
+        (("verify", "recurrence", "--family", "plain", "--n", "4", "--k-range", "1..2"),
+         "k=1 is not a plain step: k must lie in 2..3"),
+        (("verify", "recurrence", "--family", "partite", "--parts", "2,3",
+          "--k-range", "3"), "k=3 is not a partite step: k must lie in 2..2"),
+        (("verify", "recurrence", "--family", "leafplane", "--n", "6", "--leaves", "2",
+          "--k-range", "2..9"), "k=4 is not a leafplane step: k must lie in 2..3"),
+        (("verify", "recurrence", "--family", "partite", "--parts", "1,3"),
+         "need at least two vertices in part 1 for a step"),
+        (("verify", "recurrence", "--family", "plain", "--n", "4", "--k-range", "1..x"),
+         "--k-range takes an integer or lo..hi, got '1..x'"),
+        (("identity", "bipartite", "--grid", "r=1..x"),
+         "--grid takes an integer or lo..hi, got '1..x'"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else v,
+)
+def test_bad_steps_and_ranges_are_named(capsys, argv, message):
+    """A recurrence check names the steps its family has rather than report
+    a mismatch at a k without one, and a malformed range names its flag."""
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "--family", "plain", "--n", "3", "--degrees", "1,1"),
+        ("enumerate", "--family", "leafplane", "--n", "5", "--leaves", "3", "--roots", "3"),
+    ],
+    ids=" ".join,
+)
+def test_empty_streams_print_nothing(capsys, argv):
+    """A degrees filter of the wrong length, or more roots than internal
+    vertices, matches no forest: no output, and a count of 0."""
+    assert run(capsys, *argv) == (0, "", "")
+    assert run(capsys, *argv, "--count-only") == (0, "0\n", "")
 
 
 def test_negative_sample_count_fails(capsys):
