@@ -285,9 +285,7 @@ def erdelyi_etherington(multiplicities: Sequence[int]) -> int:
     if any(x < 0 for x in mult):
         raise ValueError("multiplicities must be nonnegative")
     n = 1 + sum(i * x for i, x in enumerate(mult, start=1))
-    n0 = n - sum(mult)
-    if n0 < 0:
-        raise ValueError(f"inconsistent partition: implied leaf count {n0}")
+    n0 = n - sum(mult)  # 1 + sum (i-1)*n_i, so at least 1
     value = factorial(n)
     for x in [n0] + mult:
         value = _exact_div(value, factorial(x))

@@ -386,3 +386,49 @@ class TestExactness:
                     for n in range(p + q, 10):
                         lhs, rhs = kary_identity(k, p, q, n)
                         assert isinstance(lhs, int) and isinstance(rhs, int)
+
+
+# Input checks of the closed forms: the function, its arguments and the
+# start of the ValueError's message.
+BAD_ARGUMENTS = [
+    (cayley, (-1,), "need n >= 1, got -1"),
+    (forests_with_k_trees, (4, 4), "need 1 <= k <= n-1, got k=4, n=4"),
+    (riordan_forest_count, (3, 0), "need 1 <= k <= n, got k=0, n=3"),
+    (multipartite_spanning_trees, ((2, 0),), "every part must be nonempty"),
+    (tripartite_base_count, (1, 0, 2), "part sizes must be positive"),
+    (bipartite_identity, (1, 2), "need r >= 2 and s >= 1, got r=1, s=2"),
+    (plane_labeled_count, (0,), "need v >= 1, got 0"),
+    (catalan, (-1,), "need n >= 0, got -1"),
+    (narayana, (3, 0), "need 1 <= p <= n, got p=0, n=3"),
+    (narayana, (3, 4), "need 1 <= p <= n, got p=4, n=3"),
+    (composition_stats, (0, 2), "need n, m >= 1, got n=0, m=2"),
+    (kary_forest_count, (0, 3, 1), "need arity >= 1, got 0"),
+    (kary_forest_count, (2, 3, 4), "need 1 <= roots <= internal, got 4, 3"),
+    (kary_unlabeled_count, (0, 3), "need arity >= 1 and internal >= 1"),
+    (kary_unlabeled_count, (2, 0), "need arity >= 1 and internal >= 1"),
+    (kary_identity, (2, 1, 0, 3), "need p, q >= 1 and n >= p+q, got 1, 0, 3"),
+    (kary_identity, (2, 2, 2, 3), "need p, q >= 1 and n >= p+q, got 2, 2, 3"),
+    (degseq_plane_count, ((),), "need at least one vertex"),
+    (degseq_plane_count, ((2, -1, 0),), "degrees must be nonnegative"),
+    (degseq_rooted_count, ((),), "need at least one vertex"),
+    (degseq_rooted_count, ((2, -1, 0),), "degrees must be nonnegative"),
+    (degseq_rooted_count, ((1, 1, 1),), "degrees must sum to n-1 = 2, got 3"),
+    (erdelyi_etherington, ((1, -1),), "multiplicities must be nonnegative"),
+    (special_colored_count, (4, 0, 1), "need at least one color, got 0"),
+    (special_colored_count, (4, 3, 4), "need 1 <= r <= n-1, got r=4, n=4"),
+    (colored_tree_count, (4, 0), "need at least one color, got 0"),
+    (colored_tree_count, (0, 3), "need n >= 1, got 0"),
+    (colored_root_degree_count, (4, 0, 1), "need at least one color, got 0"),
+    (colored_root_degree_count, (4, 3, 0), "need 1 <= r <= n-1, got r=0, n=4"),
+]
+
+
+@pytest.mark.parametrize(
+    "func, args, message",
+    BAD_ARGUMENTS,
+    ids=[f"{func.__name__}{args}" for func, args, _ in BAD_ARGUMENTS],
+)
+def test_bad_arguments_are_rejected(func, args, message):
+    with pytest.raises(ValueError) as info:
+        func(*args)
+    assert str(info.value).startswith(message)

@@ -304,3 +304,39 @@ class TestSpecValidation:
             FamilySpec("colored", n=3, colors=2, degrees=(2, 0, 0)),
         ):
             spec.validate()
+
+
+# Family specs that validate() rejects, with the start of the message.
+BAD_SPECS = {
+    "partite with one part": (
+        FamilySpec("partite", part_sizes=(3,)),
+        "partite family needs at least two nonempty parts",
+    ),
+    "kary arity 0": (FamilySpec("kary", n=2, arity=0), "kary needs arity >= 1"),
+    "root set not ascending": (
+        FamilySpec("plain", n=3, root_set=(2, 1)),
+        "bad root set (2, 1)",
+    ),
+    "empty root set": (FamilySpec("plain", n=3, root_set=()), "bad root set ()"),
+    "root set past n": (FamilySpec("plain", n=3, root_set=(4,)), "bad root set (4,)"),
+    "leafplane root set": (
+        FamilySpec("leafplane", n=5, leaves=2, root_set=(1,)),
+        "leafplane roots are always labeled 1..r",
+    ),
+    "kary root set": (
+        FamilySpec("kary", n=2, arity=2, root_set=(1,)),
+        "kary roots are always labeled 1..r",
+    ),
+    "colored without colors": (
+        FamilySpec("colored", n=3),
+        "colored families need at least one color",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BAD_SPECS)
+def test_bad_specs_are_rejected(case):
+    spec, message = BAD_SPECS[case]
+    with pytest.raises(ValueError) as info:
+        spec.validate()
+    assert str(info.value).startswith(message)

@@ -25,7 +25,7 @@ from forestcodec import (
     swap_labels,
 )
 from forestcodec.enumeration import FamilySpec, enumerate_family, plane_key
-from forestcodec.forests import plane_relabel
+from forestcodec.forests import _plane_word, plane_relabel
 
 # Depths of the deep plane chains: every walk must be iterative.
 DEPTHS = (1200, 20_000)
@@ -390,3 +390,35 @@ class TestPlaneWalk:
             + ",))" * (depth - 1)
         )
         assert repr(parse_plane(text).trees[0]) == expected
+
+
+# Input checks of the plane and part value types: the call and the start of
+# the ValueError's message.
+BAD_VALUES = {
+    "negative child count": (
+        lambda: _plane_word((1,), (-1,)),
+        "each vertex needs a label and a child count >= 0",
+    ),
+    "child counts end inside a tree": (
+        lambda: _plane_word((1, 2), (2, 0)),
+        "the preorder child counts end inside a tree",
+    ),
+    "unlabeled root": (
+        lambda: PlaneForest((PlaneNode(None), PlaneNode(1))),
+        "every tree root must be labeled",
+    ),
+    "node label 0": (lambda: PlaneNode(label=0), "label must be positive, got 0"),
+    "no parts": (lambda: PartAssignment(()), "at least one part is required"),
+    "part_of out of range": (
+        lambda: PartAssignment((2, 3)).part_of(6),
+        "vertex 6 out of range 1..5",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BAD_VALUES)
+def test_bad_values_are_rejected(case):
+    make, message = BAD_VALUES[case]
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value).startswith(message)
