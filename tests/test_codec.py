@@ -425,21 +425,6 @@ def test_sampler_distribution_at_size(family, n):
     assert chi2 < CHI2_Q999[df - 1], f"chi-square {chi2:.2f} on {df} df"
 
 
-def tree_one_size(forest):
-    """The number of vertices in the tree rooted at vertex 1."""
-    parents = forest.parents
-    root = [0] * (len(parents) + 1)
-    for v in range(1, len(parents) + 1):
-        path = []
-        while not root[v] and parents[v - 1]:
-            path.append(v)
-            v = parents[v - 1]
-        top = root[v] or v
-        for u in path:
-            root[u] = top
-    return sum(1 for v in range(1, len(parents) + 1) if (root[v] or v) == 1)
-
-
 def tree_one_weights(n, r, conditioned):
     """Members of the plain family with roots 1..r whose tree 1 has s
     vertices.  Tree 1 holds vertex 1 (and vertex n when conditioned) and
@@ -449,10 +434,10 @@ def tree_one_weights(n, r, conditioned):
     def forests(m, k):
         return 1 if m == k else rooted_forest_count(m, k)
 
-    low, fixed = (2, 2) if conditioned else (1, 1)
+    fixed = 2 if conditioned else 1  # the vertices tree 1 must hold
     return {
         s: comb(n - r - fixed + 1, s - fixed) * s ** max(s - 2, 0) * forests(n - s, r - 1)
-        for s in range(low, n - r + 2)
+        for s in range(fixed, n - r + 2)
     }
 
 
@@ -469,12 +454,11 @@ def test_sampler_distribution_with_roots(conditioned):
     weights = tree_one_weights(n, roots, conditioned)
     assert sum(weights.values()) == rooted_forest_count(n, roots, conditioned=conditioned)
     rng = SplitMix64(20261019 + n)
-    freq = Counter(
-        tree_one_size(
-            sample_uniform("plain", n, seed=0, roots=roots, conditioned=conditioned, rng=rng)
-        )
+    samples = (
+        sample_uniform("plain", n, seed=0, roots=roots, conditioned=conditioned, rng=rng)
         for _ in range(draws)
     )
+    freq = Counter(sum(is_descendant(f, v, 1) for v in range(1, n + 1)) for f in samples)
     chi2, df = pooled_chi2(freq, weights, draws)
     want_df, quantile = CHI2_Q999_TREE_ONE[conditioned]
     assert df == want_df

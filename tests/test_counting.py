@@ -396,7 +396,6 @@ BAD_ARGUMENTS = [
     (riordan_forest_count, (3, 0), "need 1 <= k <= n, got k=0, n=3"),
     (multipartite_spanning_trees, ((2, 0),), "every part must be nonempty"),
     (tripartite_base_count, (1, 0, 2), "part sizes must be positive"),
-    (bipartite_identity, (1, 2), "need r >= 2 and s >= 1, got r=1, s=2"),
     (plane_labeled_count, (0,), "need v >= 1, got 0"),
     (catalan, (-1,), "need n >= 0, got -1"),
     (narayana, (3, 0), "need 1 <= p <= n, got p=0, n=3"),
