@@ -477,6 +477,12 @@ ERROR_PATHS = [
     ("verify", "recurrence", "--family", "plain", "--n", "4", "--k-range", "1..2"),
     ("verify", "recurrence", "--family", "plain", "--n", "4", "--k-range", "1..x"),
     ("identity", "bipartite", "--grid", "r=1..x"),
+    ("decode", "plain 0 :"),
+    ("decode", " : 1"),
+    ("decode", "plain : 1"),
+    ("convert", "--forest", "x y"),
+    ("convert", "--kind", "colored", "--forest", "3 1 0 1 1\n0 1 2"),
+    ("identity", "bipartite", "--grid", "r2..3"),
 ]
 
 
