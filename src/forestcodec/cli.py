@@ -1,11 +1,12 @@
 """Command line driver: counting, enumeration, bijection steps, codecs,
-sampling, identities, and the verification battery.
+sampling, identities, and the verification battery (in :mod:`forestcodec._battery`).
 
 Exit codes: 0 success, 1 usage or validation failure, 2 a verification
 mismatch (a formula disagreeing with its oracle, or a failed identity).
 
 Each command imports the library modules it runs when it runs, so a
-process compiles only those: ``count`` loads ``counting`` and nothing else.
+process compiles only those: ``count`` loads ``counting`` and nothing else,
+and only ``verify all`` and ``identity`` load the battery.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import islice, product
+from itertools import islice
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -21,11 +22,13 @@ EXIT_MISMATCH = 2
 
 # The choices of every --format option; the families with bijection steps
 # and recurrences, which `bijection` and `verify` take; and, as literals so
-# that building the parser imports neither module, `codec.CODEC_FAMILIES`
-# and `enumeration.FAMILIES`, which a test pins them to.
+# that building the parser imports none of those modules,
+# `codec.CODEC_FAMILIES`, `enumeration.FAMILIES` and the names of
+# `_battery._IDENTITIES`, which a test pins them to.
 _FORMATS = ("text", "json", "dot")
 _STEP_FAMILIES = ("plain", "partite", "plane", "leafplane", "colored")
 _CODEC_FAMILIES = ("plain", "plane", "colored")
+_IDENTITY_NAMES = ("bipartite", "kary")
 _FAMILIES = (
     "plain",
     "partite",
@@ -388,42 +391,9 @@ def _cmd_convert(args) -> int:
 # --------------------------------------------------------------------------
 
 
-# identity -> (its function in `counting`, its default grid: one range per
-# argument, in argument order, and the test of a grid point it is defined
-# at).  `identity` and `verify all` share the grids.
-_IDENTITIES = {
-    "bipartite": (
-        "bipartite_identity",
-        {"r": range(2, 9), "s": range(1, 9)},
-        lambda r, s: True,
-    ),
-    "kary": (
-        "kary_identity",
-        {"k": range(1, 5), "p": range(1, 4), "q": range(1, 4), "n": range(2, 13)},
-        lambda k, p, q, n: n >= p + q,
-    ),
-}
-
-
-def _identity_rows(name: str, given: dict[str, range]):
-    """(point, lhs, rhs) at each point of an identity's grid, where the
-    ranges given replace the defaults."""
-    from . import counting
-
-    func, grid, defined = _IDENTITIES[name]
-    for var in given:
-        if var not in grid:
-            raise ValueError(
-                f"identity {name} has no variable {var!r}; it has {', '.join(grid)}"
-            )
-    grid = {**grid, **given}
-    for values in product(*grid.values()):
-        if defined(*values):
-            point = " ".join(f"{var}={x}" for var, x in zip(grid, values))
-            yield (point, *getattr(counting, func)(*values))
-
-
 def _cmd_identity(args) -> int:
+    from ._battery import _identity_rows
+
     grid = _parse_grid(args.grid) if args.grid else {}
     failures = 0
     for point, lhs, rhs in _identity_rows(args.name, grid):
@@ -475,111 +445,9 @@ def _cmd_verify(args) -> int:
     max_n = 6 if args.max_n is None else args.max_n
     if max_n < 3:  # the least n with a recurrence step
         raise ValueError(f"--max-n must be at least 3, got {max_n}")
+    from ._battery import _verify_all
+
     return _verify_all(max_n, args.budget)
-
-
-def _verify_all(max_n: int, budget: int | None) -> int:
-    from dataclasses import replace
-
-    from . import codec, counting
-    from .enumeration import FamilySpec, count_by_enumeration, verify_recurrence
-
-    failures = 0
-
-    def check(name: str, got, want) -> None:
-        nonlocal failures
-        ok = got == want
-        failures += not ok
-        print(f"{name}: got {got}, want {want} {'PASS' if ok else 'FAIL'}")
-
-    recurrences = [("plain", {"n": n}) for n in range(3, max_n + 1)]
-    recurrences += [("plane", {"n": n}) for n in range(3, min(max_n, 6) + 1)]
-    recurrences += [
-        ("colored", {"n": n, "colors": kc})
-        for n in range(3, min(max_n, 5) + 1)
-        for kc in (2, 3)
-    ]
-    recurrences += [
-        ("partite", {"part_sizes": (2, 3)}),
-        ("partite", {"part_sizes": (2, 2, 2)}),
-        ("leafplane", {"n": 6, "leaves": 2}),
-    ]
-    for family, params in recurrences:
-        rows = verify_recurrence(family, budget=budget, **params)
-        failures += _print_rows(
-            replace(row, label=f"{family} {row.label}") for row in rows
-        )
-
-    for n in range(1, min(max_n, 6) + 1):
-        check(
-            f"cayley n={n}",
-            counting.cayley(n),
-            count_by_enumeration(FamilySpec("plain", n=n, roots=1), budget),
-        )
-    for n in range(2, min(max_n, 6) + 1):
-        for k in range(1, n):
-            check(
-                f"rooted-forest n={n} k={k}",
-                counting.rooted_forest_count(n, k),
-                count_by_enumeration(FamilySpec("plain", n=n, roots=k), budget),
-            )
-    for sizes in ((2, 3), (3, 3), (1, 1, 2), (2, 2, 2)):
-        check(
-            f"multipartite {sizes}",
-            counting.multipartite_spanning_trees(sizes),
-            count_by_enumeration(
-                FamilySpec("partite", part_sizes=sizes, roots=1), budget
-            ),
-        )
-    for v in range(2, 6):
-        check(
-            f"plane-labeled v={v}",
-            counting.plane_labeled_count(v),
-            sum(
-                count_by_enumeration(
-                    FamilySpec("plane", n=v, root_set=(r,)), budget
-                )
-                for r in range(1, v + 1)
-            ),
-        )
-    for n in range(1, 6):
-        check(
-            f"catalan n={n}",
-            counting.catalan(n),
-            count_by_enumeration(
-                FamilySpec("plane", n=n + 1, roots=1, labeled=False), budget
-            ),
-        )
-    for kc in (2, 3):
-        for n in range(2, 5):
-            check(
-                f"colored-tree n={n} kc={kc}",
-                counting.colored_tree_count(n, kc),
-                count_by_enumeration(
-                    FamilySpec("colored", n=n, colors=kc, roots=1), budget
-                ),
-            )
-    for n in range(40, 41):
-        for k in range(1, n):
-            check(
-                f"riordan n={n} k={k}",
-                counting.riordan_forest_count(n, k),
-                counting.riordan_closed_form(n, k),
-            )
-    for name in _IDENTITIES:
-        for point, lhs, rhs in _identity_rows(name, {}):
-            check(f"{name}-identity {point}", lhs, rhs)
-
-    n = 5
-    traces = [
-        codec.ChoiceTrace("plain", n, 0, (a, b, c))
-        for a in range(1, n + 1)
-        for b in range(1, n + 1)
-        for c in range(1, n + 1)
-    ]
-    decoded = {codec.decode(t).parents for t in traces}
-    check("codec image size n=5", len(decoded), counting.cayley(n))
-    return _verdict(failures)
 
 
 # --------------------------------------------------------------------------
@@ -650,7 +518,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pd.set_defaults(func=_cmd_decode)
 
     pi = sub.add_parser("identity", help="check a summation identity on a grid")
-    pi.add_argument("name", choices=tuple(_IDENTITIES))
+    pi.add_argument("name", choices=_IDENTITY_NAMES)
     pi.add_argument("--grid")
     pi.set_defaults(func=_cmd_identity)
 

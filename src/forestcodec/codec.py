@@ -42,15 +42,16 @@ match.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass
 from math import prod
 
 from .forests import (
     EdgeColoredForest,
     PlaneForest,
     RootedForest,
+    _Value,
     _alternating_flip,
     _child_index,
+    _fill,
     _plane_word,
     _preorder,
     _preorder_parents,
@@ -92,8 +93,7 @@ class SplitMix64:
                 return u % bound
 
 
-@dataclass(frozen=True)
-class ChoiceTrace:
+class ChoiceTrace(_Value):
     """The choice sequence reconstructing a one-root forest.
 
     ``choices`` holds (c_{n-1}, ..., c_2) in decode order: c_k is consumed
@@ -102,10 +102,10 @@ class ChoiceTrace:
     the maximal-root state.
     """
 
-    family: str
-    n: int
-    colors: int = 0
-    choices: tuple[int, ...] = ()
+    __slots__ = ("family", "n", "colors", "choices")
+
+    def __init__(self, family: str, n: int, colors: int = 0, choices: tuple = ()):
+        _fill(self, (family, n, colors, choices))
 
     def __post_init__(self) -> None:
         if self.family not in CODEC_FAMILIES:

@@ -1,14 +1,14 @@
 """Exact big-integer evaluation of the closed-form counts.
 
-Everything here is integer arithmetic; rational intermediates go through
-``fractions.Fraction`` and are asserted integral at the end.  A division
-with a remainder is an implementation bug, never a rounding opportunity,
-so it raises instead of truncating.
+Everything here is integer arithmetic: each division goes through
+``_exact_div``.  The one rational sum, ``kary_identity``'s, goes through
+``fractions.Fraction``, imported there and only there, and is asserted
+integral at the end.  A division with a remainder is an implementation bug,
+never a rounding opportunity, so it raises instead of truncating.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 from typing import Sequence
@@ -115,10 +115,10 @@ def multipartite_spanning_trees(parts: Sequence[int]) -> int:
     if any(s < 1 for s in sizes):
         raise ValueError("every part must be nonempty")
     n = sum(sizes)
-    value = Fraction(n) ** (len(sizes) - 2)
+    value = n ** (len(sizes) - 2)
     for s in sizes:
         value *= (n - s) ** (s - 1)
-    return _as_int(value)
+    return value
 
 
 def tripartite_base_count(r: int, s: int, t: int) -> int:
@@ -209,12 +209,10 @@ def kary_forest_count(arity: int, internal: int, roots: int) -> int:
         raise ValueError(f"need arity >= 1, got {arity}")
     if not 1 <= roots <= internal:
         raise ValueError(f"need 1 <= roots <= internal, got {roots}, {internal}")
-    value = (
-        Fraction(roots, internal)
-        * comb(arity * internal, internal - roots)
-        * factorial(internal - roots)
+    return _exact_div(
+        roots * comb(arity * internal, internal - roots) * factorial(internal - roots),
+        internal,
     )
-    return _as_int(value)
 
 
 def kary_unlabeled_count(arity: int, internal: int) -> int:
@@ -234,6 +232,8 @@ def kary_identity(arity: int, p: int, q: int, n: int) -> tuple[int, int]:
     """
     if p < 1 or q < 1 or n < p + q:
         raise ValueError(f"need p, q >= 1 and n >= p+q, got {p}, {q}, {n}")
+    from fractions import Fraction
+
     lhs = Fraction(0)
     for i in range(p, n - q + 1):
         lhs += (

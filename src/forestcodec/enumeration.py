@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass, replace
 from itertools import product
 from typing import Iterator, Sequence
 
@@ -24,10 +23,12 @@ from .forests import (
     PartAssignment,
     PlaneForest,
     RootedForest,
+    _Value,
     _child_index,
     _cycle_vertex,
     _depths,
     _descends,
+    _fill,
     _part_table,
     _plane_word,
     _properly_colored,
@@ -69,8 +70,7 @@ def default_budget() -> int:
     return value
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(_Value):
     """Which family to enumerate, with its parameters.
 
     ``roots`` is the root count k (roots are then 1..k); ``root_set`` can
@@ -80,17 +80,20 @@ class FamilySpec:
     filters labeled families by exact child counts per vertex.
     """
 
-    family: str
-    n: int = 0
-    roots: int = 1
-    root_set: tuple[int, ...] | None = None
-    part_sizes: tuple[int, ...] = ()
-    leaves: int | None = None
-    colors: int = 0
-    arity: int = 0
-    conditioned: bool = False
-    labeled: bool = True
-    degrees: tuple[int, ...] | None = None
+    __slots__ = (
+        "family", "n", "roots", "root_set", "part_sizes", "leaves", "colors",
+        "arity", "conditioned", "labeled", "degrees",
+    )
+
+    def __init__(
+        self, family: str, n: int = 0, roots: int = 1,
+        root_set: tuple[int, ...] | None = None, part_sizes: tuple[int, ...] = (),
+        leaves: int | None = None, colors: int = 0, arity: int = 0,
+        conditioned: bool = False, labeled: bool = True,
+        degrees: tuple[int, ...] | None = None,
+    ) -> None:
+        fields = (family, n, roots, root_set, part_sizes, leaves, colors, arity)
+        _fill(self, (*fields, conditioned, labeled, degrees))
 
     def validate(self) -> None:
         if self.family not in FAMILIES:
@@ -208,7 +211,7 @@ def enumerate_degree_filtered(
     spec: FamilySpec, degrees: Sequence[int], budget: int | None = None
 ) -> Iterator:
     """Members of the family whose vertex i has exactly degrees[i-1] children."""
-    yield from enumerate_family(replace(spec, degrees=tuple(degrees)), budget)
+    yield from enumerate_family(spec.replace(degrees=tuple(degrees)), budget)
 
 
 # --------------------------------------------------------------------------
@@ -430,14 +433,13 @@ FAMILIES = tuple(_GENERATORS)
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RecurrenceRow:
+class RecurrenceRow(_Value):
     """One verified step: does lhs equal multiplier times rhs?"""
 
-    label: str
-    lhs: int
-    multiplier: int
-    rhs: int
+    __slots__ = ("label", "lhs", "multiplier", "rhs")
+
+    def __init__(self, label: str, lhs: int, multiplier: int, rhs: int) -> None:
+        _fill(self, (label, lhs, multiplier, rhs))
 
     @property
     def ok(self) -> bool:

@@ -3,7 +3,9 @@
 Vertices are labeled 1..n and a forest is stored as a parent map:
 ``parents[v - 1]`` is the parent of vertex v, with the sentinel 0 marking a
 root.  All values here are immutable; every operation returns a new value,
-so bijection steps compose without aliasing surprises.
+so bijection steps compose without aliasing surprises.  The value types are
+slotted classes on ``_Value``, which gives them a frozen dataclass's
+equality, hashing, ``repr`` and copying without importing ``dataclasses``.
 
 Cost model: each operation makes one pass over the value, O(n) for n
 vertices, at any depth.  A plane forest is stored as its preorder word, two
@@ -38,7 +40,6 @@ from __future__ import annotations
 
 import bisect
 import re
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import attrgetter, ne
 from typing import Iterator, Sequence
@@ -52,20 +53,81 @@ class ParseError(ValueError):
         self.position = position
 
 
+_set = object.__setattr__  # how a value's own code writes its fields
+
+
+class _Value:
+    """The base of the value types, which act as frozen dataclasses whose
+    fields ``__slots__`` lists in order.  Each ``__init__`` sets the fields
+    and calls ``__post_init__``, the check."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        # ``_values``, the fields as a tuple, read by one attrgetter.
+        get = attrgetter(*cls.__slots__)
+        cls._values = property(get if len(cls.__slots__) > 1 else lambda v: (get(v),))
+
+    def __post_init__(self) -> None:
+        pass  # a type with invariants checks them here
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"field {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # for pickle and copy
+        return _rebuilt, (type(self), self._values)
+
+    def replace(self, **changes):
+        """A copy with the named fields changed, checked anew."""
+        values = [changes.pop(f, x) for f, x in zip(self.__slots__, self._values)]
+        if changes:
+            raise TypeError(f"{type(self).__name__} has no field {[*changes][0]!r}")
+        return _rebuilt(type(self), values)
+
+
+def _fill(value: _Value, values: Sequence) -> _Value:
+    """Give a new ``value`` its fields, in ``__slots__`` order, and check it."""
+    for name, x in zip(value.__slots__, values):
+        _set(value, name, x)
+    value.__post_init__()
+    return value
+
+
+def _rebuilt(cls: type, values: Sequence) -> _Value:
+    return _fill(object.__new__(cls), values)  # whatever cls.__init__ takes
+
+
 # --------------------------------------------------------------------------
 # Labeled rooted forests
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RootedForest:
+class RootedForest(_Value):
     """A forest of rooted trees on {1..n}, as a parent tuple.
 
     ``parents[v - 1]`` is the parent of vertex v; 0 marks a root.  The
     parent relation must be acyclic and every parent must be a vertex label.
     """
 
-    parents: tuple[int, ...]
+    __slots__ = ("parents",)
+
+    def __init__(self, parents: tuple[int, ...]) -> None:
+        _set(self, "parents", parents)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not _reaches_all(self.parents):
@@ -247,14 +309,16 @@ def _check_vertex(forest: RootedForest, v: int) -> None:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PartAssignment:
+class PartAssignment(_Value):
     """Partition of {1..n} into contiguous label blocks of the given sizes.
 
     Part 1 is {1..sizes[0]}, part 2 the next block, and so on.
     """
 
-    sizes: tuple[int, ...]
+    __slots__ = ("sizes",)
+
+    def __init__(self, sizes: tuple[int, ...]) -> None:
+        _fill(self, (sizes,))
 
     def __post_init__(self) -> None:
         if not self.sizes:
@@ -302,24 +366,21 @@ def _cross_part(part: list[int], parents: Sequence[int]) -> bool:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class PlaneNode:
-    """One vertex of a plane tree: an optional label and ordered children.
+class PlaneNode(_Value):
+    """One vertex of a plane tree: an optional label and ordered children."""
 
-    Slotted: ``PlaneForest.trees`` builds every node of a forest on each
-    access.
-    """
+    __slots__ = ("label", "children")
 
-    label: int | None
-    children: tuple["PlaneNode", ...] = ()
+    def __init__(self, label: int | None, children: tuple[PlaneNode, ...] = ()):
+        _fill(self, (label, children))
 
     def __post_init__(self) -> None:
         if self.label is not None and self.label < 1:
             raise ValueError(f"label must be positive, got {self.label}")
 
     # Equality, hashing and repr read the preorder word or walk the tree
-    # with a stack, so depth is no limit; the dataclass versions recurse
-    # once per level.
+    # with a stack, so depth is no limit; the base's versions recurse once
+    # per level.
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -358,8 +419,7 @@ class PlaneNode:
         return not self.children
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
-class PlaneForest:
+class PlaneForest(_Value):
     """An ordered sequence of plane trees, stored as its preorder word.
 
     ``preorder_labels`` and ``preorder_degrees`` give each vertex's label (0
@@ -375,11 +435,10 @@ class PlaneForest:
     Trees are kept in ascending order of root label.
     """
 
-    preorder_labels: tuple[int, ...]
-    preorder_degrees: tuple[int, ...]
+    __slots__ = ("preorder_labels", "preorder_degrees")
 
     def __init__(self, trees: Sequence[PlaneNode]) -> None:
-        _store(self, *_preorder(trees, *_NODE))
+        _fill(self, _preorder(trees, *_NODE))
 
     def __post_init__(self) -> None:
         labels, degrees = self.preorder_labels, self.preorder_degrees
@@ -450,17 +509,9 @@ class PlaneForest:
         return list(map(bool, labels)) == list(map(bool, degrees))
 
 
-def _store(pf: PlaneForest, labels: tuple, degrees: tuple) -> PlaneForest:
-    """Give ``pf`` this word and validate it: every construction ends here."""
-    object.__setattr__(pf, "preorder_labels", labels)
-    object.__setattr__(pf, "preorder_degrees", degrees)
-    pf.__post_init__()
-    return pf
-
-
 def _plane_word(labels: tuple[int, ...], degrees: tuple[int, ...]) -> PlaneForest:
     """The plane forest with this preorder word, validated like every other."""
-    return _store(object.__new__(PlaneForest), labels, degrees)
+    return _rebuilt(PlaneForest, (labels, degrees))
 
 
 def _preorder(roots: Sequence, children, label) -> tuple[tuple, tuple]:
@@ -550,8 +601,7 @@ def plane_relabel(pf: PlaneForest, a: int, b: int) -> PlaneForest:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EdgeColoredForest:
+class EdgeColoredForest(_Value):
     """A rooted forest with a proper edge coloring, keyed by child vertex.
 
     ``colors[v - 1]`` is the color (1..color_count) of the edge from
@@ -559,9 +609,10 @@ class EdgeColoredForest:
     sharing a vertex carry distinct colors.
     """
 
-    base: RootedForest
-    color_count: int
-    colors: tuple[int, ...]
+    __slots__ = ("base", "color_count", "colors")
+
+    def __init__(self, base: RootedForest, color_count: int, colors: tuple[int, ...]):
+        _fill(self, (base, color_count, colors))
 
     def __post_init__(self) -> None:
         args = (self.base.parents, self.color_count, self.colors)

@@ -1,5 +1,7 @@
 """Start-up: the package loads each submodule on first use, and each CLI
-command imports only the modules it runs.
+command imports only the modules it runs.  No command loads ``dataclasses``
+or ``inspect``; ``count`` loads no ``fractions``; only ``verify all`` and
+``identity`` load the verification battery.
 
 The laziness checks run in fresh interpreters, because this one has
 imported everything already.
@@ -18,17 +20,26 @@ from forestcodec import cli, codec, enumeration
 SRC = str(Path(forestcodec.__file__).resolve().parents[1])
 SUBMODULES = ("forests", "bijections", "enumeration", "counting", "codec")
 
-# Run a command in-process, then print the forestcodec modules it loaded.
+# Run a command in-process, then print every module it loaded.
 LOADED = (
     "import sys\n"
     "from forestcodec.cli import run\n"
     "code = run(sys.argv[1:])\n"
-    "print(*sorted(m for m in sys.modules if m.startswith('forestcodec.')))\n"
+    "print(*sorted(sys.modules))\n"
     "sys.exit(code)\n"
 )
 
 
 def loaded_by(*argv: str) -> set[str]:
+    """The forestcodec submodules a command loads."""
+    return {
+        m.removeprefix("forestcodec.")
+        for m in modules_loaded_by(*argv)
+        if m.startswith("forestcodec.")
+    }
+
+
+def modules_loaded_by(*argv: str) -> set[str]:
     done = subprocess.run(
         [sys.executable, "-c", LOADED, *argv],
         env={**os.environ, "PYTHONPATH": SRC},
@@ -37,8 +48,7 @@ def loaded_by(*argv: str) -> set[str]:
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    loaded = done.stdout.splitlines()[-1].split()
-    return {m.removeprefix("forestcodec.") for m in loaded}
+    return set(done.stdout.splitlines()[-1].split())
 
 
 @pytest.mark.parametrize(
@@ -90,9 +100,47 @@ def test_bare_import_loads_no_submodule():
     assert done.stdout.splitlines() == ["forestcodec", "forestcodec.codec"]
 
 
+# A command of each kind; the battery flag says whether it runs the battery.
+COMMANDS = [
+    (("count", "cayley", "--n", "5"), False),
+    (("count", "kary-forest", "--arity", "2", "--internal", "6", "--roots", "2"), False),
+    (("convert", "--forest", "1(5,3(4));2", "--format", "json"), False),
+    (("bijection", "forward", "--family", "plain", "--k", "3",
+      "--forest", "5 2 0 0 5 3 1"), False),
+    (("sample", "--family", "colored", "--n", "9", "--kc", "3", "--seed", "1"), False),
+    (("encode", "--family", "plane", "--forest", "1(3,2(4))"), False),
+    (("decode", "plane 5 : 3 1 2"), False),
+    (("enumerate", "--family", "plain", "--n", "4", "--format", "dot"), False),
+    (("verify", "recurrence", "--family", "plane", "--n", "4"), False),
+    (("identity", "bipartite", "--grid", "r=2..3,s=1..2"), True),
+    (("verify", "all", "--max-n", "3"), True),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, battery",
+    COMMANDS,
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else None,
+)
+def test_commands_load_no_dataclasses_or_inspect(argv, battery):
+    loaded = modules_loaded_by(*argv)
+    assert not loaded & {"dataclasses", "inspect"}, sorted(loaded)
+    assert ("forestcodec._battery" in loaded) == battery
+
+
+def test_count_loads_no_fractions():
+    assert "fractions" not in modules_loaded_by("count", "cayley", "--n", "5")
+
+
 def test_parser_choices_match_the_modules():
     assert cli._CODEC_FAMILIES == codec.CODEC_FAMILIES
     assert cli._FAMILIES == enumeration.FAMILIES
+
+
+def test_identity_choices_match_the_battery():
+    from forestcodec import _battery
+
+    assert cli._IDENTITY_NAMES == tuple(_battery._IDENTITIES)
 
 
 class TestNamespace:
