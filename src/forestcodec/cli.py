@@ -1,5 +1,6 @@
 """Command line driver: counting, enumeration, bijection steps, codecs,
-sampling, identities, and the verification battery (in :mod:`forestcodec._battery`).
+sampling, identities, and the verification battery, which lives in
+:mod:`forestcodec._battery`.
 
 Exit codes: 0 success, 1 usage or validation failure, 2 a verification
 mismatch (a formula disagreeing with its oracle, or a failed identity).

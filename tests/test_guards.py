@@ -4,7 +4,13 @@ reach: each call raises, with the start of its message."""
 import pytest
 
 from forestcodec import cli
-from forestcodec.codec import ChoiceTrace, encode, parse_trace, sample_uniform, trace_bounds
+from forestcodec.codec import (
+    ChoiceTrace,
+    encode,
+    parse_trace,
+    sample_uniform,
+    trace_bounds,
+)
 from forestcodec.enumeration import (
     BUDGET_ENV_VAR,
     canonical_key,
@@ -14,7 +20,9 @@ from forestcodec.enumeration import (
 
 # name -> (the call, the error type, the start of its message)
 GUARDS = {
-    "trace with n < 1": (lambda: ChoiceTrace("plain", 0), ValueError, "need n >= 1, got 0"),
+    "trace with n < 1": (
+        lambda: ChoiceTrace("plain", 0), ValueError, "need n >= 1, got 0"
+    ),
     "bounds of an unknown family": (
         lambda: trace_bounds("zeta", 3), ValueError, "no codec for family 'zeta'"
     ),

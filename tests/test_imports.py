@@ -126,6 +126,7 @@ def test_commands_load_no_dataclasses_or_inspect(argv, battery):
     loaded = modules_loaded_by(*argv)
     assert not loaded & {"dataclasses", "inspect"}, sorted(loaded)
     assert ("forestcodec._battery" in loaded) == battery
+    assert battery or "fractions" not in loaded
 
 
 def test_count_loads_no_fractions():
