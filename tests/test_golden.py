@@ -107,6 +107,23 @@ ORACLE_DIGESTS = {
         FamilySpec("kary", n=4, arity=3, labeled=False),
         55, "3f00338a004a8c09bcac52a2c41f8bc7397e0f141a4a29c6421c014b988672b2",
     ),
+    # The plane filters (pivot, leaves, degrees) each on their own.
+    "plane n=6 r=2 conditioned": (
+        FamilySpec("plane", n=6, roots=2, conditioned=True),
+        504, "2ad2ecf9dec33d37f5960b1527744e93951387a8a4681c18ee715ed85a2cce51",
+    ),
+    "plane n=5 leaves=2": (
+        FamilySpec("plane", n=5, leaves=2),
+        144, "aabad86deeec2313db9bca070cbf7c574f09036ced87c16f4569c47904b648b4",
+    ),
+    "plane n=7 leaves=3 shapes": (
+        FamilySpec("plane", n=7, leaves=3, labeled=False),
+        50, "626b9d3f48b35c533f7b8d4c179e5c172e7881ee632dc249d62da8f566a03787",
+    ),
+    "plane n=5 degrees": (
+        FamilySpec("plane", n=5, degrees=(2, 0, 1, 1, 0)),
+        12, "00e61bd79de9128215d043458a6ceef092ad0a807b0fd4e987bae87796cbee08",
+    ),
 }
 
 
@@ -137,6 +154,14 @@ LABELED_ORACLE_DIGESTS = {
         FamilySpec("plain", n=6, roots=2, degrees=(2, 0, 1, 0, 1, 0)),
         6, "e837e945fe957565a10361db047c0dfb2dec2a26452376ecd58c9015786714fb",
     ),
+    "plain n=5 root_set=3 degrees": (
+        FamilySpec("plain", n=5, root_set=(3,), degrees=(1, 0, 2, 0, 1)),
+        6, "407ff5422ade759aede7826085c35d7a7e60bc8aa846df9b424471915fbdef21",
+    ),
+    "plain n=6 r=2 conditioned degrees": (
+        FamilySpec("plain", n=6, roots=2, conditioned=True, degrees=(2, 1, 0, 1, 0, 0)),
+        6, "600494d985cfc7e21cb9f5a8a59eda186347156a002e26c0af843e314497f3a4",
+    ),
     "partite 2,3 r=1": (
         FamilySpec("partite", part_sizes=(2, 3)),
         12, "cf7273e8f92869432fded99083d42639a8cad7a46000a5aae43df772549a1034",
@@ -152,6 +177,10 @@ LABELED_ORACLE_DIGESTS = {
     "partite 3,2,2 r=1 conditioned": (
         FamilySpec("partite", part_sizes=(3, 2, 2), conditioned=True),
         2800, "69d225db4125b7b02e0eadedf9c972666ccd21b64941a12fc375827b5e203476",
+    ),
+    "partite 3,2,2 r=1 degrees": (
+        FamilySpec("partite", part_sizes=(3, 2, 2), degrees=(2, 0, 1, 1, 0, 0, 2)),
+        12, "e4949abbac863e660f3f44b0452cd242438bba41fce48faecbcc4c6871163756",
     ),
     "colored n=4 kc=2 r=1": (
         FamilySpec("colored", n=4, colors=2),

@@ -19,6 +19,7 @@ from forestcodec import EdgeColoredForest, RootedForest
 from forestcodec.forests import (
     _check_coloring,
     _check_parents,
+    _cycle_vertex,
     _properly_colored,
     _reaches_all,
 )
@@ -89,6 +90,36 @@ def test_rooted_validator_matches_reference(parents):
         assert expected is None
     if all(type(p) is int for p in parents):
         assert _reaches_all(parents) == (expected is None)
+
+
+def three_state_cycle_vertex(parents):
+    """The reference walk: follow parents from each vertex, marking the
+    vertices of the current path 1 and finished ones 2."""
+    n = len(parents)
+    state = [0] * (n + 1)
+    for start in range(1, n + 1):
+        path = []
+        v = start
+        while v != 0 and state[v] == 0:
+            state[v] = 1
+            path.append(v)
+            v = parents[v - 1]
+        if v != 0 and state[v] == 1:
+            return v
+        for u in path:
+            state[u] = 2
+    return 0
+
+
+@SETTINGS
+@given(
+    parent_maps().filter(
+        lambda ps: all(type(p) is int and 0 <= p <= len(ps) for p in ps)
+    )
+)
+def test_cycle_vertex_names_the_reference_vertex(parents):
+    # _check_parents reports this vertex, so the walk order is pinned here.
+    assert _cycle_vertex(parents) == three_state_cycle_vertex(parents)
 
 
 @st.composite
