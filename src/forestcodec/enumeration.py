@@ -9,7 +9,9 @@ every candidate and keep those that pass the value types' own checks
 ``_special``), so each membership rule has one definition.  The plane
 families (plane, leafplane and k-ary, labeled or shapes) come from one
 generator and spend their candidate budget one candidate at a time as they
-go.
+go.  Every candidate is spent against the budget, the filters run on the
+raw candidate cheapest first, and only a survivor becomes a value, through
+its validating constructor.
 """
 from __future__ import annotations
 
@@ -122,6 +124,8 @@ class FamilySpec(_Value):
             raise ValueError(f"{self.family} roots are always labeled 1..r")
         if self.family in ("colored", "special-colored") and self.colors < 1:
             raise ValueError("colored families need at least one color")
+        if self.degrees is not None and min(self.degrees, default=0) < 0:
+            raise ValueError("degrees must be nonnegative")
         # A filter the family's generator would drop is an error, not a no-op.
         shapes = not self.labeled and self.family in ("plane", "kary")
         kind = f"unlabeled {self.family}" if shapes else self.family
@@ -219,15 +223,6 @@ def enumerate_degree_filtered(
 # --------------------------------------------------------------------------
 
 
-def _matches_degrees(parents: Sequence[int], degrees: Sequence[int]) -> bool:
-    n = len(parents)
-    counts = [0] * (n + 1)
-    for p in parents:
-        if p:
-            counts[p] += 1
-    return list(counts[1:]) == list(degrees)
-
-
 def _assignment_stream(
     n: int,
     roots: tuple[int, ...],
@@ -243,15 +238,21 @@ def _assignment_stream(
     guard.spend(space)
     if degrees is not None and len(degrees) != n:
         return
+    # Vertex x is the parent of degrees[x - 1] vertices: a member's parent
+    # labels, sorted, are ``want``.
+    want = None
+    if degrees is not None:
+        want = [x for x, d in enumerate(degrees, start=1) for _ in range(d)]
     for combo in product(*(choices[v] for v in non_roots)):
-        parents = [0] * n
-        for v, p in zip(non_roots, combo):
-            parents[v - 1] = p
+        if want is not None and sorted(combo) != want:
+            continue
+        parents = list(combo)
+        for r in roots:  # ascending, so each 0 lands at its vertex
+            parents.insert(r - 1, 0)
         if _cycle_vertex(parents):
             continue
+        # After the cycle test: _descends would walk a cycle forever.
         if pivot is not None and not _descends(parents, pivot, 1):
-            continue
-        if degrees is not None and not _matches_degrees(parents, degrees):
             continue
         yield RootedForest(tuple(parents))
 
@@ -378,17 +379,17 @@ def _plane(spec: FamilySpec, guard: _Budget) -> Iterator[PlaneForest]:
         return
     for word, first in _plane_forests(roots, labels, blanks, rule):
         guard.spend()
-        pf = _plane_word(word[::2], word[1::2])
         if pivot is not None and pivot not in word[:first:2]:
             continue
-        if leaves is not None and pf.leaf_count != leaves:
+        counts = word[1::2]
+        if leaves is not None and counts.count(0) != leaves:
             continue
         if degrees is not None and (
-            len(degrees) != pf.n_vertices
-            or any(degrees[x - 1] != d for x, d in zip(word[::2], word[1::2]))
+            len(degrees) != len(counts)
+            or any(degrees[x - 1] != d for x, d in zip(word[::2], counts))
         ):
             continue
-        yield pf
+        yield _plane_word(word[::2], counts)
 
 
 # --------------------------------------------------------------------------
@@ -399,18 +400,19 @@ def _plane(spec: FamilySpec, guard: _Budget) -> Iterator[PlaneForest]:
 def _colored(spec: FamilySpec, guard: _Budget) -> Iterator[EdgeColoredForest]:
     n, kc = spec.n, spec.colors
     special = spec.family == "special-colored"
-    roots = set(spec.root_labels())
-    non_roots = [v for v in range(1, n + 1) if v not in roots]
+    roots = spec.root_labels()
+    edges = n - len(roots)
     for base in _plain(spec, guard):
-        guard.spend(kc ** len(non_roots))
+        guard.spend(kc ** edges)
         kids = _child_index(base.parents)
-        for combo in product(range(1, kc + 1), repeat=len(non_roots)):
-            colors = [0] * n
-            for v, c in zip(non_roots, combo):
-                colors[v - 1] = c
-            if not _properly_colored(base.parents, kc, colors):
-                continue
+        for combo in product(range(1, kc + 1), repeat=edges):
+            colors = list(combo)
+            for r in roots:  # ascending, so each 0 lands at its vertex
+                colors.insert(r - 1, 0)
+            # The root edges alone first, then every edge.
             if special and not _special(colors, kc, kids):
+                continue
+            if not _properly_colored(base.parents, kc, colors):
                 continue
             yield EdgeColoredForest(base, kc, tuple(colors))
 
@@ -517,10 +519,13 @@ def verify_recurrence(
                 f"k={k} is not a {family} step: k must lie in {steps[0]}..{steps[-1]}"
             )
     spec_family = "special-colored" if family == "colored" else family
+    counts: dict[int, int] = {}  # row k's rhs is row k+1's lhs: count it once
 
     def count(k: int) -> int:
-        spec = FamilySpec(spec_family, roots=k, conditioned=True, **params(k))
-        return count_by_enumeration(spec, budget)
+        if k not in counts:
+            spec = FamilySpec(spec_family, roots=k, conditioned=True, **params(k))
+            counts[k] = count_by_enumeration(spec, budget)
+        return counts[k]
 
     rows = []
     for k in steps if k_range is None else k_range:

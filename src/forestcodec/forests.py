@@ -21,10 +21,12 @@ anew on each call.
 vertex with a full O(n) scan, so code that needs the children of many
 vertices builds one child index with ``_child_index`` instead.  No index or
 walk is kept on a value: the caller that needs one builds it once and
-passes it on.  The ``RootedForest`` and ``EdgeColoredForest`` validators
-are one pass each (all n vertices are reached from the roots; no (vertex,
-color) key occurs twice), and only a value that fails it runs the reference
-loops (``_check_parents``, ``_check_coloring``), which name the fault.
+passes it on.  The ``RootedForest`` validator is the cycle walk
+``_cycle_vertex``, after a type and range test of the parents; the
+``EdgeColoredForest`` validator is one pass (no (vertex, color) key occurs
+twice).  Only a value that fails runs the reference loops
+(``_check_parents``, ``_check_coloring``), which name the fault; the
+walk serves both, and the oracles' acyclicity filter too.
 
 Family-level constraints (roots being exactly 1..k, a pivot vertex lying in
 tree 1, part discipline, special color rules) are *not* type invariants:
@@ -165,40 +167,31 @@ def _check_parents(parents: Sequence[int]) -> None:
 
 
 def _reaches_all(parents: Sequence[int]) -> bool:
-    """True iff every parent is an int in 0..n and all n vertices are reached
-    from the roots, which rules out cycles and self-parents: one pass that
+    """True iff every parent is an int in 0..n and the parent map has no
+    cycle, so all n vertices are reached from the roots: one test that
     accepts only valid parent maps.  A map it rejects may still be valid
     (an int subclass, say), so ``_check_parents`` decides."""
     n = len(parents)
-    if n and (set(map(type, parents)) != {int} or min(parents) < 0):
+    if n and (
+        set(map(type, parents)) != {int} or min(parents) < 0 or max(parents) > n
+    ):
         return False
-    try:
-        kids = _child_index(parents)
-    except IndexError:  # a parent above n
-        return False
-    # Breadth first: a vertex is appended once, when its parent is met.
-    order = list(kids[0])
-    for v in order:
-        order.extend(kids[v])
-    return len(order) == n
+    return not _cycle_vertex(parents)
 
 
 def _cycle_vertex(parents: Sequence[int]) -> int:
     """A vertex on a cycle of the parent map (entries 0..n), or 0 if none."""
-    n = len(parents)
-    # Follow parents from each vertex, marking finished ones.
-    state = [0] * (n + 1)  # 0 unseen, 1 on current path, 2 done
-    for start in range(1, n + 1):
-        path = []
+    # Follow parents from each vertex in turn, marking each vertex with the
+    # walk that reached it first; a walk that meets its own mark has closed
+    # a cycle, and one that meets an older mark joins a finished walk.
+    mark = [0] * (len(parents) + 1)
+    for start in range(1, len(parents) + 1):
         v = start
-        while v != 0 and state[v] == 0:
-            state[v] = 1
-            path.append(v)
+        while v and not mark[v]:
+            mark[v] = start
             v = parents[v - 1]
-        if v != 0 and state[v] == 1:
+        if v and mark[v] == start:
             return v
-        for u in path:
-            state[u] = 2
     return 0
 
 

@@ -615,6 +615,14 @@ def test_empty_streams_print_nothing(capsys, argv):
     assert run(capsys, *argv, "--count-only") == (0, "0\n", "")
 
 
+def test_negative_degrees_fail(capsys):
+    """A negative degree matches no vertex; it is an error, not a filter."""
+    argv = ("enumerate", "--family", "plain", "--n", "3", "--degrees", "2,0,-1")
+    assert run(capsys, *argv, "--count-only") == (
+        1, "", "error: degrees must be nonnegative\n"
+    )
+
+
 def test_negative_sample_count_fails(capsys):
     argv = ("sample", "--n", "5", "--seed", "1", "--count")
     assert run(capsys, *argv, "0") == (0, "", "")

@@ -212,6 +212,20 @@ class TestVerifyRecurrence:
         assert all(r.ok for r in rows)
         assert [r.multiplier for r in rows] == [3, 4]
 
+    @pytest.mark.parametrize("family", ["plain", "plane"])
+    def test_steps_in_any_order_match_single_steps(self, family):
+        """Row k's rhs is row k+1's lhs, counted once per call: repeated and
+        unordered steps give the rows of separate one-step calls."""
+        steps = (4, 2, 4, 3)
+        rows = verify_recurrence(family, n=5, k_range=steps)
+        assert rows == [verify_recurrence(family, n=5, k_range=(k,))[0] for k in steps]
+
+    def test_each_count_has_its_own_budget(self):
+        # The k=1 count spends 5**4 = 625 candidates, k=2 then 125, and so on.
+        assert len(verify_recurrence("plain", n=5, budget=625)) == 3
+        with pytest.raises(BudgetExceededError):
+            verify_recurrence("plain", n=5, budget=624)
+
 
 class TestBudget:
     def test_guard_trips(self):
@@ -330,6 +344,10 @@ BAD_SPECS = {
     "colored without colors": (
         FamilySpec("colored", n=3),
         "colored families need at least one color",
+    ),
+    "negative degrees": (
+        FamilySpec("plain", n=3, degrees=(2, 0, -1)),
+        "degrees must be nonnegative",
     ),
 }
 
