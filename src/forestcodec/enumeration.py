@@ -409,7 +409,7 @@ def _colored(spec: FamilySpec, guard: _Budget) -> Iterator[EdgeColoredForest]:
             colors = list(combo)
             for r in roots:  # ascending, so each 0 lands at its vertex
                 colors.insert(r - 1, 0)
-            # The root edges alone first, then every edge.
+            # Cheapest first: _special reads the root edges only.
             if special and not _special(colors, kc, kids):
                 continue
             if not _properly_colored(base.parents, kc, colors):

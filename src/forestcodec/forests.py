@@ -21,12 +21,12 @@ anew on each call.
 vertex with a full O(n) scan, so code that needs the children of many
 vertices builds one child index with ``_child_index`` instead.  No index or
 walk is kept on a value: the caller that needs one builds it once and
-passes it on.  The ``RootedForest`` validator is the cycle walk
-``_cycle_vertex``, after a type and range test of the parents; the
+passes it on.  The ``RootedForest`` validator is a type and range test of
+the parents and then the cycle walk ``_cycle_vertex``, which
+``_check_parents`` and the oracles' acyclicity filter share; the
 ``EdgeColoredForest`` validator is one pass (no (vertex, color) key occurs
 twice).  Only a value that fails runs the reference loops
-(``_check_parents``, ``_check_coloring``), which name the fault; the
-walk serves both, and the oracles' acyclicity filter too.
+(``_check_parents``, ``_check_coloring``), which name the fault.
 
 Family-level constraints (roots being exactly 1..k, a pivot vertex lying in
 tree 1, part discipline, special color rules) are *not* type invariants:
