@@ -236,7 +236,11 @@ def _assignment_stream(
     for v in non_roots:
         space *= len(choices[v])
     guard.spend(space)
-    if degrees is not None and len(degrees) != n:
+    # A member's child counts add up to its number of non-roots; checking
+    # the sum first also bounds the length of ``want`` below.
+    if degrees is not None and (
+        len(degrees) != n or sum(degrees) != len(non_roots)
+    ):
         return
     # Vertex x is the parent of degrees[x - 1] vertices: a member's parent
     # labels, sorted, are ``want``.
@@ -400,15 +404,13 @@ def _plane(spec: FamilySpec, guard: _Budget) -> Iterator[PlaneForest]:
 def _colored(spec: FamilySpec, guard: _Budget) -> Iterator[EdgeColoredForest]:
     n, kc = spec.n, spec.colors
     special = spec.family == "special-colored"
-    roots = spec.root_labels()
-    edges = n - len(roots)
+    edges = n - spec.root_label_count()
     for base in _plain(spec, guard):
         guard.spend(kc ** edges)
         kids = _child_index(base.parents)
         for combo in product(range(1, kc + 1), repeat=edges):
-            colors = list(combo)
-            for r in roots:  # ascending, so each 0 lands at its vertex
-                colors.insert(r - 1, 0)
+            it = iter(combo)  # roots keep color 0, the rest take combo in order
+            colors = [p and next(it) for p in base.parents]
             # Cheapest first: _special reads the root edges only.
             if special and not _special(colors, kc, kids):
                 continue

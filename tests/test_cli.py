@@ -604,13 +604,16 @@ def test_bad_steps_and_ranges_are_named(capsys, argv, message):
     "argv",
     [
         ("enumerate", "--family", "plain", "--n", "3", "--degrees", "1,1"),
+        ("enumerate", "--family", "plain", "--n", "3", "--degrees", "10000000000,0,0"),
+        ("enumerate", "--family", "partite", "--parts", "2,1", "--degrees", "0,10000000000,0"),
         ("enumerate", "--family", "leafplane", "--n", "5", "--leaves", "3", "--roots", "3"),
     ],
     ids=" ".join,
 )
 def test_empty_streams_print_nothing(capsys, argv):
-    """A degrees filter of the wrong length, or more roots than internal
-    vertices, matches no forest: no output, and a count of 0."""
+    """A degrees filter of the wrong length or sum, or more roots than
+    internal vertices, matches no forest: no output, and a count of 0. A
+    huge degree costs no memory: it fails the sum test at once."""
     assert run(capsys, *argv) == (0, "", "")
     assert run(capsys, *argv, "--count-only") == (0, "0\n", "")
 
