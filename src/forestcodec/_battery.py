@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .cli import _print_rows, _verdict
+from .cli import _print_rows, _row, _verdict
 
 
 # identity -> (its function in `counting`, its default grid: one range per
@@ -43,17 +43,43 @@ def _identity_rows(name: str, given: dict[str, range]):
             yield (point, *getattr(counting, func)(*values))
 
 
+def _closed_forms(max_n: int):
+    """(label, closed form, the oracle specs whose counts add up to it) for
+    each row of the closed-form grids, in the order ``verify all`` prints."""
+    from . import counting
+    from .enumeration import FamilySpec
+
+    for n in range(1, min(max_n, 6) + 1):
+        yield f"cayley n={n}", counting.cayley(n), [FamilySpec("plain", n=n)]
+    for n in range(2, min(max_n, 6) + 1):
+        for k in range(1, n):
+            form = counting.rooted_forest_count(n, k)
+            yield f"rooted-forest n={n} k={k}", form, [FamilySpec("plain", n=n, roots=k)]
+    for sizes in ((2, 3), (3, 3), (1, 1, 2), (2, 2, 2)):
+        form = counting.multipartite_spanning_trees(sizes)
+        yield f"multipartite {sizes}", form, [FamilySpec("partite", part_sizes=sizes)]
+    for v in range(2, 6):
+        specs = [FamilySpec("plane", n=v, root_set=(r,)) for r in range(1, v + 1)]
+        yield f"plane-labeled v={v}", counting.plane_labeled_count(v), specs
+    for n in range(1, 6):
+        specs = [FamilySpec("plane", n=n + 1, labeled=False)]
+        yield f"catalan n={n}", counting.catalan(n), specs
+    for kc in (2, 3):
+        for n in range(2, 5):
+            form = counting.colored_tree_count(n, kc)
+            specs = [FamilySpec("colored", n=n, colors=kc)]
+            yield f"colored-tree n={n} kc={kc}", form, specs
+
+
 def _verify_all(max_n: int, budget: int | None) -> int:
     from . import codec, counting
-    from .enumeration import FamilySpec, count_by_enumeration, verify_recurrence
+    from .enumeration import count_by_enumeration, verify_recurrence
 
     failures = 0
 
     def check(name: str, got, want) -> None:
         nonlocal failures
-        ok = got == want
-        failures += not ok
-        print(f"{name}: got {got}, want {want} {'PASS' if ok else 'FAIL'}")
+        failures += _row(f"{name}: got {got}, want {want}", got == want)
 
     recurrences = [("plain", {"n": n}) for n in range(3, max_n + 1)]
     recurrences += [("plane", {"n": n}) for n in range(3, min(max_n, 6) + 1)]
@@ -73,55 +99,8 @@ def _verify_all(max_n: int, budget: int | None) -> int:
             row.replace(label=f"{family} {row.label}") for row in rows
         )
 
-    for n in range(1, min(max_n, 6) + 1):
-        check(
-            f"cayley n={n}",
-            counting.cayley(n),
-            count_by_enumeration(FamilySpec("plain", n=n, roots=1), budget),
-        )
-    for n in range(2, min(max_n, 6) + 1):
-        for k in range(1, n):
-            check(
-                f"rooted-forest n={n} k={k}",
-                counting.rooted_forest_count(n, k),
-                count_by_enumeration(FamilySpec("plain", n=n, roots=k), budget),
-            )
-    for sizes in ((2, 3), (3, 3), (1, 1, 2), (2, 2, 2)):
-        check(
-            f"multipartite {sizes}",
-            counting.multipartite_spanning_trees(sizes),
-            count_by_enumeration(
-                FamilySpec("partite", part_sizes=sizes, roots=1), budget
-            ),
-        )
-    for v in range(2, 6):
-        check(
-            f"plane-labeled v={v}",
-            counting.plane_labeled_count(v),
-            sum(
-                count_by_enumeration(
-                    FamilySpec("plane", n=v, root_set=(r,)), budget
-                )
-                for r in range(1, v + 1)
-            ),
-        )
-    for n in range(1, 6):
-        check(
-            f"catalan n={n}",
-            counting.catalan(n),
-            count_by_enumeration(
-                FamilySpec("plane", n=n + 1, roots=1, labeled=False), budget
-            ),
-        )
-    for kc in (2, 3):
-        for n in range(2, 5):
-            check(
-                f"colored-tree n={n} kc={kc}",
-                counting.colored_tree_count(n, kc),
-                count_by_enumeration(
-                    FamilySpec("colored", n=n, colors=kc, roots=1), budget
-                ),
-            )
+    for label, form, specs in _closed_forms(max_n):
+        check(label, form, sum(count_by_enumeration(s, budget) for s in specs))
     for n in range(40, 41):
         for k in range(1, n):
             check(

@@ -224,13 +224,14 @@ _FORMULAS = {
 }
 
 
-def _reject_flags(args, command: str, names) -> None:
-    """Each flag named is one ``command`` never reads: given, it is an error,
-    not a no-op.  A flag not given is None, or False for a switch."""
+def _reject_flags(args, reader: str, names) -> None:
+    """Each flag named is one the ``reader`` (say "count cayley takes")
+    never reads: given, it is an error, not a no-op.  A flag not given, or
+    not defined, is None, or False for a switch."""
     for name in names:
-        value = getattr(args, name)
+        value = getattr(args, name, None)
         if value is not None and value is not False:
-            raise ValueError(f"{command} takes no --{name.replace('_', '-')}")
+            raise ValueError(f"{reader} no --{name.replace('_', '-')}")
 
 
 def _cmd_count(args) -> int:
@@ -241,7 +242,7 @@ def _cmd_count(args) -> int:
     name, flags = _FORMULAS[args.formula]
     read = flags.split()
     unread = [f for f in (*_COUNT_INTS, *_COUNT_LISTS, "conditioned") if f not in read]
-    _reject_flags(args, f"count {args.formula}", unread)
+    _reject_flags(args, f"count {args.formula} takes", unread)
     values = [getattr(args, flag) for flag in read]
     if None in values:
         raise ValueError(f"count {args.formula} needs --{read[values.index(None)]}")
@@ -290,17 +291,14 @@ def _cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-# The one family that reads each family parameter of sample, bijection and
-# verify recurrence.
+# The one family that reads each family parameter of sample, bijection,
+# encode and verify recurrence.
 _READERS = {"parts": "partite", "leaves": "leafplane", "kc": "colored"}
 
 
 def _reject_unread(args) -> None:
-    """A family parameter given to a family that never reads it is an
-    error, not a no-op."""
-    for name, family in _READERS.items():
-        if getattr(args, name, None) is not None and args.family != family:
-            raise ValueError(f"{args.family} forests take no --{name}")
+    unread = [name for name, family in _READERS.items() if family != args.family]
+    _reject_flags(args, f"{args.family} forests take", unread)
 
 
 def _cmd_sample(args) -> int:
@@ -368,6 +366,7 @@ def _cmd_bijection(args) -> int:
 def _cmd_encode(args) -> int:
     from . import codec
 
+    _reject_unread(args)
     print(codec.render_trace(codec.encode(_family_forest(args))))
     return EXIT_OK
 
@@ -396,25 +395,22 @@ def _cmd_identity(args) -> int:
     from ._battery import _identity_rows
 
     grid = _parse_grid(args.grid) if args.grid else {}
-    failures = 0
-    for point, lhs, rhs in _identity_rows(args.name, grid):
-        ok = lhs == rhs
-        failures += not ok
-        print(f"{point} lhs={lhs} rhs={rhs} {'PASS' if ok else 'FAIL'}")
+    failures = sum(
+        _row(f"{point} lhs={lhs} rhs={rhs}", lhs == rhs)
+        for point, lhs, rhs in _identity_rows(args.name, grid)
+    )
     return _verdict(failures)
+
+
+def _row(text: str, ok: bool) -> bool:
+    """Print a checked row with its verdict; True iff it failed."""
+    print(f"{text} {'PASS' if ok else 'FAIL'}")
+    return not ok
 
 
 def _print_rows(rows) -> int:
     """Print recurrence rows; returns how many failed."""
-    failures = 0
-    for row in rows:
-        ok = row.ok
-        failures += not ok
-        print(
-            f"{row.label}: {row.lhs} = {row.multiplier} * {row.rhs} "
-            f"{'PASS' if ok else 'FAIL'}"
-        )
-    return failures
+    return sum(_row(f"{r.label}: {r.lhs} = {r.multiplier} * {r.rhs}", r.ok) for r in rows)
 
 
 def _verdict(failures: int) -> int:
@@ -426,7 +422,7 @@ def _cmd_verify(args) -> int:
     # Each mode rejects the flags only the other reads.
     recurrence = ("family", "n", "k_range", "parts", "kc", "leaves")
     other = ("max_n",) if args.what == "recurrence" else recurrence
-    _reject_flags(args, f"verify {args.what}", other)
+    _reject_flags(args, f"verify {args.what} takes", other)
     if args.what == "recurrence":
         from .enumeration import verify_recurrence
 

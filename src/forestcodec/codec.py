@@ -34,7 +34,9 @@ one preorder walk.
 The public steps are not called, and this module does not load
 :mod:`bijections`: the coloring rules the colored steps and the engine
 share live in :mod:`forests`, and only ``encode`` loads the step module,
-for the first forward step's membership checks.  The steps stay the
+for the first forward step's membership checks.  ``encode`` relies on
+those checks in ``_Run.load``: every member they pass reaches the base
+state, so it makes no second base-state check.  The steps stay the
 definition: the tests run them one by one as the reference the engine must
 match.
 """
@@ -208,7 +210,8 @@ class _Run:
     def load(cls, forest):
         """A forest ready for forward steps.  Raises what the first forward
         step raises unless it is a one-root family member with vertex n in
-        tree 1, so every later step's check would pass."""
+        tree 1, so every later step's check would pass and the forward steps
+        end at the base state; ``encode`` checks its input here only."""
         # Imported here, so that decode and sample_uniform never load the steps.
         from .bijections import _require_colored, _require_plain, _require_plane
 
@@ -246,11 +249,6 @@ class _Run:
         ia, ib = self.vid[a], self.vid[b]
         self.vid[a], self.vid[b] = ib, ia
         self.label[ia], self.label[ib] = b, a
-
-    def at_base(self) -> bool:
-        """True iff labels 1..n-1 are roots and n hangs below 1."""
-        up = [self.label[self.parent[u - 1]] for u in self.vid[1:]]
-        return up == [0] * (self.n - 1) + [int(self.n > 1)]
 
     def value(self):
         """The forest as a value, built once."""
@@ -458,8 +456,8 @@ def encode(forest) -> ChoiceTrace:
     The input must be a one-root family member (root 1); the family is
     inferred from the value's type.  ``decode(encode(f)) == f``.
     """
-    family, n, colors = _family_of(forest)
     run = _Run.load(forest)
+    family, n, colors = run.family, run.n, run.kc
     parent, kids, color, label, vid = run.parent, run.kids, run.color, run.label, run.vid
     swaps, cuts = run.swaps, []
     # The forward step at k cuts the subtree at label k and, if vertex n
@@ -484,8 +482,6 @@ def encode(forest) -> ChoiceTrace:
             i1, ik = vid[1], vid[k]
             vid[1], vid[k], label[i1], label[ik] = ik, i1, k, 1
         cuts.append((label[v], j, swap))
-    if not run.at_base():
-        raise ValueError(f"input is not a one-root {family} family member")
     head = (color[vid[n] - 1],) if _has_head(family, n) else ()
     chosen = _run(family, n, colors, head, reversed(cuts))[1]
     return ChoiceTrace(family, n, colors, head + tuple(chosen))

@@ -140,6 +140,15 @@ class FamilySpec(_Value):
             raise ValueError(f"{kind} forests take no leaves filter")
         if shapes and self.family == "kary" and self.roots != 1:
             raise ValueError(f"{kind} forests are single trees: roots must be 1")
+        for name, read in (
+            ("colors", self.family.endswith("colored")),
+            ("arity", self.family == "kary"),
+            ("part_sizes", self.family == "partite"),
+            ("n", self.family != "partite"),
+        ):
+            value = getattr(self, name)
+            if value and not read:
+                raise ValueError(f"{kind} forests take no {name}, got {value}")
 
     def total_vertices(self) -> int:
         if self.family == "partite":
@@ -473,6 +482,8 @@ def verify_recurrence(
     if family in ("plain", "plane", "colored") and n < 3:
         raise ValueError(f"need n >= 3 for a recurrence step, got {n}")
     if family == "partite":
+        if n:
+            raise ValueError(f"partite forests take no n, got {n}")
         if len(sizes) < 2:
             raise ValueError("partite verification needs at least two parts")
         if sizes[0] < 2:

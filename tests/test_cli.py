@@ -427,6 +427,8 @@ ERROR_PATHS = [
     ("enumerate", "--family", "plain", "--n", "3", "--leaves", "1", "--count-only"),
     ("enumerate", "--family", "leafplane", "--n", "5", "--leaves", "2", "--unlabeled",
      "--count-only"),
+    ("enumerate", "--family", "plain", "--n", "3", "--kc", "3", "--count-only"),
+    ("verify", "recurrence", "--family", "partite", "--parts", "2,3", "--n", "9"),
     ("sample", "--family", "colored", "--n", "4", "--seed", "1"),
     ("sample", "--family", "plain", "--n", "4", "--roots", "9", "--seed", "1"),
     ("sample", "--family", "plain", "--n", "0", "--seed", "1"),
@@ -508,6 +510,8 @@ def test_error_paths(capsys, argv):
          "plain forests take no --leaves"),
         (("verify", "recurrence", "--family", "plane", "--n", "4", "--parts", "2,2"),
          "plane forests take no --parts"),
+        (("encode", "--family", "plain", "--kc", "3", "--forest", "3 1 0 1 1"),
+         "plain forests take no --kc"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, tuple) else v,
 )

@@ -361,6 +361,10 @@ class TestColoredCounts:
         assert colored_tree_count(3, 2) == count(
             FamilySpec("colored", n=3, colors=2, roots=1)
         )
+        for kc in (1, 2, 3):  # one vertex, no edge to color
+            assert colored_tree_count(1, kc) == count(
+                FamilySpec("colored", n=1, colors=kc)
+            ) == 1
 
     def test_root_degree(self):
         def oracle(n, kc, r):

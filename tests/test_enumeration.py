@@ -302,6 +302,12 @@ class TestSpecValidation:
             (FamilySpec("kary", n=2, arity=2, leaves=3), "leaves"),
             (FamilySpec("colored", n=3, colors=2, leaves=1), "leaves"),
             (FamilySpec("special-colored", n=3, colors=2, leaves=1), "leaves"),
+            (FamilySpec("plain", n=3, colors=3), "^plain forests take no colors, got 3$"),
+            (FamilySpec("kary", n=2, arity=2, colors=2), "take no colors, got 2"),
+            (FamilySpec("plain", n=3, arity=2), "^plain forests take no arity, got 2$"),
+            (FamilySpec("colored", n=3, colors=2, arity=2), "take no arity, got 2"),
+            (FamilySpec("plane", n=3, part_sizes=(2, 3)), "take no part_sizes, got"),
+            (FamilySpec("partite", part_sizes=(2, 3), n=5), "take no n, got 5"),
         ],
     )
     def test_ignored_parameters_are_rejected(self, spec, param):

@@ -59,6 +59,11 @@ GUARDS = {
         ValueError,
         "no recurrence check for family 'kary'",
     ),
+    "recurrence of partite with n": (
+        lambda: verify_recurrence("partite", n=4, part_sizes=(2, 3)),
+        ValueError,
+        "partite forests take no n, got 4",
+    ),
 }
 
 

@@ -105,6 +105,11 @@ def test_fields_cannot_be_assigned_or_deleted(case):
     assert getattr(value, field) == before
 
 
+def test_replace_of_an_unknown_field():
+    with pytest.raises(TypeError, match="^RootedForest has no field 'bogus'$"):
+        RootedForest((0, 1, 1)).replace(bogus=1)
+
+
 @pytest.mark.parametrize("copier", [
     lambda x: pickle.loads(pickle.dumps(x)),
     lambda x: pickle.loads(pickle.dumps(x, protocol=0)),
