@@ -395,10 +395,9 @@ def _cmd_identity(args) -> int:
     from ._battery import _identity_rows
 
     grid = _parse_grid(args.grid) if args.grid else {}
-    failures = sum(
-        _row(f"{point} lhs={lhs} rhs={rhs}", lhs == rhs)
-        for point, lhs, rhs in _identity_rows(args.name, grid)
-    )
+    failures = 0
+    for point, lhs, rhs in _identity_rows(args.name, grid):
+        failures += _row(f"{point} lhs={lhs} rhs={rhs}", lhs == rhs)
     return _verdict(failures)
 
 

@@ -140,15 +140,14 @@ class FamilySpec(_Value):
             raise ValueError(f"{kind} forests take no leaves filter")
         if shapes and self.family == "kary" and self.roots != 1:
             raise ValueError(f"{kind} forests are single trees: roots must be 1")
-        for name, read in (
-            ("colors", self.family.endswith("colored")),
-            ("arity", self.family == "kary"),
-            ("part_sizes", self.family == "partite"),
-            ("n", self.family != "partite"),
-        ):
-            value = getattr(self, name)
-            if value and not read:
-                raise ValueError(f"{kind} forests take no {name}, got {value}")
+        if self.colors and not self.family.endswith("colored"):
+            raise ValueError(f"{kind} forests take no colors, got {self.colors}")
+        if self.arity and self.family != "kary":
+            raise ValueError(f"{kind} forests take no arity, got {self.arity}")
+        if self.part_sizes and self.family != "partite":
+            raise ValueError(f"{kind} forests take no part_sizes, got {self.part_sizes}")
+        if self.n and self.family == "partite":
+            raise ValueError(f"{kind} forests take no n, got {self.n}")
 
     def total_vertices(self) -> int:
         if self.family == "partite":
