@@ -6,10 +6,12 @@ forest that each seed samples and the trace that encoding it records, so any
 change in the choice indexing, the RNG draw order or the step results shows
 up here.  The oracle digests were recorded while leafplane and k-ary were
 still built shape by shape and sorted; they fix those streams' members and
-canonical order.
+canonical order.  The parse digests fix what each text parser returns or
+raises, message and position included, on random and edited texts.
 """
 
 import hashlib
+import random
 
 import pytest
 
@@ -19,6 +21,8 @@ from forestcodec import (
     RootedForest,
     decode,
     encode,
+    parse_colored,
+    parse_forest,
     parse_plane,
     render_colored,
     render_forest,
@@ -320,3 +324,67 @@ def test_golden_extreme_traces(family, colors, pattern):
     assert back == trace
     lines = [FAMILIES[family][1](forest), render_trace(back)]
     assert digest(lines) == EXTREME_DIGESTS[(family, colors, pattern)]
+
+
+# The characters of the random parse inputs: the text formats' own, the
+# whitespace the parsers skip (tab and newline, and U+3000 and U+001C, which
+# str.isspace also counts), a non-ASCII digit and a letter.
+PARSE_CHARS = "0123456789*(),; \t\n\u3000\u001c\u0662x"
+
+# Rendered oracle streams whose one-character edits are parse inputs too.
+PARSE_STREAMS = (
+    (FamilySpec("plane", n=4), render_plane),
+    (FamilySpec("plane", n=4, roots=2), render_plane),
+    (FamilySpec("leafplane", n=6, leaves=3, roots=2), render_plane),
+    (FamilySpec("plane", n=6, labeled=False), render_plane),
+    (FamilySpec("plain", n=4, roots=2), render_forest),
+    (FamilySpec("colored", n=3, colors=3), render_colored),
+)
+
+
+def parse_inputs() -> list[str]:
+    """20,000 random strings of length 0-16, then every text of the streams
+    with each character deleted, replaced and preceded by a random one."""
+    rng = random.Random(2024)
+    texts = [
+        "".join(rng.choices(PARSE_CHARS, k=rng.randint(0, 16))) for _ in range(20000)
+    ]
+    for spec, render in PARSE_STREAMS:
+        for forest in enumerate_family(spec):
+            text = render(forest)
+            for i in range(len(text)):
+                head, tail = text[:i], text[i + 1 :]
+                texts += [head + tail, head + rng.choice(PARSE_CHARS) + tail]
+                texts.append(head + rng.choice(PARSE_CHARS) + text[i:])
+    return texts
+
+
+def parse_outcome(parse, text: str) -> str:
+    """The parsed value's fields, or the error's type, message and position."""
+    try:
+        return repr(parse(text))
+    except Exception as exc:
+        return f"{type(exc).__name__} {exc} {getattr(exc, 'position', None)}"
+
+
+# sha256 of each parser's outcome on every parse input, one a line.
+PARSE_DIGESTS = {
+    "plane": (
+        parse_plane,
+        "9c4f01691fa36beeca0871a9a586f90951571776f9ae95c64c06821c2437ad5e",
+    ),
+    "rooted": (
+        parse_forest,
+        "21514669cd358983cda703cc95be5b5389839d97a84864633a1c87c6466aa275",
+    ),
+    "colored kc=3": (
+        lambda text: parse_colored(text, 3),
+        "32b18876e5f6ea7055b68fc5c705f66c00c783c8bd1f448f21c3c694e663866c",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PARSE_DIGESTS)
+def test_golden_parse_outcomes(name):
+    parse, want = PARSE_DIGESTS[name]
+    assert digest([parse_outcome(parse, text) for text in parse_inputs()]) == want
