@@ -272,7 +272,7 @@ def _spec_from_args(args):
         arity=args.arity or 0,
         conditioned=args.conditioned,
         labeled=not args.unlabeled,
-        degrees=_ints(args.degrees, "degrees") if args.degrees else None,
+        degrees=None if args.degrees is None else _ints(args.degrees, "degrees"),
     )
 
 
@@ -282,10 +282,15 @@ def _cmd_enumerate(args) -> int:
     if args.limit is not None and args.limit < 0:
         raise ValueError(f"--limit must be nonnegative, got {args.limit}")
     spec = _spec_from_args(args)
+    _checked(spec, args.budget)  # a bad spec or budget fails at --limit 0 too
+    # The spec reads a parameter of 0, or an empty --parts, as not given.
+    family = args.family
+    reads = {"n": family != "partite", "parts": family == "partite",
+             "kc": family.endswith("colored"), "arity": family == "kary"}
+    _reject_flags(args, f"{family} forests take", [f for f, r in reads.items() if not r])
     if args.count_only:
         print(count_by_enumeration(spec, args.budget))
         return EXIT_OK
-    _checked(spec, args.budget)  # a bad spec or budget fails at --limit 0 too
     for forest in islice(enumerate_family(spec, args.budget), args.limit):
         print(_render(forest, args.format))
     return EXIT_OK

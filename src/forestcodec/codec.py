@@ -50,6 +50,7 @@ from .forests import (
     EdgeColoredForest,
     PlaneForest,
     RootedForest,
+    _INTEGER,
     _Value,
     _alternating_flip,
     _child_index,
@@ -512,13 +513,20 @@ def parse_trace(text: str) -> ChoiceTrace:
     if family == "colored":
         if len(fields) != 3:
             raise ValueError("colored traces need 'colored n kc : ...'")
-        n, colors = int(fields[1]), int(fields[2])
+        n, colors = _integer(fields[1]), _integer(fields[2])
     else:
         if len(fields) != 2:
             raise ValueError(f"expected '{family} n : ...'")
-        n, colors = int(fields[1]), 0
-    choices = tuple(int(tok) for tok in body.split())
+        n, colors = _integer(fields[1]), 0
+    choices = tuple(map(_integer, body.split()))
     return ChoiceTrace(family, n, colors, choices)
+
+
+def _integer(tok: str) -> int:
+    """``int(tok)``, for the ASCII integers of the text formats only."""
+    if not _INTEGER.fullmatch(tok):
+        raise ValueError(f"invalid literal for int() with base 10: {tok!r}")
+    return int(tok)
 
 
 # --------------------------------------------------------------------------

@@ -245,8 +245,8 @@ def kary_identity(arity: int, p: int, q: int, n: int) -> tuple[int, int]:
     return _as_int(lhs), _as_int(rhs)
 
 
-def degseq_plane_count(degrees: Sequence[int]) -> int:
-    """Plane trees on {1..n} with prescribed child counts: (n-1)!."""
+def _tree_degrees(degrees: Sequence[int]) -> list[int]:
+    """The child counts of a tree on {1..n}, checked."""
     d = list(degrees)
     n = len(d)
     if n < 1:
@@ -255,20 +255,18 @@ def degseq_plane_count(degrees: Sequence[int]) -> int:
         raise ValueError("degrees must be nonnegative")
     if sum(d) != n - 1:
         raise ValueError(f"degrees must sum to n-1 = {n - 1}, got {sum(d)}")
-    return factorial(n - 1)
+    return d
+
+
+def degseq_plane_count(degrees: Sequence[int]) -> int:
+    """Plane trees on {1..n} with prescribed child counts: (n-1)!."""
+    return factorial(len(_tree_degrees(degrees)) - 1)
 
 
 def degseq_rooted_count(degrees: Sequence[int]) -> int:
     """Rooted trees on {1..n} with prescribed child counts: a multinomial."""
-    d = list(degrees)
-    n = len(d)
-    if n < 1:
-        raise ValueError("need at least one vertex")
-    if any(x < 0 for x in d):
-        raise ValueError("degrees must be nonnegative")
-    if sum(d) != n - 1:
-        raise ValueError(f"degrees must sum to n-1 = {n - 1}, got {sum(d)}")
-    value = factorial(n - 1)
+    d = _tree_degrees(degrees)
+    value = factorial(len(d) - 1)
     for x in d:
         value = _exact_div(value, factorial(x))
     return value

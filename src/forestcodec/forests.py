@@ -745,8 +745,7 @@ def render_forest(forest: RootedForest) -> str:
 
 
 def parse_forest(text: str) -> RootedForest:
-    tokens = text.split()
-    ints = _parse_ints(text, tokens)
+    ints = _parse_ints(text)
     if len(ints) < 2:
         raise ParseError("expected 'n k p_1 ... p_n'", 0)
     n, k = ints[0], ints[1]
@@ -769,8 +768,7 @@ def render_colored(ef: EdgeColoredForest) -> str:
 
 
 def parse_colored(text: str, color_count: int) -> EdgeColoredForest:
-    tokens = text.split()
-    ints = _parse_ints(text, tokens)
+    ints = _parse_ints(text)
     if len(ints) < 2:
         raise ParseError("expected 'n k p_1 ... p_n c_1 ... c_n'", 0)
     n = ints[0]
@@ -786,9 +784,9 @@ def parse_colored(text: str, color_count: int) -> EdgeColoredForest:
 _INTEGER = re.compile(r"-?[0-9]+")
 
 
-def _parse_ints(text: str, tokens: list[str]) -> list[int]:
+def _parse_ints(text: str) -> list[int]:
     values = []
-    for tok in tokens:
+    for tok in text.split():
         if not _INTEGER.fullmatch(tok):
             raise ParseError(f"not an integer: {tok!r}", text.find(tok))
         values.append(int(tok))
@@ -809,69 +807,48 @@ def render_plane(pf: PlaneForest) -> str:
 
 
 def parse_plane(text: str) -> PlaneForest:
-    pos = 0
-
-    def skip_ws() -> None:
-        nonlocal pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-
     # The word is written as the text is read, in preorder.  `open_lists`
     # holds the position of every vertex whose child list is still open,
     # innermost last; a vertex's child count grows as its children are read.
+    # Each token is a run of digits or one other non-space character.  Either
+    # a vertex comes next, or the text goes on after one: `label` is that
+    # vertex's label until a ')' follows it, then None, as no '(' may follow.
     labels: list[int] = []
     degrees: list[int] = []
     open_lists: list[int] = []
-    while True:
-        skip_ws()
-        if pos >= len(text):
-            raise ParseError("unexpected end of input", pos)
-        if text[pos] == "*":
-            pos += 1
-            label = 0
-        else:
-            start = pos
-            while pos < len(text) and "0" <= text[pos] <= "9":
-                pos += 1
-            if pos == start:
-                raise ParseError(
-                    f"expected label or '*', found {text[pos]!r}", pos
-                )
-            label = int(text[start:pos])
-            if not label:  # in the word, 0 means unlabeled
-                raise ValueError("label must be positive, got 0")
-        if open_lists:
-            degrees[open_lists[-1]] += 1
-        labels.append(label)
-        degrees.append(0)
-        skip_ws()
-        if pos < len(text) and text[pos] == "(":
+    vertex_next, label = True, None
+    for token in re.finditer(r"\s*([0-9]+|\S)", text):
+        tok, pos = token[1], token.start(1)
+        if vertex_next:
+            if tok == "*":
+                label = 0
+            elif "0" <= tok[0] <= "9":
+                label = int(tok)
+                if not label:  # in the word, 0 means unlabeled
+                    raise ValueError("label must be positive, got 0")
+            else:
+                raise ParseError(f"expected label or '*', found {tok!r}", pos)
+            if open_lists:
+                degrees[open_lists[-1]] += 1
+            labels.append(label)
+            degrees.append(0)
+            vertex_next = False
+        elif tok == "(" and label is not None:
             if not label:
                 raise ParseError("unlabeled vertices must be leaves", pos)
-            pos += 1
             open_lists.append(len(labels) - 1)
-            continue
-        # The vertex is complete: close every child list that ends here,
-        # until a ',' or ';' asks for the next vertex.
-        while open_lists:
-            skip_ws()
-            if pos >= len(text):
-                raise ParseError("unterminated child list", pos)
-            if text[pos] == ",":
-                pos += 1
-                break
-            if text[pos] != ")":
-                raise ParseError(
-                    f"expected ',' or ')', found {text[pos]!r}", pos
-                )
-            pos += 1
+            vertex_next = True
+        elif tok == ("," if open_lists else ";"):  # the next vertex follows
+            vertex_next = True
+        elif tok == ")" and open_lists:
             open_lists.pop()
+            label = None
+        elif open_lists:
+            raise ParseError(f"expected ',' or ')', found {tok[0]!r}", pos)
         else:
-            skip_ws()
-            if pos < len(text) and text[pos] == ";":
-                pos += 1
-                continue
-            break
-    if pos != len(text):
-        raise ParseError(f"trailing input {text[pos]!r}", pos)
+            raise ParseError(f"trailing input {tok[0]!r}", pos)
+    if vertex_next:
+        raise ParseError("unexpected end of input", len(text))
+    if open_lists:
+        raise ParseError("unterminated child list", len(text))
     return _plane_word(tuple(labels), tuple(degrees))

@@ -485,6 +485,17 @@ ERROR_PATHS = [
     ("convert", "--forest", "x y"),
     ("convert", "--kind", "colored", "--forest", "3 1 0 1 1\n0 1 2"),
     ("identity", "bipartite", "--grid", "r2..3"),
+    # A family parameter given as 0 or left empty is given.
+    ("enumerate", "--family", "plain", "--n", "3", "--kc", "0", "--count-only"),
+    ("enumerate", "--family", "plain", "--n", "3", "--arity", "0", "--count-only"),
+    ("enumerate", "--family", "plain", "--n", "3", "--parts", ",", "--count-only"),
+    ("enumerate", "--family", "plain", "--n", "3", "--parts", "", "--count-only"),
+    ("enumerate", "--family", "partite", "--parts", "2,3", "--n", "0", "--count-only"),
+    ("enumerate", "--family", "kary", "--n", "2", "--arity", "2", "--degrees", "",
+     "--count-only"),
+    # Trace integers are ASCII, with no digit separators.
+    ("decode", "plain \uff15 : 3 1 1"),
+    ("decode", "plain 5 : 1_0 1 1"),
 ]
 
 
