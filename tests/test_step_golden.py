@@ -4,9 +4,10 @@ For every member of the family with k-1 roots the forward step's output and
 choice are recorded, and for every member with k roots the inverse step's
 output at each choice, over the grids the oracle's round trips run: plane
 for n <= 6 at every k, leafplane over (internal vertices, base leaves) and
-partite over four part-size vectors.  A digest fixes each grid point's
-lines, so a rewrite of the steps must keep every output and every choice
-index, not only invert itself.
+partite over four part-size vectors.  Plane steps at n = 7..10 are pinned
+the same way on sampled inputs.  A digest fixes each grid point's lines,
+so a rewrite of the steps must keep every output and every choice index,
+not only invert itself.
 """
 
 import hashlib
@@ -23,6 +24,7 @@ from forestcodec import (
     plane_inverse,
     render_forest,
     render_plane,
+    sample_uniform,
 )
 from forestcodec.enumeration import FamilySpec, enumerate_family
 
@@ -104,3 +106,35 @@ def step_lines(family: str, point: tuple) -> list[str]:
 def test_step_outputs(family, point):
     text = "\n".join(step_lines(family, point))
     assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[family, point]
+
+
+# sha256 of the same lines for plane steps at n = 7..10, on sampled inputs:
+# at each k, 30 uniform forests with k-1 roots (forward) and 30 with k roots
+# (inverse, at every choice).
+SAMPLED_PLANE_DIGESTS = {
+    7: "67dabdc30089f0f30f42479420de772f34064ecd04aa80e1f2cbfd3eeb353afe",
+    8: "25dbf2809135c309a832d6ba02d725cecb7f88580937a1e9474ffd7b518385e6",
+    9: "ff2d3e14a92d43441447f6cdfb3fcf844a5f76f8304783b34b48d2df23c43a02",
+    10: "7f4fd94a9d5ce14f884eeca4422df5c2d8e48cc2218a9143c643054d6bcdfff9",
+}
+
+
+def sampled_plane_lines(n: int) -> list[str]:
+    lines = []
+    for k in range(2, n):
+        for i in range(30):
+            f = sample_uniform("plane", n, 1000 * k + i, roots=k - 1)
+            g, c = plane_forward(f, k)
+            lines.append(f"{k} {render_plane(f)} -> {render_plane(g)} {c}")
+        for i in range(30):
+            g = sample_uniform("plane", n, 1000 * k + i, roots=k)
+            for c in range(1, 2 * n - k + 1):
+                h = plane_inverse(g, k, c)
+                lines.append(f"{k} {render_plane(g)} {c} -> {render_plane(h)}")
+    return lines
+
+
+@pytest.mark.parametrize("n", sorted(SAMPLED_PLANE_DIGESTS))
+def test_sampled_plane_steps(n):
+    text = "\n".join(sampled_plane_lines(n))
+    assert hashlib.sha256(text.encode()).hexdigest() == SAMPLED_PLANE_DIGESTS[n]
