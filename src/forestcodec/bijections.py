@@ -19,22 +19,23 @@ an n-vertex forest.  A labeled step builds one child index of its input's
 parent map (``forests._child_index``) and hands it to the membership check,
 the marks of tree k, the recoloring and the choice lookup; a partite step
 also reads one part table (``forests._part_table``), built once per call.
-A plane step builds no index: it walks the child counts of the preorder
-word, in which the moved subtree and every tree are contiguous runs, and
-writes its output as runs of the input word, with one child count changed
-or one unlabeled leaf added or removed, and labels 1 and k exchanged.
-Choices are counted, not looked up in a list of every target: each vertex
-offers a known number of targets (one, one per child gap, one per free
-color, or one per unlabeled leaf), so the forward step sums the counts
-before its target and the inverse step subtracts them until its choice runs
-out; a plane step does so in one pass over its side of the word.  The
-labeled moves edit the parent map in place, and the exchange of labels 1
-and k swaps two entries.  The output is built once (a plane forest's as its
-word, without nodes), and its constructor validates it in one more pass.
-Codec and sampler runs do not call these
-steps: :mod:`codec` applies the same rules to one mutable forest across a
-run, in O(log^2 n) a step besides the moves, with the coloring rules that
-both take from :mod:`forests`.
+A plane step builds no child index: it walks the child counts of the
+preorder word, in which the moved subtree and every tree are contiguous
+runs, and writes its output as runs of the input word, with one child count
+changed or one unlabeled leaf added or removed, and labels 1 and k
+exchanged.  Choices are counted, not looked up in a list of every target:
+each vertex offers a known number of targets (one, one per child gap or one
+per free color), and every family but leafplane, which ranks unlabeled
+leaves in the word, counts through the same two functions: ``_choice_index``
+sums the counts before the forward step's target and ``_chosen`` subtracts
+them until the inverse step's choice runs out.  A plane step builds the
+counts by label in one pass over the word.  The labeled moves edit the
+parent map in place, and the exchange of labels 1 and k swaps two entries.
+The output is built once (a plane forest's as its word, without nodes), and
+its constructor validates it in one more pass.  Codec and sampler runs do
+not call these steps: :mod:`codec` applies the same rules to one mutable
+forest across a run, in O(log^2 n) a step besides the moves, with the
+coloring rules that both take from :mod:`forests`.
 """
 
 from __future__ import annotations
@@ -331,6 +332,19 @@ def _parent_gap(degrees: Sequence[int], i: int) -> tuple[int, int]:
     return j, items - 1
 
 
+def _gap_slots(pf: PlaneForest, cut: int) -> tuple[list[int], bytearray]:
+    """``slots`` and ``inside`` of a plane forest with roots 1..k whose tree
+    k starts at position ``cut`` of the word: a vertex of degree d offers d+1
+    child gaps."""
+    labels = pf.preorder_labels
+    slots, inside = [0] * (len(labels) + 1), bytearray(len(labels) + 1)
+    for x, d in zip(labels, pf.preorder_degrees):
+        slots[x] = d + 1
+    for x in labels[cut:]:
+        inside[x] = 1
+    return slots, inside
+
+
 def _require_plane(pf: PlaneForest, k: int, leafy: bool = False) -> tuple[int, list]:
     """Validate membership with roots 1..k and the largest label m in tree 1;
     returns m and the positions where the trees start in the word, followed
@@ -407,14 +421,9 @@ def plane_forward(pf: PlaneForest, k: int) -> tuple[PlaneForest, int]:
     # detached subtree.
     swapped = i <= labels.index(n) < e
     g = _detached(word, k, starts, i, e, swapped)
-    # On w's side of g's tree k, positions lo..hi-1 of g's word, the choice
-    # counts the child gaps of the vertices labeled below w (w's label is
-    # now word[0][w]), then w's own up to gap; in the swap case the 2cut-k+1
-    # gaps outside tree k, the first cut positions, come first.
-    lo, hi = (n - starts[1] + e - i, n) if swapped else (0, n - e + i)
-    side = zip(g.preorder_labels[lo:hi], g.preorder_degrees[lo:hi])
-    choice = gap + 1 + sum(d + 1 for x, d in side if x < word[0][w])
-    return g, choice + (2 * lo - k + 1 if swapped else 0)
+    # w's label in g is word[0][w], and i sat in its gap ``gap``.
+    slots, inside = _gap_slots(g, g.preorder_labels.index(k))
+    return g, _choice_index(slots, inside, word[0][w], gap, swapped)
 
 
 def plane_inverse(pf: PlaneForest, k: int, choice: int) -> PlaneForest:
@@ -422,24 +431,12 @@ def plane_inverse(pf: PlaneForest, k: int, choice: int) -> PlaneForest:
     n = len(labels)
     _require(2 <= k <= n - 1, f"k must satisfy 2 <= k <= n-1, got {k}")
     starts = _require_plane(pf, k)[1]
-    cut = starts[-2]  # tree k, the last
-    outside, total = 2 * cut - k + 1, 2 * n - k
-    _require(1 <= choice <= total, f"choice must be in 1..{total}, got {choice}")
-    # Count the child gaps of the choice's side of tree k by vertex label.
-    # The target vertex never lies in the moved tree: outside slots avoid
-    # tree k, inside slots avoid tree 1.
-    swap = choice > outside
-    lo, hi, c = (cut, n, choice - outside) if swap else (0, cut, choice)
-    slots = [0] * (n + 1)
-    for x, d in zip(labels[lo:hi], degrees[lo:hi]):
-        slots[x] = d + 1
-    for v, s in enumerate(slots):
-        if c <= s:
-            break
-        c -= s
+    # Tree k is the last.  The target vertex never lies in the moved tree:
+    # outside slots avoid tree k, inside slots avoid tree 1.
+    v, j, swap = _chosen(*_gap_slots(pf, starts[-2]), choice)
     p = labels.index(v)
-    at = p + 1  # where gap c-1 of v opens
-    for _ in range(c - 1):
+    at = p + 1  # where gap j of v opens
+    for _ in range(j):
         at = _subtree_end(degrees, at)
     word = (list(labels), list(degrees))
     word[1][p] += 1

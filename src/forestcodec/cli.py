@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from itertools import islice
 
@@ -147,7 +148,7 @@ def _parse_any(text: str, kind: str, color_count: int | None):
             kind = "plane"
         else:
             tokens = text.split()
-            if not tokens or not tokens[0].isdigit():
+            if not tokens or not tokens[0].isdecimal():  # int() takes no "²"
                 raise ValueError("cannot detect the input kind")
             n = int(tokens[0])
             kind = "colored" if len(tokens) == 2 + 2 * n else "rooted"
@@ -160,10 +161,23 @@ def _parse_any(text: str, kind: str, color_count: int | None):
     return parse_forest(text)
 
 
+# As `forests._INTEGER`; `count` loads no `forests`.
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _integer(text: str) -> int:
+    """An integer in ASCII digits, as the text formats take it; spaces around
+    it are dropped.  ``int()`` alone would also take other scripts' digits
+    and underscores."""
+    if not _INTEGER.fullmatch(text.strip()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _ints(text: str, flag: str) -> tuple[int, ...]:
     """The comma-separated integers given to --``flag``."""
     try:
-        return tuple(int(tok) for tok in text.split(",") if tok != "")
+        return tuple(_integer(tok) for tok in text.split(",") if tok != "")
     except ValueError:
         raise ValueError(f"--{flag} takes comma-separated integers, got {text!r}") from None
 
@@ -171,7 +185,7 @@ def _ints(text: str, flag: str) -> tuple[int, ...]:
 def _parse_range(text: str, flag: str) -> range:
     """The integer or inclusive range lo..hi given to --``flag``."""
     try:
-        lo, hi = map(int, text.split("..", 1) if ".." in text else (text, text))
+        lo, hi = map(_integer, text.split("..", 1) if ".." in text else (text, text))
     except ValueError:
         raise ValueError(f"--{flag} takes an integer or lo..hi, got {text!r}") from None
     if lo > hi:
@@ -185,7 +199,10 @@ def _parse_grid(text: str) -> dict[str, range]:
         if "=" not in item:
             raise ValueError(f"grid entries look like var=lo..hi, got {item!r}")
         name, _, spec = item.partition("=")
-        grid[name.strip()] = _parse_range(spec.strip(), "grid")
+        name = name.strip()
+        if name in grid:
+            raise ValueError(f"--grid gives {name!r} twice")
+        grid[name] = _parse_range(spec.strip(), "grid")
     return grid
 
 
@@ -544,6 +561,10 @@ def _build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--format", choices=_FORMATS, default="text")
     pt.set_defaults(func=_cmd_convert)
 
+    # Every `type=int` flag reads through `_integer`; argparse still names
+    # the type "int" in its usage error.
+    for command in sub.choices.values():
+        command.register("type", int, _integer)
     return parser
 
 

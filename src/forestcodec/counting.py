@@ -230,6 +230,8 @@ def kary_identity(arity: int, p: int, q: int, n: int) -> tuple[int, int]:
     sum_i (pq / (i(n-i))) C(ki, i-p) C(k(n-i), n-i-q) for the left side and
     ((p+q)/n) C(kn, n-(p+q)) for the right.
     """
+    if arity < 1:
+        raise ValueError(f"need arity >= 1, got {arity}")
     if p < 1 or q < 1 or n < p + q:
         raise ValueError(f"need p, q >= 1 and n >= p+q, got {p}, {q}, {n}")
     from fractions import Fraction

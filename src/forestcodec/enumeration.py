@@ -25,6 +25,7 @@ from .forests import (
     PartAssignment,
     PlaneForest,
     RootedForest,
+    _INTEGER,
     _Value,
     _child_index,
     _cycle_vertex,
@@ -63,10 +64,10 @@ def default_budget() -> int:
     raw = os.environ.get(BUDGET_ENV_VAR)
     if raw is None:
         return DEFAULT_BUDGET
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be an integer: {raw!r}") from exc
+    # ASCII digits, as in the text formats; int() also takes other scripts'.
+    if not _INTEGER.fullmatch(raw.strip()):
+        raise ValueError(f"{BUDGET_ENV_VAR} must be an integer: {raw!r}")
+    value = int(raw)
     if value <= 0:
         raise ValueError(f"{BUDGET_ENV_VAR} must be positive: {value}")
     return value

@@ -786,9 +786,10 @@ _INTEGER = re.compile(r"-?[0-9]+")
 
 def _parse_ints(text: str) -> list[int]:
     values = []
-    for tok in text.split():
+    for match in re.finditer(r"\S+", text):
+        tok = match.group()
         if not _INTEGER.fullmatch(tok):
-            raise ParseError(f"not an integer: {tok!r}", text.find(tok))
+            raise ParseError(f"not an integer: {tok!r}", match.start())
         values.append(int(tok))
     return values
 

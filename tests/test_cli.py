@@ -496,6 +496,15 @@ ERROR_PATHS = [
     # Trace integers are ASCII, with no digit separators.
     ("decode", "plain \uff15 : 3 1 1"),
     ("decode", "plain 5 : 1_0 1 1"),
+    # So are the integers of list and range flags.
+    ("count", "multipartite", "--parts", "2,\u0663"),
+    ("count", "multipartite", "--parts", "2,1_0"),
+    ("verify", "recurrence", "--family", "plain", "--n", "4", "--k-range", "\u0662..3"),
+    ("identity", "bipartite", "--grid", "r=2..\uff13"),
+    # A grid variable given twice.
+    ("identity", "bipartite", "--grid", "r=2..2,r=3..3"),
+    ("identity", "kary", "--grid", "k=-1..-1"),
+    ("identity", "kary", "--grid", "k=0..0"),
 ]
 
 
@@ -574,6 +583,33 @@ def test_malformed_flags_are_named(capsys, argv, message):
     """A list flag that is not integers, or a --max-n below 3, fails and
     names its flag."""
     assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (("count", "cayley", "--n", "\uff15"), "--n", "\uff15"),
+        (("count", "cayley", "--n", "1_0"), "--n", "1_0"),
+        (("count", "cayley", "--n", "+5"), "--n", "+5"),
+        (("sample", "--family", "plain", "--n", "4", "--seed", "\uff17"), "--seed",
+         "\uff17"),
+        (("enumerate", "--family", "plain", "--n", "4", "--budget", "\u0662\u0667"),
+         "--budget", "\u0662\u0667"),
+        (("verify", "all", "--max-n", "\u0664"), "--max-n", "\u0664"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else v,
+)
+def test_integer_flags_are_ascii(capsys, argv, flag, value):
+    """A single integer flag takes ASCII digits only, like the text
+    formats; argparse rejects anything else with its usage error."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.endswith(f"error: argument {flag}: invalid int value: {value!r}\n"), err
+
+
+def test_integer_flags_allow_spaces(capsys):
+    assert run(capsys, "count", "cayley", "--n", " 5 ") == (0, "125\n", "")
+    assert run(capsys, "count", "multipartite", "--parts", "2, 3") == (0, "12\n", "")
 
 
 @pytest.mark.parametrize(

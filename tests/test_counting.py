@@ -409,6 +409,8 @@ BAD_ARGUMENTS = [
     (kary_forest_count, (2, 3, 4), "need 1 <= roots <= internal, got 4, 3"),
     (kary_unlabeled_count, (0, 3), "need arity >= 1 and internal >= 1"),
     (kary_unlabeled_count, (2, 0), "need arity >= 1 and internal >= 1"),
+    (kary_identity, (0, 1, 1, 2), "need arity >= 1, got 0"),
+    (kary_identity, (-1, 1, 1, 2), "need arity >= 1, got -1"),
     (kary_identity, (2, 1, 0, 3), "need p, q >= 1 and n >= p+q, got 1, 0, 3"),
     (kary_identity, (2, 2, 2, 3), "need p, q >= 1 and n >= p+q, got 2, 2, 3"),
     (degseq_plane_count, ((),), "need at least one vertex"),

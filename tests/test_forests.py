@@ -245,6 +245,21 @@ class TestTextFormats:
         assert info.value.position == 6
 
     @pytest.mark.parametrize(
+        "parse, text, position",
+        [
+            (parse_forest, "3 1 -1 -", 7),
+            (parse_colored, "3 1 0 -1 1\n0 1 -", 15),
+        ],
+        ids=["forest", "colored"],
+    )
+    def test_bad_token_found_earlier(self, parse, text, position):
+        """A bad token whose text also occurs inside an earlier token is
+        reported where it stands."""
+        with pytest.raises(ParseError) as info:
+            parse(text, *([3] if parse is parse_colored else []))
+        assert info.value.position == position
+
+    @pytest.mark.parametrize(
         "text, position",
         [
             ("3 1 0 1 \u0661", 8),  # an Arabic-Indic digit

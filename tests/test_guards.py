@@ -41,6 +41,11 @@ GUARDS = {
         ValueError,
         "cannot detect the input kind",
     ),
+    "input led by a superscript digit": (
+        lambda: cli._parse_any("\u00b2 0", "auto", None),
+        ValueError,
+        "cannot detect the input kind",
+    ),
     "colored input without kc": (
         lambda: cli._parse_any("3 1 0 1 1\n0 1 2", "colored", None),
         ValueError,
@@ -73,6 +78,18 @@ def test_guard_raises(name):
     with pytest.raises(error) as info:
         call()
     assert str(info.value).startswith(message), info.value
+
+
+@pytest.mark.parametrize("raw", ["\u0661\u0660", "1_0", "+10"])
+def test_budget_variable_is_ascii(monkeypatch, raw):
+    monkeypatch.setenv(BUDGET_ENV_VAR, raw)
+    with pytest.raises(ValueError, match=f"^{BUDGET_ENV_VAR} must be an integer: "):
+        default_budget()
+
+
+def test_budget_variable_allows_spaces(monkeypatch):
+    monkeypatch.setenv(BUDGET_ENV_VAR, " 10 ")
+    assert default_budget() == 10
 
 
 @pytest.mark.parametrize("raw", ["0", "-3"])
