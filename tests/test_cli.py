@@ -503,6 +503,7 @@ ERROR_PATHS = [
     ("identity", "bipartite", "--grid", "r=2..\uff13"),
     # A grid variable given twice.
     ("identity", "bipartite", "--grid", "r=2..2,r=3..3"),
+    # An arity below 1.
     ("identity", "kary", "--grid", "k=-1..-1"),
     ("identity", "kary", "--grid", "k=0..0"),
 ]
