@@ -94,11 +94,12 @@ def _chosen(
     takes the swap case."""
     total = sum(slots)
     outside = total - sum(compress(slots, inside))
-    _require(1 <= choice <= total, f"choice must be in 1..{total}, got {choice}")
+    if not 1 <= choice <= total:  # formats the message only when it fails
+        raise ValueError(f"choice must be in 1..{total}, got {choice}")
     swap = choice > outside
     c = choice - outside if swap else choice
-    for v, (s, i) in enumerate(zip(slots, inside)):
-        if i == swap:
+    for v, s in enumerate(slots):
+        if inside[v] == swap:
             if c <= s:
                 break
             c -= s
