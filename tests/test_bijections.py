@@ -392,6 +392,125 @@ class TestPlaneMembershipMessages:
             )
 
 
+PLAIN_STEPS = {
+    "forward": plain_forward,
+    "inverse": lambda f, k: plain_inverse(f, k, 1),
+    "choice_count": plain_choice_count,
+}
+
+# (parent map, k for forward, k for inverse and choice count, message), as
+# in PLANE_MESSAGES.
+PLAIN_MESSAGES = [
+    ((0, 0, 0, 3, 1), 3, 2, "expected roots exactly 1..{k}, got (1, 2, 3)"),
+    ((0, 0, 1, 2, 2), 3, 2, "vertex 5 must lie in the tree rooted at 1"),
+]
+
+PARTITE_STEPS = {
+    "forward": partite_forward,
+    "inverse": lambda f, k, parts: partite_inverse(f, k, parts, 1),
+    "choice_count": partite_choice_count,
+}
+
+# (parent map, part sizes, k, message): every step at that k raises it.
+PARTITE_MESSAGES = [
+    ((0, 1, 1, 1, 2), (2, 2), 2, "part sizes must cover the vertex set"),
+    ((0, 1, 1, 1, 2), (5,), 2, "at least two parts are required"),
+    ((0, 1, 1, 2), (2, 2), 2, "forest has an edge inside one part"),
+]
+
+COLORED_STEPS = {
+    "forward": colored_forward,
+    "inverse": lambda ef, r: colored_inverse(ef, r, 1),
+    "choice_count": colored_choice_count,
+}
+
+# (parent map, colors, r for forward, r for inverse and choice count,
+# message), in three colors.
+COLORED_MESSAGES = [
+    ((0, 0, 0, 1), (0, 0, 0, 1), 3, 2, "expected roots exactly 1..{k}, got (1, 2, 3)"),
+    ((0, 0, 1, 1), (0, 0, 3, 1), 3, 2, "an edge out of a root carries the last color"),
+    ((0, 0, 1, 2), (0, 0, 1, 1), 3, 2, "vertex 4 must lie in the tree rooted at 1"),
+]
+
+
+class TestLabeledMembershipMessages:
+    """The guard messages of every plain, partite and colored entry point,
+    and of ``reroot_switch``."""
+
+    @pytest.mark.parametrize("step", sorted(PLAIN_STEPS))
+    @pytest.mark.parametrize("parents, k_forward, k, message", PLAIN_MESSAGES)
+    def test_plain(self, step, parents, k_forward, k, message):
+        if step == "forward":
+            k = k_forward
+        roots = k - 1 if step == "forward" else k
+        got = raised(lambda: PLAIN_STEPS[step](RootedForest(parents), k))
+        assert got == message.replace("{k}", str(roots))
+
+    def test_plain_ranges(self):
+        k_range = "k must satisfy 2 <= k <= n-1, got {}"
+        assert raised(lambda: plain_forward(BOTTOM, 5)) == k_range.format(5)
+        assert raised(lambda: plain_inverse(BOTTOM, 1, 1)) == k_range.format(1)
+        for c in (0, 6):
+            assert raised(lambda: plain_inverse(BOTTOM, 3, c)) == (
+                f"choice must be in 1..5, got {c}"
+            )
+
+    @pytest.mark.parametrize("step", sorted(PARTITE_STEPS))
+    @pytest.mark.parametrize("parents, sizes, k, message", PARTITE_MESSAGES)
+    def test_partite(self, step, parents, sizes, k, message):
+        forest, parts = RootedForest(parents), PartAssignment(sizes)
+        assert raised(lambda: PARTITE_STEPS[step](forest, k, parts)) == message
+
+    def test_partite_roots_and_ranges(self):
+        forest, parts = RootedForest((0, 0, 0, 1, 2)), PartAssignment((2, 3))
+        # Only the choice count reads a k past part 1 as a root count.
+        assert raised(lambda: partite_choice_count(forest, 3, parts)) == (
+            "roots 1..3 must lie in part 1"
+        )
+        k_range = "k must satisfy 2 <= k <= |part 1| = 2, got {}"
+        for k in (1, 3):
+            assert raised(lambda: partite_forward(forest, k, parts)) == (
+                k_range.format(k)
+            )
+            assert raised(lambda: partite_inverse(forest, k, parts, 1)) == (
+                k_range.format(k)
+            )
+
+    @pytest.mark.parametrize("step", sorted(COLORED_STEPS))
+    @pytest.mark.parametrize(
+        "parents, colors, r_forward, r, message", COLORED_MESSAGES
+    )
+    def test_colored(self, step, parents, colors, r_forward, r, message):
+        if step == "forward":
+            r = r_forward
+        roots = r - 1 if step == "forward" else r
+        ef = EdgeColoredForest(RootedForest(parents), 3, colors)
+        got = raised(lambda: COLORED_STEPS[step](ef, r))
+        assert got == message.replace("{k}", str(roots))
+
+    def test_colored_ranges(self):
+        r_range = "r must satisfy 2 <= r <= n-1, got {}"
+        assert raised(lambda: colored_forward(COLORED_BOTTOM, 6)) == r_range.format(6)
+        assert raised(lambda: colored_inverse(COLORED_BOTTOM, 1, 1)) == (
+            r_range.format(1)
+        )
+        for c in (0, 10):
+            assert raised(lambda: colored_inverse(COLORED_BOTTOM, 3, c)) == (
+                f"choice must be in 1..9, got {c}"
+            )
+
+    @pytest.mark.parametrize(
+        "parents, message",
+        [
+            ((0, 1, 0), "roots must be exactly 1..r"),
+            ((0, 0), "vertex r+1 does not exist"),
+            ((0, 0, 2), "vertex 3 must lie in the tree rooted at 1"),
+        ],
+    )
+    def test_reroot_switch(self, parents, message):
+        assert raised(lambda: reroot_switch(RootedForest(parents))) == message
+
+
 LEAFPLANE_BOTTOM = parse_plane("1(5(*,*),*,*);2(4(*));3(*,*,*)")
 
 # The eight forests with roots 1, 2 that map onto LEAFPLANE_BOTTOM, in
