@@ -13,9 +13,10 @@ recurrence multiplier in ``trace_bounds``.
 
 Cost model: a run takes n-2 steps, and one run engine serves ``decode``,
 ``encode`` and ``sample_uniform`` for all three families.  It keeps one
-mutable forest (``_Run``) across the steps and applies the rules of the
-:mod:`bijections` steps to it in place; the one value a run returns is
-built, and validated, once.  Each pass over the steps is one loop over k,
+mutable forest across the steps, as plain lists by vertex id (see
+``_run``), and applies the rules of the :mod:`bijections` steps to it in
+place; the one value a run returns is built, and validated, once, by
+``_value``.  Each pass over the steps is one loop over k,
 which does the target search, the move and the join inline: the inverse
 steps of ``decode`` and ``sample_uniform`` and ``encode``'s replay in
 ``_run``, and ``encode``'s forward steps in ``encode``.  A run keeps only
@@ -35,7 +36,7 @@ The public steps are not called, and this module does not load
 :mod:`bijections`: the coloring rules the colored steps and the engine
 share live in :mod:`forests`, and only ``encode`` loads the step module,
 for the first forward step's membership checks.  ``encode`` relies on
-those checks in ``_Run.load``: every member they pass reaches the base
+those checks in ``_load``: every member they pass reaches the base
 state, so it makes no second base-state check.  The steps stay the
 definition: the tests run them one by one as the reference the engine must
 match.
@@ -188,91 +189,82 @@ _FAMILIES = {
 # --------------------------------------------------------------------------
 
 
-class _Run:
-    """A forest under a codec or sampler run, edited in place.
+def _load(forest):
+    """A forest ready for forward steps, as its family, n and colors, its
+    ``parent``, ``kids`` and ``color`` lists by id (see ``_run``), and the
+    set of the k whose step exchanges labels 1 and k.  Raises what the first
+    forward step raises unless it is a one-root family member with vertex n
+    in tree 1, so every later step's check would pass and the forward steps
+    end at the base state; ``encode`` checks its input here only."""
+    # Imported here, so that decode and sample_uniform never load the steps.
+    from .bijections import _require_colored, _require_plain, _require_plane
 
-    Vertices keep the id they start with, their first label; ``label`` and
-    ``vid`` map ids to labels and back, so exchanging labels 1 and k costs
-    O(1).  ``parent`` and ``color`` are indexed by id - 1 (0 marks a root),
-    and ``kids[id]`` lists a vertex's child ids, in plane order for plane
-    forests.  Plain keeps no child lists: its moves set parents only, and
-    its forward steps name gap 0.  ``_run`` (the inverse steps) and
-    ``encode`` (the forward steps) each walk their steps in one loop over k
-    that holds these lists in locals and edits them inline.
-    """
+    family, n, colors = _family_of(forest)
+    color = [0] * n
+    if family == "plane":
+        _require_plane(forest, 1)
+        labels = forest.preorder_labels
+        # A vertex's id is its label; ids[p] is the id at position p.
+        ids, parent, kids = (0, *labels), [0] * n, [[] for _ in range(n + 1)]
+        for x, p in zip(labels, _preorder_parents(forest.preorder_degrees)):
+            parent[x - 1] = ids[p]
+            kids[ids[p]].append(x)
+    elif family == "plain":
+        _require_plain(forest, _child_index(forest.parents), 1, n)
+        parent, kids = list(forest.parents), None
+    else:
+        kids = _child_index(forest.base.parents)
+        _require_colored(forest, kids, 1)
+        parent, color = list(forest.base.parents), list(forest.colors)
+    # The step at k cuts id k (label k is not exchanged before it), and
+    # steps only cut, so vertex n leaves tree 1 at the step at k exactly
+    # when k lies on n's root path and no id between n and k is smaller.
+    swaps, low, v = set(), n, n
+    while v:
+        if v < low:
+            swaps.add(v)
+            low = v
+        v = parent[v - 1]
+    return family, n, colors, parent, kids, color, swaps
 
-    def __init__(self, family, n, colors, parent, kids, color) -> None:
-        self.family, self.n, self.kc = family, n, colors
-        self.parent, self.kids, self.color = parent, kids, color
-        self.label = list(range(n + 1))  # the sentinel 0 stays fixed
-        self.vid = list(range(n + 1))
 
-    @classmethod
-    def load(cls, forest):
-        """A forest ready for forward steps.  Raises what the first forward
-        step raises unless it is a one-root family member with vertex n in
-        tree 1, so every later step's check would pass and the forward steps
-        end at the base state; ``encode`` checks its input here only."""
-        # Imported here, so that decode and sample_uniform never load the steps.
-        from .bijections import _require_colored, _require_plain, _require_plane
+def _exchange(label: list[int], vid: list[int], a: int, b: int) -> None:
+    """Exchange labels a and b."""
+    ia, ib = vid[a], vid[b]
+    vid[a], vid[b], label[ia], label[ib] = ib, ia, b, a
 
-        family, n, colors = _family_of(forest)
-        color = [0] * n
-        if family == "plane":
-            _require_plane(forest, 1)
-            labels = forest.preorder_labels
-            # A vertex's id is its label; ids[p] is the id at position p.
-            ids, parent, kids = (0, *labels), [0] * n, [[] for _ in range(n + 1)]
-            for x, p in zip(labels, _preorder_parents(forest.preorder_degrees)):
-                parent[x - 1] = ids[p]
-                kids[ids[p]].append(x)
-        elif family == "plain":
-            _require_plain(forest, _child_index(forest.parents), 1, n)
-            parent, kids = list(forest.parents), None
-        else:
-            kids = _child_index(forest.base.parents)
-            _require_colored(forest, kids, 1)
-            parent, color = list(forest.base.parents), list(forest.colors)
-        run = cls(family, n, colors, parent, kids, color)
-        # The step at k cuts id k (label k is not exchanged before it), and
-        # steps only cut, so vertex n leaves tree 1 at the step at k exactly
-        # when k lies on n's root path and no id between n and k is smaller.
-        run.swaps, low, v = set(), n, n
-        while v:
-            if v < low:
-                run.swaps.add(v)
-                low = v
-            v = parent[v - 1]
-        return run
 
-    def relabel(self, a: int, b: int) -> None:
-        """Exchange labels a and b."""
-        ia, ib = self.vid[a], self.vid[b]
-        self.vid[a], self.vid[b] = ib, ia
-        self.label[ia], self.label[ib] = b, a
-
-    def value(self):
-        """The forest as a value, built once."""
-        label, n = self.label, self.n
-        if self.family == "plane":  # the roots by ascending label, in preorder
-            roots = [u for u in self.vid[1:] if not self.parent[u - 1]]
-            word = _preorder(roots, self.kids.__getitem__, label.__getitem__)
-            return _plane_word(*word)
-        parents = [0] * n
-        for u in range(1, n + 1):
-            parents[label[u] - 1] = label[self.parent[u - 1]]
-        forest = RootedForest(tuple(parents))
-        if self.family == "plain":
-            return forest
-        colors = [0] * n
-        for u in range(1, n + 1):
-            colors[label[u] - 1] = self.color[u - 1]
-        return EdgeColoredForest(forest, self.kc, tuple(colors))
+def _value(family, colors, label, vid, parent, kids, color):
+    """The forest of a run's lists as a value, built once."""
+    n = len(parent)
+    if family == "plane":  # the roots by ascending label, in preorder
+        roots = [u for u in vid[1:] if not parent[u - 1]]
+        return _plane_word(*_preorder(roots, kids.__getitem__, label.__getitem__))
+    parents = [0] * n
+    for u in range(1, n + 1):
+        parents[label[u] - 1] = label[parent[u - 1]]
+    forest = RootedForest(tuple(parents))
+    if family == "plain":
+        return forest
+    by_label = [0] * n
+    for u in range(1, n + 1):
+        by_label[label[u] - 1] = color[u - 1]
+    return EdgeColoredForest(forest, colors, tuple(by_label))
 
 
 def _run(family: str, n: int, colors: int, choices: tuple[int, ...], cuts=None):
     """The inverse steps k = n-1, n-2, ..., 2 from the maximal-root state,
-    one per choice, in one loop; returns the run and its choices.
+    one per choice, in one loop.  Returns the run's lists ``(label, vid,
+    parent, kids, color)``, which ``_value`` takes, and the choices a replay
+    counts.
+
+    A run edits one forest in place, in lists by vertex id.  Vertices keep
+    the id they start with, their first label; ``label`` and ``vid`` map
+    ids to labels and back, so ``_exchange`` of two labels costs O(1).
+    ``parent`` and ``color`` are indexed by id - 1 (0 marks a root), and
+    ``kids[id]`` lists a vertex's child ids, in plane order for plane
+    forests.  Plain keeps no child lists: its moves set parents only, and
+    its forward steps (in ``encode``) name gap 0.
 
     Step k finds tree k and the targets outside it, finds the target its
     choice names, hangs tree k below it (or, in the swap case, tree 1 below
@@ -299,9 +291,9 @@ def _run(family: str, n: int, colors: int, choices: tuple[int, ...], cuts=None):
     base_color, choices = _split_head(family, n, choices)
     a, b = _targets(family, colors)
     # The maximal-root state: labels 1..n-1 are roots, n hangs below 1.
+    label, vid = list(range(n + 1)), list(range(n + 1))  # the sentinel 0 stays fixed
+    parent, color = [0] * n, [0] * n
     kids = [[] for _ in range(n + 1)] if b else None
-    run = _Run(family, n, colors, [0] * n, kids, [0] * n)
-    label, vid, parent, color = run.label, run.vid, run.parent, run.color
     up = list(range(n + 1))
     S = [None, None] + [[v] for v in range(2, n + 1)]  # none for 0 and tree 1
     P = [None, None] + [[] for _ in range(2, n + 1)] if b else None
@@ -441,14 +433,14 @@ def _run(family: str, n: int, colors: int, choices: tuple[int, ...], cuts=None):
                     while x <= n:
                         fen[x] += d
                         x += x & -x
-            i1, ik = vid[1], vid[k]
-            vid[1], vid[k], label[i1], label[ik] = ik, i1, k, 1
-    return run, chosen
+            _exchange(label, vid, 1, k)
+    return (label, vid, parent, kids, color), chosen
 
 
 def decode(trace: ChoiceTrace):
     """Run the inverse steps k = n-1, ..., 2 from the maximal-root state."""
-    return _run(trace.family, trace.n, trace.colors, trace.choices)[0].value()
+    family, colors = trace.family, trace.colors
+    return _value(family, colors, *_run(family, trace.n, colors, trace.choices)[0])
 
 
 def encode(forest) -> ChoiceTrace:
@@ -457,10 +449,8 @@ def encode(forest) -> ChoiceTrace:
     The input must be a one-root family member (root 1); the family is
     inferred from the value's type.  ``decode(encode(f)) == f``.
     """
-    run = _Run.load(forest)
-    family, n, colors = run.family, run.n, run.kc
-    parent, kids, color, label, vid = run.parent, run.kids, run.color, run.label, run.vid
-    swaps, cuts = run.swaps, []
+    family, n, colors, parent, kids, color, swaps = _load(forest)
+    label, vid, cuts = list(range(n + 1)), list(range(n + 1)), []
     # The forward step at k cuts the subtree at label k and, if vertex n
     # leaves tree 1, exchanges labels 1 and k.  It records what the inverse
     # step at k takes to undo it: the old parent's label, the gap or
@@ -480,8 +470,7 @@ def encode(forest) -> ChoiceTrace:
                 j = x - 1 - sum(1 for y in _used_colors(color, below, v) if 0 < y < x)
         swap = k in swaps  # vertex n leaves tree 1
         if swap:
-            i1, ik = vid[1], vid[k]
-            vid[1], vid[k], label[i1], label[ik] = ik, i1, k, 1
+            _exchange(label, vid, 1, k)
         cuts.append((label[v], j, swap))
     head = (color[vid[n] - 1],) if _has_head(family, n) else ()
     chosen = _run(family, n, colors, head, reversed(cuts))[1]
@@ -566,7 +555,9 @@ def sample_uniform(
     # so the last roots-1 positions of the trace are never drawn.
     bounds = trace_bounds(family, n, colors)
     drawn = bounds[: len(bounds) - roots + 1]
-    run = _run(family, n, colors, tuple(rng.below(b) + 1 for b in drawn))[0]
+    label, vid, parent, kids, color = _run(
+        family, n, colors, tuple(rng.below(b) + 1 for b in drawn)
+    )[0]
     if not conditioned and roots > 1:
-        run.relabel(1, rng.below(roots) + 1)
-    return run.value()
+        _exchange(label, vid, 1, rng.below(roots) + 1)
+    return _value(family, colors, label, vid, parent, kids, color)

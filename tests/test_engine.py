@@ -51,7 +51,7 @@ def _inverse_run(family: str, n: int, colors: int, choices: tuple[int, ...]):
     """Run the public inverse steps k = n-1, n-2, ... from the maximal-root
     state, one per choice; a colored run first takes the base color.
 
-    The step-by-step reference for ``_Run``, which ``decode`` and
+    The step-by-step reference for ``codec._run``, which ``decode`` and
     ``sample_uniform`` use.
     """
     base_color, choices = _split_head(family, n, choices)
@@ -64,7 +64,7 @@ def _inverse_run(family: str, n: int, colors: int, choices: tuple[int, ...]):
 
 def _step_encode(forest) -> ChoiceTrace:
     """``encode`` by the public forward steps k = 2, ..., n-1: the
-    step-by-step reference for the ``_Run`` replay."""
+    step-by-step reference for the ``codec._run`` replay."""
     family, n, colors = _family_of(forest)
     getattr(bij, f"{family}_choice_count")(forest, 1)  # raises unless a member
     forward = getattr(bij, f"{family}_forward")
