@@ -65,11 +65,6 @@ from .forests import (
 )
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ValueError(msg)
-
-
 # Every step finds its choice by counting.  ``slots[v]`` is the number of
 # targets vertex v offers (one per vertex, child gap or free color) and
 # ``inside[v]`` marks tree k, the side of the swap-case targets; both are
@@ -94,7 +89,7 @@ def _chosen(
     takes the swap case."""
     total = sum(slots)
     outside = total - sum(compress(slots, inside))
-    if not 1 <= choice <= total:  # formats the message only when it fails
+    if not 1 <= choice <= total:
         raise ValueError(f"choice must be in 1..{total}, got {choice}")
     swap = choice > outside
     c = choice - outside if swap else choice
@@ -132,10 +127,8 @@ def _require_plain(
     """``kids`` is the forest's child index."""
     if kids[0] != list(range(1, k + 1)):
         raise ValueError(f"expected roots exactly 1..{k}, got {forest.roots}")
-    _require(
-        is_descendant(forest, pivot, 1),
-        f"vertex {pivot} must lie in the tree rooted at 1",
-    )
+    if not is_descendant(forest, pivot, 1):
+        raise ValueError(f"vertex {pivot} must lie in the tree rooted at 1")
 
 
 def _targets(inside: bytearray, k: int, part: Sequence[int]) -> list[int]:
@@ -197,7 +190,8 @@ def plain_forward(forest: RootedForest, k: int) -> tuple[RootedForest, int]:
     canonical choice index that makes ``plain_inverse`` undo the step.
     """
     n = forest.n
-    _require(2 <= k <= n - 1, f"k must satisfy 2 <= k <= n-1, got {k}")
+    if not 2 <= k <= n - 1:
+        raise ValueError(f"k must satisfy 2 <= k <= n-1, got {k}")
     kids = _child_index(forest.parents)
     _require_plain(forest, kids, k - 1, n)
     return _detach(forest, kids, k, n, range(n + 1))
@@ -211,7 +205,8 @@ def plain_inverse(forest: RootedForest, k: int, choice: int) -> RootedForest:
     of tree k and exchange labels 1 and k.
     """
     n = forest.n
-    _require(2 <= k <= n - 1, f"k must satisfy 2 <= k <= n-1, got {k}")
+    if not 2 <= k <= n - 1:
+        raise ValueError(f"k must satisfy 2 <= k <= n-1, got {k}")
     kids = _child_index(forest.parents)
     _require_plain(forest, kids, k, n)
     return _attach(forest, kids, k, range(n + 1), choice)
@@ -233,21 +228,25 @@ def _require_partite(
 ) -> list[int]:
     """Returns the part table, ``forests._part_table``.  The pivot vertex is
     the smallest label of part 2."""
-    _require(parts.n == forest.n, "part sizes must cover the vertex set")
-    _require(parts.part_count >= 2, "at least two parts are required")
-    _require(k <= parts.sizes[0], f"roots 1..{k} must lie in part 1")
+    if parts.n != forest.n:
+        raise ValueError("part sizes must cover the vertex set")
+    if parts.part_count < 2:
+        raise ValueError("at least two parts are required")
+    if k > parts.sizes[0]:
+        raise ValueError(f"roots 1..{k} must lie in part 1")
     part = _part_table(parts)
-    _require(_cross_part(part, forest.parents), "forest has an edge inside one part")
+    if not _cross_part(part, forest.parents):
+        raise ValueError("forest has an edge inside one part")
     _require_plain(forest, kids, k, parts.sizes[0] + 1)
     return part
 
 
 def _require_partite_k(k: int, parts: PartAssignment) -> None:
     """The range of a partite step's k: the new root lies in part 1."""
-    _require(
-        2 <= k <= parts.sizes[0],
-        f"k must satisfy 2 <= k <= |part 1| = {parts.sizes[0]}, got {k}",
-    )
+    if not 2 <= k <= parts.sizes[0]:
+        raise ValueError(
+            f"k must satisfy 2 <= k <= |part 1| = {parts.sizes[0]}, got {k}"
+        )
 
 
 def partite_forward(
@@ -302,12 +301,12 @@ def reroot_switch(forest: RootedForest) -> RootedForest:
     untouched, only parent pointers along the path between 1 and r+1 flip.
     """
     r = forest.root_count
-    _require(forest.has_standard_roots(r), "roots must be exactly 1..r")
-    _require(r + 1 <= forest.n, "vertex r+1 does not exist")
-    _require(
-        is_descendant(forest, r + 1, 1),
-        f"vertex {r + 1} must lie in the tree rooted at 1",
-    )
+    if not forest.has_standard_roots(r):
+        raise ValueError("roots must be exactly 1..r")
+    if r + 1 > forest.n:
+        raise ValueError("vertex r+1 does not exist")
+    if not is_descendant(forest, r + 1, 1):
+        raise ValueError(f"vertex {r + 1} must lie in the tree rooted at 1")
     return reroot_tree(forest, r + 1)
 
 
@@ -356,9 +355,10 @@ def _require_plane(pf: PlaneForest, k: int, leafy: bool = False) -> tuple[int, l
     """
     labels = pf.preorder_labels
     if leafy:
-        _require(pf.is_leaf_unlabeled(), "exactly the leaves must be unlabeled")
-    else:
-        _require(0 not in labels, "plane family here is fully labeled")
+        if not pf.is_leaf_unlabeled():
+            raise ValueError("exactly the leaves must be unlabeled")
+    elif 0 in labels:
+        raise ValueError("plane family here is fully labeled")
     m = len(labels) - labels.count(0)
     if max(labels, default=0) != m:  # the distinct labels are not 1..m
         raise ValueError(
@@ -367,7 +367,8 @@ def _require_plane(pf: PlaneForest, k: int, leafy: bool = False) -> tuple[int, l
     starts = _tree_starts(pf.preorder_degrees)
     if [labels[j] for j in starts[:-1]] != list(range(1, k + 1)):
         raise ValueError(f"expected roots exactly 1..{k}, got {pf.root_labels()}")
-    _require(m > 0, "label 0 not present")  # the empty forest
+    if not m:
+        raise ValueError("label 0 not present")  # the empty forest
     if labels.index(m) >= starts[1]:
         raise ValueError(f"vertex {m} must lie in the tree rooted at 1")
     return m, starts
@@ -411,7 +412,8 @@ def plane_forward(pf: PlaneForest, k: int) -> tuple[PlaneForest, int]:
     """
     labels, degrees = pf.preorder_labels, pf.preorder_degrees
     n = len(labels)
-    _require(2 <= k <= n - 1, f"k must satisfy 2 <= k <= n-1, got {k}")
+    if not 2 <= k <= n - 1:
+        raise ValueError(f"k must satisfy 2 <= k <= n-1, got {k}")
     starts = _require_plane(pf, k - 1)[1]
     i = labels.index(k)
     e = _subtree_end(degrees, i)
@@ -430,7 +432,8 @@ def plane_forward(pf: PlaneForest, k: int) -> tuple[PlaneForest, int]:
 def plane_inverse(pf: PlaneForest, k: int, choice: int) -> PlaneForest:
     labels, degrees = pf.preorder_labels, pf.preorder_degrees
     n = len(labels)
-    _require(2 <= k <= n - 1, f"k must satisfy 2 <= k <= n-1, got {k}")
+    if not 2 <= k <= n - 1:
+        raise ValueError(f"k must satisfy 2 <= k <= n-1, got {k}")
     starts = _require_plane(pf, k)[1]
     # Tree k is the last.  The target vertex never lies in the moved tree:
     # outside slots avoid tree k, inside slots avoid tree 1.
@@ -463,7 +466,8 @@ def leafplane_forward(pf: PlaneForest, r: int) -> tuple[PlaneForest, int]:
     """
     labels, degrees = pf.preorder_labels, pf.preorder_degrees
     m, starts = _require_plane(pf, r - 1, leafy=True)
-    _require(2 <= r <= m - 1, f"r must satisfy 2 <= r <= {m - 1}")
+    if not 2 <= r <= m - 1:
+        raise ValueError(f"r must satisfy 2 <= r <= {m - 1}")
     i = labels.index(r)
     e = _subtree_end(degrees, i)
     # The hole's rank counts every leaf of the result but those after it.
@@ -482,9 +486,11 @@ def leafplane_inverse(pf: PlaneForest, r: int, choice: int) -> PlaneForest:
     """Replace the chosen unlabeled leaf by tree r (or tree 1 plus a swap)."""
     labels = pf.preorder_labels
     m, starts = _require_plane(pf, r, leafy=True)
-    _require(2 <= r <= m - 1, f"r must satisfy 2 <= r <= {m - 1}")
+    if not 2 <= r <= m - 1:
+        raise ValueError(f"r must satisfy 2 <= r <= {m - 1}")
     leaves = len(labels) - m
-    _require(1 <= choice <= leaves, f"choice must be in 1..{leaves}, got {choice}")
+    if not 1 <= choice <= leaves:
+        raise ValueError(f"choice must be in 1..{leaves}, got {choice}")
     leaf = -1
     for _ in range(choice):
         leaf = labels.index(0, leaf + 1)
@@ -511,12 +517,10 @@ def _require_colored(
     """``kids`` is the child index of ``ef.base``."""
     if kids[0] != list(range(1, r + 1)):
         raise ValueError(f"expected roots exactly 1..{r}, got {ef.base.roots}")
-    special = _special(ef.colors, ef.color_count, kids)
-    _require(special, "an edge out of a root carries the last color")
-    _require(
-        is_descendant(ef.base, ef.n, 1),
-        f"vertex {ef.n} must lie in the tree rooted at 1",
-    )
+    if not _special(ef.colors, ef.color_count, kids):
+        raise ValueError("an edge out of a root carries the last color")
+    if not is_descendant(ef.base, ef.n, 1):
+        raise ValueError(f"vertex {ef.n} must lie in the tree rooted at 1")
 
 
 def _free_counts(kids: list[list[int]], kc: int) -> list[int]:
@@ -544,7 +548,8 @@ def colored_forward(
     and x.
     """
     n, kc = ef.n, ef.color_count
-    _require(2 <= r <= n - 1, f"r must satisfy 2 <= r <= n-1, got {r}")
+    if not 2 <= r <= n - 1:
+        raise ValueError(f"r must satisfy 2 <= r <= n-1, got {r}")
     kids = _child_index(ef.base.parents)
     _require_colored(ef, kids, r - 1)
     parents, colors = list(ef.base.parents), list(ef.colors)
@@ -581,7 +586,8 @@ def colored_inverse(
     edge is recolored with the last color, undoing the forward recoloring.
     """
     n, kc = ef.n, ef.color_count
-    _require(2 <= r <= n - 1, f"r must satisfy 2 <= r <= n-1, got {r}")
+    if not 2 <= r <= n - 1:
+        raise ValueError(f"r must satisfy 2 <= r <= n-1, got {r}")
     kids = _child_index(ef.base.parents)
     _require_colored(ef, kids, r)
     v, j, swap = _chosen(_free_counts(kids, kc), _tree_k(kids, r), choice)

@@ -296,6 +296,8 @@ def _spec_from_args(args):
 def _cmd_enumerate(args) -> int:
     from .enumeration import _checked, count_by_enumeration, enumerate_family
 
+    if args.count_only:
+        _reject_flags(args, "enumerate --count-only takes", ["limit"])
     if args.limit is not None and args.limit < 0:
         raise ValueError(f"--limit must be nonnegative, got {args.limit}")
     spec = _spec_from_args(args)
@@ -365,6 +367,8 @@ def _cmd_bijection(args) -> int:
 
     family = args.family
     _reject_unread(args)
+    if args.direction == "forward":
+        _reject_flags(args, "bijection forward takes", ["choice"])
     forest = _family_forest(args)
     if args.k is None:
         raise ValueError("bijection needs --k (the new root label)")

@@ -745,20 +745,7 @@ def render_forest(forest: RootedForest) -> str:
 
 
 def parse_forest(text: str) -> RootedForest:
-    ints = _parse_ints(text)
-    if len(ints) < 2:
-        raise ParseError("expected 'n k p_1 ... p_n'", 0)
-    n, k = ints[0], ints[1]
-    if len(ints) != 2 + n:
-        raise ParseError(
-            f"expected {n} parent entries, found {len(ints) - 2}", len(text)
-        )
-    forest = RootedForest(tuple(ints[2:]))
-    if forest.root_count != k:
-        raise ParseError(
-            f"header says {k} roots but parent map has {forest.root_count}", 0
-        )
-    return forest
+    return _parse_rooted(text, colored=False)[0]
 
 
 def render_colored(ef: EdgeColoredForest) -> str:
@@ -768,17 +755,32 @@ def render_colored(ef: EdgeColoredForest) -> str:
 
 
 def parse_colored(text: str, color_count: int) -> EdgeColoredForest:
+    base, colors = _parse_rooted(text, colored=True)
+    return EdgeColoredForest(base, color_count, colors)
+
+
+def _parse_rooted(text: str, colored: bool) -> tuple[RootedForest, tuple[int, ...]]:
+    """The forest of a text 'n k p_1 ... p_n', whose header must count its
+    roots, and the colors 'c_1 ... c_n' that follow when ``colored``."""
     ints = _parse_ints(text)
     if len(ints) < 2:
-        raise ParseError("expected 'n k p_1 ... p_n c_1 ... c_n'", 0)
-    n = ints[0]
-    if len(ints) != 2 + 2 * n:
+        colors = " c_1 ... c_n" if colored else ""
+        raise ParseError(f"expected 'n k p_1 ... p_n{colors}'", 0)
+    n, k = ints[0], ints[1]
+    if len(ints) != 2 + (1 + colored) * n:
+        found = len(ints) - 2
         raise ParseError(
-            f"expected {2 * n} entries after the header, found {len(ints) - 2}",
+            f"expected {2 * n} entries after the header, found {found}"
+            if colored
+            else f"expected {n} parent entries, found {found}",
             len(text),
         )
-    base = parse_forest(" ".join(str(x) for x in ints[: 2 + n]))
-    return EdgeColoredForest(base, color_count, tuple(ints[2 + n :]))
+    forest = RootedForest(tuple(ints[2 : 2 + n]))
+    if forest.root_count != k:
+        raise ParseError(
+            f"header says {k} roots but parent map has {forest.root_count}", 0
+        )
+    return forest, tuple(ints[2 + n :])
 
 
 _INTEGER = re.compile(r"-?[0-9]+")

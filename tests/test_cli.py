@@ -506,6 +506,10 @@ ERROR_PATHS = [
     # An arity below 1.
     ("identity", "kary", "--grid", "k=-1..-1"),
     ("identity", "kary", "--grid", "k=0..0"),
+    # A flag the mode never reads.
+    ("bijection", "forward", "--family", "plain", "--k", "3", "--choice", "4",
+     "--forest", "5 2 0 0 5 3 1"),
+    ("enumerate", "--family", "plain", "--n", "4", "--count-only", "--limit", "1"),
 ]
 
 
