@@ -766,15 +766,13 @@ def _parse_rooted(text: str, colored: bool) -> tuple[RootedForest, tuple[int, ..
     if len(ints) < 2:
         colors = " c_1 ... c_n" if colored else ""
         raise ParseError(f"expected 'n k p_1 ... p_n{colors}'", 0)
-    n, k = ints[0], ints[1]
-    if len(ints) != 2 + (1 + colored) * n:
-        found = len(ints) - 2
+    n, k, found = ints[0], ints[1], len(ints) - 2
+    if colored and found != 2 * n:
         raise ParseError(
-            f"expected {2 * n} entries after the header, found {found}"
-            if colored
-            else f"expected {n} parent entries, found {found}",
-            len(text),
+            f"expected {2 * n} entries after the header, found {found}", len(text)
         )
+    if not colored and found != n:
+        raise ParseError(f"expected {n} parent entries, found {found}", len(text))
     forest = RootedForest(tuple(ints[2 : 2 + n]))
     if forest.root_count != k:
         raise ParseError(
