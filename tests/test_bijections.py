@@ -1,6 +1,8 @@
 """Bijection steps: worked vectors from the paper figures' instances,
 plus exhaustive round trips at small sizes."""
 
+from itertools import product
+
 import pytest
 
 from forestcodec import (
@@ -34,6 +36,7 @@ from forestcodec import (
     subtree_vertices,
 )
 from forestcodec.enumeration import FamilySpec, enumerate_family
+from forestcodec.forests import _rebuilt
 
 BOTTOM = parse_forest("5 3 0 0 0 3 1")
 
@@ -695,3 +698,104 @@ class TestColored:
                         g, c = colored_forward(f, r)
                         assert g.is_special()
                         assert colored_inverse(g, r, c) == f
+
+
+def revalidate(value) -> None:
+    """Check a step's output anew on the validating construction path,
+    ``forests._rebuilt``, a colored forest's base first, and that every
+    other field is an int or a tuple of ints, as the parsers build them."""
+    for x in value._values:
+        if isinstance(x, RootedForest):
+            revalidate(x)
+        else:
+            assert type(x) is int or (
+                type(x) is tuple and all(type(i) is int for i in x)
+            ), x
+    _rebuilt(type(value), value._values)
+
+
+def _members(family, **spec):
+    return list(enumerate_family(FamilySpec(family, conditioned=True, **spec)))
+
+
+def _plain_levels():
+    for n in range(3, 6):
+        for k in range(2, n):
+            yield k, plain_forward, plain_inverse, plain_choice_count, (
+                _members("plain", n=n, roots=k - 1), _members("plain", n=n, roots=k)
+            )
+
+
+def _partite_levels():
+    # Every part-size list of at most 5 vertices with part 1 of size >= 2.
+    for m in (2, 3, 4):
+        for sizes in product(range(1, 5), repeat=m):
+            if sizes[0] < 2 or sum(sizes) > 5:
+                continue
+            parts = PartAssignment(sizes)
+            for k in range(2, sizes[0] + 1):
+                yield (
+                    k,
+                    lambda f, k: partite_forward(f, k, parts),
+                    lambda g, k, c: partite_inverse(g, k, parts, c),
+                    lambda g, k: partite_choice_count(g, k, parts),
+                    (
+                        _members("partite", part_sizes=sizes, roots=k - 1),
+                        _members("partite", part_sizes=sizes, roots=k),
+                    ),
+                )
+
+
+def _plane_levels():
+    for n in range(3, 6):
+        for k in range(2, n):
+            yield k, plane_forward, plane_inverse, plane_choice_count, (
+                _members("plane", n=n, roots=k - 1), _members("plane", n=n, roots=k)
+            )
+
+
+def _leafplane_levels():
+    # The forward step's input has n vertices; its output one more, a leaf.
+    for n in range(4, 6):
+        for leaves in range(1, n - 2):
+            for r in range(2, n - leaves):
+                yield r, leafplane_forward, leafplane_inverse, leafplane_choice_count, (
+                    _members("leafplane", n=n, leaves=leaves, roots=r - 1),
+                    _members("leafplane", n=n + 1, leaves=leaves + 1, roots=r),
+                )
+
+
+def _colored_levels():
+    for n in range(3, 6):
+        for kc in (2, 3):
+            for r in range(2, n):
+                spec = {"n": n, "colors": kc}
+                yield r, colored_forward, colored_inverse, colored_choice_count, (
+                    _members("special-colored", roots=r - 1, **spec),
+                    _members("special-colored", roots=r, **spec),
+                )
+
+
+STEP_LEVELS = {
+    "plain": _plain_levels,
+    "partite": _partite_levels,
+    "plane": _plane_levels,
+    "leafplane": _leafplane_levels,
+    "colored": _colored_levels,
+}
+
+
+@pytest.mark.parametrize("family", STEP_LEVELS)
+def test_step_outputs_validate(family):
+    """Every forward step on every member with roots 1..k-1, and every
+    inverse step at every choice on every member with roots 1..k, at n <= 5,
+    builds a value its validating constructor accepts."""
+    steps = 0
+    for k, forward, inverse, count, (sources, targets) in STEP_LEVELS[family]():
+        for f in sources:
+            revalidate(forward(f, k)[0])
+        for g in targets:
+            for c in range(1, count(g, k) + 1):
+                revalidate(inverse(g, k, c))
+        steps += len(sources) + len(targets)
+    assert steps

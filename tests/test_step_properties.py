@@ -7,7 +7,8 @@ stepped at a drawn k.
 Forests are grown by hypothesis independently of the bijections: roots
 1..k-1 come first, each later vertex hangs below an earlier one, and the
 pivot (the largest label, or the first label of part 2) goes to a vertex of
-tree 1, as the forward step requires.
+tree 1, as the forward step requires.  Every step output is checked anew
+on the validating construction path (``test_bijections.revalidate``).
 """
 
 import pytest
@@ -16,6 +17,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_bijections import revalidate
 
 from forestcodec import (
     EdgeColoredForest,
@@ -26,6 +28,7 @@ from forestcodec import (
     colored_choice_count,
     colored_forward,
     colored_inverse,
+    leafplane_choice_count,
     leafplane_forward,
     leafplane_inverse,
     partite_choice_count,
@@ -41,6 +44,22 @@ from forestcodec import (
 
 MAX_LABELS = 40
 SETTINGS = settings(max_examples=50, deadline=None)
+
+
+def steps_invert(forward, inverse, count, f, k, data) -> None:
+    """The forward step from f and back, then the inverse at a drawn choice
+    and forward again; every output is checked anew."""
+    g, c = forward(f, k)
+    revalidate(g)
+    back = inverse(g, k, c)
+    revalidate(back)
+    assert back == f
+    c = data.draw(st.integers(1, count(g, k)))
+    h = inverse(g, k, c)
+    revalidate(h)
+    again = forward(h, k)
+    revalidate(again[0])
+    assert again == (g, c)
 
 
 @st.composite
@@ -103,21 +122,15 @@ def _descends(parent, j, i):
 @SETTINGS
 @given(grown(leafy=False), st.data())
 def test_plane_steps_invert(start, data):
-    f, k = start
-    g, c = plane_forward(f, k)
-    assert plane_inverse(g, k, c) == f
-    c = data.draw(st.integers(1, plane_choice_count(g, k)))
-    assert plane_forward(plane_inverse(g, k, c), k) == (g, c)
+    steps_invert(plane_forward, plane_inverse, plane_choice_count, *start, data)
 
 
 @SETTINGS
 @given(grown(leafy=True), st.data())
 def test_leafplane_steps_invert(start, data):
-    f, r = start
-    g, c = leafplane_forward(f, r)
-    assert leafplane_inverse(g, r, c) == f
-    c = data.draw(st.integers(1, g.leaf_count))
-    assert leafplane_forward(leafplane_inverse(g, r, c), r) == (g, c)
+    steps_invert(
+        leafplane_forward, leafplane_inverse, leafplane_choice_count, *start, data
+    )
 
 
 @st.composite
@@ -170,10 +183,12 @@ def partite_grown(draw):
 @given(partite_grown(), st.data())
 def test_partite_steps_invert(start, data):
     f, k, parts = start
-    g, c = partite_forward(f, k, parts)
-    assert partite_inverse(g, k, parts, c) == f
-    c = data.draw(st.integers(1, partite_choice_count(g, k, parts)))
-    assert partite_forward(partite_inverse(g, k, parts, c), k, parts) == (g, c)
+    steps_invert(
+        lambda f, k: partite_forward(f, k, parts),
+        lambda g, k, c: partite_inverse(g, k, parts, c),
+        lambda g, k: partite_choice_count(g, k, parts),
+        f, k, data,
+    )
 
 
 @st.composite
@@ -230,17 +245,10 @@ def colored_grown(draw):
 def test_plain_steps_invert(start, data):
     parents, k, _ = start
     f = RootedForest(tuple(parents))
-    g, c = plain_forward(f, k)
-    assert plain_inverse(g, k, c) == f
-    c = data.draw(st.integers(1, plain_choice_count(g, k)))
-    assert plain_forward(plain_inverse(g, k, c), k) == (g, c)
+    steps_invert(plain_forward, plain_inverse, plain_choice_count, f, k, data)
 
 
 @SETTINGS
 @given(colored_grown(), st.data())
 def test_colored_steps_invert(start, data):
-    f, k = start
-    g, c = colored_forward(f, k)
-    assert colored_inverse(g, k, c) == f
-    c = data.draw(st.integers(1, colored_choice_count(g, k)))
-    assert colored_forward(colored_inverse(g, k, c), k) == (g, c)
+    steps_invert(colored_forward, colored_inverse, colored_choice_count, *start, data)
