@@ -31,11 +31,14 @@ sums the counts before the forward step's target and ``_chosen`` subtracts
 them until the inverse step's choice runs out.  A plane step builds the
 counts by label in one pass over the word.  The labeled moves edit the
 parent map in place, and the exchange of labels 1 and k swaps two entries.
-The output is built once (a plane forest's as its word, without nodes), and
-its constructor validates it in one more pass.  Codec and sampler runs do
-not call these steps: :mod:`codec` applies the same rules to one mutable
-forest across a run, in O(log^2 n) a step besides the moves, with the
-coloring rules that both take from :mod:`forests`.
+The output is built once (a plane forest's as its word, without nodes) and
+not checked again (``forests._trusted``): the step has checked its input's
+membership, and a step maps a member of one level to a member of the next,
+which the tests check on every output of every step at n <= 5 and on drawn
+forests.  Codec and sampler runs do not call these steps: :mod:`codec`
+applies the same rules to one mutable forest across a run, in O(log^2 n) a
+step besides the moves, with the coloring rules that both take from
+:mod:`forests`.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from .forests import (
     PlaneForest,
     RootedForest,
     _alternating_flip,
+    _check_vertex,
     _child_index,
     _cross_part,
     _part_table,
@@ -60,6 +64,7 @@ from .forests import (
     _swapped,
     _transposed,
     _tree_starts,
+    _trusted,
     _used_colors,
     is_descendant,
 )
@@ -161,7 +166,7 @@ def _detach(
         parents = _transposed(parents, 1, k)
         w = _swapped(w, 1, k)
     choice = _choice_index(_targets(inside, k, part), inside, w, 0, swapped)
-    return RootedForest(tuple(parents)), choice
+    return _trusted(RootedForest, (tuple(parents),)), choice
 
 
 def _attach(
@@ -179,7 +184,7 @@ def _attach(
     parents[(1 if swap else k) - 1] = u
     if swap:
         parents = _transposed(parents, 1, k)
-    return RootedForest(tuple(parents))
+    return _trusted(RootedForest, (tuple(parents),))
 
 
 def plain_forward(forest: RootedForest, k: int) -> tuple[RootedForest, int]:
@@ -283,6 +288,7 @@ def partite_choice_count(
 
 def reroot_tree(forest: RootedForest, v: int) -> RootedForest:
     """Re-root the tree containing v at v by reversing the path to its root."""
+    _check_vertex(forest, v)
     path = [v]
     while forest.parents[path[-1] - 1] != 0:
         path.append(forest.parents[path[-1] - 1])
@@ -290,7 +296,7 @@ def reroot_tree(forest: RootedForest, v: int) -> RootedForest:
     parents[v - 1] = 0
     for child, par in zip(path, path[1:]):
         parents[par - 1] = child
-    return RootedForest(tuple(parents))
+    return _trusted(RootedForest, (tuple(parents),))
 
 
 def reroot_switch(forest: RootedForest) -> RootedForest:
@@ -376,11 +382,11 @@ def _require_plane(pf: PlaneForest, k: int, leafy: bool = False) -> tuple[int, l
 
 def _detached(
     word: tuple[list, list], k: int, starts: list, i: int, e: int, swapped: bool
-) -> PlaneForest:
-    """A forward step's result, from the word of its input as two lists and
-    the input's tree starts: the subtree at positions i..e-1 becomes tree k
-    and leaves in its place what the lists hold past the input (an
-    unlabeled leaf, or nothing).  With ``swapped`` labels 1 and k, two
+) -> tuple[tuple, tuple]:
+    """A forward step's result word, from the word of its input as two
+    lists and the input's tree starts: the subtree at positions i..e-1
+    becomes tree k and leaves in its place what the lists hold past the
+    input (an unlabeled leaf, or nothing).  With ``swapped`` labels 1 and k, two
     roots, are exchanged in the lists: the subtree becomes tree 1 and the
     rest of tree 1 tree k."""
     e1, n, end = starts[1], starts[-1], len(word[0])
@@ -392,11 +398,12 @@ def _detached(
 
 def _attached(
     word: tuple[list, list], k: int, starts: list, at: int, after: int, swap: bool
-) -> PlaneForest:
-    """An inverse step's result, from the word of its input as two lists and
-    the input's tree starts: tree k, the last, goes in at position ``at`` in
-    place of positions at..after-1 (an unlabeled leaf, or nothing).  With
-    ``swap`` tree 1 goes in instead, and labels 1 and k are exchanged."""
+) -> tuple[tuple, tuple]:
+    """An inverse step's result word, from the word of its input as two
+    lists and the input's tree starts: tree k, the last, goes in at
+    position ``at`` in place of positions at..after-1 (an unlabeled leaf,
+    or nothing).  With ``swap`` tree 1 goes in instead, and labels 1 and k
+    are exchanged."""
     cut, e1, n = starts[-2], starts[1], starts[-1]
     if swap:
         word[0][0], word[0][cut] = k, 1
@@ -423,7 +430,7 @@ def plane_forward(pf: PlaneForest, k: int) -> tuple[PlaneForest, int]:
     # Vertex n lies in tree 1; it leaves tree 1 exactly when it sits in the
     # detached subtree.
     swapped = i <= labels.index(n) < e
-    g = _detached(word, k, starts, i, e, swapped)
+    g = _trusted(PlaneForest, _detached(word, k, starts, i, e, swapped))
     # w's label in g is word[0][w], and i sat in its gap ``gap``.
     slots, inside = _gap_slots(g, g.preorder_labels.index(k))
     return g, _choice_index(slots, inside, word[0][w], gap, swapped)
@@ -444,7 +451,7 @@ def plane_inverse(pf: PlaneForest, k: int, choice: int) -> PlaneForest:
         at = _subtree_end(degrees, at)
     word = (list(labels), list(degrees))
     word[1][p] += 1
-    return _attached(word, k, starts, at, at, swap)
+    return _trusted(PlaneForest, _attached(word, k, starts, at, at, swap))
 
 
 def plane_choice_count(pf: PlaneForest, k: int) -> int:
@@ -478,7 +485,7 @@ def leafplane_forward(pf: PlaneForest, r: int) -> tuple[PlaneForest, int]:
     swapped = i <= labels.index(m) < e
     after = labels[e : starts[1]] if swapped else labels[i:]
     hole = (list(labels) + [0], list(degrees) + [0])  # a fresh leaf past the word
-    g = _detached(hole, r, starts, i, e, swapped)
+    g = _trusted(PlaneForest, _detached(hole, r, starts, i, e, swapped))
     return g, labels.count(0) - after.count(0) + 1
 
 
@@ -497,7 +504,8 @@ def leafplane_inverse(pf: PlaneForest, r: int, choice: int) -> PlaneForest:
     # The leaves of tree r, the last tree, come last: choosing one of them
     # takes the swap case.
     word = (list(labels), list(pf.preorder_degrees))
-    return _attached(word, r, starts, leaf, leaf + 1, leaf >= starts[-2])
+    out = _attached(word, r, starts, leaf, leaf + 1, leaf >= starts[-2])
+    return _trusted(PlaneForest, out)
 
 
 def leafplane_choice_count(pf: PlaneForest, r: int) -> int:
@@ -537,6 +545,14 @@ def _free_counts(kids: list[list[int]], kc: int) -> list[int]:
     return slots
 
 
+def _colored_value(
+    parents: list[int], kc: int, colors: list[int]
+) -> EdgeColoredForest:
+    """A colored step's output, unchecked like every step's: its base too."""
+    base = _trusted(RootedForest, (tuple(parents),))
+    return _trusted(EdgeColoredForest, (base, kc, tuple(colors)))
+
+
 def colored_forward(
     ef: EdgeColoredForest, r: int
 ) -> tuple[EdgeColoredForest, int]:
@@ -573,7 +589,7 @@ def colored_forward(
         colors[0], colors[r - 1] = colors[r - 1], colors[0]
         slots[1], slots[r] = slots[r], slots[1]
         w = _swapped(w, 1, r)
-    out = EdgeColoredForest(RootedForest(tuple(parents)), kc, tuple(colors))
+    out = _colored_value(parents, kc, colors)
     return out, _choice_index(slots, inside, w, j, swapped)
 
 
@@ -606,7 +622,7 @@ def colored_inverse(
     if swap:
         parents = _transposed(parents, 1, r)
         colors[0], colors[r - 1] = colors[r - 1], colors[0]
-    return EdgeColoredForest(RootedForest(tuple(parents)), kc, tuple(colors))
+    return _colored_value(parents, kc, colors)
 
 
 def colored_choice_count(ef: EdgeColoredForest, r: int) -> int:

@@ -297,7 +297,7 @@ def _cmd_enumerate(args) -> int:
     from .enumeration import _checked, count_by_enumeration, enumerate_family
 
     if args.count_only:
-        _reject_flags(args, "enumerate --count-only takes", ["limit"])
+        _reject_flags(args, "enumerate --count-only takes", ["limit", "format"])
     if args.limit is not None and args.limit < 0:
         raise ValueError(f"--limit must be nonnegative, got {args.limit}")
     spec = _spec_from_args(args)
@@ -311,7 +311,7 @@ def _cmd_enumerate(args) -> int:
         print(count_by_enumeration(spec, args.budget))
         return EXIT_OK
     for forest in islice(enumerate_family(spec, args.budget), args.limit):
-        print(_render(forest, args.format))
+        print(_render(forest, args.format or "text"))
     return EXIT_OK
 
 
@@ -503,7 +503,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--limit", type=int)
     pe.add_argument("--count-only", action="store_true")
     pe.add_argument("--budget", type=int)
-    pe.add_argument("--format", choices=_FORMATS, default="text")
+    # No default, so that --count-only can tell a given --format.
+    pe.add_argument("--format", choices=_FORMATS)
     pe.set_defaults(func=_cmd_enumerate)
 
     ps = sub.add_parser("sample", help="draw uniform random forests")

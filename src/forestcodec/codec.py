@@ -55,10 +55,10 @@ from .forests import (
     _Value,
     _alternating_flip,
     _child_index,
-    _fill,
     _plane_word,
     _preorder,
     _preorder_parents,
+    _rebuilt,
     _used_colors,
 )
 
@@ -108,8 +108,8 @@ class ChoiceTrace(_Value):
 
     __slots__ = ("family", "n", "colors", "choices")
 
-    def __init__(self, family: str, n: int, colors: int = 0, choices: tuple = ()):
-        _fill(self, (family, n, colors, choices))
+    def __new__(cls, family: str, n: int, colors: int = 0, choices: tuple = ()):
+        return _rebuilt(cls, (family, n, colors, choices))
 
     def __post_init__(self) -> None:
         if self.family not in CODEC_FAMILIES:

@@ -31,10 +31,10 @@ from .forests import (
     _cycle_vertex,
     _depths,
     _descends,
-    _fill,
     _part_table,
     _plane_word,
     _properly_colored,
+    _rebuilt,
     _special,
 )
 
@@ -88,15 +88,15 @@ class FamilySpec(_Value):
         "arity", "conditioned", "labeled", "degrees",
     )
 
-    def __init__(
-        self, family: str, n: int = 0, roots: int = 1,
+    def __new__(
+        cls, family: str, n: int = 0, roots: int = 1,
         root_set: tuple[int, ...] | None = None, part_sizes: tuple[int, ...] = (),
         leaves: int | None = None, colors: int = 0, arity: int = 0,
         conditioned: bool = False, labeled: bool = True,
         degrees: tuple[int, ...] | None = None,
-    ) -> None:
+    ) -> FamilySpec:
         fields = (family, n, roots, root_set, part_sizes, leaves, colors, arity)
-        _fill(self, (*fields, conditioned, labeled, degrees))
+        return _rebuilt(cls, (*fields, conditioned, labeled, degrees))
 
     def validate(self) -> None:
         if self.family not in FAMILIES:
@@ -451,8 +451,8 @@ class RecurrenceRow(_Value):
 
     __slots__ = ("label", "lhs", "multiplier", "rhs")
 
-    def __init__(self, label: str, lhs: int, multiplier: int, rhs: int) -> None:
-        _fill(self, (label, lhs, multiplier, rhs))
+    def __new__(cls, label: str, lhs: int, multiplier: int, rhs: int) -> RecurrenceRow:
+        return _rebuilt(cls, (label, lhs, multiplier, rhs))
 
     @property
     def ok(self) -> bool:

@@ -28,6 +28,14 @@ the parents and then the cycle walk ``_cycle_vertex``, which
 twice).  Only a value that fails runs the reference loops
 (``_check_parents``, ``_check_coloring``), which name the fault.
 
+Who validates: every public constructor, the parsers, ``replace``,
+unpickling and copying (all through ``_rebuilt``), the codec's
+``decode`` and ``sample_uniform`` and the enumeration oracles.  The
+bijection steps build their outputs with ``_trusted``, which sets the
+fields and skips the check: a step checks that its input is a member of
+its family level, and maps it to a member of the next, as the bijection
+theorem says and the tests check on every step output.
+
 Family-level constraints (roots being exactly 1..k, a pivot vertex lying in
 tree 1, part discipline, special color rules) are *not* type invariants:
 intermediate states of the bijections legitimately violate them.  They are
@@ -60,8 +68,9 @@ _set = object.__setattr__  # how a value's own code writes its fields
 
 class _Value:
     """The base of the value types, which act as frozen dataclasses whose
-    fields ``__slots__`` lists in order.  Each ``__init__`` sets the fields
-    and calls ``__post_init__``, the check."""
+    fields ``__slots__`` lists in order.  Each constructor (``__new__``)
+    hands its fields to ``_rebuilt``, which sets them and calls
+    ``__post_init__``, the check."""
 
     __slots__ = ()
 
@@ -101,16 +110,21 @@ class _Value:
         return _rebuilt(type(self), values)
 
 
-def _fill(value: _Value, values: Sequence) -> _Value:
-    """Give a new ``value`` its fields, in ``__slots__`` order, and check it."""
-    for name, x in zip(value.__slots__, values):
+def _trusted(cls: type, values: Sequence) -> _Value:
+    """A new value of ``cls`` with these fields, in ``__slots__`` order, and
+    no check: for the outputs of :mod:`bijections` only, whose steps map a
+    member of one family level, checked on entry, to a member of the next."""
+    value = object.__new__(cls)
+    for name, x in zip(cls.__slots__, values):
         _set(value, name, x)
-    value.__post_init__()
     return value
 
 
 def _rebuilt(cls: type, values: Sequence) -> _Value:
-    return _fill(object.__new__(cls), values)  # whatever cls.__init__ takes
+    """A new value of ``cls`` with these fields, checked."""
+    value = _trusted(cls, values)
+    value.__post_init__()
+    return value
 
 
 # --------------------------------------------------------------------------
@@ -127,9 +141,8 @@ class RootedForest(_Value):
 
     __slots__ = ("parents",)
 
-    def __init__(self, parents: tuple[int, ...]) -> None:
-        _set(self, "parents", parents)
-        self.__post_init__()
+    def __new__(cls, parents: tuple[int, ...]) -> RootedForest:
+        return _rebuilt(cls, (parents,))
 
     def __post_init__(self) -> None:
         if not _reaches_all(self.parents):
@@ -252,6 +265,7 @@ def _subtree(kids: list[list[int]], x: int) -> list[int]:
 
 def detach_subtree(forest: RootedForest, x: int) -> RootedForest:
     """Cut the edge above x, making x a new root; everything else unchanged."""
+    _check_vertex(forest, x)
     if forest.parents[x - 1] == 0:
         raise ValueError(f"vertex {x} is already a root")
     parents = list(forest.parents)
@@ -261,6 +275,7 @@ def detach_subtree(forest: RootedForest, x: int) -> RootedForest:
 
 def attach_subtree(forest: RootedForest, x: int, v: int) -> RootedForest:
     """Attach the tree rooted at x below v; v must lie outside that tree."""
+    _check_vertex(forest, x)
     if forest.parents[x - 1] != 0:
         raise ValueError(f"vertex {x} is not a root")
     if is_descendant(forest, v, x):
@@ -310,8 +325,8 @@ class PartAssignment(_Value):
 
     __slots__ = ("sizes",)
 
-    def __init__(self, sizes: tuple[int, ...]) -> None:
-        _fill(self, (sizes,))
+    def __new__(cls, sizes: tuple[int, ...]) -> PartAssignment:
+        return _rebuilt(cls, (sizes,))
 
     def __post_init__(self) -> None:
         if not self.sizes:
@@ -364,8 +379,8 @@ class PlaneNode(_Value):
 
     __slots__ = ("label", "children")
 
-    def __init__(self, label: int | None, children: tuple[PlaneNode, ...] = ()):
-        _fill(self, (label, children))
+    def __new__(cls, label: int | None, children: tuple[PlaneNode, ...] = ()):
+        return _rebuilt(cls, (label, children))
 
     def __post_init__(self) -> None:
         if self.label is not None and self.label < 1:
@@ -430,8 +445,8 @@ class PlaneForest(_Value):
 
     __slots__ = ("preorder_labels", "preorder_degrees")
 
-    def __init__(self, trees: Sequence[PlaneNode]) -> None:
-        _fill(self, _preorder(trees, *_NODE))
+    def __new__(cls, trees: Sequence[PlaneNode]) -> PlaneForest:
+        return _rebuilt(cls, _preorder(trees, *_NODE))
 
     def __post_init__(self) -> None:
         labels, degrees = self.preorder_labels, self.preorder_degrees
@@ -566,13 +581,14 @@ def _tree_starts(degrees: Sequence[int]) -> list[int]:
     return starts
 
 
-def _spliced(word: tuple[Sequence, Sequence], runs) -> PlaneForest:
-    """The forest whose word is these (start, end) runs of the two lists."""
+def _spliced(word: tuple[Sequence, Sequence], runs) -> tuple[tuple, tuple]:
+    """The word, as two int tuples, made of these (start, end) runs of the
+    two lists."""
     out: tuple[list, list] = ([], [])
     for a, b in runs:
         out[0].extend(word[0][a:b])
         out[1].extend(word[1][a:b])
-    return _plane_word(tuple(out[0]), tuple(out[1]))
+    return tuple(out[0]), tuple(out[1])
 
 
 def plane_relabel(pf: PlaneForest, a: int, b: int) -> PlaneForest:
@@ -586,7 +602,7 @@ def plane_relabel(pf: PlaneForest, a: int, b: int) -> PlaneForest:
     starts = _tree_starts(pf.preorder_degrees)
     # Shape forests keep their order: the sort is stable.
     runs = sorted(zip(starts, starts[1:]), key=lambda run: labels[run[0]])
-    return _spliced((labels, pf.preorder_degrees), runs)
+    return _plane_word(*_spliced((labels, pf.preorder_degrees), runs))
 
 
 # --------------------------------------------------------------------------
@@ -604,8 +620,8 @@ class EdgeColoredForest(_Value):
 
     __slots__ = ("base", "color_count", "colors")
 
-    def __init__(self, base: RootedForest, color_count: int, colors: tuple[int, ...]):
-        _fill(self, (base, color_count, colors))
+    def __new__(cls, base: RootedForest, color_count: int, colors: tuple[int, ...]):
+        return _rebuilt(cls, (base, color_count, colors))
 
     def __post_init__(self) -> None:
         args = (self.base.parents, self.color_count, self.colors)

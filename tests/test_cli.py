@@ -510,6 +510,7 @@ ERROR_PATHS = [
     ("bijection", "forward", "--family", "plain", "--k", "3", "--choice", "4",
      "--forest", "5 2 0 0 5 3 1"),
     ("enumerate", "--family", "plain", "--n", "4", "--count-only", "--limit", "1"),
+    ("enumerate", "--family", "plain", "--n", "3", "--count-only", "--format", "json"),
 ]
 
 
@@ -558,6 +559,8 @@ def test_unread_parameters_are_named(capsys, argv, message):
         (("verify", "all", "--k-range", "2..3"), "verify all takes no --k-range"),
         (("verify", "recurrence", "--family", "plain", "--n", "4", "--max-n", "4"),
          "verify recurrence takes no --max-n"),
+        (("enumerate", "--family", "plain", "--n", "3", "--count-only", "--format",
+          "text"), "enumerate --count-only takes no --format"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, tuple) else v,
 )

@@ -1,9 +1,10 @@
-"""Input guards of codec, enumeration and cli that the other tests never
-reach: each call raises, with the start of its message."""
+"""Input guards of forests, bijections, codec, enumeration and cli that the
+other tests never reach: each call raises, with the start of its message."""
 
 import pytest
 
-from forestcodec import cli
+from forestcodec import RootedForest, cli
+from forestcodec.bijections import reroot_tree
 from forestcodec.codec import (
     ChoiceTrace,
     encode,
@@ -17,9 +18,36 @@ from forestcodec.enumeration import (
     default_budget,
     verify_recurrence,
 )
+from forestcodec.forests import attach_subtree, detach_subtree
+
+CHERRY = RootedForest((0, 1, 1))  # 2 and 3 below 1
 
 # name -> (the call, the error type, the start of its message)
 GUARDS = {
+    # A vertex outside 1..n would index the parent map from its end, or
+    # past it.
+    "detach at vertex 0": (
+        lambda: detach_subtree(CHERRY, 0), ValueError, "vertex 0 out of range 1..3"
+    ),
+    "detach above n": (
+        lambda: detach_subtree(CHERRY, 4), ValueError, "vertex 4 out of range 1..3"
+    ),
+    "attach of vertex 0": (
+        lambda: attach_subtree(CHERRY, 0, 2),
+        ValueError,
+        "vertex 0 out of range 1..3",
+    ),
+    "attach of a vertex above n": (
+        lambda: attach_subtree(CHERRY, 4, 2),
+        ValueError,
+        "vertex 4 out of range 1..3",
+    ),
+    "reroot at vertex 0": (
+        lambda: reroot_tree(CHERRY, 0), ValueError, "vertex 0 out of range 1..3"
+    ),
+    "reroot above n": (
+        lambda: reroot_tree(CHERRY, 4), ValueError, "vertex 4 out of range 1..3"
+    ),
     "trace with n < 1": (
         lambda: ChoiceTrace("plain", 0), ValueError, "need n >= 1, got 0"
     ),
