@@ -382,33 +382,36 @@ def _require_plane(pf: PlaneForest, k: int, leafy: bool = False) -> tuple[int, l
 
 def _detached(
     word: tuple[list, list], k: int, starts: list, i: int, e: int, swapped: bool
-) -> tuple[tuple, tuple]:
-    """A forward step's result word, from the word of its input as two
-    lists and the input's tree starts: the subtree at positions i..e-1
-    becomes tree k and leaves in its place what the lists hold past the
-    input (an unlabeled leaf, or nothing).  With ``swapped`` labels 1 and k, two
+) -> PlaneForest:
+    """A forward step's result, from the word of its input as two lists and
+    the input's tree starts: the subtree at positions i..e-1 becomes tree k
+    and leaves in its place what the lists hold past the input (an
+    unlabeled leaf, or nothing).  With ``swapped`` labels 1 and k, two
     roots, are exchanged in the lists: the subtree becomes tree 1 and the
     rest of tree 1 tree k."""
     e1, n, end = starts[1], starts[-1], len(word[0])
     if swapped:
         word[0][0], word[0][i] = k, 1
-        return _spliced(word, ((i, e), (e1, n), (0, i), (n, end), (e, e1)))
-    return _spliced(word, ((0, i), (n, end), (e, n), (i, e)))
+        runs = ((i, e), (e1, n), (0, i), (n, end), (e, e1))
+    else:
+        runs = ((0, i), (n, end), (e, n), (i, e))
+    return _trusted(PlaneForest, _spliced(word, runs))
 
 
 def _attached(
     word: tuple[list, list], k: int, starts: list, at: int, after: int, swap: bool
-) -> tuple[tuple, tuple]:
-    """An inverse step's result word, from the word of its input as two
-    lists and the input's tree starts: tree k, the last, goes in at
-    position ``at`` in place of positions at..after-1 (an unlabeled leaf,
-    or nothing).  With ``swap`` tree 1 goes in instead, and labels 1 and k
-    are exchanged."""
+) -> PlaneForest:
+    """An inverse step's result, from the word of its input as two lists and
+    the input's tree starts: tree k, the last, goes in at position ``at`` in
+    place of positions at..after-1 (an unlabeled leaf, or nothing).  With
+    ``swap`` tree 1 goes in instead, and labels 1 and k are exchanged."""
     cut, e1, n = starts[-2], starts[1], starts[-1]
     if swap:
         word[0][0], word[0][cut] = k, 1
-        return _spliced(word, ((cut, at), (0, e1), (after, n), (e1, cut)))
-    return _spliced(word, ((0, at), (cut, n), (after, cut)))
+        runs = ((cut, at), (0, e1), (after, n), (e1, cut))
+    else:
+        runs = ((0, at), (cut, n), (after, cut))
+    return _trusted(PlaneForest, _spliced(word, runs))
 
 
 def plane_forward(pf: PlaneForest, k: int) -> tuple[PlaneForest, int]:
@@ -430,7 +433,7 @@ def plane_forward(pf: PlaneForest, k: int) -> tuple[PlaneForest, int]:
     # Vertex n lies in tree 1; it leaves tree 1 exactly when it sits in the
     # detached subtree.
     swapped = i <= labels.index(n) < e
-    g = _trusted(PlaneForest, _detached(word, k, starts, i, e, swapped))
+    g = _detached(word, k, starts, i, e, swapped)
     # w's label in g is word[0][w], and i sat in its gap ``gap``.
     slots, inside = _gap_slots(g, g.preorder_labels.index(k))
     return g, _choice_index(slots, inside, word[0][w], gap, swapped)
@@ -451,7 +454,7 @@ def plane_inverse(pf: PlaneForest, k: int, choice: int) -> PlaneForest:
         at = _subtree_end(degrees, at)
     word = (list(labels), list(degrees))
     word[1][p] += 1
-    return _trusted(PlaneForest, _attached(word, k, starts, at, at, swap))
+    return _attached(word, k, starts, at, at, swap)
 
 
 def plane_choice_count(pf: PlaneForest, k: int) -> int:
@@ -485,7 +488,7 @@ def leafplane_forward(pf: PlaneForest, r: int) -> tuple[PlaneForest, int]:
     swapped = i <= labels.index(m) < e
     after = labels[e : starts[1]] if swapped else labels[i:]
     hole = (list(labels) + [0], list(degrees) + [0])  # a fresh leaf past the word
-    g = _trusted(PlaneForest, _detached(hole, r, starts, i, e, swapped))
+    g = _detached(hole, r, starts, i, e, swapped)
     return g, labels.count(0) - after.count(0) + 1
 
 
@@ -504,8 +507,7 @@ def leafplane_inverse(pf: PlaneForest, r: int, choice: int) -> PlaneForest:
     # The leaves of tree r, the last tree, come last: choosing one of them
     # takes the swap case.
     word = (list(labels), list(pf.preorder_degrees))
-    out = _attached(word, r, starts, leaf, leaf + 1, leaf >= starts[-2])
-    return _trusted(PlaneForest, out)
+    return _attached(word, r, starts, leaf, leaf + 1, leaf >= starts[-2])
 
 
 def leafplane_choice_count(pf: PlaneForest, r: int) -> int:
