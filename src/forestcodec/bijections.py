@@ -15,10 +15,12 @@ case choices record the attachment vertex in post-swap labels, i.e. as the
 vertex appears in the forest with k roots.
 
 Cost model: every step, choice count and membership check does O(n) work on
-an n-vertex forest.  A labeled step builds one child index of its input's
-parent map (``forests._child_index``) and hands it to the membership check,
-the marks of tree k, the recoloring and the choice lookup; a partite step
-also reads one part table (``forests._part_table``), built once per call.
+an n-vertex forest.  The membership checks (``forests._require_plain`` and
+its partite, plane and colored kin) live in :mod:`forests`, which the codec
+shares.  A labeled step builds one child index of its input's parent map
+(``forests._child_index``) and hands it to the membership check, the marks
+of tree k, the recoloring and the choice lookup; a partite step also reads
+one part table, which its membership check returns.
 A plane step builds no child index: it walks the child counts of the
 preorder word, in which the moved subtree and every tree are contiguous
 runs, and writes its output as runs of the input word, with one child count
@@ -55,15 +57,16 @@ from .forests import (
     _alternating_flip,
     _check_vertex,
     _child_index,
-    _cross_part,
-    _part_table,
-    _special,
+    _descends,
+    _require_colored,
+    _require_partite,
+    _require_plain,
+    _require_plane,
     _spliced,
     _subtree,
     _subtree_end,
     _swapped,
     _transposed,
-    _tree_starts,
     _trusted,
     _used_colors,
     is_descendant,
@@ -125,17 +128,6 @@ def _tree_k(kids: list[list[int]], k: int, swapped: bool = False) -> bytearray:
 # Plain labeled forests
 # --------------------------------------------------------------------------
 
-
-def _require_plain(
-    forest: RootedForest, kids: list[list[int]], k: int, pivot: int
-) -> None:
-    """``kids`` is the forest's child index."""
-    if kids[0] != list(range(1, k + 1)):
-        raise ValueError(f"expected roots exactly 1..{k}, got {forest.roots}")
-    if not is_descendant(forest, pivot, 1):
-        raise ValueError(f"vertex {pivot} must lie in the tree rooted at 1")
-
-
 def _targets(inside: bytearray, k: int, part: Sequence[int]) -> list[int]:
     """One slot per attachment target, given the marks of tree k and the
     part of each vertex (``forests._part_table``): the vertices outside tree
@@ -160,7 +152,7 @@ def _detach(
     parents[k - 1] = 0
     # The pivot lies in tree 1; it leaves tree 1 exactly when it sits in
     # the detached subtree.
-    swapped = is_descendant(forest, pivot, k)
+    swapped = _descends(forest.parents, pivot, k)
     inside = _tree_k(kids, k, swapped)
     if swapped:
         parents = _transposed(parents, 1, k)
@@ -226,25 +218,6 @@ def plain_choice_count(forest: RootedForest, k: int) -> int:
 # --------------------------------------------------------------------------
 # Multipartite forests (no edge inside a part)
 # --------------------------------------------------------------------------
-
-
-def _require_partite(
-    forest: RootedForest, kids: list[list[int]], k: int, parts: PartAssignment
-) -> list[int]:
-    """Returns the part table, ``forests._part_table``.  The pivot vertex is
-    the smallest label of part 2."""
-    if parts.n != forest.n:
-        raise ValueError("part sizes must cover the vertex set")
-    if parts.part_count < 2:
-        raise ValueError("at least two parts are required")
-    if k > parts.sizes[0]:
-        raise ValueError(f"roots 1..{k} must lie in part 1")
-    part = _part_table(parts)
-    if not _cross_part(part, forest.parents):
-        raise ValueError("forest has an edge inside one part")
-    _require_plain(forest, kids, k, parts.sizes[0] + 1)
-    return part
-
 
 def _require_partite_k(k: int, parts: PartAssignment) -> None:
     """The range of a partite step's k: the new root lies in part 1."""
@@ -349,36 +322,6 @@ def _gap_slots(pf: PlaneForest, cut: int) -> tuple[list[int], bytearray]:
     for x in labels[cut:]:
         inside[x] = 1
     return slots, inside
-
-
-def _require_plane(pf: PlaneForest, k: int, leafy: bool = False) -> tuple[int, list]:
-    """Validate membership with roots 1..k and the largest label m in tree 1;
-    returns m and the positions where the trees start in the word, followed
-    by its length.
-
-    Every vertex carries one of 1..n, or with ``leafy`` exactly the internal
-    vertices carry 1..m and the leaves none.
-    """
-    labels = pf.preorder_labels
-    if leafy:
-        if not pf.is_leaf_unlabeled():
-            raise ValueError("exactly the leaves must be unlabeled")
-    elif 0 in labels:
-        raise ValueError("plane family here is fully labeled")
-    m = len(labels) - labels.count(0)
-    if max(labels, default=0) != m:  # the distinct labels are not 1..m
-        raise ValueError(
-            f"internal labels must be 1..{m}" if leafy else "labels must be 1..n"
-        )
-    starts = _tree_starts(pf.preorder_degrees)
-    if [labels[j] for j in starts[:-1]] != list(range(1, k + 1)):
-        raise ValueError(f"expected roots exactly 1..{k}, got {pf.root_labels()}")
-    if not m:
-        raise ValueError("label 0 not present")  # the empty forest
-    if labels.index(m) >= starts[1]:
-        raise ValueError(f"vertex {m} must lie in the tree rooted at 1")
-    return m, starts
-
 
 def _detached(
     word: tuple[list, list], k: int, starts: list, i: int, e: int, swapped: bool
@@ -520,19 +463,6 @@ def leafplane_choice_count(pf: PlaneForest, r: int) -> int:
 # Special edge-colored forests
 # --------------------------------------------------------------------------
 
-
-def _require_colored(
-    ef: EdgeColoredForest, kids: list[list[int]], r: int
-) -> None:
-    """``kids`` is the child index of ``ef.base``."""
-    if kids[0] != list(range(1, r + 1)):
-        raise ValueError(f"expected roots exactly 1..{r}, got {ef.base.roots}")
-    if not _special(ef.colors, ef.color_count, kids):
-        raise ValueError("an edge out of a root carries the last color")
-    if not is_descendant(ef.base, ef.n, 1):
-        raise ValueError(f"vertex {ef.n} must lie in the tree rooted at 1")
-
-
 def _free_counts(kids: list[list[int]], kc: int) -> list[int]:
     """The number of (vertex, color) attachment pairs at each vertex of a
     special forest with roots 1..r, which are the colors free there.
@@ -584,7 +514,7 @@ def colored_forward(
     slots[w] += 1
     # Vertex n leaves tree 1 exactly when it sits in the detached subtree;
     # then labels 1 and r are exchanged.
-    swapped = is_descendant(ef.base, n, r)
+    swapped = _descends(ef.base.parents, n, r)
     inside = _tree_k(kids, r, swapped)
     if swapped:
         parents = _transposed(parents, 1, r)

@@ -32,11 +32,11 @@ vertex.  A plane run reads its input's preorder word into parents and
 ordered child lists by label in one pass and writes its result's word in
 one preorder walk.
 
-The public steps are not called, and this module does not load
-:mod:`bijections`: the coloring rules the colored steps and the engine
-share live in :mod:`forests`, and only ``encode`` loads the step module,
-for the first forward step's membership checks.  ``encode`` relies on
-those checks in ``_load``: every member they pass reaches the base
+The codec is layered on :mod:`forests` alone and never loads
+:mod:`bijections`: the membership checks and the coloring rules that the
+steps and the run engine share live in :mod:`forests`.  ``encode`` checks
+its input in ``_load`` with the first forward step's membership check, so
+it raises what that step raises; every member it passes reaches the base
 state, so it makes no second base-state check.  The steps stay the
 definition: the tests run them one by one as the reference the engine must
 match.
@@ -59,6 +59,9 @@ from .forests import (
     _preorder,
     _preorder_parents,
     _rebuilt,
+    _require_colored,
+    _require_plain,
+    _require_plane,
     _used_colors,
 )
 
@@ -196,9 +199,6 @@ def _load(forest):
     forward step raises unless it is a one-root family member with vertex n
     in tree 1, so every later step's check would pass and the forward steps
     end at the base state; ``encode`` checks its input here only."""
-    # Imported here, so that decode and sample_uniform never load the steps.
-    from .bijections import _require_colored, _require_plain, _require_plane
-
     family, n, colors = _family_of(forest)
     color = [0] * n
     if family == "plane":

@@ -13,8 +13,9 @@ int tuples, and has no other representation: the bijection steps and
 ``plane_relabel`` cut and splice the word, finding the trees with one
 ``_tree_starts`` walk of the child counts, and the codec's run engine reads
 it with ``_preorder_parents`` and writes it with ``_preorder``.
-``PlaneNode`` trees are built only when a caller reads
-``PlaneForest.trees``, and anew on each read.  ``PartAssignment``
+``PlaneNode`` trees are built, by the one stack pass ``_trees``, only when
+a caller reads ``PlaneForest.trees``, anew on each read, or unpickles or
+copies a node, which pickles as its word.  ``PartAssignment``
 answers ``respects`` from a part table by vertex, ``_part_table``, built
 anew on each call.
 ``children``, ``degree`` and ``EdgeColoredForest.colors_at`` answer for one
@@ -38,12 +39,16 @@ theorem says and the tests check on every step output.
 
 Family-level constraints (roots being exactly 1..k, a pivot vertex lying in
 tree 1, part discipline, special color rules) are *not* type invariants:
-intermediate states of the bijections legitimately violate them.  They are
-enforced by the functions that need them.  The coloring rules of the
-colored steps (``_used_colors``, and ``_alternating_flip``, which restores
-a proper coloring after one edge changes color) live here, beside
-``_properly_colored`` and ``_special``, so that the codec's run engine
-shares them without loading :mod:`bijections`.
+intermediate states of the bijections legitimately violate them.  This
+module defines membership of a family level once, in ``_require_plain``,
+``_require_partite``, ``_require_plane`` and ``_require_colored``, beside
+the filters they combine and the oracles share (``_descends``,
+``_cross_part``, ``_tree_starts``, ``_special``).  The bijection steps
+check their input with them, and ``encode`` its input, so the codec loads
+no :mod:`bijections`.  The coloring rules of the colored steps
+(``_used_colors``, and ``_alternating_flip``, which restores a proper
+coloring after one edge changes color) live here too, so that the codec's
+run engine shares them.
 """
 
 from __future__ import annotations
@@ -312,6 +317,17 @@ def _check_vertex(forest: RootedForest, v: int) -> None:
         raise ValueError(f"vertex {v} out of range 1..{forest.n}")
 
 
+def _require_plain(
+    forest: RootedForest, kids: list[list[int]], k: int, pivot: int
+) -> None:
+    """Membership with roots 1..k and ``pivot`` in tree 1; ``kids`` is the
+    forest's child index."""
+    if kids[0] != list(range(1, k + 1)):
+        raise ValueError(f"expected roots exactly 1..{k}, got {forest.roots}")
+    if not _descends(forest.parents, pivot, 1):
+        raise ValueError(f"vertex {pivot} must lie in the tree rooted at 1")
+
+
 # --------------------------------------------------------------------------
 # Part assignments (complete multipartite vertex partitions)
 # --------------------------------------------------------------------------
@@ -369,6 +385,24 @@ def _cross_part(part: list[int], parents: Sequence[int]) -> bool:
     return all(map(ne, part[1:], map(part.__getitem__, parents)))
 
 
+def _require_partite(
+    forest: RootedForest, kids: list[list[int]], k: int, parts: PartAssignment
+) -> list[int]:
+    """Returns the part table, ``_part_table``.  The pivot vertex is the
+    smallest label of part 2."""
+    if parts.n != forest.n:
+        raise ValueError("part sizes must cover the vertex set")
+    if parts.part_count < 2:
+        raise ValueError("at least two parts are required")
+    if k > parts.sizes[0]:
+        raise ValueError(f"roots 1..{k} must lie in part 1")
+    part = _part_table(parts)
+    if not _cross_part(part, forest.parents):
+        raise ValueError("forest has an edge inside one part")
+    _require_plain(forest, kids, k, parts.sizes[0] + 1)
+    return part
+
+
 # --------------------------------------------------------------------------
 # Plane forests (ordered children, optionally unlabeled leaves)
 # --------------------------------------------------------------------------
@@ -386,9 +420,9 @@ class PlaneNode(_Value):
         if self.label is not None and self.label < 1:
             raise ValueError(f"label must be positive, got {self.label}")
 
-    # Equality, hashing and repr read the preorder word or walk the tree
-    # with a stack, so depth is no limit; the base's versions recurse once
-    # per level.
+    # Equality, hashing, repr and pickling read the preorder word or walk
+    # the tree with a stack, so depth is no limit; the base's versions
+    # recurse once per level.
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -397,6 +431,9 @@ class PlaneNode(_Value):
 
     def __hash__(self) -> int:
         return hash(_preorder((self,), *_NODE))  # the word determines the tree
+
+    def __reduce__(self):  # for pickle and copy, by the word
+        return _tree, _preorder((self,), *_NODE)
 
     def __repr__(self) -> str:
         # The dataclass text; the stack holds nodes and the text after them.
@@ -476,14 +513,7 @@ class PlaneForest(_Value):
 
     @property
     def trees(self) -> tuple[PlaneNode, ...]:
-        # Walking the word back, a vertex's children are the last nodes
-        # built, its first child on top.
-        built: list[PlaneNode] = []
-        for x, d in reversed(list(zip(self.preorder_labels, self.preorder_degrees))):
-            kids = tuple(built[: -d - 1 : -1])
-            del built[len(built) - d :]
-            built.append(PlaneNode(x or None, kids))
-        return tuple(reversed(built))
+        return _trees(self.preorder_labels, self.preorder_degrees)
 
     @property
     def n_vertices(self) -> int:
@@ -539,6 +569,23 @@ def _preorder(roots: Sequence, children, label) -> tuple[tuple, tuple]:
 _NODE = (attrgetter("children"), attrgetter("label"))  # how _preorder reads nodes
 
 
+def _trees(labels: Sequence[int], degrees: Sequence[int]) -> tuple[PlaneNode, ...]:
+    """The ``PlaneNode`` trees of a preorder word, in one stack pass."""
+    # Walking the word back, a vertex's children are the last nodes built,
+    # its first child on top.
+    built: list[PlaneNode] = []
+    for x, d in reversed(list(zip(labels, degrees))):
+        kids = tuple(built[: -d - 1 : -1])
+        del built[len(built) - d :]
+        built.append(PlaneNode(x or None, kids))
+    return tuple(reversed(built))
+
+
+def _tree(labels: Sequence[int], degrees: Sequence[int]) -> PlaneNode:
+    """The first tree of a preorder word: how a ``PlaneNode`` unpickles."""
+    return _trees(labels, degrees)[0]
+
+
 def _preorder_parents(degrees: Sequence[int]) -> list[int]:
     """Each vertex's parent as a preorder position from 1, 0 for a root."""
     up = [0] * len(degrees)
@@ -579,6 +626,35 @@ def _tree_starts(degrees: Sequence[int]) -> list[int]:
     while starts[-1] < len(degrees):
         starts.append(_subtree_end(degrees, starts[-1]))
     return starts
+
+
+def _require_plane(pf: PlaneForest, k: int, leafy: bool = False) -> tuple[int, list]:
+    """Validate membership with roots 1..k and the largest label m in tree 1;
+    returns m and the positions where the trees start in the word, followed
+    by its length.
+
+    Every vertex carries one of 1..n, or with ``leafy`` exactly the internal
+    vertices carry 1..m and the leaves none.
+    """
+    labels = pf.preorder_labels
+    if leafy:
+        if not pf.is_leaf_unlabeled():
+            raise ValueError("exactly the leaves must be unlabeled")
+    elif 0 in labels:
+        raise ValueError("plane family here is fully labeled")
+    m = len(labels) - labels.count(0)
+    if max(labels, default=0) != m:  # the distinct labels are not 1..m
+        raise ValueError(
+            f"internal labels must be 1..{m}" if leafy else "labels must be 1..n"
+        )
+    starts = _tree_starts(pf.preorder_degrees)
+    if [labels[j] for j in starts[:-1]] != list(range(1, k + 1)):
+        raise ValueError(f"expected roots exactly 1..{k}, got {pf.root_labels()}")
+    if not m:
+        raise ValueError("label 0 not present")  # the empty forest
+    if labels.index(m) >= starts[1]:
+        raise ValueError(f"vertex {m} must lie in the tree rooted at 1")
+    return m, starts
 
 
 def _spliced(word: tuple[Sequence, Sequence], runs) -> tuple[tuple, tuple]:
@@ -702,6 +778,19 @@ def _special(colors: Sequence[int], color_count: int, kids: list[list[int]]) -> 
     return all(colors[v - 1] != color_count for r in kids[0] for v in kids[r])
 
 
+def _require_colored(
+    ef: EdgeColoredForest, kids: list[list[int]], r: int
+) -> None:
+    """Membership of a special forest with roots 1..r and vertex n in tree
+    1; ``kids`` is the child index of ``ef.base``."""
+    if kids[0] != list(range(1, r + 1)):
+        raise ValueError(f"expected roots exactly 1..{r}, got {ef.base.roots}")
+    if not _special(ef.colors, ef.color_count, kids):
+        raise ValueError("an edge out of a root carries the last color")
+    if not _descends(ef.base.parents, ef.n, 1):
+        raise ValueError(f"vertex {ef.n} must lie in the tree rooted at 1")
+
+
 def _alternating_flip(
     kids: list[list[int]], colors: list[int], start: int, first: int, second: int
 ) -> None:
@@ -736,9 +825,9 @@ def _used_colors(colors: list[int], kids: list[int], v: int) -> set[int]:
 
 def swap_colored_labels(ef: EdgeColoredForest, a: int, b: int) -> EdgeColoredForest:
     """Relabel by (a b); edge colors travel with their child vertices."""
+    base = swap_labels(ef.base, a, b)  # checks a and b
     if a == b:
         return ef
-    base = swap_labels(ef.base, a, b)  # checks a and b
     colors = list(ef.colors)
     colors[a - 1], colors[b - 1] = colors[b - 1], colors[a - 1]
     return EdgeColoredForest(base, ef.color_count, tuple(colors))

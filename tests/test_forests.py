@@ -1,5 +1,8 @@
 """Core value types, structural operations, and text formats."""
 
+import copy
+import pickle
+
 import pytest
 
 from forestcodec import (
@@ -299,6 +302,21 @@ class TestTextFormats:
             assert a.trees[0] == b.trees[0] and hash(a.trees[0]) == hash(b.trees[0])
             assert a != parse_plane(text.replace(str(depth), str(depth + 1)))
             assert a != parse_plane(text[: text.rindex("(")] + ")" * (depth - 2))
+
+    @pytest.mark.parametrize(
+        "copier",
+        [lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_deep_plane_copies(self, copier):
+        # A node pickles and copies by its preorder word, as its forest does,
+        # so depth is no limit under the default recursion limit.
+        depth = 20_000
+        text = "(".join(map(str, range(1, depth + 1))) + ")" * (depth - 1)
+        pf = parse_plane(text)
+        for value in (pf, pf.trees[0]):
+            twin = copier(value)
+            assert type(twin) is type(value) and twin == value
 
     def test_plane_equality_shares_subtrees(self):
         # Equality compares the preorder words, so a subtree shared by both

@@ -3,7 +3,7 @@ other tests never reach: each call raises, with the start of its message."""
 
 import pytest
 
-from forestcodec import RootedForest, cli
+from forestcodec import EdgeColoredForest, RootedForest, cli
 from forestcodec.bijections import reroot_tree
 from forestcodec.codec import (
     ChoiceTrace,
@@ -18,9 +18,10 @@ from forestcodec.enumeration import (
     default_budget,
     verify_recurrence,
 )
-from forestcodec.forests import attach_subtree, detach_subtree
+from forestcodec.forests import attach_subtree, detach_subtree, swap_colored_labels
 
 CHERRY = RootedForest((0, 1, 1))  # 2 and 3 below 1
+COLORED_CHERRY = EdgeColoredForest(CHERRY, 3, (0, 1, 2))
 
 # name -> (the call, the error type, the start of its message)
 GUARDS = {
@@ -47,6 +48,16 @@ GUARDS = {
     ),
     "reroot above n": (
         lambda: reroot_tree(CHERRY, 4), ValueError, "vertex 4 out of range 1..3"
+    ),
+    "colored swap of vertex 0 with itself": (
+        lambda: swap_colored_labels(COLORED_CHERRY, 0, 0),
+        ValueError,
+        "vertex 0 out of range 1..3",
+    ),
+    "colored swap of a vertex above n with itself": (
+        lambda: swap_colored_labels(COLORED_CHERRY, 9, 9),
+        ValueError,
+        "vertex 9 out of range 1..3",
     ),
     "trace with n < 1": (
         lambda: ChoiceTrace("plain", 0), ValueError, "need n >= 1, got 0"

@@ -69,6 +69,12 @@ def modules_loaded_by(*argv: str) -> set[str]:
          {"bijections", "enumeration", "counting"}),
         (("sample", "--family", "colored", "--n", "9", "--kc", "3", "--seed", "1"),
          {"bijections", "enumeration", "counting"}),
+        (("encode", "--family", "plain", "--forest", "5 1 0 1 1 3 3"),
+         {"bijections", "enumeration", "counting"}),
+        (("encode", "--family", "plane", "--forest", "1(3,2(4))"),
+         {"bijections", "enumeration", "counting"}),
+        (("encode", "--family", "colored", "--kc", "3", "--forest", "3 1 0 1 1\n0 1 2"),
+         {"bijections", "enumeration", "counting"}),
         (("decode", "plane 5 : 3 1 2"),
          {"bijections", "enumeration", "counting"}),
         (("decode", "colored 5 3 : 1 2 1 3"),
