@@ -50,20 +50,18 @@ _FAMILIES = (
 def _to_json(obj) -> dict:
     """A rooted forest's document; a colored one's is its base's, with its
     colors added."""
-    from .forests import EdgeColoredForest, RootedForest
+    from .forests import EdgeColoredForest
 
     if isinstance(obj, EdgeColoredForest):
         doc = _to_json(obj.base)
         doc.update(kind="colored", colors=list(obj.colors), colorCount=obj.color_count)
         return doc
-    if isinstance(obj, RootedForest):
-        return {
-            "kind": "rooted",
-            "n": obj.n,
-            "roots": list(obj.roots),
-            "parents": list(obj.parents),
-        }
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    return {
+        "kind": "rooted",
+        "n": obj.n,
+        "roots": list(obj.roots),
+        "parents": list(obj.parents),
+    }
 
 
 def _plane_json(pf) -> str:
@@ -88,7 +86,7 @@ def _plane_json(pf) -> str:
 
 
 def _to_dot(obj) -> str:
-    from .forests import EdgeColoredForest, PlaneForest, RootedForest, _preorder_parents
+    from .forests import EdgeColoredForest, RootedForest, _preorder_parents
 
     lines = ["digraph forest {"]
     if isinstance(obj, (RootedForest, EdgeColoredForest)):
@@ -102,8 +100,7 @@ def _to_dot(obj) -> str:
                 continue
             attr = f' [label="{colors[v - 1]}"]' if colors else ""
             lines.append(f"  v{p} -> v{v}{attr};")
-    elif isinstance(obj, PlaneForest):
-        # Vertex v{i} is the i-th in global preorder.
+    else:  # a plane forest; vertex v{i} is the i-th in global preorder.
         kids: list[list[int]] = [[] for _ in range(obj.n_vertices + 1)]
         up = _preorder_parents(obj.preorder_degrees)
         for i, (x, p) in enumerate(zip(obj.preorder_labels, up)):
@@ -112,8 +109,6 @@ def _to_dot(obj) -> str:
         for i, below in enumerate(kids[1:]):
             for j in below:
                 lines.append(f"  v{i} -> v{j};")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
     lines.append("}")
     return "\n".join(lines)
 

@@ -59,6 +59,7 @@ from .forests import (
     _preorder,
     _preorder_parents,
     _rebuilt,
+    _set,
     _require_colored,
     _require_plain,
     _require_plane,
@@ -115,6 +116,7 @@ class ChoiceTrace(_Value):
         return _rebuilt(cls, (family, n, colors, choices))
 
     def __post_init__(self) -> None:
+        _set(self, "choices", tuple(self.choices))
         if self.family not in CODEC_FAMILIES:
             raise ValueError(f"no codec for family {self.family!r}")
         if self.n < 1:

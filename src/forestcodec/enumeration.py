@@ -35,6 +35,7 @@ from .forests import (
     _plane_word,
     _properly_colored,
     _rebuilt,
+    _set,
     _special,
 )
 
@@ -97,6 +98,12 @@ class FamilySpec(_Value):
     ) -> FamilySpec:
         fields = (family, n, roots, root_set, part_sizes, leaves, colors, arity)
         return _rebuilt(cls, (*fields, conditioned, labeled, degrees))
+
+    def __post_init__(self) -> None:
+        for name in ("root_set", "part_sizes", "degrees"):
+            x = getattr(self, name)
+            if x is not None:
+                _set(self, name, tuple(x))
 
     def validate(self) -> None:
         if self.family not in FAMILIES:

@@ -441,6 +441,14 @@ BAD_VALUES = {
         "every tree root must be labeled",
     ),
     "node label 0": (lambda: PlaneNode(label=0), "label must be positive, got 0"),
+    "node child not a node": (
+        lambda: PlaneNode(1, (PlaneNode(2), 5)),
+        "child at position 1 is not a PlaneNode: 5",
+    ),
+    "forest tree not a node": (
+        lambda: PlaneForest([1]),
+        "tree at position 0 is not a PlaneNode: 1",
+    ),
     "no parts": (lambda: PartAssignment(()), "at least one part is required"),
     "part_of out of range": (
         lambda: PartAssignment((2, 3)).part_of(6),

@@ -105,6 +105,48 @@ def test_fields_cannot_be_assigned_or_deleted(case):
     assert getattr(value, field) == before
 
 
+# name -> (a maker of one value from a sequence type, its sequence fields)
+SEQUENCES = {
+    "RootedForest": (lambda seq: RootedForest(seq([0, 1, 1])), ("parents",)),
+    "EdgeColoredForest": (
+        lambda seq: EdgeColoredForest(RootedForest((0, 1, 1)), 3, seq([0, 1, 2])),
+        ("colors",),
+    ),
+    "PartAssignment": (lambda seq: PartAssignment(seq([2, 3])), ("sizes",)),
+    "PlaneNode": (lambda seq: PlaneNode(1, seq([PlaneNode(None)])), ("children",)),
+    "PlaneForest": (
+        lambda seq: parse_plane("1").replace(
+            preorder_labels=seq([1, 0, 2, 3]), preorder_degrees=seq([2, 0, 0, 0])
+        ),
+        ("preorder_labels", "preorder_degrees"),
+    ),
+    "ChoiceTrace": (
+        lambda seq: ChoiceTrace("colored", 4, 3, seq([2, 5, 1])),
+        ("choices",),
+    ),
+    "FamilySpec": (
+        lambda seq: FamilySpec(
+            "partite", root_set=seq([1]), part_sizes=seq([2, 3]),
+            degrees=seq([2, 1, 0, 0, 0]),
+        ),
+        ("root_set", "part_sizes", "degrees"),
+    ),
+    "replace": (
+        lambda seq: RootedForest((0,)).replace(parents=seq([0, 1, 1])),
+        ("parents",),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SEQUENCES)
+def test_sequence_fields_are_stored_as_tuples(name):
+    make, fields = SEQUENCES[name]
+    listed, tupled = make(list), make(tuple)
+    assert listed == tupled and hash(listed) == hash(tupled)
+    for field in fields:
+        assert type(getattr(listed, field)) is tuple
+
+
 def test_replace_of_an_unknown_field():
     with pytest.raises(TypeError, match="^RootedForest has no field 'bogus'$"):
         RootedForest((0, 1, 1)).replace(bogus=1)
