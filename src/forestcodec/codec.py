@@ -61,6 +61,7 @@ from .forests import (
     _rebuilt,
     _set,
     _require_colored,
+    _require_ints,
     _require_plain,
     _require_plane,
     _used_colors,
@@ -119,6 +120,7 @@ class ChoiceTrace(_Value):
         _set(self, "choices", tuple(self.choices))
         if self.family not in CODEC_FAMILIES:
             raise ValueError(f"no codec for family {self.family!r}")
+        _require_ints((self.n, self.colors), "n and colors")
         if self.n < 1:
             raise ValueError(f"need n >= 1, got {self.n}")
         if _has_head(self.family, self.n) and self.colors < 2:
@@ -128,6 +130,7 @@ class ChoiceTrace(_Value):
         want = max(self.n - 2, 0) + _has_head(self.family, self.n)
         if len(self.choices) != want:
             raise ValueError(f"expected {want} choices, got {len(self.choices)}")
+        _require_ints(self.choices, "choices")
         bounds = trace_bounds(self.family, self.n, self.colors)
         for c, bound in zip(self.choices, bounds):
             if not 1 <= c <= bound:
@@ -138,6 +141,7 @@ def trace_bounds(family: str, n: int, colors: int = 0) -> tuple[int, ...]:
     """Upper bound of each trace position, aligned with ChoiceTrace.choices."""
     if family not in CODEC_FAMILIES:
         raise ValueError(f"no codec for family {family!r}")
+    _require_ints((n, colors), "n and colors")
     if family != "colored" and colors:
         raise ValueError(f"{family} forests take no colors, got {colors}")
     # The inverse step from k roots has one choice per attachment target:

@@ -6,7 +6,11 @@ can all be checked against them.  Every stream is produced lazily, already
 in canonical order.  The plain, partite and colored families generate
 every candidate and keep those that pass the value types' own checks
 (``_cycle_vertex``, ``_descends``, ``_part_table``, ``_properly_colored``,
-``_special``), so each membership rule has one definition.  The plane
+``_special``), so each membership rule has one definition.  Each of their
+candidates is one tuple of a ``product`` over the vertices in label order
+(``_candidates``), with each root's entry fixed at ``(0,)``: a parent map
+(plain, partite) or a coloring (colored), which the filters test and the
+value keeps as it is.  The plane
 families (plane, leafplane and k-ary, labeled or shapes) come from one
 generator and spend their candidate budget one candidate at a time as they
 go.  Every candidate is spent against the budget, the filters run on the
@@ -18,6 +22,7 @@ from __future__ import annotations
 import os
 import sys
 from itertools import product
+from math import prod
 from typing import Iterator, Sequence
 
 from .forests import (
@@ -161,16 +166,13 @@ class FamilySpec(_Value):
         if self.family == "partite":
             return sum(self.part_sizes)
         if self.family == "kary":
-            return self.arity * self.n + self.root_label_count()
+            return self.arity * self.n + len(self.root_labels())
         return self.n
 
     def root_labels(self) -> tuple[int, ...]:
         if self.root_set is not None:
             return self.root_set
         return tuple(range(1, self.roots + 1))
-
-    def root_label_count(self) -> int:
-        return len(self.root_set) if self.root_set is not None else self.roots
 
 
 # --------------------------------------------------------------------------
@@ -239,62 +241,64 @@ def enumerate_degree_filtered(
 # --------------------------------------------------------------------------
 
 
+def _candidates(
+    choices: Sequence[Sequence[int]], guard: _Budget
+) -> Iterator[tuple[int, ...]]:
+    """Each tuple that takes one entry of each choice list, in lexicographic
+    order; the whole space is spent against the budget before the first."""
+    guard.spend(prod(map(len, choices)))
+    return product(*choices)
+
+
 def _assignment_stream(
-    n: int,
-    roots: tuple[int, ...],
-    choices: dict[int, Sequence[int]],
+    choices: list[Sequence[int]],
+    edges: int,
     pivot: int | None,
     degrees: tuple[int, ...] | None,
     guard: _Budget,
 ) -> Iterator[RootedForest]:
-    non_roots = [v for v in range(1, n + 1) if v not in roots]
-    space = 1
-    for v in non_roots:
-        space *= len(choices[v])
-    guard.spend(space)
+    """The members whose vertex v takes its parent from ``choices[v - 1]``,
+    ``(0,)`` at a root, with ``edges`` non-roots."""
+    candidates = _candidates(choices, guard)
+    n = len(choices)
     # A member's child counts add up to its number of non-roots; checking
     # the sum first also bounds the length of ``want`` below.
-    if degrees is not None and (
-        len(degrees) != n or sum(degrees) != len(non_roots)
-    ):
+    if degrees is not None and (len(degrees) != n or sum(degrees) != edges):
         return
-    # Vertex x is the parent of degrees[x - 1] vertices: a member's parent
-    # labels, sorted, are ``want``.
+    # Vertex x is the parent of degrees[x - 1] vertices and 0 of each root:
+    # a member's parent map, sorted, is ``want``.
     want = None
     if degrees is not None:
-        want = [x for x, d in enumerate(degrees, start=1) for _ in range(d)]
-    for combo in product(*(choices[v] for v in non_roots)):
-        if want is not None and sorted(combo) != want:
+        want = [0] * (n - edges)
+        want += [x for x, d in enumerate(degrees, start=1) for _ in range(d)]
+    for parents in candidates:
+        if want is not None and sorted(parents) != want:
             continue
-        parents = list(combo)
-        for r in roots:  # ascending, so each 0 lands at its vertex
-            parents.insert(r - 1, 0)
         if _cycle_vertex(parents):
             continue
         # After the cycle test: _descends would walk a cycle forever.
         if pivot is not None and not _descends(parents, pivot, 1):
             continue
-        yield RootedForest(tuple(parents))
+        yield RootedForest(parents)
 
 
 def _plain(spec: FamilySpec, guard: _Budget) -> Iterator[RootedForest]:
-    n = spec.n
-    roots = spec.root_labels()
-    choices = {v: range(1, n + 1) for v in range(1, n + 1)}
+    n, roots = spec.n, spec.root_labels()
+    choices = [(0,) if v in roots else range(1, n + 1) for v in range(1, n + 1)]
     pivot = n if spec.conditioned else None
-    yield from _assignment_stream(n, roots, choices, pivot, spec.degrees, guard)
+    yield from _assignment_stream(choices, n - len(roots), pivot, spec.degrees, guard)
 
 
 def _partite(spec: FamilySpec, guard: _Budget) -> Iterator[RootedForest]:
     part = _part_table(PartAssignment(tuple(spec.part_sizes)))
     n = len(part) - 1
     roots = spec.root_labels()
-    choices = {
-        v: [u for u in range(1, n + 1) if part[u] != part[v]]
+    choices = [
+        (0,) if v in roots else [u for u in range(1, n + 1) if part[u] != part[v]]
         for v in range(1, n + 1)
-    }
+    ]
     pivot = spec.part_sizes[0] + 1 if spec.conditioned else None
-    yield from _assignment_stream(n, roots, choices, pivot, spec.degrees, guard)
+    yield from _assignment_stream(choices, n - len(roots), pivot, spec.degrees, guard)
 
 
 # --------------------------------------------------------------------------
@@ -418,21 +422,20 @@ def _plane(spec: FamilySpec, guard: _Budget) -> Iterator[PlaneForest]:
 
 
 def _colored(spec: FamilySpec, guard: _Budget) -> Iterator[EdgeColoredForest]:
-    n, kc = spec.n, spec.colors
+    kc = spec.colors
     special = spec.family == "special-colored"
-    edges = n - spec.root_label_count()
     for base in _plain(spec, guard):
-        guard.spend(kc ** edges)
-        kids = _child_index(base.parents)
-        for combo in product(range(1, kc + 1), repeat=edges):
-            it = iter(combo)  # roots keep color 0, the rest take combo in order
-            colors = [p and next(it) for p in base.parents]
+        parents = base.parents
+        # Roots keep color 0, and every edge takes one of 1..kc.
+        choices = [range(1, kc + 1) if p else (0,) for p in parents]
+        kids = _child_index(parents) if special else None
+        for colors in _candidates(choices, guard):
             # Cheapest first: _special reads the root edges only.
             if special and not _special(colors, kc, kids):
                 continue
-            if not _properly_colored(base.parents, kc, colors):
+            if not _properly_colored(parents, kc, colors):
                 continue
-            yield EdgeColoredForest(base, kc, tuple(colors))
+            yield EdgeColoredForest(base, kc, colors)
 
 
 # family -> its generator, in the order `FAMILIES` lists them.

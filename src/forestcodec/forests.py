@@ -8,6 +8,9 @@ slotted classes on ``_Value``, which gives them a frozen dataclass's
 equality, hashing, ``repr`` and copying without importing ``dataclasses``.
 Each stores its sequence fields as tuples, in ``__post_init__``, so a value
 built from a list equals, and hashes like, the one built from a tuple.
+Every count, label and color a value holds must be an ``int`` (by
+``isinstance``, as ``_check_parents`` tests a parent, or ``_require_ints``
+for a whole sequence), so a float never reaches a renderer or a step.
 
 Cost model: each operation makes one pass over the value, O(n) for n
 vertices, at any depth.  A plane forest is stored as its preorder word, two
@@ -63,7 +66,7 @@ from __future__ import annotations
 
 import bisect
 import re
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import attrgetter, ne
 from typing import Iterator, Sequence
 
@@ -190,6 +193,14 @@ def _check_parents(parents: Sequence[int]) -> None:
     v = _cycle_vertex(parents)
     if v:
         raise ValueError(f"parent map has a cycle through vertex {v}")
+
+
+def _require_ints(values: Sequence, what: str) -> None:
+    """Raises ValueError naming the first of ``values`` that is not an int:
+    ``what`` names them, in the plural."""
+    if not all(map(isinstance, values, repeat(int))):
+        bad = next(x for x in values if not isinstance(x, int))
+        raise ValueError(f"{what} must be ints, got {bad!r}")
 
 
 def _cycle_vertex(parents: Sequence[int]) -> int:
@@ -343,6 +354,7 @@ class PartAssignment(_Value):
         _set(self, "sizes", tuple(self.sizes))
         if not self.sizes:
             raise ValueError("at least one part is required")
+        _require_ints(self.sizes, "part sizes")
         if any(s < 1 for s in self.sizes):
             raise ValueError("every part must be nonempty")
 
@@ -362,6 +374,8 @@ class PartAssignment(_Value):
 
     def block(self, i: int) -> range:
         """The label range of part i."""
+        if not 1 <= i <= self.part_count:
+            raise ValueError(f"part {i} out of range 1..{self.part_count}")
         offs = (0, *accumulate(self.sizes))
         return range(offs[i - 1] + 1, offs[i] + 1)
 
@@ -414,8 +428,11 @@ class PlaneNode(_Value):
 
     def __post_init__(self) -> None:
         _set(self, "children", tuple(self.children))
-        if self.label is not None and self.label < 1:
-            raise ValueError(f"label must be positive, got {self.label}")
+        if self.label is not None:
+            if not isinstance(self.label, int):
+                raise ValueError(f"label must be an int, got {self.label!r}")
+            if self.label < 1:
+                raise ValueError(f"label must be positive, got {self.label}")
         _check_nodes(self.children, "child")
 
     # Equality, hashing, repr and pickling read the preorder word or walk
@@ -496,7 +513,9 @@ class PlaneForest(_Value):
         labels, degrees = tuple(self.preorder_labels), tuple(self.preorder_degrees)
         _set(self, "preorder_labels", labels)
         _set(self, "preorder_degrees", degrees)
-        if len(labels) != len(degrees) or min((*labels, *degrees), default=0) < 0:
+        word = (*labels, *degrees)
+        _require_ints(word, "labels and child counts")
+        if len(labels) != len(degrees) or min(word, default=0) < 0:
             raise ValueError("each vertex needs a label and a child count >= 0")
         roots, owed = [], 0  # owed: vertices still to come in the current tree
         for x, d in zip(labels, degrees):
@@ -710,6 +729,10 @@ class EdgeColoredForest(_Value):
 
     def __post_init__(self) -> None:
         _set(self, "colors", tuple(self.colors))
+        if not isinstance(self.base, RootedForest):
+            raise ValueError(
+                f"base must be a RootedForest, got {type(self.base).__name__}"
+            )
         args = (self.base.parents, self.color_count, self.colors)
         if not _properly_colored(*args):
             _check_coloring(*args)
@@ -736,12 +759,16 @@ def _check_coloring(
     """The reference check of an edge coloring of a valid parent map: raises
     ValueError naming the first fault, vertex by vertex."""
     n = len(parents)
+    if not isinstance(color_count, int):
+        raise ValueError(f"color count must be an int, got {color_count!r}")
     if color_count < 0:
         raise ValueError("color count must be nonnegative")
     if len(colors) != n:
         raise ValueError("one color entry per vertex is required")
     for v in range(1, n + 1):
         c = colors[v - 1]
+        if not isinstance(c, int):
+            raise ValueError(f"color of vertex {v} must be an int, got {c!r}")
         if parents[v - 1] == 0:
             if c != 0:
                 raise ValueError(f"root {v} must carry color 0")
@@ -759,21 +786,24 @@ def _check_coloring(
 def _properly_colored(
     parents: Sequence[int], color_count: int, colors: Sequence[int]
 ) -> bool:
-    """True iff every root carries color 0, every edge an int color in
-    1..color_count, and no (vertex, color) key occurs twice among the two
-    ends of the edges: one pass that accepts only valid colorings of a valid
-    parent map.  A coloring it rejects may still be valid (an int subclass
-    for a color, say), so ``_check_coloring`` decides."""
+    """True iff the color count and every color are ints, every root carries
+    color 0, every edge a color in 1..color_count, and no (vertex, color)
+    key occurs twice among the two ends of the edges: one pass that accepts
+    only valid colorings of a valid parent map.  A coloring it rejects may
+    still be valid (an int subclass for a color, say), so
+    ``_check_coloring`` decides."""
     n = len(parents)
-    if color_count < 0 or len(colors) != n:
+    if type(color_count) is not int or color_count < 0 or len(colors) != n:
         return False
     keys = set()
     edges = 0
     for v, p, c in zip(range(1, n + 1), parents, colors):
+        if type(c) is not int:
+            return False
         if not p:
             if c != 0:
                 return False
-        elif type(c) is not int or not 1 <= c <= color_count:
+        elif not 1 <= c <= color_count:
             return False
         else:
             keys.add((v, c))

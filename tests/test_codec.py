@@ -2,15 +2,17 @@
 
 from collections import Counter
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 
 from forestcodec import (
     ChoiceTrace,
     EdgeColoredForest,
+    PlaneForest,
     RootedForest,
     SplitMix64,
+    catalan,
     colored_root_degree_count,
     decode,
     encode,
@@ -425,41 +427,97 @@ def test_sampler_distribution_at_size(family, n):
     assert chi2 < CHI2_Q999[df - 1], f"chi-square {chi2:.2f} on {df} df"
 
 
-def tree_one_weights(n, r, conditioned):
-    """Members of the plain family with roots 1..r whose tree 1 has s
-    vertices.  Tree 1 holds vertex 1 (and vertex n when conditioned) and
-    s-1 (or s-2) of the other non-roots, is one of s^(s-2) trees rooted at
-    1, and the other n-s vertices form a forest on roots 2..r."""
+# Per family: (trees on m vertices rooted at their least label, forests on
+# s vertices with j roots, the j least labels).  A forest made only of its
+# roots counts once.
+TREE_ONE_PARTS = {
+    "plain": (
+        lambda m, kc: m ** max(m - 2, 0),
+        lambda s, j, kc: 1 if s == j else rooted_forest_count(s, j),
+    ),
+    "plane": (
+        lambda m, kc: catalan(m - 1) * factorial(m - 1),
+        lambda s, j, kc: j * comb(2 * s - j - 1, s - j) * factorial(s - j) // s,
+    ),
+    "colored": (
+        lambda m, kc: 1 if m == 1 else special_colored_count(m, kc, 1),
+        lambda s, j, kc: 1 if s == j else special_colored_count(s, kc, j),
+    ),
+}
 
-    def forests(m, k):
-        return 1 if m == k else rooted_forest_count(m, k)
 
+def tree_one_weights(n, r, conditioned, family="plain", kc=0):
+    """Members of the family with roots 1..r whose tree 1 has s vertices.
+    Tree 1 holds vertex 1 (and vertex n when conditioned) and s-1 (or s-2)
+    of the other non-roots, is one of the family's trees on s vertices
+    rooted at 1, and the other n-s vertices form a forest on roots 2..r."""
+    trees, forests = TREE_ONE_PARTS[family]
     fixed = 2 if conditioned else 1  # the vertices tree 1 must hold
     return {
-        s: comb(n - r - fixed + 1, s - fixed) * s ** max(s - 2, 0) * forests(n - s, r - 1)
+        s: comb(n - r - fixed + 1, s - fixed) * trees(s, kc) * forests(n - s, r - 1, kc)
         for s in range(fixed, n - r + 2)
     }
 
 
-# The 0.999 quantiles at the degrees of freedom the pooled tree-1 sizes
-# below have at n = 100 with three roots: 36 conditioned, 34 not.
-CHI2_Q999_TREE_ONE = {True: (36, 67.9852), False: (34, 65.2472)}
+def tree_one_size(forest):
+    """The number of vertices of tree 1."""
+    if isinstance(forest, PlaneForest):
+        return forest.trees[0].size
+    base = getattr(forest, "base", forest)
+    return sum(is_descendant(base, v, 1) for v in range(1, base.n + 1))
 
 
+@pytest.mark.parametrize("family, n, kcs", [
+    ("plain", 6, (0,)), ("plane", 6, (0,)), ("colored", 5, (2, 3)),
+], ids=("plain", "plane", "colored"))
+@pytest.mark.parametrize("roots", (2, 3), ids=("roots2", "roots3"))
 @pytest.mark.parametrize("conditioned", (True, False), ids=("conditioned", "unconditioned"))
-def test_sampler_distribution_with_roots(conditioned):
-    """Plain samples at n = 100 with three roots, conditioned on vertex n in
-    tree 1 or not, follow the exact distribution of tree 1's size."""
+def test_tree_one_weights_match_the_oracle(family, n, kcs, roots, conditioned):
+    oracle_family = "special-colored" if family == "colored" else family
+    for m, kc in product(range(3, n + 1), kcs):
+        if roots >= m:
+            continue
+        spec = FamilySpec(
+            oracle_family, n=m, roots=roots, colors=kc, conditioned=conditioned
+        )
+        sizes = Counter(map(tree_one_size, enumerate_family(spec)))
+        weights = tree_one_weights(m, roots, conditioned, family, kc)
+        assert sizes == {s: w for s, w in weights.items() if w}
+
+
+# Per case: the colors, and the degrees of freedom the pooled tree-1 sizes
+# have at n = 100 with three roots and 400 draws, with the 0.999 quantile.
+TREE_ONE_CASES = {
+    "conditioned": ("plain", 0, True, 36, 67.9852),
+    "unconditioned": ("plain", 0, False, 34, 65.2472),
+    "plane-conditioned": ("plane", 0, True, 29, 58.3012),
+    "plane-unconditioned": ("plane", 0, False, 28, 56.8923),
+    "colored-conditioned": ("colored", 3, True, 43, 77.4186),
+    "colored-unconditioned": ("colored", 3, False, 40, 73.4020),
+}
+
+
+@pytest.mark.parametrize("case", TREE_ONE_CASES)
+def test_sampler_distribution_with_roots(case):
+    """Samples at n = 100 with three roots, conditioned on vertex n in tree
+    1 or not, follow the exact distribution of tree 1's size: plain, plane
+    and colored (kc=3)."""
+    family, colors, conditioned, want_df, quantile = TREE_ONE_CASES[case]
     n, roots, draws = 100, 3, 400
-    weights = tree_one_weights(n, roots, conditioned)
-    assert sum(weights.values()) == rooted_forest_count(n, roots, conditioned=conditioned)
+    weights = tree_one_weights(n, roots, conditioned, family, colors)
+    # The sampler draws the choices of the steps from n-1 roots down to
+    # ``roots``, and relabels the pivot root when unconditioned.
+    bounds = trace_bounds(family, n, colors)
+    count = prod(bounds[: len(bounds) - roots + 1]) * (1 if conditioned else roots)
+    assert sum(weights.values()) == count
     rng = SplitMix64(20261019 + n)
-    samples = (
-        sample_uniform("plain", n, seed=0, roots=roots, conditioned=conditioned, rng=rng)
+    freq = Counter(
+        tree_one_size(sample_uniform(
+            family, n, seed=0, colors=colors, roots=roots,
+            conditioned=conditioned, rng=rng,
+        ))
         for _ in range(draws)
     )
-    freq = Counter(sum(is_descendant(f, v, 1) for v in range(1, n + 1)) for f in samples)
     chi2, df = pooled_chi2(freq, weights, draws)
-    want_df, quantile = CHI2_Q999_TREE_ONE[conditioned]
     assert df == want_df
     assert chi2 < quantile, f"chi-square {chi2:.2f} on {df} df"

@@ -454,6 +454,41 @@ BAD_VALUES = {
         lambda: PartAssignment((2, 3)).part_of(6),
         "vertex 6 out of range 1..5",
     ),
+    "block 0": (lambda: PartAssignment((2, 3)).block(0), "part 0 out of range 1..2"),
+    "block -1": (lambda: PartAssignment((2, 3)).block(-1), "part -1 out of range 1..2"),
+    "block past the last part": (
+        lambda: PartAssignment((2, 3)).block(3),
+        "part 3 out of range 1..2",
+    ),
+    # Counts, labels and colors are ints.
+    "node label not an int": (
+        lambda: PlaneForest([PlaneNode(1.5)]),
+        "label must be an int, got 1.5",
+    ),
+    "word label not an int": (
+        lambda: _plane_word((1.0,), (0,)),
+        "labels and child counts must be ints, got 1.0",
+    ),
+    "part size not an int": (
+        lambda: PartAssignment((2.5, 1)),
+        "part sizes must be ints, got 2.5",
+    ),
+    "color count not an int": (
+        lambda: EdgeColoredForest(RootedForest((0, 1)), 2.5, (0, 1)),
+        "color count must be an int, got 2.5",
+    ),
+    "edge color not an int": (
+        lambda: EdgeColoredForest(RootedForest((0, 1)), 2, (0, 1.0)),
+        "color of vertex 2 must be an int, got 1.0",
+    ),
+    "root color not an int": (
+        lambda: EdgeColoredForest(RootedForest((0, 1)), 2, (0.0, 1)),
+        "color of vertex 1 must be an int, got 0.0",
+    ),
+    "colored base not a forest": (
+        lambda: EdgeColoredForest((0, 1), 2, (0, 1)),
+        "base must be a RootedForest, got tuple",
+    ),
 }
 
 

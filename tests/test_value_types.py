@@ -7,7 +7,7 @@ import pickle
 
 import pytest
 
-from forestcodec.codec import ChoiceTrace
+from forestcodec.codec import ChoiceTrace, decode, trace_bounds
 from forestcodec.enumeration import FamilySpec, RecurrenceRow
 from forestcodec.forests import (
     EdgeColoredForest,
@@ -165,3 +165,32 @@ def test_copies_round_trip(case, copier):
     assert type(twin) is type(value)
     assert twin == value and hash(twin) == hash(value)
     assert repr(twin) == text
+
+
+# A trace's counts and choices are ints: the call and its ValueError.
+NON_INTEGERS = {
+    "choice": (
+        lambda: ChoiceTrace("plain", 4, 0, (1.0, 2)),
+        "choices must be ints, got 1.0",
+    ),
+    "trace colors": (
+        lambda: decode(ChoiceTrace("colored", 4, 3.0, (1, 1, 1))),
+        "n and colors must be ints, got 3.0",
+    ),
+    "trace n": (
+        lambda: ChoiceTrace("plain", 4.0, 0, (1, 2)),
+        "n and colors must be ints, got 4.0",
+    ),
+    "bounds colors": (
+        lambda: trace_bounds("colored", 4, 2.5),
+        "n and colors must be ints, got 2.5",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", NON_INTEGERS)
+def test_non_integers_are_rejected(case):
+    make, message = NON_INTEGERS[case]
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
