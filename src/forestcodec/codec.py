@@ -120,7 +120,7 @@ class ChoiceTrace(_Value):
         _set(self, "choices", tuple(self.choices))
         if self.family not in CODEC_FAMILIES:
             raise ValueError(f"no codec for family {self.family!r}")
-        _require_ints((self.n, self.colors), "n and colors")
+        _require_ints((self.n, self.colors, *self.choices), "n, colors and choices")
         if self.n < 1:
             raise ValueError(f"need n >= 1, got {self.n}")
         if _has_head(self.family, self.n) and self.colors < 2:
@@ -130,7 +130,6 @@ class ChoiceTrace(_Value):
         want = max(self.n - 2, 0) + _has_head(self.family, self.n)
         if len(self.choices) != want:
             raise ValueError(f"expected {want} choices, got {len(self.choices)}")
-        _require_ints(self.choices, "choices")
         bounds = trace_bounds(self.family, self.n, self.colors)
         for c, bound in zip(self.choices, bounds):
             if not 1 <= c <= bound:

@@ -798,12 +798,10 @@ def _properly_colored(
     keys = set()
     edges = 0
     for v, p, c in zip(range(1, n + 1), parents, colors):
-        if type(c) is not int:
-            return False
         if not p:
-            if c != 0:
+            if c != 0 or type(c) is not int:
                 return False
-        elif not 1 <= c <= color_count:
+        elif type(c) is not int or not 1 <= c <= color_count:
             return False
         else:
             keys.add((v, c))

@@ -171,15 +171,15 @@ def test_copies_round_trip(case, copier):
 NON_INTEGERS = {
     "choice": (
         lambda: ChoiceTrace("plain", 4, 0, (1.0, 2)),
-        "choices must be ints, got 1.0",
+        "n, colors and choices must be ints, got 1.0",
     ),
     "trace colors": (
         lambda: decode(ChoiceTrace("colored", 4, 3.0, (1, 1, 1))),
-        "n and colors must be ints, got 3.0",
+        "n, colors and choices must be ints, got 3.0",
     ),
     "trace n": (
         lambda: ChoiceTrace("plain", 4.0, 0, (1, 2)),
-        "n and colors must be ints, got 4.0",
+        "n, colors and choices must be ints, got 4.0",
     ),
     "bounds colors": (
         lambda: trace_bounds("colored", 4, 2.5),
