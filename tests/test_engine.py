@@ -7,6 +7,7 @@ trace of the small sizes, and the sampler the same forest for every draw
 sequence, conditioned or not, at roots 1, 2, 3 and n-1.
 """
 
+import random
 from itertools import product
 
 import pytest
@@ -164,6 +165,24 @@ def test_sampler_every_draw(case):
         drawn = bounds[: len(bounds) - roots + 1]
         for choices in product(*(range(1, b + 1) for b in drawn)):
             check_sampler(family, n, colors, roots, choices)
+
+
+AT_SIZE = (("plane", 0), ("colored", 3), ("colored", 4))
+
+
+@pytest.mark.parametrize("family, colors", AT_SIZE, ids=("plane", "colored-kc3", "colored-kc4"))
+def test_random_traces_at_size(family, colors):
+    """100 uniform traces a family at n = 8..60: there tree k often holds
+    labels on both sides of a Fenwick node the engine's walk passes, which
+    the exhaustive small sizes rarely reach."""
+    rng = random.Random(f"{family}-{colors}")
+    for _ in range(100):
+        n = rng.randint(8, 60)
+        choices = tuple(rng.randint(1, b) for b in trace_bounds(family, n, colors))
+        trace = ChoiceTrace(family, n, colors, choices)
+        forest = _inverse_run(family, n, colors, choices)
+        assert decode(trace) == forest
+        assert encode(forest) == _step_encode(forest) == trace
 
 
 def test_encode_errors_match_the_steps():
