@@ -82,6 +82,8 @@ class SplitMix64:
     """
 
     def __init__(self, seed: int) -> None:
+        if not isinstance(seed, int):
+            raise ValueError(f"seed must be an int, got {seed!r}")
         self.state = seed & _MASK64
 
     def next_u64(self) -> int:
@@ -93,6 +95,8 @@ class SplitMix64:
 
     def below(self, bound: int) -> int:
         """Uniform integer in 0..bound-1, by rejection."""
+        if not isinstance(bound, int):
+            raise ValueError(f"bound must be an int, got {bound!r}")
         if bound < 1:
             raise ValueError(f"bound must be positive, got {bound}")
         limit = (1 << 64) - ((1 << 64) % bound)
@@ -334,9 +338,10 @@ def _run(family: str, n: int, colors: int, choices: tuple[int, ...], cuts=None):
                 c += outside
             else:  # the targets below w, less tree k's
                 c, x = a * (w - 1) - c, w - 1
-                while b and x:
-                    c += b * fen[x]
-                    x &= x - 1
+                if b:
+                    while x:
+                        c += b * fen[x]
+                        x &= x - 1
             chosen.append(c + j + 1)
         elif not b:  # plain: every label offers a targets
             if c > outside:
@@ -368,19 +373,24 @@ def _run(family: str, n: int, colors: int, choices: tuple[int, ...], cuts=None):
             j = c - 1 - a * i - b * bisect_left(Pk, w)
         else:
             # Walk down the Fenwick tree, less tree k's labels and children:
-            # node y holds labels y-(y&-y)+1..y, and si and pi count the
-            # entries of Sk and Pk at labels up to x, the labels passed.
-            x, step, si, pi, swap = 0, top, 0, 0, False
+            # node y holds labels x+1..y, and si and pi count the entries of
+            # Sk and Pk at labels up to x, the labels passed.  Tree k's
+            # labels and parent labels lie in k..last, so only the nodes
+            # that meet that range search them.
+            x, step, si, pi, last, swap = 0, top, 0, 0, Sk[-1], False
             while step:
                 y = x + step
                 if y <= n:
-                    sj, pj = si, pi
-                    if y >= k:  # tree k lies at labels k and above
+                    wy = a * step + b * fen[y]
+                    if y < k or x >= last:
+                        if wy < c:
+                            x, c = y, c - wy
+                    else:
                         sj = bisect_right(Sk, y, si)
                         pj = bisect_right(Pk, y, pi)
-                    wy = a * (step - sj + si) + b * (fen[y] - pj + pi)
-                    if wy < c:
-                        x, c, si, pi = y, c - wy, sj, pj
+                        wy -= a * (sj - si) + b * (pj - pi)
+                        if wy < c:
+                            x, c, si, pi = y, c - wy, sj, pj
                 step >>= 1
             w, j = x + 1, c - 1
         if not replay:  # hang the moved tree's root below w
@@ -389,22 +399,25 @@ def _run(family: str, n: int, colors: int, choices: tuple[int, ...], cuts=None):
             if plane:
                 kids[v].insert(j, moved)
             elif colored:
-                # The j-th color free at v.  j is below the kc-1-deg colors v
-                # offers, so y is at most kc, and at most kc-1 at a root.
-                y = j + 1
-                for u in sorted(_used_colors(color, kids[v], v)):
-                    if 0 < u <= y:
-                        y += 1
+                # The (j+1)-th color free at v.  j is below the kc-1-deg
+                # colors v offers, so y is at most kc, and at most kc-1 at a
+                # root.
+                used, y, free = _used_colors(color, kids[v], v), 0, j + 1
+                while free:
+                    y += 1
+                    if y not in used:
+                        free -= 1
                 # Push y back out for the last color below the moved root.
                 _alternating_flip(kids, color, moved, y, colors)
                 kids[v].append(moved)
                 color[moved - 1] = y
         # Join the trees: w's degree rises, and tree 1 takes the other in,
         # or the smaller tree's lists go into the larger's.
-        x = w
-        while b and x <= n:
-            fen[x] += 1
-            x += x & -x
+        if b:
+            x = w
+            while x <= n:
+                fen[x] += 1
+                x += x & -x
         if swap:
             u = 1
         else:
@@ -550,6 +563,8 @@ def sample_uniform(
         raise ValueError(f"no sampler for family {family!r}")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    if not isinstance(roots, int):
+        raise ValueError(f"roots must be an int, got {roots!r}")
     if not 1 <= roots <= max(n - 1, 1):
         raise ValueError(f"root count {roots} out of range")
     if _has_head(family, n) and colors < 2:
@@ -560,8 +575,9 @@ def sample_uniform(
     # so the last roots-1 positions of the trace are never drawn.
     bounds = trace_bounds(family, n, colors)
     drawn = bounds[: len(bounds) - roots + 1]
+    below = rng.below
     label, vid, parent, kids, color = _run(
-        family, n, colors, tuple(rng.below(b) + 1 for b in drawn)
+        family, n, colors, tuple([below(b) + 1 for b in drawn])
     )[0]
     if not conditioned and roots > 1:
         _exchange(label, vid, 1, rng.below(roots) + 1)

@@ -40,6 +40,7 @@ from .forests import (
     _plane_word,
     _properly_colored,
     _rebuilt,
+    _require_ints,
     _set,
     _special,
 )
@@ -113,6 +114,12 @@ class FamilySpec(_Value):
     def validate(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        for name in ("n", "roots", "leaves", "colors", "arity"):
+            x = getattr(self, name)
+            if x is not None and not isinstance(x, int):
+                raise ValueError(f"{name} must be an int, got {x!r}")
+        for name in ("root_set", "part_sizes", "degrees"):
+            _require_ints(getattr(self, name) or (), f"{name} entries")
         if self.family == "partite":
             if len(self.part_sizes) < 2 or any(s < 1 for s in self.part_sizes):
                 raise ValueError("partite family needs at least two nonempty parts")

@@ -318,7 +318,9 @@ def _swapped(v: int, a: int, b: int) -> int:
     return b if v == a else a if v == b else v
 
 
-def _check_vertex(forest: RootedForest, v: int) -> None:
+def _check_vertex(forest: RootedForest | PartAssignment, v: int) -> None:
+    if not isinstance(v, int):
+        raise ValueError(f"vertex must be an int, got {v!r}")
     if not 1 <= v <= forest.n:
         raise ValueError(f"vertex {v} out of range 1..{forest.n}")
 
@@ -368,12 +370,13 @@ class PartAssignment(_Value):
 
     def part_of(self, v: int) -> int:
         """1-based part index of vertex v."""
-        if not 1 <= v <= self.n:
-            raise ValueError(f"vertex {v} out of range 1..{self.n}")
+        _check_vertex(self, v)
         return bisect.bisect_left(list(accumulate(self.sizes)), v) + 1
 
     def block(self, i: int) -> range:
         """The label range of part i."""
+        if not isinstance(i, int):
+            raise ValueError(f"part must be an int, got {i!r}")
         if not 1 <= i <= self.part_count:
             raise ValueError(f"part {i} out of range 1..{self.part_count}")
         offs = (0, *accumulate(self.sizes))

@@ -355,6 +355,28 @@ BAD_SPECS = {
         FamilySpec("plain", n=3, degrees=(2, 0, -1)),
         "degrees must be nonnegative",
     ),
+    # The numbers of a spec are ints.
+    "n not an int": (FamilySpec("plain", n=4.0), "n must be an int, got 4.0"),
+    "roots not an int": (
+        FamilySpec("plain", n=4, roots=2.0),
+        "roots must be an int, got 2.0",
+    ),
+    "leaves not an int": (
+        FamilySpec("plane", n=4, leaves=2.0),
+        "leaves must be an int, got 2.0",
+    ),
+    "part size not an int": (
+        FamilySpec("partite", part_sizes=(2, 3.0)),
+        "part_sizes entries must be ints, got 3.0",
+    ),
+    "root set entry not an int": (
+        FamilySpec("plain", n=3, root_set=(1, 2.0)),
+        "root_set entries must be ints, got 2.0",
+    ),
+    "degree not an int": (
+        FamilySpec("plain", n=3, degrees=(2, 0, 0.0)),
+        "degrees entries must be ints, got 0.0",
+    ),
 }
 
 

@@ -489,6 +489,27 @@ BAD_VALUES = {
         lambda: EdgeColoredForest((0, 1), 2, (0, 1)),
         "base must be a RootedForest, got tuple",
     ),
+    # Vertex and part numbers are ints.
+    "children vertex not an int": (
+        lambda: children(RootedForest((0, 1, 1)), 1.0),
+        "vertex must be an int, got 1.0",
+    ),
+    "is_descendant vertex not an int": (
+        lambda: is_descendant(RootedForest((0, 1, 1)), 2.0, 1),
+        "vertex must be an int, got 2.0",
+    ),
+    "swap_labels vertex not an int": (
+        lambda: swap_labels(RootedForest((0, 1, 1)), 2.0, 3),
+        "vertex must be an int, got 2.0",
+    ),
+    "part_of vertex not an int": (
+        lambda: PartAssignment((2, 3)).part_of(1.5),
+        "vertex must be an int, got 1.5",
+    ),
+    "block not an int": (
+        lambda: PartAssignment((2, 3)).block(1.5),
+        "part must be an int, got 1.5",
+    ),
 }
 
 

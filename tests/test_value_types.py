@@ -7,7 +7,13 @@ import pickle
 
 import pytest
 
-from forestcodec.codec import ChoiceTrace, decode, trace_bounds
+from forestcodec.codec import (
+    ChoiceTrace,
+    SplitMix64,
+    decode,
+    sample_uniform,
+    trace_bounds,
+)
 from forestcodec.enumeration import FamilySpec, RecurrenceRow
 from forestcodec.forests import (
     EdgeColoredForest,
@@ -167,7 +173,8 @@ def test_copies_round_trip(case, copier):
     assert repr(twin) == text
 
 
-# A trace's counts and choices are ints: the call and its ValueError.
+# A trace's counts and choices, and the sampler's numbers, are ints: the
+# call and its ValueError.
 NON_INTEGERS = {
     "choice": (
         lambda: ChoiceTrace("plain", 4, 0, (1.0, 2)),
@@ -184,6 +191,16 @@ NON_INTEGERS = {
     "bounds colors": (
         lambda: trace_bounds("colored", 4, 2.5),
         "n and colors must be ints, got 2.5",
+    ),
+    "draw bound": (lambda: SplitMix64(1).below(2.5), "bound must be an int, got 2.5"),
+    "generator seed": (lambda: SplitMix64(1.5), "seed must be an int, got 1.5"),
+    "sampler seed": (
+        lambda: sample_uniform("plain", 5, 1.5),
+        "seed must be an int, got 1.5",
+    ),
+    "sampler roots": (
+        lambda: sample_uniform("plain", 5, 1, roots=2.0),
+        "roots must be an int, got 2.0",
     ),
 }
 
