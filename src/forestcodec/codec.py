@@ -24,9 +24,11 @@ the state it reads: a union-find over the trees and each tree's sorted
 labels; plane adds ordered child lists and colored adds child lists and
 colors, and both add each tree's sorted parent labels and a Fenwick tree
 of degrees by label.  A choice is found by binary search on those lists
-or one walk down the Fenwick tree, so a run makes O(n log^2 n)
-comparisons, besides the list edits of wide forests (up to O(n) words a
-step) and the recoloring walks of a colored run (see ``_run``).
+or one walk down the Fenwick tree, which searches tree k's lists only on
+the levels whose node meets tree k's labels k..max(tree k), so a run
+makes O(n log^2 n) comparisons, besides the list edits of wide forests (up
+to O(n) words a step) and the recoloring walks of a colored run (see
+``_run``).
 ``encode``'s replay of its forward steps only counts, so it moves no
 vertex.  A plane run reads its input's preorder word into parents and
 ordered child lists by label in one pass and writes its result's word in
@@ -289,7 +291,10 @@ def _run(family: str, n: int, colors: int, choices: tuple[int, ...], cuts=None):
     (b = 0) counts by label alone and keeps neither.  Tree k's least label
     is k, as labels 1..k-1 are the other roots, so a choice is found by one
     walk down the Fenwick tree less tree k's entries, or by binary search
-    on tree k's labels, in O(log^2 n).
+    on tree k's labels, in O(log^2 n).  Tree k's labels and parent labels
+    lie in k..max(tree k), so the walk searches ``S`` and ``P`` only on the
+    levels whose node meets that range: when tree k is the single vertex k,
+    only on the nodes that hold k.
 
     A forward step cuts a tree apart, which the lists cannot follow, so
     ``encode`` runs its forward steps without counting and replays their
@@ -402,7 +407,8 @@ def _run(family: str, n: int, colors: int, choices: tuple[int, ...], cuts=None):
                 # The (j+1)-th color free at v.  j is below the kc-1-deg
                 # colors v offers, so y is at most kc, and at most kc-1 at a
                 # root.
-                used, y, free = _used_colors(color, kids[v], v), 0, j + 1
+                used = _used_colors(color, kids[v], v)
+                y, free = 0, j + 1
                 while free:
                     y += 1
                     if y not in used:

@@ -40,7 +40,6 @@ from .forests import (
     _plane_word,
     _properly_colored,
     _rebuilt,
-    _require_ints,
     _set,
     _special,
 )
@@ -119,7 +118,9 @@ class FamilySpec(_Value):
             if x is not None and not isinstance(x, int):
                 raise ValueError(f"{name} must be an int, got {x!r}")
         for name in ("root_set", "part_sizes", "degrees"):
-            _require_ints(getattr(self, name) or (), f"{name} entries")
+            for x in getattr(self, name) or ():
+                if not isinstance(x, int):
+                    raise ValueError(f"{name} entries must be ints, got {x!r}")
         if self.family == "partite":
             if len(self.part_sizes) < 2 or any(s < 1 for s in self.part_sizes):
                 raise ValueError("partite family needs at least two nonempty parts")
