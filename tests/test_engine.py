@@ -28,7 +28,7 @@ from forestcodec import (
 )
 from forestcodec import bijections as bij
 from forestcodec.codec import _family_of, _split_head
-from forestcodec.forests import _plane_word, plane_relabel
+from forestcodec.forests import _child_index, _plane_word, _preorder, plane_relabel
 
 
 # --------------------------------------------------------------------------
@@ -167,10 +167,12 @@ def test_sampler_every_draw(case):
             check_sampler(family, n, colors, roots, choices)
 
 
-AT_SIZE = (("plane", 0), ("colored", 3), ("colored", 4))
+AT_SIZE = (("plain", 0), ("plane", 0), ("colored", 3), ("colored", 4))
 
 
-@pytest.mark.parametrize("family, colors", AT_SIZE, ids=("plane", "colored-kc3", "colored-kc4"))
+@pytest.mark.parametrize(
+    "family, colors", AT_SIZE, ids=("plain", "plane", "colored-kc3", "colored-kc4")
+)
 def test_random_traces_at_size(family, colors):
     """100 uniform traces a family at n = 8..60: there tree k often holds
     labels on both sides of a Fenwick node the engine's walk passes, which
@@ -183,6 +185,77 @@ def test_random_traces_at_size(family, colors):
         forest = _inverse_run(family, n, colors, choices)
         assert decode(trace) == forest
         assert encode(forest) == _step_encode(forest) == trace
+
+
+# --------------------------------------------------------------------------
+# Adversarial shapes at n = 400
+# --------------------------------------------------------------------------
+
+N = 400
+HALF = N // 2
+
+# shape -> the parents of its one-root plain forest at n = N
+PLAIN_SHAPES = {
+    # Every vertex below 1: each inverse step hangs its tree into tree 1.
+    "star": (0,) + (1,) * (N - 1),
+    # 2 and N below 1, the rest below 2: the steps hang singletons below 2
+    # and join them in one large list outside tree 1.
+    "broom": (0, 1) + (2,) * (N - 3) + (1,),
+    "chain": tuple(range(N)),
+    # The spine 1..HALF, and the leaf HALF + i below each spine vertex i.
+    "caterpillar": tuple(range(HALF)) + tuple(range(1, HALF + 1)),
+    # N below 1 and every other vertex below the next label: each step
+    # hangs its tree below a vertex that an earlier step moved into tree 1.
+    "descending-chain": (0, *range(3, N + 1), 1),
+    # 2 and N below 1, N-1 below 2, and every other vertex below the next
+    # label: each step hangs its tree below a vertex that an earlier join
+    # moved into tree 2's list.
+    "pole": (0, 1, *range(4, N), 2, 1),
+}
+
+
+def _plane_of(parents):
+    """The plane forest of a parent map, children in ascending order."""
+    kids = _child_index(parents)
+    return _plane_word(*_preorder(kids[0], kids.__getitem__, int))
+
+
+def _alternating_chain(colors: int) -> EdgeColoredForest:
+    """The chain, its edges colored 1 and ``colors`` in turn from root 1."""
+    edges = tuple(1 if v % 2 == 0 else colors for v in range(2, N + 1))
+    return EdgeColoredForest(RootedForest(PLAIN_SHAPES["chain"]), colors, (0, *edges))
+
+
+def _colored_caterpillar() -> EdgeColoredForest:
+    """The caterpillar with kc = 3: spine edges 1 and 3 in turn from root 1,
+    and every leaf edge 2."""
+    spine = tuple(1 if v % 2 == 0 else 3 for v in range(2, HALF + 1))
+    base = RootedForest(PLAIN_SHAPES["caterpillar"])
+    return EdgeColoredForest(base, 3, (0, *spine, *(2,) * HALF))
+
+
+SHAPES = {
+    **{f"plain-{name}": lambda p=p: RootedForest(p) for name, p in PLAIN_SHAPES.items()},
+    **{f"plane-{name}": lambda p=p: _plane_of(p) for name, p in PLAIN_SHAPES.items()},
+    "colored-chain-kc3": lambda: _alternating_chain(3),
+    "colored-chain-kc4": lambda: _alternating_chain(4),
+    "colored-caterpillar": _colored_caterpillar,
+}
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_adversarial_shapes(shape):
+    """Wide and deep one-root members at n = 400 against the public steps:
+    the star hangs every tree into tree 1, the broom joins singletons into
+    one large list outside it, the descending chain and the pole hang trees
+    below vertices that earlier joins moved, and the chains and caterpillars
+    swap labels 1 and k at many steps."""
+    forest = SHAPES[shape]()
+    family, n, colors = _family_of(forest)
+    assert n == N
+    trace = encode(forest)
+    assert trace == _step_encode(forest)
+    assert decode(trace) == _inverse_run(family, n, colors, trace.choices) == forest
 
 
 def test_encode_errors_match_the_steps():
