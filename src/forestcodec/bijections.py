@@ -58,6 +58,7 @@ from .forests import (
     _check_vertex,
     _child_index,
     _descends,
+    _int,
     _require_colored,
     _require_partite,
     _require_plain,
@@ -186,6 +187,7 @@ def plain_forward(forest: RootedForest, k: int) -> tuple[RootedForest, int]:
     must now sit under k, so labels 1 and k are exchanged.  Also returns the
     canonical choice index that makes ``plain_inverse`` undo the step.
     """
+    _int(k, "k")
     n = forest.n
     if not 2 <= k <= n - 1:
         raise ValueError(f"k must satisfy 2 <= k <= n-1, got {k}")
@@ -201,6 +203,8 @@ def plain_inverse(forest: RootedForest, k: int, choice: int) -> RootedForest:
     vertex outside it; the remaining m choices attach tree 1 below a vertex
     of tree k and exchange labels 1 and k.
     """
+    _int(k, "k")
+    _int(choice, "choice")
     n = forest.n
     if not 2 <= k <= n - 1:
         raise ValueError(f"k must satisfy 2 <= k <= n-1, got {k}")
@@ -211,6 +215,7 @@ def plain_inverse(forest: RootedForest, k: int, choice: int) -> RootedForest:
 
 def plain_choice_count(forest: RootedForest, k: int) -> int:
     """The plain multiplier: every one of the n vertices is a valid target."""
+    _int(k, "k")
     _require_plain(forest, _child_index(forest.parents), k, forest.n)
     return forest.n
 
@@ -236,6 +241,7 @@ def partite_forward(
     are restricted to vertices in a different part from the attached root,
     which is what makes the multiplier the size of the complement of part 1.
     """
+    _int(k, "k")
     _require_partite_k(k, parts)
     kids = _child_index(forest.parents)
     part = _require_partite(forest, kids, k - 1, parts)
@@ -245,6 +251,8 @@ def partite_forward(
 def partite_inverse(
     forest: RootedForest, k: int, parts: PartAssignment, choice: int
 ) -> RootedForest:
+    _int(k, "k")
+    _int(choice, "choice")
     _require_partite_k(k, parts)
     kids = _child_index(forest.parents)
     part = _require_partite(forest, kids, k, parts)
@@ -254,6 +262,7 @@ def partite_inverse(
 def partite_choice_count(
     forest: RootedForest, k: int, parts: PartAssignment
 ) -> int:
+    _int(k, "k")
     kids = _child_index(forest.parents)
     part = _require_partite(forest, kids, k, parts)
     return sum(_targets(_tree_k(kids, k), k, part))
@@ -363,6 +372,7 @@ def plane_forward(pf: PlaneForest, k: int) -> tuple[PlaneForest, int]:
     Attachment positions are (vertex, gap) pairs, so a vertex of degree d
     offers d+1 slots; over the whole target forest that is 2n-k slots.
     """
+    _int(k, "k")
     labels, degrees = pf.preorder_labels, pf.preorder_degrees
     n = len(labels)
     if not 2 <= k <= n - 1:
@@ -383,6 +393,8 @@ def plane_forward(pf: PlaneForest, k: int) -> tuple[PlaneForest, int]:
 
 
 def plane_inverse(pf: PlaneForest, k: int, choice: int) -> PlaneForest:
+    _int(k, "k")
+    _int(choice, "choice")
     labels, degrees = pf.preorder_labels, pf.preorder_degrees
     n = len(labels)
     if not 2 <= k <= n - 1:
@@ -402,6 +414,7 @@ def plane_inverse(pf: PlaneForest, k: int, choice: int) -> PlaneForest:
 
 def plane_choice_count(pf: PlaneForest, k: int) -> int:
     """The plane multiplier 2n-k: one slot per (vertex, child gap) pair."""
+    _int(k, "k")
     return 2 * _require_plane(pf, k)[0] - k
 
 
@@ -417,6 +430,7 @@ def leafplane_forward(pf: PlaneForest, r: int) -> tuple[PlaneForest, int]:
     and one more leaf than the input.  The choice index is the preorder rank
     of that hole among the unlabeled leaves of the result.
     """
+    _int(r, "r")
     labels, degrees = pf.preorder_labels, pf.preorder_degrees
     m, starts = _require_plane(pf, r - 1, leafy=True)
     if not 2 <= r <= m - 1:
@@ -437,6 +451,8 @@ def leafplane_forward(pf: PlaneForest, r: int) -> tuple[PlaneForest, int]:
 
 def leafplane_inverse(pf: PlaneForest, r: int, choice: int) -> PlaneForest:
     """Replace the chosen unlabeled leaf by tree r (or tree 1 plus a swap)."""
+    _int(r, "r")
+    _int(choice, "choice")
     labels = pf.preorder_labels
     m, starts = _require_plane(pf, r, leafy=True)
     if not 2 <= r <= m - 1:
@@ -455,6 +471,7 @@ def leafplane_inverse(pf: PlaneForest, r: int, choice: int) -> PlaneForest:
 
 def leafplane_choice_count(pf: PlaneForest, r: int) -> int:
     """One choice per unlabeled leaf of the forest with r roots."""
+    _int(r, "r")
     _require_plane(pf, r, leafy=True)
     return pf.preorder_labels.count(0)
 
@@ -495,6 +512,7 @@ def colored_forward(
     special again.  The recorded choice remembers both the attachment vertex
     and x.
     """
+    _int(r, "r")
     n, kc = ef.n, ef.color_count
     if not 2 <= r <= n - 1:
         raise ValueError(f"r must satisfy 2 <= r <= n-1, got {r}")
@@ -533,6 +551,8 @@ def colored_inverse(
     If the chosen color collides with an edge out of the attached root, that
     edge is recolored with the last color, undoing the forward recoloring.
     """
+    _int(r, "r")
+    _int(choice, "choice")
     n, kc = ef.n, ef.color_count
     if not 2 <= r <= n - 1:
         raise ValueError(f"r must satisfy 2 <= r <= n-1, got {r}")
@@ -559,5 +579,6 @@ def colored_inverse(
 
 def colored_choice_count(ef: EdgeColoredForest, r: int) -> int:
     """The colored multiplier kc*n - 2n + r."""
+    _int(r, "r")
     _require_colored(ef, _child_index(ef.base.parents), r)
     return ef.color_count * ef.n - 2 * ef.n + r

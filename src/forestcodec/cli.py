@@ -449,11 +449,15 @@ def _cmd_verify(args) -> int:
         if args.family is None:
             raise ValueError("verify recurrence needs --family")
         _reject_unread(args)
+        k_range = _parse_range(args.k_range, "k-range") if args.k_range else None
+        part_sizes = _ints(args.parts, "parts") if args.parts else ()
+        if args.family == "partite":  # its parts fix n, so an --n of 0 is given too
+            _reject_flags(args, "partite forests take", ["n"])
         rows = verify_recurrence(
             args.family,
             n=args.n or 0,
-            k_range=_parse_range(args.k_range, "k-range") if args.k_range else None,
-            part_sizes=_ints(args.parts, "parts") if args.parts else (),
+            k_range=k_range,
+            part_sizes=part_sizes,
             colors=args.kc or 0,
             leaves=args.leaves,
             budget=args.budget,

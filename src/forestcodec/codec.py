@@ -20,15 +20,16 @@ place; the one value a run returns is built, and validated, once, by
 which does the target search, the move and the join inline: the inverse
 steps of ``decode`` and ``sample_uniform`` and ``encode``'s replay in
 ``_run``, and ``encode``'s forward steps in ``encode``.  A run keeps only
-the state it reads: a union-find over the trees and each tree's sorted
-labels; plane adds ordered child lists and colored adds child lists and
-colors, and both add each tree's sorted parent labels and a Fenwick tree
-of degrees by label.  A choice is found by binary search on those lists
-or one walk down the Fenwick tree, which searches tree k's lists only on
-the levels whose node meets tree k's labels k..max(tree k), so a run
-makes O(n log^2 n) comparisons, besides the list edits of wide forests (up
-to O(n) words a step) and the recoloring walks of a colored run (see
-``_run``).
+the state it reads: each tree's sorted labels, and each vertex's tree by
+id, which a join of two trees writes for the labels it moves (labels
+differ from ids only inside tree 1); plane adds ordered child lists and
+colored adds child lists and colors, and both add each tree's sorted
+parent labels and a Fenwick tree of degrees by label.  A choice is found
+by binary search on those lists or one walk down the Fenwick tree, which
+searches tree k's lists only on the levels whose node meets tree k's
+labels k..max(tree k), so a run makes O(n log^2 n) comparisons, besides
+the list edits of wide forests (up to O(n) words a step) and the
+recoloring walks of a colored run (see ``_run``).
 ``encode``'s replay of its forward steps only counts, so it moves no
 vertex.  A plane run reads its input's preorder word into parents and
 ordered child lists by label in one pass and writes its result's word in
@@ -57,6 +58,7 @@ from .forests import (
     _Value,
     _alternating_flip,
     _child_index,
+    _int,
     _plane_word,
     _preorder,
     _preorder_parents,
@@ -84,8 +86,7 @@ class SplitMix64:
     """
 
     def __init__(self, seed: int) -> None:
-        if not isinstance(seed, int):
-            raise ValueError(f"seed must be an int, got {seed!r}")
+        _int(seed, "seed")
         self.state = seed & _MASK64
 
     def next_u64(self) -> int:
@@ -97,8 +98,7 @@ class SplitMix64:
 
     def below(self, bound: int) -> int:
         """Uniform integer in 0..bound-1, by rejection."""
-        if not isinstance(bound, int):
-            raise ValueError(f"bound must be an int, got {bound!r}")
+        _int(bound, "bound")
         if bound < 1:
             raise ValueError(f"bound must be positive, got {bound}")
         limit = (1 << 64) - ((1 << 64) % bound)
@@ -124,13 +124,8 @@ class ChoiceTrace(_Value):
 
     def __post_init__(self) -> None:
         _set(self, "choices", tuple(self.choices))
-        if self.family not in CODEC_FAMILIES:
-            raise ValueError(f"no codec for family {self.family!r}")
         _require_ints((self.n, self.colors, *self.choices), "n, colors and choices")
-        if self.n < 1:
-            raise ValueError(f"need n >= 1, got {self.n}")
-        if _has_head(self.family, self.n) and self.colors < 2:
-            raise ValueError("colored traces need at least two colors")
+        _check_codec(self.family, self.n, self.colors)
         # Count before listing the bounds: n may come from outside and be
         # far too large to list.
         want = max(self.n - 2, 0) + _has_head(self.family, self.n)
@@ -144,17 +139,28 @@ class ChoiceTrace(_Value):
 
 def trace_bounds(family: str, n: int, colors: int = 0) -> tuple[int, ...]:
     """Upper bound of each trace position, aligned with ChoiceTrace.choices."""
-    if family not in CODEC_FAMILIES:
-        raise ValueError(f"no codec for family {family!r}")
-    _require_ints((n, colors), "n and colors")
-    if family != "colored" and colors:
-        raise ValueError(f"{family} forests take no colors, got {colors}")
+    _check_codec(family, n, colors)
     # The inverse step from k roots has one choice per attachment target:
     # a*n + b*(n-k) of them, as the degrees of the n vertices sum to the n-k
     # edges.  This is the family's recurrence multiplier.
     a, b = _targets(family, colors)
     head = (colors - 1,) if _has_head(family, n) else ()
     return head + tuple(a * n + b * (n - k) for k in range(n - 1, 1, -1))
+
+
+def _check_codec(family: str, n: int, colors: int) -> None:
+    """Raises ValueError unless a codec family has traces at n with this
+    many colors: the one check of a trace's, a sample's and the bounds'
+    parameters."""
+    if family not in CODEC_FAMILIES:
+        raise ValueError(f"no codec for family {family!r}")
+    _require_ints((n, colors), "n and colors")
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if family != "colored" and colors:
+        raise ValueError(f"{family} forests take no colors, got {colors}")
+    if _has_head(family, n) and colors < 2:
+        raise ValueError("colored traces need at least two colors")
 
 
 def _has_head(family: str, n: int) -> bool:
@@ -283,18 +289,22 @@ def _run(family: str, n: int, colors: int, choices: tuple[int, ...], cuts=None):
     exchanges labels 1 and k.  A vertex of degree deg offers ``a + b*deg``
     targets (one vertex, deg+1 gaps, or kc-1-deg free colors), and the run
     keeps what counting them needs, since inverse steps only ever join
-    trees: union-find ``up`` over the trees, in which tree 1 is the set of
-    id 1, and for each tree but tree 1 the sorted list ``S`` of its labels,
-    joined small into large.  Plane and colored (b != 0) also keep, per
-    tree, the sorted list ``P`` of its vertices' parent labels (one entry
-    per child), and a Fenwick tree ``fen`` of the degrees by label; plain
-    (b = 0) counts by label alone and keeps neither.  Tree k's least label
-    is k, as labels 1..k-1 are the other roots, so a choice is found by one
-    walk down the Fenwick tree less tree k's entries, or by binary search
-    on tree k's labels, in O(log^2 n).  Tree k's labels and parent labels
-    lie in k..max(tree k), so the walk searches ``S`` and ``P`` only on the
-    levels whose node meets that range: when tree k is the single vertex k,
-    only on the nodes that hold k.
+    trees: for each tree but tree 1 the sorted list ``S`` of its labels,
+    joined small into large, and ``tree``, each vertex's tree by id (1 for
+    tree 1), which a join writes for each label it moves.  Labels differ
+    from ids only inside tree 1: only labels 1 and k are ever exchanged, at
+    step k, once tree k has joined tree 1.  So the labels in ``S`` are ids,
+    label k is id k at step k, and tree k is ``tree[k]``.  Plane and
+    colored (b != 0) also keep, per tree, the sorted list ``P`` of its
+    vertices' parent labels (one entry per child), and a Fenwick tree
+    ``fen`` of the degrees by label; plain (b = 0) counts by label alone
+    and keeps neither.  Tree k's least label is k, as labels 1..k-1 are the
+    other roots, so a choice is found by one walk down the Fenwick tree
+    less tree k's entries, or by binary search on tree k's labels, in
+    O(log^2 n).  Tree k's labels and parent labels lie in k..max(tree k),
+    so the walk searches ``S`` and ``P`` only on the levels whose node
+    meets that range: when tree k is the single vertex k, only on the nodes
+    that hold k.
 
     A forward step cuts a tree apart, which the lists cannot follow, so
     ``encode`` runs its forward steps without counting and replays their
@@ -308,12 +318,12 @@ def _run(family: str, n: int, colors: int, choices: tuple[int, ...], cuts=None):
     label, vid = list(range(n + 1)), list(range(n + 1))  # the sentinel 0 stays fixed
     parent, color = [0] * n, [0] * n
     kids = [[] for _ in range(n + 1)] if b else None
-    up = list(range(n + 1))
+    tree = list(range(n + 1))
     S = [None, None] + [[v] for v in range(2, n + 1)]  # none for 0 and tree 1
     P = [None, None] + [[] for _ in range(2, n + 1)] if b else None
     fen = [0] * (n + 1) if b else None
     if n > 1:
-        parent[n - 1] = up[n] = 1
+        parent[n - 1] = tree[n] = 1
         color[n - 1] = base_color
         S[n] = None
         if b:
@@ -326,19 +336,16 @@ def _run(family: str, n: int, colors: int, choices: tuple[int, ...], cuts=None):
     top = 1 << (n.bit_length() - 1)  # the first step down the Fenwick tree
     chosen = []
     for k, c in zip(range(n - 1, 1, -1), cuts if replay else choices):
-        t = vid[k]
-        while up[t] != t:
-            up[t] = up[up[t]]
-            t = up[t]
+        t = tree[k]  # label k is still id k
         Sk = S[t]
-        Pk = P[t] if b else None
+        Pk = P[t] if b else ()
         # k roots: the degrees sum to the n-k edges, and tree k's to its
         # size-1 edges.
         size = len(Sk)
         outside = a * (n - size) + b * (n - k - size + 1)
         if replay:
             w, j, swap = c
-            c = a * bisect_left(Sk, w) + (b * bisect_left(Pk, w) if b else 0)
+            c = a * bisect_left(Sk, w) + b * bisect_left(Pk, w)
             if swap:  # tree k's targets below w follow all outside it
                 c += outside
             else:  # the targets below w, less tree k's
@@ -348,22 +355,6 @@ def _run(family: str, n: int, colors: int, choices: tuple[int, ...], cuts=None):
                         c += b * fen[x]
                         x &= x - 1
             chosen.append(c + j + 1)
-        elif not b:  # plain: every label offers a targets
-            if c > outside:
-                i, j = divmod(c - outside - 1, a)
-                w, swap = Sk[i], True
-            else:
-                # The (m+1)-th label outside tree k is m+1+i, with i the
-                # labels of tree k below it.
-                m, j = divmod(c - 1, a)
-                i, hi = 0, size
-                while i < hi:
-                    mid = (i + hi) // 2
-                    if Sk[mid] - mid <= m + 1:
-                        i = mid + 1
-                    else:
-                        hi = mid
-                w, swap = m + 1 + i, False
         elif c > outside:
             # The least label Sk[i] of tree k with c - outside targets up to
             # it: a*(i+1) + b*#(Pk <= Sk[i]) of them.
@@ -376,6 +367,17 @@ def _run(family: str, n: int, colors: int, choices: tuple[int, ...], cuts=None):
                     hi = mid
             w = Sk[i]
             j = c - 1 - a * i - b * bisect_left(Pk, w)
+        elif not b:
+            # Plain: the c-th label outside tree k is c+i, with i the labels
+            # of tree k below it.
+            i, hi = 0, size
+            while i < hi:
+                mid = (i + hi) // 2
+                if Sk[mid] - mid <= c:
+                    i = mid + 1
+                else:
+                    hi = mid
+            w, j, swap = c + i, 0, False
         else:
             # Walk down the Fenwick tree, less tree k's labels and children:
             # node y holds labels x+1..y, and si and pi count the entries of
@@ -418,29 +420,26 @@ def _run(family: str, n: int, colors: int, choices: tuple[int, ...], cuts=None):
                 kids[v].append(moved)
                 color[moved - 1] = y
         # Join the trees: w's degree rises, and tree 1 takes the other in,
-        # or the smaller tree's lists go into the larger's.
+        # or the smaller tree's lists go into the larger's.  The labels in
+        # ``S`` are ids, so each label moved indexes ``tree`` as it is.
         if b:
             x = w
             while x <= n:
                 fen[x] += 1
                 x += x & -x
-        if swap:
-            u = 1
-        else:
-            u = vid[w]
-            while up[u] != u:
-                up[u] = up[up[u]]
-                u = up[u]
+        u = 1 if swap else tree[vid[w]]
         if u == 1:  # tree 1's lists are never read: a step counts in tree k
-            up[t], S[t] = 1, None
+            for x in Sk:
+                tree[x] = 1
+            S[t] = None
             if b:
                 P[t] = None
         else:
             if len(S[u]) < size:
                 t, u = u, t
-            up[t] = u
             for x in S[t]:
                 insort(S[u], x)
+                tree[x] = u
             S[t] = None
             if b:
                 for x in P[t]:
@@ -567,19 +566,14 @@ def sample_uniform(
     """
     if family not in CODEC_FAMILIES:
         raise ValueError(f"no sampler for family {family!r}")
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if not isinstance(roots, int):
-        raise ValueError(f"roots must be an int, got {roots!r}")
+    bounds = trace_bounds(family, n, colors)
+    _int(roots, "roots")
     if not 1 <= roots <= max(n - 1, 1):
         raise ValueError(f"root count {roots} out of range")
-    if _has_head(family, n) and colors < 2:
-        raise ValueError("colored sampling needs at least two colors")
     if rng is None:
         rng = SplitMix64(seed)
     # Only the inverse steps from n-1 roots down to `roots` roots are run,
     # so the last roots-1 positions of the trace are never drawn.
-    bounds = trace_bounds(family, n, colors)
     drawn = bounds[: len(bounds) - roots + 1]
     below = rng.below
     label, vid, parent, kids, color = _run(

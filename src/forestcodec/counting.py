@@ -21,6 +21,21 @@ def _exact_div(a: int, b: int) -> int:
     return q
 
 
+def _ints(**named) -> None:
+    """Raises ValueError naming the first argument that is not an int, as
+    ``forests._int`` does: ``count`` loads no other module."""
+    for name, x in named.items():
+        if not isinstance(x, int):
+            raise ValueError(f"{name} must be an int, got {x!r}")
+
+
+def _int_entries(values: list, name: str) -> None:
+    """Raises ValueError unless every entry of ``values`` is an int."""
+    for x in values:
+        if not isinstance(x, int):
+            raise ValueError(f"{name} entries must be ints, got {x!r}")
+
+
 def _as_int(x: Fraction) -> int:
     if x.denominator != 1:
         raise ArithmeticError(f"expected an integer, got {x}")
@@ -29,6 +44,7 @@ def _as_int(x: Fraction) -> int:
 
 def cayley(n: int) -> int:
     """Labeled trees on n vertices: n^(n-2)."""
+    _ints(n=n)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     return 1 if n <= 2 else n ** (n - 2)
@@ -40,6 +56,7 @@ def rooted_forest_count(n: int, k: int, conditioned: bool = False) -> int:
     With ``conditioned`` the count is restricted to forests whose vertex n
     lies in tree 1, dropping the factor k.
     """
+    _ints(n=n, k=k)
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={n}")
     base = n ** (n - k - 1)
@@ -48,6 +65,7 @@ def rooted_forest_count(n: int, k: int, conditioned: bool = False) -> int:
 
 def forests_with_k_trees(n: int, k: int) -> int:
     """Forests on {1..n} made of k trees with distinguished roots."""
+    _ints(n=n, k=k)
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={n}")
     return comb(n - 1, k - 1) * n ** (n - k)
@@ -62,6 +80,7 @@ def riordan_forest_count(n: int, k: int) -> int:
     below n are filled bottom up, so no call nests, and every value is kept
     across calls.
     """
+    _ints(n=n, k=k)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     rows = _riordan_table()
@@ -80,6 +99,7 @@ def riordan_forest_count(n: int, k: int) -> int:
 def riordan_closed_form(n: int, k: int) -> int:
     """The count of ``riordan_forest_count`` by its closed form,
     k * n^(n-k-1), and 1 for k = n."""
+    _ints(n=n, k=k)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     return 1 if k == n else k * n ** (n - k - 1)
@@ -96,9 +116,11 @@ def _riordan(below: list[int], m: int, t: int) -> int:
 
 @lru_cache(maxsize=None)
 def _riordan_table() -> list[list[int]]:
-    """The values of T computed so far, made on first use and dropped by
-    ``_riordan_table.cache_clear()`` like the module's other caches.
-    ``rows[m][t]`` is T(m, m - t), filled from t = 0 on."""
+    """The values of T computed so far, made on first use.  The table is an
+    ``lru_cache`` so that ``cache_clear()`` resets it: the cli benchmark
+    (``perfbench/cli_workload.py``) calls that on every lru-cached function
+    of the package between commands.  ``rows[m][t]`` is T(m, m - t), filled
+    from t = 0 on."""
     return [[], [1]]
 
 
@@ -110,6 +132,7 @@ def multipartite_spanning_trees(parts: Sequence[int]) -> int:
     tripartite product formula.
     """
     sizes = list(parts)
+    _int_entries(sizes, "parts")
     if len(sizes) < 2:
         raise ValueError("need at least two parts")
     if any(s < 1 for s in sizes):
@@ -128,6 +151,7 @@ def tripartite_base_count(r: int, s: int, t: int) -> int:
     part) or under a third-part vertex that is itself a child of r+1
     (t * (r+s)^(t-1)); together (r+s+t)(r+s)^(t-1).
     """
+    _ints(r=r, s=s, t=t)
     if min(r, s, t) < 1:
         raise ValueError("part sizes must be positive")
     return (r + s + t) * (r + s) ** (t - 1)
@@ -142,6 +166,7 @@ def bipartite_identity(r: int, s: int) -> tuple[int, int]:
     to be the single vertex of part 1, so those summands vanish except at
     i = r-1 (the 0^0 = 1 reading of the formula).
     """
+    _ints(r=r, s=s)
     if r < 2 or s < 1:
         raise ValueError(f"need r >= 2 and s >= 1, got r={r}, s={s}")
     lhs = 0
@@ -166,6 +191,7 @@ def bipartite_identity(r: int, s: int) -> tuple[int, int]:
 
 def plane_labeled_count(v: int) -> int:
     """Labeled plane trees on v vertices: (2(v-1))! / (v-1)!."""
+    _ints(v=v)
     if v < 1:
         raise ValueError(f"need v >= 1, got {v}")
     return _exact_div(factorial(2 * (v - 1)), factorial(v - 1))
@@ -173,6 +199,7 @@ def plane_labeled_count(v: int) -> int:
 
 def catalan(n: int) -> int:
     """C(2n, n) / (n + 1): unlabeled plane trees on n+1 vertices."""
+    _ints(n=n)
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     return _exact_div(comb(2 * n, n), n + 1)
@@ -180,6 +207,7 @@ def catalan(n: int) -> int:
 
 def narayana(n: int, p: int) -> int:
     """Unlabeled plane trees on n+1 vertices with exactly p leaves."""
+    _ints(n=n, p=p)
     if not 1 <= p <= n:
         raise ValueError(f"need 1 <= p <= n, got p={p}, n={n}")
     return _exact_div(comb(n + 1, p) * comb(n - 1, n - p), n + 1)
@@ -192,6 +220,7 @@ def composition_stats(n: int, m: int) -> tuple[int, int]:
     integers; by symmetry the first coordinates sum to n/m of the total
     mass, i.e. n * C(n-1, m-1) / m.
     """
+    _ints(n=n, m=m)
     if n < 1 or m < 1:
         raise ValueError(f"need n, m >= 1, got n={n}, m={m}")
     count = comb(n - 1, m - 1)
@@ -205,6 +234,7 @@ def kary_forest_count(arity: int, internal: int, roots: int) -> int:
     which every internal vertex has exactly `arity` ordered children and
     the internal vertices carry labels with roots labeled 1..r.
     """
+    _ints(arity=arity, internal=internal, roots=roots)
     if arity < 1:
         raise ValueError(f"need arity >= 1, got {arity}")
     if not 1 <= roots <= internal:
@@ -217,6 +247,7 @@ def kary_forest_count(arity: int, internal: int, roots: int) -> int:
 
 def kary_unlabeled_count(arity: int, internal: int) -> int:
     """Unlabeled k-ary plane trees on arity*internal + 1 vertices."""
+    _ints(arity=arity, internal=internal)
     if arity < 1 or internal < 1:
         raise ValueError("need arity >= 1 and internal >= 1")
     kn = arity * internal
@@ -230,6 +261,7 @@ def kary_identity(arity: int, p: int, q: int, n: int) -> tuple[int, int]:
     sum_i (pq / (i(n-i))) C(ki, i-p) C(k(n-i), n-i-q) for the left side and
     ((p+q)/n) C(kn, n-(p+q)) for the right.
     """
+    _ints(arity=arity, p=p, q=q, n=n)
     if arity < 1:
         raise ValueError(f"need arity >= 1, got {arity}")
     if p < 1 or q < 1 or n < p + q:
@@ -250,6 +282,7 @@ def kary_identity(arity: int, p: int, q: int, n: int) -> tuple[int, int]:
 def _tree_degrees(degrees: Sequence[int]) -> list[int]:
     """The child counts of a tree on {1..n}, checked."""
     d = list(degrees)
+    _int_entries(d, "degrees")
     n = len(d)
     if n < 1:
         raise ValueError("need at least one vertex")
@@ -282,6 +315,7 @@ def erdelyi_etherington(multiplicities: Sequence[int]) -> int:
     multinomial C(n; n_0, n_1, ..., n_m) divided by n.
     """
     mult = list(multiplicities)
+    _int_entries(mult, "multiplicities")
     if any(x < 0 for x in mult):
         raise ValueError("multiplicities must be nonnegative")
     n = 1 + sum(i * x for i, x in enumerate(mult, start=1))
@@ -301,6 +335,7 @@ def special_colored_count(
     count is r (kc-1) (n-r-1)! C(kc*n - n - 1, n-r-1); conditioning on
     vertex n lying in tree 1 drops the factor r.
     """
+    _ints(n=n, colors=colors, r=r)
     if colors < 1:
         raise ValueError(f"need at least one color, got {colors}")
     if not 1 <= r <= n - 1:
@@ -315,6 +350,7 @@ def special_colored_count(
 
 def colored_tree_count(n: int, colors: int) -> int:
     """Properly colored trees on {1..n}: kc (n-2)! C(kc*n - n, n-2)."""
+    _ints(n=n, colors=colors)
     if colors < 1:
         raise ValueError(f"need at least one color, got {colors}")
     if n < 1:
@@ -326,6 +362,7 @@ def colored_tree_count(n: int, colors: int) -> int:
 
 def colored_root_degree_count(n: int, colors: int, r: int) -> int:
     """Properly colored trees on {1..n}, rooted at 1, with root degree r."""
+    _ints(n=n, colors=colors, r=r)
     if colors < 1:
         raise ValueError(f"need at least one color, got {colors}")
     if not 1 <= r <= n - 1:

@@ -203,6 +203,12 @@ def _require_ints(values: Sequence, what: str) -> None:
         raise ValueError(f"{what} must be ints, got {bad!r}")
 
 
+def _int(value, name: str) -> None:
+    """Raises ValueError naming ``value`` unless it is an int."""
+    if not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 def _cycle_vertex(parents: Sequence[int]) -> int:
     """A vertex on a cycle of the parent map (entries 0..n), or 0 if none."""
     # Follow parents from each vertex in turn, marking each vertex with the
@@ -319,8 +325,7 @@ def _swapped(v: int, a: int, b: int) -> int:
 
 
 def _check_vertex(forest: RootedForest | PartAssignment, v: int) -> None:
-    if not isinstance(v, int):
-        raise ValueError(f"vertex must be an int, got {v!r}")
+    _int(v, "vertex")
     if not 1 <= v <= forest.n:
         raise ValueError(f"vertex {v} out of range 1..{forest.n}")
 
@@ -375,8 +380,7 @@ class PartAssignment(_Value):
 
     def block(self, i: int) -> range:
         """The label range of part i."""
-        if not isinstance(i, int):
-            raise ValueError(f"part must be an int, got {i!r}")
+        _int(i, "part")
         if not 1 <= i <= self.part_count:
             raise ValueError(f"part {i} out of range 1..{self.part_count}")
         offs = (0, *accumulate(self.sizes))
@@ -432,8 +436,7 @@ class PlaneNode(_Value):
     def __post_init__(self) -> None:
         _set(self, "children", tuple(self.children))
         if self.label is not None:
-            if not isinstance(self.label, int):
-                raise ValueError(f"label must be an int, got {self.label!r}")
+            _int(self.label, "label")
             if self.label < 1:
                 raise ValueError(f"label must be positive, got {self.label}")
         _check_nodes(self.children, "child")
@@ -762,16 +765,14 @@ def _check_coloring(
     """The reference check of an edge coloring of a valid parent map: raises
     ValueError naming the first fault, vertex by vertex."""
     n = len(parents)
-    if not isinstance(color_count, int):
-        raise ValueError(f"color count must be an int, got {color_count!r}")
+    _int(color_count, "color count")
     if color_count < 0:
         raise ValueError("color count must be nonnegative")
     if len(colors) != n:
         raise ValueError("one color entry per vertex is required")
     for v in range(1, n + 1):
         c = colors[v - 1]
-        if not isinstance(c, int):
-            raise ValueError(f"color of vertex {v} must be an int, got {c!r}")
+        _int(c, f"color of vertex {v}")
         if parents[v - 1] == 0:
             if c != 0:
                 raise ValueError(f"root {v} must carry color 0")

@@ -799,3 +799,46 @@ def test_step_outputs_validate(family):
                 revalidate(inverse(g, k, c))
         steps += len(sources) + len(targets)
     assert steps
+
+
+# family -> (its forward, inverse and choice count, the name of their k, a
+# member with roots 1..r, r, and the step parameters after k)
+STEP_CALLS = {
+    "plain": (plain_forward, plain_inverse, plain_choice_count, "k", BOTTOM, 3, ()),
+    "partite": (
+        partite_forward, partite_inverse, partite_choice_count, "k",
+        RootedForest((0, 0, 4, 1, 2, 1)), 2, (PartAssignment((3, 3)),),
+    ),
+    "plane": (
+        plane_forward, plane_inverse, plane_choice_count, "k",
+        parse_plane("1(3,4);2"), 2, (),
+    ),
+    "leafplane": (
+        leafplane_forward, leafplane_inverse, leafplane_choice_count, "r",
+        LEAFPLANE_BOTTOM, 3, (),
+    ),
+    "colored": (
+        colored_forward, colored_inverse, colored_choice_count, "r",
+        COLORED_BOTTOM, 3, (),
+    ),
+}
+
+
+@pytest.mark.parametrize("family", STEP_CALLS)
+def test_non_integer_step_arguments(family):
+    """A step's k and choice are ints: on a member, a float one raises a
+    ValueError that names it, from each entry point."""
+    forward, inverse, count, name, forest, r, extra = STEP_CALLS[family]
+    calls = [
+        (lambda: forward(forest, r + 1.0, *extra), f"{name} must be an int, got {r + 1.0}"),
+        (lambda: inverse(forest, float(r), *extra, 1), f"{name} must be an int, got {r}.0"),
+        (lambda: inverse(forest, r, *extra, 1.0), "choice must be an int, got 1.0"),
+        (lambda: count(forest, float(r), *extra), f"{name} must be an int, got {r}.0"),
+    ]
+    for call, message in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+    # The same member and ints step as before.
+    assert inverse(forest, r, *extra, 1)
+    assert forward(forest, r + 1, *extra)

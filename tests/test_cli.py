@@ -538,6 +538,11 @@ def test_error_paths(capsys, argv):
          "plane forests take no --parts"),
         (("encode", "--family", "plain", "--kc", "3", "--forest", "3 1 0 1 1"),
          "plain forests take no --kc"),
+        # Partite parts fix n, so --n is an error, also when it is 0.
+        (("verify", "recurrence", "--family", "partite", "--parts", "2,3", "--n", "5"),
+         "partite forests take no --n"),
+        (("verify", "recurrence", "--family", "partite", "--parts", "2,3", "--n", "0"),
+         "partite forests take no --n"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, tuple) else v,
 )

@@ -437,3 +437,41 @@ def test_bad_arguments_are_rejected(func, args, message):
     with pytest.raises(ValueError) as info:
         func(*args)
     assert str(info.value).startswith(message)
+
+
+# A float, or a float entry, among each closed form's arguments: the call
+# and its ValueError, which names the argument.
+NON_INTEGERS = [
+    (cayley, (5.0,), "n must be an int, got 5.0"),
+    (rooted_forest_count, (5.0, 2), "n must be an int, got 5.0"),
+    (forests_with_k_trees, (5, 2.0), "k must be an int, got 2.0"),
+    (riordan_forest_count, (5.0, 2), "n must be an int, got 5.0"),
+    (riordan_closed_form, (5, 2.0), "k must be an int, got 2.0"),
+    (multipartite_spanning_trees, ((2, 3.0),), "parts entries must be ints, got 3.0"),
+    (tripartite_base_count, (1, 1, 2.0), "t must be an int, got 2.0"),
+    (bipartite_identity, (2.0, 3), "r must be an int, got 2.0"),
+    (plane_labeled_count, (4.0,), "v must be an int, got 4.0"),
+    (catalan, (4.0,), "n must be an int, got 4.0"),
+    (narayana, (4, 2.0), "p must be an int, got 2.0"),
+    (composition_stats, (4, 2.0), "m must be an int, got 2.0"),
+    (kary_forest_count, (2, 3.0, 1), "internal must be an int, got 3.0"),
+    (kary_unlabeled_count, (2.0, 3), "arity must be an int, got 2.0"),
+    (kary_identity, (2, 1, 1, 3.0), "n must be an int, got 3.0"),
+    (degseq_plane_count, ((1.0, 0),), "degrees entries must be ints, got 1.0"),
+    (degseq_rooted_count, ((1, 0.0),), "degrees entries must be ints, got 0.0"),
+    (erdelyi_etherington, ((1.0,),), "multiplicities entries must be ints, got 1.0"),
+    (special_colored_count, (4, 3.0, 1), "colors must be an int, got 3.0"),
+    (colored_tree_count, (4, 3.0), "colors must be an int, got 3.0"),
+    (colored_root_degree_count, (4, 3, 1.0), "r must be an int, got 1.0"),
+]
+
+
+@pytest.mark.parametrize(
+    "func, args, message",
+    NON_INTEGERS,
+    ids=[f"{func.__name__}{args}" for func, args, _ in NON_INTEGERS],
+)
+def test_non_integers_are_rejected(func, args, message):
+    with pytest.raises(ValueError) as info:
+        func(*args)
+    assert str(info.value) == message

@@ -11,6 +11,7 @@ from forestcodec.codec import (
     parse_trace,
     sample_uniform,
     trace_bounds,
+    trace_space_size,
 )
 from forestcodec.enumeration import (
     BUDGET_ENV_VAR,
@@ -67,6 +68,28 @@ GUARDS = {
     ),
     "sample of an unknown family": (
         lambda: sample_uniform("zeta", 3, 1), ValueError, "no sampler for family 'zeta'"
+    ),
+    # Traces, bounds and samples check their parameters alike.
+    "bounds with n < 1": (
+        lambda: trace_bounds("plain", -5), ValueError, "need n >= 1, got -5"
+    ),
+    "space size with n < 1": (
+        lambda: trace_space_size("plain", 0), ValueError, "need n >= 1, got 0"
+    ),
+    "colored space size without colors": (
+        lambda: trace_space_size("colored", 3, 0),
+        ValueError,
+        "colored traces need at least two colors",
+    ),
+    "colored sample with one color": (
+        lambda: sample_uniform("colored", 3, 1, colors=1),
+        ValueError,
+        "colored traces need at least two colors",
+    ),
+    "sample of a text n": (
+        lambda: sample_uniform("plain", "5", 1),
+        ValueError,
+        "n and colors must be ints, got '5'",
     ),
     "encode of a non-forest": (lambda: encode(42), TypeError, "cannot encode int"),
     "trace without a family name": (
