@@ -36,7 +36,7 @@ from forestcodec import (
     subtree_vertices,
 )
 from forestcodec.enumeration import FamilySpec, enumerate_family
-from forestcodec.forests import _rebuilt
+from helpers import revalidate
 
 BOTTOM = parse_forest("5 3 0 0 0 3 1")
 
@@ -698,20 +698,6 @@ class TestColored:
                         g, c = colored_forward(f, r)
                         assert g.is_special()
                         assert colored_inverse(g, r, c) == f
-
-
-def revalidate(value) -> None:
-    """Check a step's output anew on the validating construction path,
-    ``forests._rebuilt``, a colored forest's base first, and that every
-    other field is an int or a tuple of ints, as the parsers build them."""
-    for x in value._values:
-        if isinstance(x, RootedForest):
-            revalidate(x)
-        else:
-            assert type(x) is int or (
-                type(x) is tuple and all(type(i) is int for i in x)
-            ), x
-    _rebuilt(type(value), value._values)
 
 
 def _members(family, **spec):

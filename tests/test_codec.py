@@ -5,6 +5,7 @@ from itertools import product
 from math import comb, factorial, prod
 
 import pytest
+from helpers import revalidate
 
 from forestcodec import (
     ChoiceTrace,
@@ -54,6 +55,17 @@ def all_traces(family, n, colors=0):
         yield ChoiceTrace(family, n, colors, combo)
 
 
+def checked(value):
+    """``value``, once it is checked anew on the validating path."""
+    revalidate(value)
+    return value
+
+
+def round_trip(forest):
+    """``decode(encode(forest))``, each output checked anew."""
+    return checked(decode(checked(encode(forest))))
+
+
 def assert_uniform(draw, members, per_member, q999):
     """``draw(rng)`` hits every member, ``per_member`` times on average,
     with chi-square below the 0.999 quantile ``q999``."""
@@ -67,11 +79,11 @@ def assert_uniform(draw, members, per_member, q999):
 
 class TestDecodeEncode:
     def test_two_vertices(self):
-        assert decode(ChoiceTrace("plain", 2)).parents == (0, 1)
-        assert encode(RootedForest((0, 1))) == ChoiceTrace("plain", 2)
+        assert checked(decode(ChoiceTrace("plain", 2))).parents == (0, 1)
+        assert checked(encode(RootedForest((0, 1)))) == ChoiceTrace("plain", 2)
 
     def test_three_vertices(self):
-        got = {decode(t).parents for t in all_traces("plain", 3)}
+        got = {checked(decode(t)).parents for t in all_traces("plain", 3)}
         want = {
             f.parents
             for f in enumerate_family(FamilySpec("plain", n=3, roots=1))
@@ -80,33 +92,33 @@ class TestDecodeEncode:
 
     def test_chain_trace(self):
         chain = RootedForest((0, 1, 2))
-        assert encode(chain) == ChoiceTrace("plain", 3, 0, (3,))
-        assert decode(ChoiceTrace("plain", 3, 0, (3,))) == chain
+        assert checked(encode(chain)) == ChoiceTrace("plain", 3, 0, (3,))
+        assert checked(decode(ChoiceTrace("plain", 3, 0, (3,)))) == chain
 
     def test_plain_bijection_n5(self):
         images = set()
         for t in all_traces("plain", 5):
-            f = decode(t)
+            f = checked(decode(t))
             assert f.parents not in images
             images.add(f.parents)
-            assert encode(f) == t
+            assert checked(encode(f)) == t
         assert len(images) == 125 == trace_space_size("plain", 5)
 
     def test_plane_bijection_n5(self):
         images = set()
         for t in all_traces("plane", 5):
-            pf = decode(t)
+            pf = checked(decode(t))
             key = render_plane(pf)
             assert key not in images
             images.add(key)
-            assert encode(pf) == t
+            assert checked(encode(pf)) == t
         # (2n-2)!/n! labeled plane trees rooted at 1
         assert len(images) == 336 == trace_space_size("plane", 5)
 
     def test_colored_bijection(self):
         got = {
-            (decode(t).base.parents, decode(t).colors)
-            for t in all_traces("colored", 3, 2)
+            (ef.base.parents, ef.colors)
+            for ef in map(checked, map(decode, all_traces("colored", 3, 2)))
         }
         want = {
             (ef.base.parents, ef.colors)
@@ -121,9 +133,9 @@ class TestDecodeEncode:
         for n, kc in ((4, 3), (5, 2), (5, 3)):
             images = set()
             for t in all_traces("colored", n, kc):
-                ef = decode(t)
+                ef = checked(decode(t))
                 images.add((ef.base.parents, ef.colors))
-                assert encode(ef) == t
+                assert checked(encode(ef)) == t
             assert len(images) == trace_space_size("colored", n, kc)
             assert len(images) == special_colored_count(n, kc, 1, conditioned=True)
         assert trace_space_size("colored", 4, 3) == 84
@@ -141,7 +153,7 @@ class TestDecodeEncode:
         depth = 300
         text = "(".join(map(str, range(1, depth + 1))) + ")" * (depth - 1)
         forest = parse_plane(text)
-        assert decode(encode(forest)) == forest
+        assert round_trip(forest) == forest
 
     def test_deep_plane_round_trip_full_depth(self):
         # The 1200-deep chain: every forward step finds vertex n below k
@@ -149,7 +161,7 @@ class TestDecodeEncode:
         depth = 1200
         text = "(".join(map(str, range(1, depth + 1))) + ")" * (depth - 1)
         forest = parse_plane(text)
-        assert decode(encode(forest)) == forest
+        assert round_trip(forest) == forest
 
     @pytest.mark.parametrize("family", ("plain", "plane", "colored"))
     def test_deep_chain_round_trip(self, family):
@@ -162,7 +174,7 @@ class TestDecodeEncode:
         elif family == "colored":
             colors = (0,) + tuple(1 + v % 2 for v in range(n - 1))
             forest = EdgeColoredForest(forest, 3, colors)
-        assert decode(encode(forest)) == forest
+        assert round_trip(forest) == forest
 
     @pytest.mark.parametrize("family", ("plain", "plane"))
     @pytest.mark.parametrize("shape", ("star", "broom"))
@@ -181,7 +193,7 @@ class TestDecodeEncode:
         else:
             inner = ",".join(map(str, below[-1]))
             forest = parse_plane(f"1({inner})" if shape == "star" else f"1(2({inner}),{n})")
-        assert decode(encode(forest)) == forest
+        assert round_trip(forest) == forest
 
     def test_encode_rejects_non_members(self):
         with pytest.raises(ValueError, match="roots"):
@@ -247,13 +259,13 @@ class TestSampling:
 
     def test_family_invariants_hold(self):
         for i in range(300):
-            f = sample_uniform("plain", 7, seed=1000 + i)
+            f = checked(sample_uniform("plain", 7, seed=1000 + i))
             assert f.roots == (1,)
-            pf = sample_uniform("plane", 6, seed=2000 + i)
+            pf = checked(sample_uniform("plane", 6, seed=2000 + i))
             assert pf.is_fully_labeled()
             assert pf.root_labels() == (1,)
-            ef = sample_uniform("colored", 5, seed=3000 + i, colors=3)
-            assert ef.is_special()  # properness checked at construction
+            ef = checked(sample_uniform("colored", 5, seed=3000 + i, colors=3))
+            assert ef.is_special()  # properness checked by checked()
             assert ef.base.roots == (1,)
 
     def test_unconditioned_roots(self):

@@ -4,13 +4,16 @@ public bijection steps it replaces.
 ``_inverse_run`` and ``_step_encode`` below run the public steps one by
 one; the engine must give the same forest and the same trace on every
 trace of the small sizes, and the sampler the same forest for every draw
-sequence, conditioned or not, at roots 1, 2, 3 and n-1.
+sequence, conditioned or not, at roots 1, 2, 3 and n-1.  Every output is
+also checked anew on the validating construction path
+(``helpers.revalidate``).
 """
 
 import random
 from itertools import product
 
 import pytest
+from helpers import revalidate
 
 from forestcodec import (
     ChoiceTrace,
@@ -133,12 +136,14 @@ def check_sampler(family, n, colors, roots, drawn) -> None:
         family, n, 0, colors=colors, roots=roots, rng=Scripted(draws)
     )
     assert got == want
+    revalidate(got)
     for j in range(1, roots + 1) if roots > 1 else ():
         got = sample_uniform(
             family, n, 0, colors=colors, roots=roots, conditioned=False,
             rng=Scripted(draws + [j - 1]),
         )
         assert got == step_sample(family, n, colors, drawn, j)
+        revalidate(got)
 
 
 def case_id(case) -> str:
@@ -155,6 +160,8 @@ def test_every_trace(case):
         forest = _inverse_run(family, n, colors, choices)
         assert decode(trace) == forest
         assert encode(forest) == _step_encode(forest) == trace
+        revalidate(decode(trace))
+        revalidate(encode(forest))
 
 
 @pytest.mark.parametrize("case", SMALL, ids=case_id)
@@ -185,6 +192,8 @@ def test_random_traces_at_size(family, colors):
         forest = _inverse_run(family, n, colors, choices)
         assert decode(trace) == forest
         assert encode(forest) == _step_encode(forest) == trace
+        revalidate(decode(trace))
+        revalidate(encode(forest))
 
 
 # --------------------------------------------------------------------------
@@ -256,6 +265,8 @@ def test_adversarial_shapes(shape):
     trace = encode(forest)
     assert trace == _step_encode(forest)
     assert decode(trace) == _inverse_run(family, n, colors, trace.choices) == forest
+    revalidate(trace)
+    revalidate(decode(trace))
 
 
 def test_encode_errors_match_the_steps():

@@ -8,7 +8,7 @@ Forests are grown by hypothesis independently of the bijections: roots
 1..k-1 come first, each later vertex hangs below an earlier one, and the
 pivot (the largest label, or the first label of part 2) goes to a vertex of
 tree 1, as the forward step requires.  Every step output is checked anew
-on the validating construction path (``test_bijections.revalidate``).
+on the validating construction path (``helpers.revalidate``).
 """
 
 import pytest
@@ -17,7 +17,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_bijections import revalidate
+from helpers import revalidate
 
 from forestcodec import (
     EdgeColoredForest,
