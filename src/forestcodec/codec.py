@@ -15,8 +15,8 @@ Cost model: a run takes n-2 steps, and one run engine serves ``decode``,
 ``encode`` and ``sample_uniform`` for all three families.  It keeps one
 mutable forest across the steps, as plain lists by vertex id (see
 ``_run``), and applies the rules of the :mod:`bijections` steps to it in
-place; the one value a run returns is built, and validated, once, by
-``_value``.  Each pass over the steps is one loop over k,
+place; the one value a run returns is built once, by ``_value``, and not
+checked again (see below).  Each pass over the steps is one loop over k,
 which does the target search, the move and the join inline: the inverse
 steps of ``decode`` and ``sample_uniform`` and ``encode``'s replay in
 ``_run``, and ``encode``'s forward steps in ``encode``.  A run keeps only
@@ -43,6 +43,15 @@ it raises what that step raises; every member it passes reaches the base
 state, so it makes no second base-state check.  The steps stay the
 definition: the tests run them one by one as the reference the engine must
 match.
+
+A run's result is built with ``forests._trusted``, without the check of
+its constructor, as the steps build theirs: every run starts from checked
+input and in-range choices, and the steps map those to a family member.
+``decode`` takes only a ``ChoiceTrace``, whose constructor checks its
+parameters (``_check_codec``) and each choice against its bound;
+``sample_uniform`` checks its parameters and each draw of an rng other
+than ``SplitMix64``; and ``encode`` checks its input's membership and
+parameters, so the choices it records are in range.
 """
 
 from __future__ import annotations
@@ -59,7 +68,6 @@ from .forests import (
     _alternating_flip,
     _child_index,
     _int,
-    _plane_word,
     _preorder,
     _preorder_parents,
     _rebuilt,
@@ -68,6 +76,7 @@ from .forests import (
     _require_ints,
     _require_plain,
     _require_plane,
+    _trusted,
     _used_colors,
 )
 
@@ -161,6 +170,8 @@ def _check_codec(family: str, n: int, colors: int) -> None:
         raise ValueError(f"{family} forests take no colors, got {colors}")
     if _has_head(family, n) and colors < 2:
         raise ValueError("colored traces need at least two colors")
+    if family == "colored" and colors < 1:  # n = 1, where counting needs one
+        raise ValueError(f"colored traces need at least one color, got {colors}")
 
 
 def _has_head(family: str, n: int) -> bool:
@@ -252,21 +263,23 @@ def _exchange(label: list[int], vid: list[int], a: int, b: int) -> None:
 
 
 def _value(family, colors, label, vid, parent, kids, color):
-    """The forest of a run's lists as a value, built once."""
+    """The forest of a run's lists as a value, built once, without a check:
+    a run of in-range choices ends at a family member."""
     n = len(parent)
     if family == "plane":  # the roots by ascending label, in preorder
         roots = [u for u in vid[1:] if not parent[u - 1]]
-        return _plane_word(*_preorder(roots, kids.__getitem__, label.__getitem__))
+        word = _preorder(roots, kids.__getitem__, label.__getitem__)
+        return _trusted(PlaneForest, word)
     parents = [0] * n
     for u in range(1, n + 1):
         parents[label[u] - 1] = label[parent[u - 1]]
-    forest = RootedForest(tuple(parents))
+    forest = _trusted(RootedForest, (tuple(parents),))
     if family == "plain":
         return forest
     by_label = [0] * n
     for u in range(1, n + 1):
         by_label[label[u] - 1] = color[u - 1]
-    return EdgeColoredForest(forest, colors, tuple(by_label))
+    return _trusted(EdgeColoredForest, (forest, colors, tuple(by_label)))
 
 
 def _run(family: str, n: int, colors: int, choices: tuple[int, ...], cuts=None):
@@ -461,7 +474,14 @@ def _run(family: str, n: int, colors: int, choices: tuple[int, ...], cuts=None):
 
 
 def decode(trace: ChoiceTrace):
-    """Run the inverse steps k = n-1, ..., 2 from the maximal-root state."""
+    """Run the inverse steps k = n-1, ..., 2 from the maximal-root state.
+
+    Only a ``ChoiceTrace`` is taken: its constructor has checked every
+    choice against its bound, so the result is a family member and is not
+    checked again.
+    """
+    if type(trace) is not ChoiceTrace:
+        raise TypeError(f"cannot decode {type(trace).__name__}")
     family, colors = trace.family, trace.colors
     return _value(family, colors, *_run(family, trace.n, colors, trace.choices)[0])
 
@@ -470,9 +490,13 @@ def encode(forest) -> ChoiceTrace:
     """Run the forward steps k = 2, ..., n-1 and record their choices.
 
     The input must be a one-root family member (root 1); the family is
-    inferred from the value's type.  ``decode(encode(f)) == f``.
+    inferred from the value's type.  ``decode(encode(f)) == f``.  The
+    trace is built unchecked: ``_load`` has checked membership and
+    ``_check_codec`` the parameters, and a member's forward steps record
+    in-range choices.
     """
     family, n, colors, parent, kids, color, swaps = _load(forest)
+    _check_codec(family, n, colors)
     label, vid, cuts = list(range(n + 1)), list(range(n + 1)), []
     # The forward step at k cuts the subtree at label k and, if vertex n
     # leaves tree 1, exchanges labels 1 and k.  It records what the inverse
@@ -497,7 +521,7 @@ def encode(forest) -> ChoiceTrace:
         cuts.append((label[v], j, swap))
     head = (color[vid[n] - 1],) if _has_head(family, n) else ()
     chosen = _run(family, n, colors, head, reversed(cuts))[1]
-    return ChoiceTrace(family, n, colors, head + tuple(chosen))
+    return _trusted(ChoiceTrace, (family, n, colors, head + tuple(chosen)))
 
 
 # --------------------------------------------------------------------------
@@ -563,6 +587,12 @@ def sample_uniform(
     family with ``roots`` roots.  For the unconditioned family the pivot
     root is then itself relabeled uniformly among 1..roots, matching the
     k-fold relation between the two counts.
+
+    ``rng`` may be any object whose ``below(bound)`` draws from 0..bound-1.
+    Every draw is made before the run, and unless ``rng`` is a
+    ``SplitMix64``, whose draws are in range by construction, each is
+    checked then: an int in range, or ValueError.  So the result, built
+    from checked parameters and in-range choices, is not checked again.
     """
     if family not in CODEC_FAMILIES:
         raise ValueError(f"no sampler for family {family!r}")
@@ -573,12 +603,22 @@ def sample_uniform(
     if rng is None:
         rng = SplitMix64(seed)
     # Only the inverse steps from n-1 roots down to `roots` roots are run,
-    # so the last roots-1 positions of the trace are never drawn.
+    # so the last roots-1 positions of the trace are never drawn.  An
+    # unconditioned sample then draws the root that takes label 1.
     drawn = bounds[: len(bounds) - roots + 1]
+    relabel = not conditioned and roots > 1
+    if relabel:
+        drawn += (roots,)
     below = rng.below
-    label, vid, parent, kids, color = _run(
-        family, n, colors, tuple([below(b) + 1 for b in drawn])
-    )[0]
-    if not conditioned and roots > 1:
-        _exchange(label, vid, 1, rng.below(roots) + 1)
+    draws = [below(b) for b in drawn]
+    if type(rng) is not SplitMix64:
+        for d, b in zip(draws, drawn):
+            _int(d, "draw")
+            if not 0 <= d < b:
+                raise ValueError(f"draw {d} out of range 0..{b - 1}")
+    choices = [d + 1 for d in draws]
+    pivot = choices.pop() if relabel else 1
+    label, vid, parent, kids, color = _run(family, n, colors, tuple(choices))[0]
+    if relabel:
+        _exchange(label, vid, 1, pivot)
     return _value(family, colors, label, vid, parent, kids, color)

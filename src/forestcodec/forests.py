@@ -41,12 +41,15 @@ at n = 100 on valid colorings with kc = 3, and only a coloring it rejects
 runs ``_check_coloring``, which names the fault.
 
 Who validates: every public constructor, the parsers, ``replace``,
-unpickling and copying (all through ``_rebuilt``), the codec's
-``decode`` and ``sample_uniform`` and the enumeration oracles.  The
-bijection steps build their outputs with ``_trusted``, which sets the
-fields and skips the check: a step checks that its input is a member of
-its family level, and maps it to a member of the next, as the bijection
-theorem says and the tests check on every step output.
+unpickling and copying (all through ``_rebuilt``), and the enumeration
+oracles.  The bijection steps build their outputs with ``_trusted``, which
+sets the fields and skips the check: a step checks that its input is a
+member of its family level, and maps it to a member of the next, as the
+bijection theorem says and the tests check on every step output.  The
+codec's runs build their one result with ``_trusted`` too, as they apply
+the same steps to checked input: a ``ChoiceTrace`` (``decode``), checked
+parameters and in-range draws (``sample_uniform``), or a checked member
+(``encode``).
 
 Family-level constraints (roots being exactly 1..k, a pivot vertex lying in
 tree 1, part discipline, special color rules) are *not* type invariants:
@@ -128,8 +131,9 @@ class _Value:
 
 def _trusted(cls: type, values: Sequence) -> _Value:
     """A new value of ``cls`` with these fields, in ``__slots__`` order, and
-    no check: for the outputs of :mod:`bijections` only, whose steps map a
-    member of one family level, checked on entry, to a member of the next."""
+    no check: for the outputs of the :mod:`bijections` steps and of the
+    :mod:`codec` runs only, which map a member of one family level, or a
+    trace, checked on entry, to a member of the next."""
     value = object.__new__(cls)
     for name, x in zip(cls.__slots__, values):
         _set(value, name, x)

@@ -1,8 +1,10 @@
 """Choice-trace codecs, the fixed PRNG, and uniform sampling."""
 
+import pickle
 from collections import Counter
 from itertools import product
 from math import comb, factorial, prod
+from types import SimpleNamespace
 
 import pytest
 from helpers import revalidate
@@ -194,6 +196,33 @@ class TestDecodeEncode:
             inner = ",".join(map(str, below[-1]))
             forest = parse_plane(f"1({inner})" if shape == "star" else f"1(2({inner}),{n})")
         assert round_trip(forest) == forest
+
+    @pytest.mark.parametrize("choices", ((2, 9, 8, 7), (2, 9, 9, 9)), ids=("in", "out"))
+    def test_decode_takes_traces_only(self, choices):
+        # A trace's constructor checks its choices, so decode builds its
+        # result unchecked from a ChoiceTrace alone; (2, 9, 9, 9) would give
+        # color 4 of 3.
+        fake = SimpleNamespace(family="colored", n=5, colors=3, choices=choices)
+        with pytest.raises(TypeError, match="^cannot decode SimpleNamespace$"):
+            decode(fake)
+
+    @pytest.mark.parametrize("text", ("plain 4 : 2 3", "plane 4 : 5 3", "colored 4 3 : 2 1 1"))
+    def test_copies_of_outputs_are_checked(self, text, monkeypatch):
+        # decode builds its result unchecked; a pickled or replaced copy
+        # goes through the constructor's check, __post_init__.
+        forest = decode(parse_trace(text))
+        seen = []
+        for cls in (RootedForest, PlaneForest, EdgeColoredForest):
+            def spy(value, check=cls.__post_init__):
+                seen.append(type(value))
+                check(value)
+            monkeypatch.setattr(cls, "__post_init__", spy)
+        assert pickle.loads(pickle.dumps(forest)) == forest
+        assert type(forest) in seen
+        seen.clear()
+        last = forest.__slots__[-1]
+        assert forest.replace(**{last: getattr(forest, last)}) == forest
+        assert seen == [type(forest)]
 
     def test_encode_rejects_non_members(self):
         with pytest.raises(ValueError, match="roots"):

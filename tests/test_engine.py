@@ -10,6 +10,7 @@ also checked anew on the validating construction path
 """
 
 import random
+import re
 from itertools import product
 
 import pytest
@@ -19,6 +20,7 @@ from forestcodec import (
     ChoiceTrace,
     EdgeColoredForest,
     RootedForest,
+    SplitMix64,
     decode,
     encode,
     parse_colored,
@@ -144,6 +146,41 @@ def check_sampler(family, n, colors, roots, drawn) -> None:
         )
         assert got == step_sample(family, n, colors, drawn, j)
         revalidate(got)
+
+
+class Unchecked(Scripted):
+    """Scripted, without the range check: ``below`` returns any draw."""
+
+    def below(self, bound: int):
+        return next(self.draws)
+
+
+class Skewed(SplitMix64):
+    """A SplitMix64 whose draws fall one past their bound."""
+
+    def below(self, bound: int) -> int:
+        return bound
+
+
+@pytest.mark.parametrize(
+    "rng, roots, conditioned, message",
+    [
+        (Unchecked([4, 0]), 1, True, "draw 4 out of range 0..3"),
+        (Unchecked([0, -1]), 1, True, "draw -1 out of range 0..3"),
+        (Unchecked([1.0, 0]), 1, True, "draw must be an int, got 1.0"),
+        # The draw of the root that takes label 1, among roots 1..3.
+        (Unchecked([0, 3]), 3, False, "draw 3 out of range 0..2"),
+        (Skewed(0), 1, True, "draw 4 out of range 0..3"),
+    ],
+    ids=("above", "negative", "float", "relabel", "subclass"),
+)
+def test_sampler_checks_foreign_draws(rng, roots, conditioned, message):
+    """An rng that is not exactly SplitMix64 has each draw checked before
+    the run: plain n = 4 draws from 0..3 twice, and with three roots once
+    and then the root."""
+    n = 4 if roots == 1 else 5
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sample_uniform("plain", n, 0, roots=roots, conditioned=conditioned, rng=rng)
 
 
 def case_id(case) -> str:

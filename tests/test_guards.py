@@ -7,6 +7,7 @@ from forestcodec import EdgeColoredForest, RootedForest, cli
 from forestcodec.bijections import reroot_tree
 from forestcodec.codec import (
     ChoiceTrace,
+    decode,
     encode,
     parse_trace,
     sample_uniform,
@@ -91,7 +92,34 @@ GUARDS = {
         ValueError,
         "n and colors must be ints, got '5'",
     ),
+    # At n = 1 a colored trace has no head, but counting needs one color.
+    "colored trace with 0 colors at n = 1": (
+        lambda: ChoiceTrace("colored", 1, 0),
+        ValueError,
+        "colored traces need at least one color, got 0",
+    ),
+    "colored bounds with 0 colors at n = 1": (
+        lambda: trace_bounds("colored", 1, 0),
+        ValueError,
+        "colored traces need at least one color, got 0",
+    ),
+    "colored space size with 0 colors at n = 1": (
+        lambda: trace_space_size("colored", 1, 0),
+        ValueError,
+        "colored traces need at least one color, got 0",
+    ),
+    "colored sample with 0 colors at n = 1": (
+        lambda: sample_uniform("colored", 1, 1, colors=0),
+        ValueError,
+        "colored traces need at least one color, got 0",
+    ),
+    "encode of a colored vertex with 0 colors": (
+        lambda: encode(EdgeColoredForest(RootedForest((0,)), 0, (0,))),
+        ValueError,
+        "colored traces need at least one color, got 0",
+    ),
     "encode of a non-forest": (lambda: encode(42), TypeError, "cannot encode int"),
+    "decode of a non-trace": (lambda: decode(42), TypeError, "cannot decode int"),
     "trace without a family name": (
         lambda: parse_trace(" : 1 2"), ValueError, "missing family name"
     ),
