@@ -44,14 +44,12 @@ state, so it makes no second base-state check.  The steps stay the
 definition: the tests run them one by one as the reference the engine must
 match.
 
-A run's result is built with ``forests._trusted``, without the check of
-its constructor, as the steps build theirs: every run starts from checked
-input and in-range choices, and the steps map those to a family member.
-``decode`` takes only a ``ChoiceTrace``, whose constructor checks its
-parameters (``_check_codec``) and each choice against its bound;
-``sample_uniform`` checks its parameters and each draw of an rng other
-than ``SplitMix64``; and ``encode`` checks its input's membership and
-parameters, so the choices it records are in range.
+A run's result is built with ``forests._trusted``, unchecked, as the
+steps build theirs, since every run starts from checked input and in-range
+choices: ``decode`` takes only a ``ChoiceTrace``, whose constructor checks
+each choice against its bound; ``sample_uniform`` checks each draw of an
+rng other than ``SplitMix64``; ``encode`` checks its input's membership
+and, with ``_check_codec``, its parameters.
 """
 
 from __future__ import annotations
@@ -490,10 +488,7 @@ def encode(forest) -> ChoiceTrace:
     """Run the forward steps k = 2, ..., n-1 and record their choices.
 
     The input must be a one-root family member (root 1); the family is
-    inferred from the value's type.  ``decode(encode(f)) == f``.  The
-    trace is built unchecked: ``_load`` has checked membership and
-    ``_check_codec`` the parameters, and a member's forward steps record
-    in-range choices.
+    inferred from the value's type.  ``decode(encode(f)) == f``.
     """
     family, n, colors, parent, kids, color, swaps = _load(forest)
     _check_codec(family, n, colors)

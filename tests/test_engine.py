@@ -163,22 +163,21 @@ class Skewed(SplitMix64):
 
 
 @pytest.mark.parametrize(
-    "rng, roots, conditioned, message",
+    "rng, n, roots, conditioned, message",
     [
-        (Unchecked([4, 0]), 1, True, "draw 4 out of range 0..3"),
-        (Unchecked([0, -1]), 1, True, "draw -1 out of range 0..3"),
-        (Unchecked([1.0, 0]), 1, True, "draw must be an int, got 1.0"),
+        (Unchecked([4, 0]), 4, 1, True, "draw 4 out of range 0..3"),
+        (Unchecked([0, -1]), 4, 1, True, "draw -1 out of range 0..3"),
+        (Unchecked([1.0, 0]), 4, 1, True, "draw must be an int, got 1.0"),
         # The draw of the root that takes label 1, among roots 1..3.
-        (Unchecked([0, 3]), 3, False, "draw 3 out of range 0..2"),
-        (Skewed(0), 1, True, "draw 4 out of range 0..3"),
+        (Unchecked([0, 3]), 5, 3, False, "draw 3 out of range 0..2"),
+        (Skewed(0), 4, 1, True, "draw 4 out of range 0..3"),
     ],
     ids=("above", "negative", "float", "relabel", "subclass"),
 )
-def test_sampler_checks_foreign_draws(rng, roots, conditioned, message):
+def test_sampler_checks_foreign_draws(rng, n, roots, conditioned, message):
     """An rng that is not exactly SplitMix64 has each draw checked before
-    the run: plain n = 4 draws from 0..3 twice, and with three roots once
-    and then the root."""
-    n = 4 if roots == 1 else 5
+    the run: plain n = 4 draws from 0..3 twice, and n = 5 with three roots
+    from 0..4 once and then the root from 0..2."""
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         sample_uniform("plain", n, 0, roots=roots, conditioned=conditioned, rng=rng)
 
