@@ -74,6 +74,16 @@ from .forests import (
 )
 
 
+def _require_step(name: str, k: int, n: int, *choice: int) -> None:
+    """The range 2..n-1 of the step ``name`` (k; r for colored) on n
+    vertices, checked after ``name`` and an inverse step's choice are ints."""
+    _int(k, name)
+    for c in choice:
+        _int(c, "choice")
+    if not 2 <= k <= n - 1:
+        raise ValueError(f"{name} must satisfy 2 <= {name} <= n-1, got {k}")
+
+
 # Every step finds its choice by counting.  ``slots[v]`` is the number of
 # targets vertex v offers (one per vertex, child gap or free color) and
 # ``inside[v]`` marks tree k, the side of the swap-case targets; both are
@@ -187,10 +197,8 @@ def plain_forward(forest: RootedForest, k: int) -> tuple[RootedForest, int]:
     must now sit under k, so labels 1 and k are exchanged.  Also returns the
     canonical choice index that makes ``plain_inverse`` undo the step.
     """
-    _int(k, "k")
     n = forest.n
-    if not 2 <= k <= n - 1:
-        raise ValueError(f"k must satisfy 2 <= k <= n-1, got {k}")
+    _require_step("k", k, n)
     kids = _child_index(forest.parents)
     _require_plain(forest, kids, k - 1, n)
     return _detach(forest, kids, k, n, range(n + 1))
@@ -203,11 +211,8 @@ def plain_inverse(forest: RootedForest, k: int, choice: int) -> RootedForest:
     vertex outside it; the remaining m choices attach tree 1 below a vertex
     of tree k and exchange labels 1 and k.
     """
-    _int(k, "k")
-    _int(choice, "choice")
     n = forest.n
-    if not 2 <= k <= n - 1:
-        raise ValueError(f"k must satisfy 2 <= k <= n-1, got {k}")
+    _require_step("k", k, n, choice)
     kids = _child_index(forest.parents)
     _require_plain(forest, kids, k, n)
     return _attach(forest, kids, k, range(n + 1), choice)
@@ -372,11 +377,9 @@ def plane_forward(pf: PlaneForest, k: int) -> tuple[PlaneForest, int]:
     Attachment positions are (vertex, gap) pairs, so a vertex of degree d
     offers d+1 slots; over the whole target forest that is 2n-k slots.
     """
-    _int(k, "k")
     labels, degrees = pf.preorder_labels, pf.preorder_degrees
     n = len(labels)
-    if not 2 <= k <= n - 1:
-        raise ValueError(f"k must satisfy 2 <= k <= n-1, got {k}")
+    _require_step("k", k, n)
     starts = _require_plane(pf, k - 1)[1]
     i = labels.index(k)
     e = _subtree_end(degrees, i)
@@ -393,12 +396,8 @@ def plane_forward(pf: PlaneForest, k: int) -> tuple[PlaneForest, int]:
 
 
 def plane_inverse(pf: PlaneForest, k: int, choice: int) -> PlaneForest:
-    _int(k, "k")
-    _int(choice, "choice")
     labels, degrees = pf.preorder_labels, pf.preorder_degrees
-    n = len(labels)
-    if not 2 <= k <= n - 1:
-        raise ValueError(f"k must satisfy 2 <= k <= n-1, got {k}")
+    _require_step("k", k, len(labels), choice)
     starts = _require_plane(pf, k)[1]
     # Tree k is the last.  The target vertex never lies in the moved tree:
     # outside slots avoid tree k, inside slots avoid tree 1.
@@ -512,10 +511,8 @@ def colored_forward(
     special again.  The recorded choice remembers both the attachment vertex
     and x.
     """
-    _int(r, "r")
     n, kc = ef.n, ef.color_count
-    if not 2 <= r <= n - 1:
-        raise ValueError(f"r must satisfy 2 <= r <= n-1, got {r}")
+    _require_step("r", r, n)
     kids = _child_index(ef.base.parents)
     _require_colored(ef, kids, r - 1)
     parents, colors = list(ef.base.parents), list(ef.colors)
@@ -551,11 +548,8 @@ def colored_inverse(
     If the chosen color collides with an edge out of the attached root, that
     edge is recolored with the last color, undoing the forward recoloring.
     """
-    _int(r, "r")
-    _int(choice, "choice")
     n, kc = ef.n, ef.color_count
-    if not 2 <= r <= n - 1:
-        raise ValueError(f"r must satisfy 2 <= r <= n-1, got {r}")
+    _require_step("r", r, n, choice)
     kids = _child_index(ef.base.parents)
     _require_colored(ef, kids, r)
     v, j, swap = _chosen(_free_counts(kids, kc), _tree_k(kids, r), choice)

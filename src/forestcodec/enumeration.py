@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import os
 import sys
+from functools import cache
 from itertools import product
 from math import prod
 from typing import Iterator, Sequence
@@ -36,10 +37,12 @@ from .forests import (
     _cycle_vertex,
     _depths,
     _descends,
+    _int,
     _part_table,
     _plane_word,
     _properly_colored,
     _rebuilt,
+    _require_ints,
     _set,
     _special,
 )
@@ -53,6 +56,7 @@ class BudgetExceededError(RuntimeError):
 
 class _Budget:
     def __init__(self, limit: int) -> None:
+        _int(limit, "budget")
         if limit <= 0:
             raise ValueError(f"candidate budget must be positive: {limit}")
         self.limit = limit
@@ -114,13 +118,10 @@ class FamilySpec(_Value):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         for name in ("n", "roots", "leaves", "colors", "arity"):
-            x = getattr(self, name)
-            if x is not None and not isinstance(x, int):
-                raise ValueError(f"{name} must be an int, got {x!r}")
+            if name != "leaves" or self.leaves is not None:
+                _int(getattr(self, name), name)
         for name in ("root_set", "part_sizes", "degrees"):
-            for x in getattr(self, name) or ():
-                if not isinstance(x, int):
-                    raise ValueError(f"{name} entries must be ints, got {x!r}")
+            _require_ints(getattr(self, name) or (), f"{name} entries")
         if self.family == "partite":
             if len(self.part_sizes) < 2 or any(s < 1 for s in self.part_sizes):
                 raise ValueError("partite family needs at least two nonempty parts")
@@ -494,73 +495,68 @@ def verify_recurrence(
     equals the product of the other two.  Both counts come from
     ``enumerate_family``, never from closed forms.  ``k_range`` defaults to
     every step; a k outside them is an error.
+
+    The parameters make one spec, conditioned, with one root; colored
+    counts the special colored family.  ``FamilySpec.validate`` checks it,
+    so a parameter the family never reads is an error, as is a number that
+    is not an int (a bool is none).  A plane spec would read ``leaves`` as
+    a leaf filter, so plane takes no leaves.  Count k's spec is that spec
+    with k roots, and for leafplane k-1 more internal vertices and leaves.
+    The checks of what a step needs come first.
     """
-    sizes = tuple(part_sizes)
-    p = leaves or 0
-    if family in ("plain", "plane", "colored") and n < 3:
-        raise ValueError(f"need n >= 3 for a recurrence step, got {n}")
-    if family == "partite":
-        if n:
-            raise ValueError(f"partite forests take no n, got {n}")
-        if len(sizes) < 2:
-            raise ValueError("partite verification needs at least two parts")
-        if sizes[0] < 2:
-            raise ValueError("need at least two vertices in part 1 for a step")
-    if family == "leafplane":
-        if leaves is None:
-            raise ValueError("leafplane verification needs the base leaf count")
-        if n - leaves < 3:
-            raise ValueError("need at least three internal vertices for a step")
-    # Per family: the default steps k; for step k, the row label and the
-    # multiplier; and the parameters of the family with k roots.
+    sizes, p = tuple(part_sizes), leaves or 0
     parts = ",".join(map(str, sizes))
-    recurrences = {
-        "plain": (
-            range(2, n),
-            lambda k: (f"n={n} k={k}", n),
-            lambda k: {"n": n},
-        ),
-        "partite": (
-            range(2, sizes[0] + 1) if sizes else (),
-            lambda k: (f"parts={parts} k={k}", sum(sizes[1:])),
-            lambda k: {"part_sizes": sizes},
-        ),
-        "plane": (
-            range(2, n),
-            lambda k: (f"n={n} k={k}", 2 * n - k),
-            lambda k: {"n": n},
-        ),
-        "leafplane": (
-            range(2, n - p),
-            lambda k: (f"n={n + k - 2} p={p + k - 2} r={k}", p + k - 1),
-            lambda k: {"n": n + k - 1, "leaves": p + k - 1},
-        ),
-        "colored": (
-            range(2, n),
-            lambda k: (f"n={n} kc={colors} r={k}", colors * n - 2 * n + k),
-            lambda k: {"n": n, "colors": colors},
-        ),
+    # Per family: step k's row label and multiplier.
+    rows = {
+        "plain": lambda k: (f"n={n} k={k}", n),
+        "partite": lambda k: (f"parts={parts} k={k}", sum(sizes[1:])),
+        "plane": lambda k: (f"n={n} k={k}", 2 * n - k),
+        "leafplane": lambda k: (f"n={n + k - 2} p={p + k - 2} r={k}", p + k - 1),
+        "colored": lambda k: (f"n={n} kc={colors} r={k}", colors * n - 2 * n + k),
     }
-    if family not in recurrences:
+    if family not in rows:
         raise ValueError(f"no recurrence check for family {family!r}")
-    steps, row, params = recurrences[family]
+    try:  # what a step needs, first; a non-number compared fails validate()
+        if family in ("plain", "plane", "colored") and n < 3:
+            raise ValueError(f"need n >= 3 for a recurrence step, got {n}")
+        if family == "partite":
+            if len(sizes) < 2:
+                raise ValueError("partite verification needs at least two parts")
+            if sizes[0] < 2:
+                raise ValueError("need at least two vertices in part 1 for a step")
+        if family == "leafplane":
+            if leaves is None:
+                raise ValueError("leafplane verification needs the base leaf count")
+            if n - leaves < 3:
+                raise ValueError("need at least three internal vertices for a step")
+    except TypeError:
+        pass
+    if family == "plane" and leaves is not None:
+        raise ValueError(f"plane forests take no leaves, got {leaves}")
+    spec_family = "special-colored" if family == "colored" else family
+    base = FamilySpec(
+        spec_family, n, part_sizes=sizes, leaves=leaves, colors=colors, conditioned=True
+    )
+    base.validate()
+    # The default steps k: 2..|part 1| for partite, else 2..(internal - 1).
+    steps = range(2, sizes[0] + 1 if family == "partite" else n - p)
     for k in k_range or ():
         if k not in steps:
             raise ValueError(
                 f"k={k} is not a {family} step: k must lie in {steps[0]}..{steps[-1]}"
             )
-    spec_family = "special-colored" if family == "colored" else family
-    counts: dict[int, int] = {}  # row k's rhs is row k+1's lhs: count it once
+    _require_ints(k_range or (), "k_range entries")
 
+    @cache  # row k's rhs is row k+1's lhs: count it once
     def count(k: int) -> int:
-        if k not in counts:
-            spec = FamilySpec(spec_family, roots=k, conditioned=True, **params(k))
-            counts[k] = count_by_enumeration(spec, budget)
-        return counts[k]
+        spec = base.replace(roots=k)
+        if family == "leafplane":  # k-1 more internal vertices and leaves
+            spec = spec.replace(n=n + k - 1, leaves=p + k - 1)
+        return count_by_enumeration(spec, budget)
 
-    rows = []
+    checked = []
     for k in steps if k_range is None else k_range:
         lhs, rhs = count(k - 1), count(k)
-        label, multiplier = row(k)
-        rows.append(RecurrenceRow(label, lhs, multiplier, rhs))
-    return rows
+        label, factor = rows[family](k)
+        checked.append(RecurrenceRow(label, lhs, factor, rhs))
+    return checked

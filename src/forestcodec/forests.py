@@ -8,9 +8,11 @@ slotted classes on ``_Value``, which gives them a frozen dataclass's
 equality, hashing, ``repr`` and copying without importing ``dataclasses``.
 Each stores its sequence fields as tuples, in ``__post_init__``, so a value
 built from a list equals, and hashes like, the one built from a tuple.
-Every count, label and color a value holds must be an ``int`` (by
-``isinstance``, as ``_check_parents`` tests a parent, or ``_require_ints``
-for a whole sequence), so a float never reaches a renderer or a step.
+Every count, label and color a value holds must be an ``int`` that is not
+a ``bool`` (``_is_int``, which ``_int`` applies to one value,
+``_require_ints`` to a sequence and ``_check_parents`` to each parent after
+a one-test pass for an exact ``int``), so neither a float nor ``True``
+reaches a renderer or a step.
 
 Cost model: each operation makes one pass over the value, O(n) for n
 vertices, at any depth.  A plane forest is stored as its preorder word, two
@@ -69,7 +71,7 @@ from __future__ import annotations
 
 import bisect
 import re
-from itertools import accumulate, repeat
+from itertools import accumulate
 from operator import attrgetter, ne
 from typing import Iterator, Sequence
 
@@ -190,7 +192,8 @@ def _check_parents(parents: Sequence[int]) -> None:
     vertex by vertex."""
     n = len(parents)
     for v, p in enumerate(parents, start=1):
-        if not isinstance(p, int) or not 0 <= p <= n:
+        # One type test for an exact int; any other type is tested in full.
+        if type(p) is not int and not _is_int(p) or not 0 <= p <= n:
             raise ValueError(f"parent of vertex {v} out of range: {p!r}")
         if p == v:
             raise ValueError(f"vertex {v} is its own parent")
@@ -199,17 +202,27 @@ def _check_parents(parents: Sequence[int]) -> None:
         raise ValueError(f"parent map has a cycle through vertex {v}")
 
 
+def _is_int(x) -> bool:
+    """True iff x is an int and not a bool: a bool is no count, label or
+    color, and the renderers would write it as ``True``."""
+    return isinstance(x, int) and type(x) is not bool
+
+
+_INT_TYPE = frozenset((int,))
+
+
 def _require_ints(values: Sequence, what: str) -> None:
     """Raises ValueError naming the first of ``values`` that is not an int:
     ``what`` names them, in the plural."""
-    if not all(map(isinstance, values, repeat(int))):
-        bad = next(x for x in values if not isinstance(x, int))
-        raise ValueError(f"{what} must be ints, got {bad!r}")
+    if not _INT_TYPE.issuperset(map(type, values)):  # not all exact ints
+        for x in values:
+            if not _is_int(x):
+                raise ValueError(f"{what} must be ints, got {x!r}")
 
 
 def _int(value, name: str) -> None:
     """Raises ValueError naming ``value`` unless it is an int."""
-    if not isinstance(value, int):
+    if not _is_int(value):
         raise ValueError(f"{name} must be an int, got {value!r}")
 
 
@@ -707,6 +720,8 @@ def _spliced(word: tuple[Sequence, Sequence], runs) -> tuple[tuple, tuple]:
 
 def plane_relabel(pf: PlaneForest, a: int, b: int) -> PlaneForest:
     """Swap labels a and b, then restore ascending tree order."""
+    _int(a, "label")
+    _int(b, "label")
     if min(a, b) < 1:  # 0 marks an unlabeled vertex in the word
         raise ValueError(f"label must be positive, got {min(a, b)}")
     if a == b:
@@ -797,8 +812,9 @@ def _properly_colored(
     """True iff the color count and every color are ints, every root carries
     color 0, every edge a color in 1..color_count, and no (vertex, color)
     key occurs twice among the two ends of the edges: one pass that accepts
-    only valid colorings of a valid parent map.  A coloring it rejects may
-    still be valid (an int subclass for a color, say), so
+    only valid colorings of a valid parent map.  It tests each for an exact
+    ``int``, so it rejects a bool; a coloring it rejects may still be valid
+    (an int subclass other than bool for a color, say), so
     ``_check_coloring`` decides."""
     n = len(parents)
     if type(color_count) is not int or color_count < 0 or len(colors) != n:

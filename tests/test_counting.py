@@ -463,6 +463,10 @@ NON_INTEGERS = [
     (special_colored_count, (4, 3.0, 1), "colors must be an int, got 3.0"),
     (colored_tree_count, (4, 3.0), "colors must be an int, got 3.0"),
     (colored_root_degree_count, (4, 3, 1.0), "r must be an int, got 1.0"),
+    # A bool is no int.
+    (cayley, (True,), "n must be an int, got True"),
+    (special_colored_count, (4, 3, True), "r must be an int, got True"),
+    (degseq_rooted_count, ((1, False),), "degrees entries must be ints, got False"),
 ]
 
 

@@ -98,6 +98,9 @@ SMALL = (
     [("plain", n, 0) for n in range(1, 7)]
     + [("plane", n, 0) for n in range(1, 6)]
     + [("colored", n, 3) for n in range(1, 5)]
+    # kc = 2: a root offers one color; kc = 5: a free-color rank reaches 3.
+    + [("colored", n, 2) for n in range(1, 7)]
+    + [("colored", n, 5) for n in range(1, 5)]
 )
 
 RELABEL = {

@@ -159,6 +159,39 @@ GUARDS = {
         ValueError,
         "partite forests take no n, got 4",
     ),
+    # A parameter the family never reads is an error, as in enumerate_family.
+    "recurrence of plain with colors": (
+        lambda: verify_recurrence("plain", 4, colors=3),
+        ValueError,
+        "plain forests take no colors, got 3",
+    ),
+    "recurrence of plane with parts": (
+        lambda: verify_recurrence("plane", 4, part_sizes=(2, 3)),
+        ValueError,
+        "plane forests take no part_sizes, got (2, 3)",
+    ),
+    # A plane spec reads leaves as a leaf filter; the recurrence has none.
+    "recurrence of plane with leaves": (
+        lambda: verify_recurrence("plane", 5, leaves=2),
+        ValueError,
+        "plane forests take no leaves, got 2",
+    ),
+    "recurrence of colored with leaves": (
+        lambda: verify_recurrence("colored", 4, colors=3, leaves=2),
+        ValueError,
+        "special-colored forests take no leaves filter",
+    ),
+    # The step checks come before the spec's.
+    "recurrence of plain at n = 2 with colors": (
+        lambda: verify_recurrence("plain", 2, colors=3),
+        ValueError,
+        "need n >= 3 for a recurrence step, got 2",
+    ),
+    "recurrence of leafplane without leaves": (
+        lambda: verify_recurrence("leafplane", 6),
+        ValueError,
+        "leafplane verification needs the base leaf count",
+    ),
 }
 
 

@@ -14,13 +14,21 @@ from forestcodec.codec import (
     sample_uniform,
     trace_bounds,
 )
-from forestcodec.enumeration import FamilySpec, RecurrenceRow
+from forestcodec.counting import cayley
+from forestcodec.enumeration import (
+    FamilySpec,
+    RecurrenceRow,
+    count_by_enumeration,
+    verify_recurrence,
+)
 from forestcodec.forests import (
     EdgeColoredForest,
     PartAssignment,
     PlaneNode,
     RootedForest,
     parse_plane,
+    plane_relabel,
+    render_forest,
 )
 
 # name -> (a maker of one value, a field of it, the value's repr)
@@ -173,8 +181,10 @@ def test_copies_round_trip(case, copier):
     assert repr(twin) == text
 
 
-# A trace's counts and choices, and the sampler's numbers, are ints: the
-# call and its ValueError.
+# A trace's counts and choices, the sampler's numbers, a value's parents,
+# labels and colors, a relabel's labels, the oracle budget and the
+# recurrence check's parameters are ints, and a bool is none: the call and
+# its ValueError.
 NON_INTEGERS = {
     "choice": (
         lambda: ChoiceTrace("plain", 4, 0, (1.0, 2)),
@@ -202,6 +212,86 @@ NON_INTEGERS = {
         lambda: sample_uniform("plain", 5, 1, roots=2.0),
         "roots must be an int, got 2.0",
     ),
+    "sampler roots True": (
+        lambda: sample_uniform("plain", 4, 1, roots=True),
+        "roots must be an int, got True",
+    ),
+    "parent True": (
+        lambda: render_forest(RootedForest((0, True))),
+        "parent of vertex 2 out of range: True",
+    ),
+    "choice True": (
+        lambda: ChoiceTrace("plain", 3, 0, (True,)),
+        "n, colors and choices must be ints, got True",
+    ),
+    "node label True": (lambda: PlaneNode(True), "label must be an int, got True"),
+    "color True": (
+        lambda: EdgeColoredForest(RootedForest((0, 1)), 2, (0, True)),
+        "color of vertex 2 must be an int, got True",
+    ),
+    "part size True": (
+        lambda: PartAssignment((2, True)),
+        "part sizes must be ints, got True",
+    ),
+    "cayley True": (lambda: cayley(True), "n must be an int, got True"),
+    "relabel text": (
+        lambda: plane_relabel(parse_plane("1(2,3(4))"), "a", 2),
+        "label must be an int, got 'a'",
+    ),
+    "relabel float": (
+        lambda: plane_relabel(parse_plane("1(2,3(4))"), 1.5, 2),
+        "label must be an int, got 1.5",
+    ),
+    "budget text": (
+        lambda: count_by_enumeration(FamilySpec("plain", n=4), budget="x"),
+        "budget must be an int, got 'x'",
+    ),
+    "budget float": (
+        lambda: count_by_enumeration(FamilySpec("plain", n=4), budget=2.5),
+        "budget must be an int, got 2.5",
+    ),
+    "budget 1e9": (
+        lambda: count_by_enumeration(FamilySpec("plain", n=4), budget=1e9),
+        "budget must be an int, got 1000000000.0",
+    ),
+    "spec root_set True": (
+        lambda: FamilySpec("plain", n=3, root_set=(True,)).validate(),
+        "root_set entries must be ints, got True",
+    ),
+    "spec n None": (
+        lambda: FamilySpec("plain", n=None).validate(),
+        "n must be an int, got None",
+    ),
+    "recurrence n": (
+        lambda: verify_recurrence("plain", 4.0), "n must be an int, got 4.0"
+    ),
+    "recurrence n text": (
+        lambda: verify_recurrence("plain", "5"), "n must be an int, got '5'"
+    ),
+    "recurrence leaves": (
+        lambda: verify_recurrence("leafplane", 6, leaves=2.0),
+        "leaves must be an int, got 2.0",
+    ),
+    "recurrence leaves text": (
+        lambda: verify_recurrence("leafplane", 6, leaves="2"),
+        "leaves must be an int, got '2'",
+    ),
+    "recurrence part size": (
+        lambda: verify_recurrence("partite", part_sizes=(2.0, 3)),
+        "part_sizes entries must be ints, got 2.0",
+    ),
+    "recurrence part size text": (
+        lambda: verify_recurrence("partite", part_sizes=("2", 3)),
+        "part_sizes entries must be ints, got '2'",
+    ),
+    "recurrence k_range": (
+        lambda: verify_recurrence("plain", 4, k_range=[2.0]),
+        "k_range entries must be ints, got 2.0",
+    ),
+    "recurrence budget": (
+        lambda: verify_recurrence("plain", 4, budget="x"),
+        "budget must be an int, got 'x'",
+    ),
 }
 
 
@@ -211,3 +301,18 @@ def test_non_integers_are_rejected(case):
     with pytest.raises(ValueError) as info:
         make()
     assert str(info.value) == message
+
+
+class Count(int):
+    """An int subclass other than bool, which is an int like any other."""
+
+
+def test_int_subclasses_are_ints():
+    one, two = Count(1), Count(2)
+    assert RootedForest((0, one)).parents == (0, 1)
+    assert EdgeColoredForest(RootedForest((0, 1)), two, (0, one)).colors == (0, 1)
+    assert PlaneNode(one).label == 1
+    assert ChoiceTrace("plain", Count(3), 0, (two,)).choices == (2,)
+    assert plane_relabel(parse_plane("1(2)"), one, two) == parse_plane("2(1)")
+    assert cayley(Count(4)) == 16
+    assert count_by_enumeration(FamilySpec("plain", n=Count(3)), budget=Count(27)) == 3
