@@ -540,12 +540,13 @@ def verify_recurrence(
     base.validate()
     # The default steps k: 2..|part 1| for partite, else 2..(internal - 1).
     steps = range(2, sizes[0] + 1 if family == "partite" else n - p)
-    for k in k_range or ():
+    ks = steps if k_range is None else tuple(k_range)
+    for k in ks:
         if k not in steps:
             raise ValueError(
                 f"k={k} is not a {family} step: k must lie in {steps[0]}..{steps[-1]}"
             )
-    _require_ints(k_range or (), "k_range entries")
+    _require_ints(ks, "k_range entries")
 
     @cache  # row k's rhs is row k+1's lhs: count it once
     def count(k: int) -> int:
@@ -555,7 +556,7 @@ def verify_recurrence(
         return count_by_enumeration(spec, budget)
 
     checked = []
-    for k in steps if k_range is None else k_range:
+    for k in ks:
         lhs, rhs = count(k - 1), count(k)
         label, factor = rows[family](k)
         checked.append(RecurrenceRow(label, lhs, factor, rhs))

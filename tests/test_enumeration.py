@@ -220,6 +220,10 @@ class TestVerifyRecurrence:
         rows = verify_recurrence(family, n=5, k_range=steps)
         assert rows == [verify_recurrence(family, n=5, k_range=(k,))[0] for k in steps]
 
+    def test_steps_from_an_iterator(self):
+        steps = verify_recurrence("plain", n=5, k_range=iter((3, 2)))
+        assert steps == verify_recurrence("plain", n=5, k_range=(3, 2))
+
     def test_each_count_has_its_own_budget(self):
         # The k=1 count spends 5**4 = 625 candidates, k=2 then 125, and so on.
         assert len(verify_recurrence("plain", n=5, budget=625)) == 3
