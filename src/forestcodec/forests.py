@@ -10,9 +10,9 @@ Each stores its sequence fields as tuples, in ``__post_init__``, so a value
 built from a list equals, and hashes like, the one built from a tuple.
 Every count, label and color a value holds must be an ``int`` that is not
 a ``bool`` (``_is_int``, which ``_int`` applies to one value,
-``_require_ints`` to a sequence and ``_check_parents`` to each parent after
-a one-test pass for an exact ``int``), so neither a float nor ``True``
-reaches a renderer or a step.
+``_require_ints`` to a sequence and ``_check_parents`` to each parent, each
+after one type test that passes an exact ``int``), so neither a float nor
+``True`` reaches a renderer or a step.
 
 Cost model: each operation makes one pass over the value, O(n) for n
 vertices, at any depth.  A plane forest is stored as its preorder word, two
@@ -192,7 +192,7 @@ def _check_parents(parents: Sequence[int]) -> None:
     vertex by vertex."""
     n = len(parents)
     for v, p in enumerate(parents, start=1):
-        # One type test for an exact int; any other type is tested in full.
+        # One type test for an exact int, as in ``_int``.
         if type(p) is not int and not _is_int(p) or not 0 <= p <= n:
             raise ValueError(f"parent of vertex {v} out of range: {p!r}")
         if p == v:
@@ -222,7 +222,7 @@ def _require_ints(values: Sequence, what: str) -> None:
 
 def _int(value, name: str) -> None:
     """Raises ValueError naming ``value`` unless it is an int."""
-    if not _is_int(value):
+    if type(value) is not int and not _is_int(value):
         raise ValueError(f"{name} must be an int, got {value!r}")
 
 
