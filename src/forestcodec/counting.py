@@ -25,7 +25,7 @@ def _ints(**named) -> None:
     """Raises ValueError naming the first argument that is not an int, or is
     a bool, as ``forests._int`` does: ``count`` loads no other module."""
     for name, x in named.items():
-        if not isinstance(x, int) or type(x) is bool:
+        if type(x) is not int and (not isinstance(x, int) or type(x) is bool):
             raise ValueError(f"{name} must be an int, got {x!r}")
 
 
@@ -33,7 +33,7 @@ def _int_entries(values: list, name: str) -> None:
     """Raises ValueError unless every entry of ``values`` is an int and not
     a bool."""
     for x in values:
-        if not isinstance(x, int) or type(x) is bool:
+        if type(x) is not int and (not isinstance(x, int) or type(x) is bool):
             raise ValueError(f"{name} entries must be ints, got {x!r}")
 
 

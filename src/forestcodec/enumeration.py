@@ -121,7 +121,8 @@ class FamilySpec(_Value):
             if name != "leaves" or self.leaves is not None:
                 _int(getattr(self, name), name)
         for name in ("root_set", "part_sizes", "degrees"):
-            _require_ints(getattr(self, name) or (), f"{name} entries")
+            if getattr(self, name):
+                _require_ints(getattr(self, name), f"{name} entries")
         if self.family == "partite":
             if len(self.part_sizes) < 2 or any(s < 1 for s in self.part_sizes):
                 raise ValueError("partite family needs at least two nonempty parts")
