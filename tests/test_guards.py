@@ -187,11 +187,6 @@ GUARDS = {
         ValueError,
         "need n >= 3 for a recurrence step, got 2",
     ),
-    "recurrence of leafplane without leaves": (
-        lambda: verify_recurrence("leafplane", 6),
-        ValueError,
-        "leafplane verification needs the base leaf count",
-    ),
 }
 
 
